@@ -2,20 +2,18 @@
 
 use std::process::Command;
 
-/// Worker threads the rayon shim uses now (one per CPU this thread may
-/// run on).
+/// Worker threads the rayon shim uses: one per CPU the process may run
+/// on.
 pub fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The one-line host block every result carries.
-pub fn block(workload: &str, seed: u64, affinity: &Affinity) -> String {
+pub fn block(workload: &str, seed: u64) -> String {
     format!(
-        "host: nproc={} workers={} (pinned to cpu {}) cpu=\"{}\" rustc=\"{}\" commit={} \
+        "host: nproc={} cpu=\"{}\" rustc=\"{}\" commit={} \
          workload={workload} seed={seed}",
-        affinity.nproc(),
         workers(),
-        affinity.pinned,
         cpu_model(),
         command_line("rustc", &["-V"]).unwrap_or_else(|| "unknown".into()),
         command_line("git", &["rev-parse", "--short=12", "HEAD"])
@@ -63,76 +61,6 @@ struct Rusage {
 
 extern "C" {
     fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-}
-
-/// `cpu_set_t`: a 1024-bit CPU mask.
-#[derive(Clone, Copy)]
-#[repr(C)]
-struct CpuSet([u64; 16]);
-
-impl CpuSet {
-    fn only(cpu: usize) -> Self {
-        let mut set = CpuSet([0; 16]);
-        set.0[cpu / 64] = 1 << (cpu % 64);
-        set
-    }
-}
-
-/// The process's CPU affinity: the CPUs it was started with, and the
-/// one CPU the measurements run on.
-///
-/// On the 2-vCPU reference host two busy workers slow each other down
-/// by a factor that drifts with time (CPU ns per probe 107–145 with two
-/// workers against 82–89 with one), which made two-worker runs
-/// unreproducible; so the benchmark measures on one pinned CPU and the
-/// rayon shim, which sizes its pool from the affinity, runs one worker.
-pub struct Affinity {
-    full: CpuSet,
-    /// The CPU measurements run on.
-    pub pinned: usize,
-}
-
-impl Affinity {
-    /// Pins the calling thread, and every thread it spawns from now on,
-    /// to the first CPU it may run on.
-    pub fn pin_first() -> std::io::Result<Self> {
-        let mut full = CpuSet([0; 16]);
-        // SAFETY: `full` is a writable 128-byte mask and the size
-        // passed is its size; pid 0 names the calling thread.
-        if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut full) } != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let pinned = (0..1024)
-            .find(|&cpu| full.0[cpu / 64] & (1 << (cpu % 64)) != 0)
-            .ok_or_else(|| std::io::Error::other("empty CPU affinity mask"))?;
-        set_affinity(&CpuSet::only(pinned))?;
-        Ok(Self { full, pinned })
-    }
-
-    /// CPUs the process was started with.
-    pub fn nproc(&self) -> usize {
-        self.full.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Runs `f` with the calling thread's original affinity, so the
-    /// rayon shim uses every CPU; pins again afterwards.
-    pub fn unpinned<R>(&self, f: impl FnOnce() -> R) -> std::io::Result<R> {
-        set_affinity(&self.full)?;
-        let r = f();
-        set_affinity(&CpuSet::only(self.pinned))?;
-        Ok(r)
-    }
-}
-
-fn set_affinity(mask: &CpuSet) -> std::io::Result<()> {
-    // SAFETY: `mask` is a readable 128-byte mask and the size passed is
-    // its size; pid 0 names the calling thread.
-    if unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), mask) } != 0 {
-        return Err(std::io::Error::last_os_error());
-    }
-    Ok(())
 }
 
 const RUSAGE_SELF: i32 = 0;

@@ -31,21 +31,14 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    print_pins: bool,
 }
 
 const USAGE: &str = "usage: perfbench --workload <paper-grid|fleet-base|closed-loop-victims> \
-                     --seed <n> --seconds <s> --trace <0|1> [--print-pins]";
+                     --seed <n> --seconds <s> --trace <0|1>";
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, 0u64, 10.0f64, false);
-    let mut print_pins = false;
-    let mut args = args.peekable();
     while let Some(flag) = args.next() {
-        if flag == "--print-pins" {
-            print_pins = true;
-            continue;
-        }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--workload" => {
@@ -76,7 +69,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
         seed,
         seconds,
         trace,
-        print_pins,
     })
 }
 
@@ -147,18 +139,24 @@ impl Checker {
             if !ok {
                 println!(
                     "MISMATCH: pin probes={} acc={}/{} sim_attack_ms={:?} digest={:016x}; \
-                     got probes={} acc={}/{} sim_attack_ms={:?} digest={:016x}",
+                     measured entry:\n    Pin {{ workload: {:?}, seed: {}, probes: {}, hits: {}, \
+                     records: {}, sim_attack_ms: {:?}, digest: 0x{:016x} }},",
                     pin.probes,
                     pin.hits,
                     pin.records,
                     pin.sim_attack_ms,
                     pin.digest,
+                    pin.workload,
+                    pin.seed,
                     out.probes,
                     out.hits,
                     out.records,
                     out.sim_attack_ms,
                     out.digest()
                 );
+                for line in &out.lines {
+                    println!("    // {line}");
+                }
                 return false;
             }
         }
@@ -172,16 +170,9 @@ impl Checker {
     }
 }
 
-/// Runs the n = 2 grid canaries on every CPU (they are checked, not
-/// timed); returns how many failed.
-pub fn run_canaries(affinity: &host::Affinity) -> u64 {
-    affinity.unpinned(canaries).unwrap_or_else(|err| {
-        println!("canaries: cannot use every CPU ({err}); running pinned");
-        canaries()
-    })
-}
-
-fn canaries() -> u64 {
+/// Runs the n = 2 grid canaries (they are checked, not timed); returns
+/// how many failed.
+pub fn run_canaries() -> u64 {
     let mut failed = 0;
     for (observables, expected) in workloads::GRID_CANARIES {
         let got = catch_unwind(|| workloads::grid_canary(observables)).ok();
@@ -205,7 +196,7 @@ const MIN_TIMED_CALLS: usize = 2;
 /// Set-up time per build: the workload's fixtures are built repeatedly
 /// until this much set-up time has accumulated (at least once), so
 /// millisecond-scale set-ups still yield a stable median.
-const SETUP_SECONDS_PER_RUN: f64 = 0.1;
+const SETUP_SECONDS_PER_RUN: f64 = 1.0;
 
 fn setup_samples(workload: Workload, seed: u64) -> Vec<f64> {
     let mut samples = Vec::new();
@@ -219,7 +210,7 @@ fn setup_samples(workload: Workload, seed: u64) -> Vec<f64> {
 }
 
 /// `--trace 0`: repeat the measured call, report end-to-end metrics.
-fn measure(args: &Args, affinity: &host::Affinity) -> Report {
+fn measure(args: &Args) -> Report {
     let workload = args.workload;
     let mut checker = Checker::new(workload, args.seed);
     let (mut attempted, mut failed) = (0u64, 0u64);
@@ -262,7 +253,7 @@ fn measure(args: &Args, affinity: &host::Affinity) -> Report {
     }
     let peak_rss_mb = host::peak_rss_mb();
     attempted += workloads::GRID_CANARIES.len() as u64;
-    failed += run_canaries(affinity);
+    failed += run_canaries();
 
     if let Some(out) = &output {
         println!(
@@ -308,25 +299,6 @@ fn measure(args: &Args, affinity: &host::Affinity) -> Report {
     }
 }
 
-/// `--print-pins`: the pin table entry of `--workload` for `--seed`,
-/// with the lines its digest covers.
-fn print_pins(workload: Workload, seed: u64) {
-    let out = workload.execute(seed);
-    println!(
-        "    Pin {{ workload: {:?}, seed: {seed}, probes: {}, hits: {}, records: {}, \
-         sim_attack_ms: {:?}, digest: 0x{:016x} }},",
-        workload.name(),
-        out.probes,
-        out.hits,
-        out.records,
-        out.sim_attack_ms,
-        out.digest()
-    );
-    for line in &out.lines {
-        println!("    // {line}");
-    }
-}
-
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -335,25 +307,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let affinity = match host::Affinity::pin_first() {
-        Ok(affinity) => affinity,
-        Err(err) => {
-            eprintln!("cannot pin the benchmark to one CPU: {err}");
-            return ExitCode::from(1);
-        }
-    };
-    println!(
-        "{}",
-        host::block(args.workload.name(), args.seed, &affinity)
-    );
-    if args.print_pins {
-        print_pins(args.workload, args.seed);
-        return ExitCode::SUCCESS;
-    }
+    println!("{}", host::block(args.workload.name(), args.seed));
     let report = if args.trace {
-        trace::run(args.workload, args.seed, &affinity)
+        trace::run(args.workload, args.seed)
     } else {
-        measure(&args, &affinity)
+        measure(&args)
     };
     println!("{}", report.json());
     ExitCode::SUCCESS

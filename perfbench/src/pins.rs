@@ -1,6 +1,7 @@
 //! Pinned deterministic outputs per (workload, seed).
 //!
-//! Regenerate with `perfbench --workload <w> --seed <n> --print-pins` after a change
+//! A run whose outputs differ from its pin prints the measured entry,
+//! with the lines its digest covers, ready to paste here after a change
 //! that deliberately alters simulated behaviour; a pure speed-up must
 //! leave every pin untouched.
 
@@ -23,8 +24,6 @@ pub struct Pin {
 }
 
 /// Seed 0 is the default seed; seed 1 is the held-out seed.
-/// `perfbench --workload <w> --seed <n> --print-pins` prints an entry
-/// together with the per-row lines its digest covers.
 pub const PINS: &[Pin] = &[
     Pin {
         workload: "paper-grid",

@@ -4,8 +4,7 @@
 //! Every workload is a closed-loop batch job: a fixed amount of work is
 //! generated from the seed and runs to completion inside one public
 //! engine call (`Campaign::run` or `Fleet::run`), with the rayon shim's
-//! default of one worker per CPU the process may use (one while the
-//! benchmark is pinned, see `host::Affinity`).
+//! default of one worker per CPU the process may use.
 
 use avx_channel::attacks::campaign::{
     Campaign, CampaignConfig, CampaignRow, Scenario, TrialFixture,
