@@ -562,31 +562,6 @@ impl Scenario {
         self.aggregate(profile, config, outcomes, trials)
     }
 
-    /// [`Scenario::campaign`] against prebuilt fixtures: `fixtures[i]`
-    /// must come from [`Scenario::build_fixture`] with seed
-    /// `config.seed0 + seed_salt() + i`. Identical results to
-    /// [`Scenario::campaign`] — the fixtures only hoist system
-    /// construction out of the (profile, noise) cells.
-    #[must_use]
-    pub fn campaign_with(
-        self,
-        profile: &CpuProfile,
-        config: CampaignConfig,
-        fixtures: &[TrialFixture],
-    ) -> CampaignRow {
-        let cell = Cell {
-            scenario: self,
-            profile,
-            config,
-            pool: fixtures,
-        };
-        let outcomes = (0..fixtures.len())
-            .into_par_iter()
-            .map(|i| cell.run_trial(i))
-            .collect();
-        cell.aggregate(outcomes)
-    }
-
     fn aggregate(
         self,
         profile: &CpuProfile,
@@ -775,8 +750,8 @@ impl Campaign {
     /// worker instead of ending behind a per-cell barrier. Outcomes come
     /// back in (cell, trial) order and each row folds its own trials in
     /// trial order — the same f64 summation order as
-    /// [`Scenario::campaign_with`] — so the rows are bit-identical for
-    /// every worker count (invariant 14).
+    /// [`Scenario::campaign`] — so the rows are bit-identical for every
+    /// worker count (invariant 14).
     ///
     /// Heavyweight scenarios are bounded to [`Scenario::max_trials`]
     /// trials per cell (call [`Scenario::campaign`] directly for

@@ -17,6 +17,7 @@ use avx_channel::attacks::campaign::{CampaignConfig, CampaignRow, Scenario};
 use avx_channel::defense::{
     Defense, DefenseKind, DefenseRegion, Rerandomizing, DEFAULT_RERANDOMIZE_PERIOD,
 };
+use avx_channel::schedule::ScheduleKind;
 use avx_channel::{AddrRange, KernelBaseFinder, Prober, SimProber, Threshold};
 use avx_mmu::VirtAddr;
 use avx_os::linux::{
@@ -129,6 +130,24 @@ fn rerandomizing_determinism_holds_under_v2_observables() {
 
 // ---------------------------------------------------------------------
 // Property 3: masked translation is total.
+
+#[test]
+fn rerandomizing_modules_survive_module_churn_in_both_regimes() {
+    // Module churn maps fresh module pages into the region the module
+    // image re-slides within; a slide drawn onto a filled slot must
+    // leave the image in place instead of panicking mid-move.
+    for observables in [ObservablesVersion::V1, ObservablesVersion::V2] {
+        let config = CampaignConfig::new(6, 3)
+            .with_defense(DefenseKind::Rerandomizing)
+            .with_schedule(ScheduleKind::ModuleChurn)
+            .with_observables(observables);
+        let first = Scenario::Modules.campaign(&profile(), config);
+        let second = Scenario::Modules.campaign(&profile(), config);
+        assert_eq!(first.defense, "rerandomizing");
+        assert_eq!(first.schedule, "module-churn");
+        assert_rows_bit_identical(&first, &second, &format!("{} replay", observables.name()));
+    }
+}
 
 #[test]
 fn masked_translation_is_total_on_layout_edges() {

@@ -124,6 +124,8 @@ struct CapturedPage {
 /// ops, the captured pages are unmapped and re-mapped at a fresh random
 /// slot inside the region (same physical frames — the "copy" is free in
 /// the model), and the machine performs the TLB shootdown an OS would.
+/// A drawn slot that something else has mapped into since capture
+/// (module churn) leaves the image where it is for that firing.
 ///
 /// All mutation goes through [`AddressSpace::unmap`] / `map_at`, i.e.
 /// through `write_entry`, so a re-randomization event bumps the space's
@@ -196,7 +198,8 @@ impl Rerandomizer {
         })
     }
 
-    /// Current base of the protected image (moves on every firing).
+    /// Current base of the protected image (moves on every firing whose
+    /// drawn slot is free).
     #[must_use]
     pub fn image_base(&self) -> u64 {
         self.image_base
@@ -232,18 +235,30 @@ impl Rerandomizer {
             // shootdown), the slide just happens to be identity.
             return true;
         }
+        // Slide a copy-on-write snapshot first: something else (module
+        // churn) may have mapped part of the drawn slot since capture,
+        // and a half-moved image could not be put back. On a collision
+        // the image stays where it is — still a counted firing, like
+        // the same-slot draw above.
+        let mut moved = space.clone();
+        if self.slide(&mut moved, new_base).is_ok() {
+            *space = moved;
+            self.image_base = new_base;
+        }
+        true
+    }
+
+    /// Unmaps the image at its current base and maps it at `new_base`.
+    fn slide(&self, space: &mut AddressSpace, new_base: u64) -> Result<(), avx_mmu::MmuError> {
         for page in &self.layout {
             let va = VirtAddr::new_truncate(self.image_base + page.offset);
-            space.unmap(va, page.size).expect("captured page mapped");
+            space.unmap(va, page.size)?;
         }
         for page in &self.layout {
             let va = VirtAddr::new_truncate(new_base + page.offset);
-            space
-                .map_at(va, page.phys, page.size, page.flags)
-                .expect("target slot free");
+            space.map_at(va, page.phys, page.size, page.flags)?;
         }
-        self.image_base = new_base;
-        true
+        Ok(())
     }
 }
 
@@ -402,6 +417,32 @@ mod tests {
                 .is_none());
         }
         assert_eq!(space.mapped_pages(), 4, "page count conserved");
+    }
+
+    #[test]
+    fn rerandomizer_keeps_the_image_in_place_when_the_slot_is_taken() {
+        // Capture a two-slot image, then fill every slot it could slide
+        // onto: each firing draws a colliding slot and must leave the
+        // space untouched rather than half-move the image.
+        let mut space = image_space(0, 2);
+        let mut r = Rerandomizer::capture(&space, REGION_START, REGION_END, ALIGN, 1, 7).unwrap();
+        for s in 2..(REGION_END - REGION_START) / ALIGN {
+            space
+                .map(
+                    VirtAddr::new_truncate(REGION_START + s * ALIGN),
+                    PageSize::Size2M,
+                    PteFlags::kernel_rx(),
+                )
+                .unwrap();
+        }
+        let (regions, epoch) = (space.iter_regions(), space.epoch());
+        for generation in 1..=8 {
+            assert!(r.tick(&mut space), "a blocked slide still fires");
+            assert_eq!(r.generation(), generation);
+            assert_eq!(r.image_base(), REGION_START, "image stays put");
+        }
+        assert_eq!(space.epoch(), epoch, "nothing was written");
+        assert_eq!(space.iter_regions(), regions);
     }
 
     #[test]

@@ -53,10 +53,10 @@ pub mod ziggurat;
 
 pub use defense::{AddressMask, Rerandomizer, VictimDefense};
 pub use lines::PteLineCache;
-pub use machine::{Machine, MaskedOutcome, NOISE_BLOCK};
+pub use machine::{Machine, MaskedOutcome};
 pub use masked::{ElemWidth, Fault, Mask, MaskedOp, OpKind};
 pub use memory::SparseMemory;
-pub use noise::{DriftRamp, NoiseModel, NoiseProfile, NoiseSchedule};
+pub use noise::{DriftRamp, NoiseModel, NoiseProfile, NoiseSchedule, V1Tile, NOISE_BLOCK};
 pub use observables::ObservablesVersion;
 pub use pmc::{Event, PmcBank, PmcDelta, PmcSnapshot};
 pub use profile::{CpuModel, CpuProfile, TimingParams, Vendor};

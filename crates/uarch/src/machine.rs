@@ -25,18 +25,11 @@ use crate::defense::VictimDefense;
 use crate::lines::PteLineCache;
 use crate::masked::{ElemWidth, Fault, MaskedOp, OpKind};
 use crate::memory::SparseMemory;
-use crate::noise::{NoiseModel, NoiseSchedule};
+use crate::noise::{NoiseModel, NoiseSchedule, V1Tile, NOISE_BLOCK};
 use crate::observables::ObservablesVersion;
 use crate::pmc::{Event, PmcBank};
 use crate::profile::CpuProfile;
 use crate::sched::VictimSchedule;
-
-/// Noise-block length of the v2 batched path: how many consecutive
-/// probes share one precomputed block of noise samples. Pinned equal to
-/// the probe pipeline's batch tile (`ProbeStrategy::BATCH_TILE` in
-/// `avx-channel`, asserted by a cross-crate test there) so blocks align
-/// with `AddrRange::tiles()` and every sweep engine fills whole blocks.
-pub const NOISE_BLOCK: usize = 16;
 
 /// Result of executing one masked operation.
 #[derive(Clone, Debug)]
@@ -103,6 +96,43 @@ impl OpAccounting {
     }
 }
 
+/// Footprint of the probe ops built by [`MaskedOp::probe_load`] /
+/// [`MaskedOp::probe_store`]: 8 dword lanes, so the last lane starts 28
+/// bytes past the base address.
+const PROBE_LAST_LANE_OFFSET: u64 = 7 * ElemWidth::Dword.bytes();
+
+/// The per-kind constants of one batch of all-zero-mask probes.
+struct BatchProbe {
+    kind: OpKind,
+    retired_event: Event,
+    walk_event: Event,
+    base: f64,
+    /// Extra cycles of a probe that touched a non-present user page
+    /// (loads only).
+    nonpresent_extra: f64,
+}
+
+impl BatchProbe {
+    fn new(kind: OpKind, t: &crate::profile::TimingParams) -> Self {
+        match kind {
+            OpKind::Load => Self {
+                kind,
+                retired_event: Event::MaskedLoadRetired,
+                walk_event: Event::DtlbLoadWalkCompleted,
+                base: t.base_load,
+                nonpresent_extra: t.user_nonpresent_load_extra,
+            },
+            OpKind::Store => Self {
+                kind,
+                retired_event: Event::MaskedStoreRetired,
+                walk_event: Event::DtlbStoreWalkCompleted,
+                base: t.base_store,
+                nonpresent_extra: 0.0,
+            },
+        }
+    }
+}
+
 /// One simulated core: address space + TLB + PSC + PTE-line cache +
 /// counters + clock.
 ///
@@ -165,6 +195,8 @@ pub struct Machine {
     /// reads, no per-op work beyond one `Option` discriminant read.
     sched: Option<VictimSchedule>,
     rng: StdRng,
+    /// Scratch of the v1 batch path; empty between batch calls.
+    v1_tile: V1Tile,
     tsc: u64,
 }
 
@@ -198,6 +230,7 @@ impl Machine {
             defense: None,
             sched: None,
             rng: StdRng::seed_from_u64(seed),
+            v1_tile: V1Tile::new(),
             tsc: 0,
         }
     }
@@ -589,106 +622,87 @@ impl Machine {
     /// one measurement per address to `out`, reusing its capacity.
     /// Sweep engines thread one scratch buffer through every tile, so
     /// the steady-state probe loop performs no heap allocation at all.
+    ///
+    /// Both regimes run in [`NOISE_BLOCK`]-sized tiles. Retired-op PMC
+    /// bumps are aggregated per tile — batch callers have no mid-batch
+    /// observation point, so the post-batch counter values are
+    /// unchanged.
     pub fn execute_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
-        if self.observables == ObservablesVersion::V2 {
-            return self.execute_batch_into_v2(kind, addrs, out);
-        }
-        let t = self.profile.timing;
-        let (retired_event, walk_event, base) = match kind {
-            OpKind::Load => (
-                Event::MaskedLoadRetired,
-                Event::DtlbLoadWalkCompleted,
-                t.base_load,
-            ),
-            OpKind::Store => (
-                Event::MaskedStoreRetired,
-                Event::DtlbStoreWalkCompleted,
-                t.base_store,
-            ),
-        };
-        // Footprint of the probe ops built by `MaskedOp::probe_load` /
-        // `probe_store`: 8 dword lanes, so the last lane starts 28 bytes
-        // past the base address.
-        let last_lane_offset = 7 * ElemWidth::Dword.bytes();
-
+        let probe = BatchProbe::new(kind, &self.profile.timing);
         out.reserve(addrs.len());
-        for &addr in addrs {
-            self.sched_tick();
-            self.defense_tick();
-            self.pmc.bump(retired_event);
-            let mut acc = OpAccounting::new(base);
-
-            // The zero mask means no lane is unmasked, so `visit_page`
-            // can never report a fault on this path.
-            let first_page = addr.align_down(4096);
-            let last_page = addr.wrapping_add(last_lane_offset).align_down(4096);
-            let _ = self.visit_page(kind, first_page, false, &mut acc, None);
-            if last_page != first_page {
-                let _ = self.visit_page(kind, last_page, false, &mut acc, None);
-            }
-
-            if acc.user_nonpresent && kind == OpKind::Load {
-                acc.cycles += t.user_nonpresent_load_extra;
-            }
-            self.pmc.add(walk_event, u64::from(acc.walks_total));
-            let measured = self.next_noise().perturb(&mut self.rng, acc.cycles);
-            self.tsc += measured;
-            out.push(measured);
+        match self.observables {
+            ObservablesVersion::V1 => self.execute_tiles_v1(&probe, addrs, out),
+            ObservablesVersion::V2 => self.execute_tiles_v2(&probe, addrs, out),
         }
     }
 
-    /// The v2 batched hot path: probes are processed in
-    /// [`NOISE_BLOCK`]-sized chunks, each chunk's noise pre-drawn into
-    /// one stack block by the ziggurat kernel ([`NoiseModel::fill_block`])
-    /// before the translation loop consumes it. Translation never
-    /// touches the RNG, so pre-drawing preserves the per-sample stream:
-    /// a v2 batch is bit-identical to the same probes run through the
-    /// v2 scalar path (asserted by `execute_batch_matches_scalar_*`).
-    /// Retired-op PMC bumps are aggregated per chunk — batch callers
-    /// have no mid-batch observation point, so the post-batch counter
-    /// values are unchanged.
-    fn execute_batch_into_v2(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
-        let t = self.profile.timing;
-        let (retired_event, walk_event, base) = match kind {
-            OpKind::Load => (
-                Event::MaskedLoadRetired,
-                Event::DtlbLoadWalkCompleted,
-                t.base_load,
-            ),
-            OpKind::Store => (
-                Event::MaskedStoreRetired,
-                Event::DtlbStoreWalkCompleted,
-                t.base_store,
-            ),
-        };
-        let last_lane_offset = 7 * ElemWidth::Dword.bytes();
-
-        out.reserve(addrs.len());
-        let mut block = [0.0f64; NOISE_BLOCK];
+    /// The v1 batched hot path. Each tile first translates its probes
+    /// and takes their noise draws in the per-probe order of the scalar
+    /// path — the model from [`Machine::next_noise`] right after the
+    /// probe's translation, so drift ramps, victim-schedule noise swaps
+    /// and defense ticks land on the same probe — then evaluates the
+    /// tile's Box–Muller transcendentals together ([`V1Tile`]). Every
+    /// measurement and the RNG state are bit-identical to the same
+    /// probes run through the scalar path (asserted by
+    /// `execute_batch_matches_scalar_*`).
+    fn execute_tiles_v1(&mut self, probe: &BatchProbe, addrs: &[VirtAddr], out: &mut Vec<u64>) {
         for chunk in addrs.chunks(NOISE_BLOCK) {
-            let noise = &mut block[..chunk.len()];
-            self.fill_noise_block(noise);
-            self.pmc.add(retired_event, chunk.len() as u64);
-            for (i, &addr) in chunk.iter().enumerate() {
-                self.sched_tick();
-                self.defense_tick();
-                let mut acc = OpAccounting::new(base);
-                let first_page = addr.align_down(4096);
-                let last_page = addr.wrapping_add(last_lane_offset).align_down(4096);
-                let _ = self.visit_page(kind, first_page, false, &mut acc, None);
-                if last_page != first_page {
-                    let _ = self.visit_page(kind, last_page, false, &mut acc, None);
-                }
-
-                if acc.user_nonpresent && kind == OpKind::Load {
-                    acc.cycles += t.user_nonpresent_load_extra;
-                }
-                self.pmc.add(walk_event, u64::from(acc.walks_total));
-                let measured = (acc.cycles + noise[i]).round().max(1.0) as u64;
+            self.pmc.add(probe.retired_event, chunk.len() as u64);
+            for &addr in chunk {
+                let cycles = self.translate_probe(probe, addr);
+                let model = self.next_noise();
+                self.v1_tile.push(&model, &mut self.rng, cycles);
+            }
+            for &measured in self.v1_tile.flush() {
                 self.tsc += measured;
                 out.push(measured);
             }
         }
+    }
+
+    /// The v2 batched hot path: each tile's noise is pre-drawn into one
+    /// stack block by the ziggurat kernel ([`NoiseModel::fill_block`])
+    /// before the translation loop consumes it. Translation never
+    /// touches the RNG, so pre-drawing preserves the per-sample stream:
+    /// a v2 batch is bit-identical to the same probes run through the
+    /// v2 scalar path (asserted by `execute_batch_matches_scalar_*`).
+    fn execute_tiles_v2(&mut self, probe: &BatchProbe, addrs: &[VirtAddr], out: &mut Vec<u64>) {
+        let mut block = [0.0f64; NOISE_BLOCK];
+        for chunk in addrs.chunks(NOISE_BLOCK) {
+            let noise = &mut block[..chunk.len()];
+            self.fill_noise_block(noise);
+            self.pmc.add(probe.retired_event, chunk.len() as u64);
+            for (&addr, &n) in chunk.iter().zip(noise.iter()) {
+                let cycles = self.translate_probe(probe, addr);
+                let measured = (cycles + n).round().max(1.0) as u64;
+                self.tsc += measured;
+                out.push(measured);
+            }
+        }
+    }
+
+    /// One all-zero-mask probe up to its noise — the per-probe body of
+    /// both batch paths: ticks the victim schedule and defenses,
+    /// translates the footprint's pages and returns the deterministic
+    /// cycle cost. Never touches the RNG.
+    #[inline]
+    fn translate_probe(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
+        self.sched_tick();
+        self.defense_tick();
+        let mut acc = OpAccounting::new(probe.base);
+        // The zero mask means no lane is unmasked, so `visit_page` can
+        // never report a fault on this path.
+        let first_page = addr.align_down(4096);
+        let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
+        let _ = self.visit_page(probe.kind, first_page, false, &mut acc, None);
+        if last_page != first_page {
+            let _ = self.visit_page(probe.kind, last_page, false, &mut acc, None);
+        }
+        if acc.user_nonpresent {
+            acc.cycles += probe.nonpresent_extra;
+        }
+        self.pmc.add(probe.walk_event, u64::from(acc.walks_total));
+        acc.cycles
     }
 
     /// Fills one noise block in per-sample order, advancing the probe
@@ -1129,6 +1143,10 @@ mod tests {
 
     /// USER-M, USER-U, KERNEL-M, KERNEL-U pages as in Fig. 2.
     fn fig2_machine() -> Machine {
+        fig2_machine_on(CpuProfile::ice_lake_i7_1065g7())
+    }
+
+    fn fig2_machine_on(profile: CpuProfile) -> Machine {
         let mut space = AddressSpace::new();
         space
             .map(va(0x5555_5555_4000), PageSize::Size4K, PteFlags::user_rw())
@@ -1151,7 +1169,7 @@ mod tests {
                 PteFlags::kernel_rx(),
             )
             .unwrap();
-        let mut m = Machine::new(CpuProfile::ice_lake_i7_1065g7(), space, 1);
+        let mut m = Machine::new(profile, space, 1);
         m.set_noise(NoiseModel::none());
         m
     }
@@ -1652,6 +1670,95 @@ mod tests {
             .map(|&a| scalar.probe(OpKind::Load, a))
             .collect();
         assert_eq!(batch, looped);
+    }
+
+    #[test]
+    fn execute_batch_matches_scalar_on_v1_tile_edges() {
+        // The v1 tile path defers each tile's transcendentals and
+        // recomputes near-tie measurements exactly. Every victim-side
+        // mechanism that reads or swaps the noise model per op must
+        // still land on the same probe, for tails shorter than, equal
+        // to and longer than one tile — and the exact-tie inputs must
+        // come out as the scalar round-half-away-from-zero.
+        use crate::defense::Rerandomizer;
+        use crate::noise::NoiseProfile;
+        use crate::sched::{SchedEvent, VictimSchedule};
+        let mut half_cycle = CpuProfile::ice_lake_i7_1065g7();
+        half_cycle.timing.base_load += 0.5;
+        half_cycle.timing.base_store += 0.5;
+        let ice_lake = CpuProfile::ice_lake_i7_1065g7();
+        type Case<'a> = (&'a str, &'a CpuProfile, fn(&mut Machine));
+        let cases: [Case; 6] = [
+            ("σ = 0, certain spike, x.5 cycles", &half_cycle, |m| {
+                m.set_noise(NoiseModel::new(0.0, 1.0, (300.0, 300.0)));
+            }),
+            ("noiseless, x.5 cycles", &half_cycle, |_| {}),
+            ("noisy, x.5 cycles", &half_cycle, |m| {
+                m.set_noise(NoiseModel::new(1.3, 0.05, (200.0, 900.0)));
+            }),
+            ("drift ramp", &ice_lake, |m| {
+                m.set_noise_profile(NoiseProfile::drift_with(
+                    NoiseProfile::Quiet,
+                    NoiseProfile::LaptopDvfs,
+                    5,
+                    40,
+                ));
+            }),
+            ("mid-tile noise swaps", &ice_lake, |m| {
+                m.set_victim_schedule(Some(
+                    VictimSchedule::new(1, 9)
+                        .with_base(NoiseProfile::Quiet)
+                        .every(3, 7, SchedEvent::NoiseSwap(NoiseProfile::LaptopDvfs))
+                        .every(6, 7, SchedEvent::NoiseSwap(NoiseProfile::SmtSibling))
+                        .every(4, 9, SchedEvent::TenantArrive),
+                ));
+            }),
+            ("re-randomizing defense", &ice_lake, |m| {
+                m.set_noise_profile(NoiseProfile::NoisyNeighbor);
+                let r = Rerandomizer::capture(
+                    m.space(),
+                    0xffff_ffff_8000_0000,
+                    0xffff_ffff_c000_0000,
+                    0x20_0000,
+                    3,
+                    11,
+                )
+                .expect("kernel image mapped");
+                m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
+            }),
+        ];
+        for (label, profile, configure) in cases {
+            for len in [1u64, 15, 16, 17, 69] {
+                let addrs: Vec<VirtAddr> = (0..len)
+                    .map(|i| va(0xffff_ffff_a000_0000 + i * 0x20_0000))
+                    .collect();
+                for kind in [OpKind::Load, OpKind::Store] {
+                    let mut scalar = fig2_machine_on(profile.clone());
+                    let mut batched = fig2_machine_on(profile.clone());
+                    configure(&mut scalar);
+                    configure(&mut batched);
+                    let batch = batched.execute_batch(kind, &addrs);
+                    let looped: Vec<u64> = addrs.iter().map(|&a| scalar.probe(kind, a)).collect();
+                    assert_eq!(batch, looped, "{label}, {len} × {kind}");
+                    assert_eq!(scalar.elapsed_cycles(), batched.elapsed_cycles());
+                    assert_eq!(scalar.rerandomizations(), batched.rerandomizations());
+                    for event in [
+                        Event::MaskedLoadRetired,
+                        Event::MaskedStoreRetired,
+                        Event::AssistsAny,
+                    ] {
+                        assert_eq!(scalar.pmc().read(event), batched.pmc().read(event));
+                    }
+                    // RNG, schedule and defense state continue in step.
+                    let next = |m: &mut Machine| m.execute_batch(kind, &addrs[..1]);
+                    assert_eq!(
+                        next(&mut batched),
+                        next(&mut scalar),
+                        "{label}: state after"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,15 +72,27 @@ impl NoiseModel {
     /// golden suites. The v2 path ([`NoiseModel::sample_v2`]) produces
     /// the same distribution from a different, cheaper stream.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let mut noise = if self.sigma > 0.0 {
-            gaussian(rng) * self.sigma
+        self.draw_v1(rng).noise()
+    }
+
+    /// Takes the RNG draws of one v1 sample — the single definition of
+    /// the v1 draw order, shared by [`NoiseModel::sample`] and the
+    /// tiled batch path ([`V1Tile`]).
+    fn draw_v1<R: Rng + ?Sized>(&self, rng: &mut R) -> V1Draws {
+        let (sigma, u1, u2) = if self.sigma > 0.0 {
+            let (u1, u2) = box_muller_uniforms(rng);
+            (self.sigma, u1, u2)
         } else {
-            0.0
+            V1Draws::NO_GAUSSIAN
         };
-        if self.spike_prob > 0.0 && rng.gen::<f64>() < self.spike_prob {
-            noise += self.spike_magnitude(rng);
+        let spike = (self.spike_prob > 0.0 && rng.gen::<f64>() < self.spike_prob)
+            .then(|| self.spike_magnitude(rng));
+        V1Draws {
+            sigma,
+            u1,
+            u2,
+            spike,
         }
-        noise
     }
 
     /// Applies noise to a deterministic cycle cost, clamping at 1 cycle.
@@ -158,7 +170,7 @@ impl NoiseModel {
     }
 }
 
-/// One standard-normal sample via the Box–Muller transform — the v1
+/// The two uniforms of one Box–Muller standard-normal sample — the v1
 /// observables Gaussian.
 ///
 /// `rand` is in the dependency set, `rand_distr` deliberately is not; a
@@ -177,10 +189,335 @@ impl NoiseModel {
 ///   stream for no numerical benefit, which the v1 bit-exactness pin in
 ///   `noise_props.rs` forbids. The v2 regime does not use this
 ///   function at all (see [`crate::ziggurat`]).
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
+    (u1, u2)
+}
+
+/// The exact v1 Box–Muller transform through libm: the one home of the
+/// expression every v1 measurement is defined by.
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+}
+
+/// The RNG draws behind one v1 sample, in [`NoiseModel::sample`]'s
+/// order.
+#[derive(Clone, Copy, Debug)]
+struct V1Draws {
+    /// The model's σ, or 0 when σ ≤ 0 and no uniforms were drawn.
+    sigma: f64,
+    /// Box–Muller uniforms ([`V1Draws::NO_GAUSSIAN`]'s when σ = 0).
+    u1: f64,
+    u2: f64,
+    /// The spike magnitude, when the spike decision fired.
+    spike: Option<f64>,
+}
+
+impl V1Draws {
+    /// `(sigma, u1, u2)` of a sample that draws no Gaussian: a zero
+    /// scale over uniforms whose transform is the finite `-0.0`, so
+    /// the tile kernel can evaluate every lane branch-free.
+    const NO_GAUSSIAN: (f64, f64, f64) = (0.0, 1.0, 0.0);
+
+    /// The exact v1 noise value of these draws — what
+    /// [`NoiseModel::sample`] returns.
+    fn noise(&self) -> f64 {
+        let mut noise = if self.sigma > 0.0 {
+            box_muller(self.u1, self.u2) * self.sigma
+        } else {
+            0.0
+        };
+        if let Some(magnitude) = self.spike {
+            noise += magnitude;
+        }
+        noise
+    }
+
+    /// The exact v1 measurement of a `cycles`-cost op under these draws
+    /// — what [`NoiseModel::perturb`] returns.
+    fn perturb(&self, cycles: f64) -> u64 {
+        (cycles + self.noise()).round().max(1.0) as u64
+    }
+}
+
+/// Probes per tile: the v1 tile ([`V1Tile`]) and the v2 noise block
+/// ([`NoiseModel::fill_block`] in the batched machine path) both hold
+/// this many consecutive probes. Pinned equal to the probe pipeline's
+/// batch tile (`ProbeStrategy::BATCH_TILE` in `avx-channel`, asserted
+/// by a cross-crate test there) so tiles align with
+/// `AddrRange::tiles()` and every sweep engine fills whole tiles.
+pub const NOISE_BLOCK: usize = 16;
+
+/// Documented bound of the tile kernel:
+/// `|box_muller_fast(u1, u2) − box_muller(u1, u2)| ≤ BOX_MULLER_ERR`
+/// for every `u1 ∈ [f64::MIN_POSITIVE, 1)` and `u2 ∈ [0, 1)`.
+///
+/// Derivation: both sides evaluate the same rounded angle `TAU·u2`.
+/// The kernel's `ln` is relative-accurate to a few ulp (exact
+/// `m − 1` and the atanh series truncated below 2⁻⁵⁵), its `cos` is
+/// absolute-accurate to a few ulp of 1 (exact Cody–Waite reduction,
+/// Taylor series truncated below 2⁻⁵⁵), and glibc's `ln`/`cos` are
+/// within 1 ulp. With the radius at most `√(−2·ln MIN_POSITIVE) ≈ 37.7`
+/// the difference is below `37.7 · 16 · 2⁻⁵³ ≈ 2⁻⁴⁴`; the constant
+/// keeps 4× headroom over that. The largest difference seen over
+/// 2·10⁷ random draws and the edge inputs is 2⁻⁴⁷.
+pub const BOX_MULLER_ERR: f64 = 1.0 / (1u64 << 42) as f64;
+
+/// Half-width of the band around a rounding tie (`n + ½`) in which a
+/// fast measurement is recomputed through the exact libm expression.
+pub const TIE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Largest σ the fast path serves; larger models always fall back.
+const FAST_SIGMA_MAX: f64 = 256.0;
+
+/// Bound on `|cycles + noise|` and on the spike magnitude inside the
+/// fast path, in cycles; larger values always fall back.
+const FAST_MAGNITUDE_MAX: f64 = 65_536.0;
+
+/// Worst-case distance between a fast measurement `cycles + noise` and
+/// the exact one, for inputs the fast path serves: the kernel bound
+/// scaled by σ, plus one ulp at `2 · FAST_MAGNITUDE_MAX` for each of
+/// the three roundings (`·σ`, `+ spike`, `cycles +`) whose input moved.
+/// [`TIE_MARGIN`] is more than 1000× this (asserted at compile time).
+pub const FAST_MEASUREMENT_ERR: f64 =
+    FAST_SIGMA_MAX * BOX_MULLER_ERR + 3.0 * (2.0 * FAST_MAGNITUDE_MAX) * f64::EPSILON;
+
+const _: () = assert!(TIE_MARGIN >= 1000.0 * FAST_MEASUREMENT_ERR);
+
+/// A tile of up to [`NOISE_BLOCK`] v1 measurements whose Box–Muller
+/// transcendentals are evaluated together.
+///
+/// [`V1Tile::push`] takes each probe's RNG draws in the exact order of
+/// [`NoiseModel::perturb`]; [`V1Tile::flush`] then evaluates the whole
+/// tile with a branch-free polynomial kernel that LLVM vectorizes, and
+/// recomputes through the exact libm expression every probe whose fast
+/// value lands within [`TIE_MARGIN`] of a rounding tie. Since the fast
+/// value is within [`FAST_MEASUREMENT_ERR`] of the exact one, the
+/// nearest integer is the same for every probe kept on the fast path:
+/// each measurement equals the [`NoiseModel::perturb`] result
+/// bit-for-bit, and the RNG ends in the same state.
+///
+/// ```
+/// use avx_uarch::{NoiseModel, V1Tile};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let model = NoiseModel::new(1.5, 0.01, (200.0, 1500.0));
+/// let (mut tiled, mut scalar) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+/// let mut tile = V1Tile::new();
+/// for i in 0..16 {
+///     tile.push(&model, &mut tiled, 90.0 + f64::from(i));
+/// }
+/// for (i, &measured) in tile.flush().iter().enumerate() {
+///     assert_eq!(measured, model.perturb(&mut scalar, 90.0 + i as f64));
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct V1Tile {
+    len: usize,
+    // The pending probes' costs and draws, one array per field so the
+    // kernel loop loads whole vectors.
+    cycles: [f64; NOISE_BLOCK],
+    sigma: [f64; NOISE_BLOCK],
+    u1: [f64; NOISE_BLOCK],
+    u2: [f64; NOISE_BLOCK],
+    /// Spike magnitude, 0 when the spike decision did not fire.
+    spike: [f64; NOISE_BLOCK],
+    measured: [u64; NOISE_BLOCK],
+    fallbacks: u64,
+}
+
+impl Default for V1Tile {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl V1Tile {
+    /// An empty tile.
+    #[must_use]
+    pub fn new() -> Self {
+        let (sigma, u1, u2) = V1Draws::NO_GAUSSIAN;
+        Self {
+            len: 0,
+            cycles: [0.0; NOISE_BLOCK],
+            sigma: [sigma; NOISE_BLOCK],
+            u1: [u1; NOISE_BLOCK],
+            u2: [u2; NOISE_BLOCK],
+            spike: [0.0; NOISE_BLOCK],
+            measured: [0; NOISE_BLOCK],
+            fallbacks: 0,
+        }
+    }
+
+    /// Probes recomputed through the exact expression so far.
+    #[must_use]
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
+    /// Queues one measurement of a `cycles`-cost op under `model`,
+    /// drawing its noise from `rng` exactly as [`NoiseModel::perturb`]
+    /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile already holds [`NOISE_BLOCK`] probes.
+    pub fn push<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R, cycles: f64) {
+        assert!(self.len < NOISE_BLOCK, "tile full: flush first");
+        let i = self.len;
+        let d = model.draw_v1(rng);
+        self.cycles[i] = cycles;
+        self.sigma[i] = d.sigma;
+        self.u1[i] = d.u1;
+        self.u2[i] = d.u2;
+        self.spike[i] = d.spike.unwrap_or(0.0);
+        self.len += 1;
+    }
+
+    /// Measures every pending probe and empties the tile; the
+    /// measurements come back in push order.
+    pub fn flush(&mut self) -> &[u64] {
+        let n = core::mem::take(&mut self.len);
+        // One branch-free pass that LLVM vectorizes: the fast value,
+        // its nearest integer, and whether the tie filter trusts it.
+        let mut exact = [false; NOISE_BLOCK];
+        let lanes = self.measured[..n].iter_mut().zip(&mut exact);
+        for (i, (measured, exact)) in lanes.enumerate() {
+            let (sigma, spike) = (self.sigma[i], self.spike[i]);
+            let fast = self.cycles[i] + (box_muller_fast(self.u1[i], self.u2[i]) * sigma + spike);
+            let nearest = fast.round();
+            *exact = !(sigma <= FAST_SIGMA_MAX
+                && spike.abs() < FAST_MAGNITUDE_MAX
+                && fast.abs() < FAST_MAGNITUDE_MAX
+                && (fast - nearest).abs() < 0.5 - TIE_MARGIN);
+            // `as u64` through the 2⁵² bias, exact for trusted lanes
+            // (0 < nearest < 2¹⁷); the others are overwritten below.
+            *measured = (nearest.max(1.0) + TWO_52).to_bits() - TWO_52.to_bits();
+        }
+        for i in (0..n).filter(|&i| exact[i]) {
+            self.fallbacks += 1;
+            // A spike that did not fire is stored as +0, and adding +0
+            // moves no rounded measurement.
+            let draws = V1Draws {
+                sigma: self.sigma[i],
+                u1: self.u1[i],
+                u2: self.u2[i],
+                spike: Some(self.spike[i]),
+            };
+            self.measured[i] = draws.perturb(self.cycles[i]);
+        }
+        &self.measured[..n]
+    }
+}
+
+/// `2⁵²`: the exponent bias of the integer ↔ `f64` conversions below.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `1.5 · 2⁵²`: adding it to any `|x| < 2⁵¹` leaves `round(x)` (ties
+/// to even) in the low mantissa bits; subtracting it again yields that
+/// integer as an `f64`.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `ln 2` split so that `k · LN2_HI` is exact for `|k| < 2¹¹`
+/// (fdlibm's constants, bit patterns 0x3fe62e42_fee00000 and
+/// 0x3dea39ef_35793c76).
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+
+/// `π` split so that `k · PI_HI` is exact for `k < 2²⁰` (the leading
+/// 33 bits, and the rounded remainder; twice fdlibm's `pio2_1`/`pio2_1t`).
+const PI_HI: f64 = f64::from_bits(0x4009_21fb_5440_0000);
+const PI_LO: f64 = f64::from_bits(0x3de0_b461_1a62_6331);
+
+/// `ln((1+s)/(1−s)) = 2s + s·R(s²)` with `R(z) = Σ 2z^j/(2j+1)`,
+/// `j = 1..=9`; for `|s| ≤ 0.1716` the dropped tail is below 2⁻⁵⁵
+/// relative.
+const LN_SERIES: [f64; 9] = [
+    2.0 / 3.0,
+    2.0 / 5.0,
+    2.0 / 7.0,
+    2.0 / 9.0,
+    2.0 / 11.0,
+    2.0 / 13.0,
+    2.0 / 15.0,
+    2.0 / 17.0,
+    2.0 / 19.0,
+];
+
+/// `cos r = 1 + z·P(z)`, `z = r²`, Taylor terms through `r²⁰/20!`;
+/// for `|r| ≤ π/2` the dropped tail is below 2⁻⁵⁵.
+const COS_SERIES: [f64; 10] = [
+    -1.0 / 2.0,
+    1.0 / 24.0,
+    -1.0 / 720.0,
+    1.0 / 40_320.0,
+    -1.0 / 3_628_800.0,
+    1.0 / 479_001_600.0,
+    -1.0 / 87_178_291_200.0,
+    1.0 / 20_922_789_888_000.0,
+    -1.0 / 6_402_373_705_728_000.0,
+    1.0 / 2_432_902_008_176_640_000.0,
+];
+
+/// `Σ coeffs[j]·x^j`, evaluated as Horner's rule in `x²` over the pairs
+/// `coeffs[2i] + coeffs[2i+1]·x`: the pairs are independent, so the
+/// dependency chain is half of plain Horner's.
+#[inline(always)]
+fn poly(x: f64, coeffs: &[f64]) -> f64 {
+    let x2 = x * x;
+    coeffs.chunks(2).rev().fold(0.0, |acc, pair| {
+        let term = match pair {
+            [c0, c1] => c0 + c1 * x,
+            _ => pair[0],
+        };
+        acc * x2 + term
+    })
+}
+
+/// Branch-free `ln x` for `x ∈ [f64::MIN_POSITIVE, 1]` (normal inputs
+/// only), after fdlibm's `e_log.c`: `x = 2^k · m` with `m ∈ [√½, √2)`,
+/// `f = m − 1` exact, and the atanh series in `s = f/(2+f)`.
+#[inline(always)]
+fn ln_fast(x: f64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = x.to_bits();
+    let mantissa = bits & MANTISSA;
+    // Mantissas at or above √2 − 1 are halved into [√½, 1), bumping k.
+    let halve = ((mantissa + (0x95f64 << 32)) >> 52) & 1;
+    let m = f64::from_bits(mantissa | ((0x3ff - halve) << 52));
+    // k = exponent + halve − 1023, converted through the 2⁵² bias.
+    let k = f64::from_bits(TWO_52.to_bits() | ((bits >> 52) + halve)) - (TWO_52 + 1023.0);
+    let f = m - 1.0;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let r = z * poly(z, &LN_SERIES);
+    let hfsq = 0.5 * f * f;
+    k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+}
+
+/// Branch-free `cos x` for `x ∈ [0, 2π]`: Cody–Waite reduction by the
+/// nearest multiple of π, then the cos series of the remainder with
+/// the multiple's sign.
+#[inline(always)]
+fn cos_fast(x: f64) -> f64 {
+    let shifted = x * core::f64::consts::FRAC_1_PI + ROUND_MAGIC;
+    let parity = shifted.to_bits() & 1;
+    let k = shifted - ROUND_MAGIC;
+    // Exact: k·PI_HI fits in 53 bits and x − k·PI_HI cancels (Sterbenz).
+    let r = (x - k * PI_HI) - k * PI_LO;
+    let z = r * r;
+    let cos_r = 1.0 + z * poly(z, &COS_SERIES);
+    f64::from_bits(cos_r.to_bits() ^ (parity << 63))
+}
+
+/// The tile kernel's Box–Muller transform: the exact expression's
+/// shape with [`ln_fast`] and [`cos_fast`] in place of libm, within
+/// [`BOX_MULLER_ERR`] of [`box_muller`].
+#[inline(always)]
+fn box_muller_fast(u1: f64, u2: f64) -> f64 {
+    (-2.0 * ln_fast(u1)).sqrt() * cos_fast(core::f64::consts::TAU * u2)
 }
 
 /// A named noise environment: fixed multipliers applied on top of a CPU
@@ -505,7 +842,7 @@ impl fmt::Display for NoiseProfile {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn none_is_exact() {
@@ -633,6 +970,171 @@ mod tests {
         m.fill_block(&mut rng, &mut block);
         assert_eq!(block, [0.0; 8]);
         assert_eq!(rng.next_u64(), reference.next_u64());
+    }
+
+    /// `u1` edge inputs: the interval ends, the `[√½, √2)` split
+    /// point ± 1 ulp, and the first draw above `MIN_POSITIVE`.
+    fn u1_edges() -> Vec<f64> {
+        let half_sqrt = core::f64::consts::FRAC_1_SQRT_2;
+        vec![
+            f64::MIN_POSITIVE,
+            f64::EPSILON / 2.0,
+            0.5,
+            half_sqrt.next_down(),
+            half_sqrt,
+            half_sqrt.next_up(),
+            1.0 - f64::EPSILON / 2.0,
+        ]
+    }
+
+    /// `u2` edge inputs: 0, every octant of the angle (the reduction's
+    /// quadrant boundaries at odd eighths, the zeros and extrema of
+    /// cos at even ones) ± 1 ulp, and the last draw below 1.
+    fn u2_edges() -> Vec<f64> {
+        let mut edges = vec![0.0, f64::from_bits(1), 1.0 - f64::EPSILON / 2.0];
+        for j in 1..8 {
+            let b = f64::from(j) / 8.0;
+            edges.extend([b.next_down(), b, b.next_up()]);
+        }
+        edges
+    }
+
+    #[test]
+    fn ln_fast_is_relative_accurate_to_a_few_ulp() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let random = (0..200_000).map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0));
+        for u1 in u1_edges().into_iter().chain(random) {
+            let (fast, exact) = (ln_fast(u1), u1.ln());
+            assert!(
+                (fast - exact).abs() <= 4.0 * f64::EPSILON * exact.abs(),
+                "ln({u1:e}): {fast:e} vs {exact:e}"
+            );
+        }
+        assert_eq!(ln_fast(1.0), 0.0);
+    }
+
+    #[test]
+    fn cos_fast_is_absolute_accurate_to_a_few_ulp() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let random = (0..200_000).map(|_| rng.gen::<f64>());
+        for u2 in u2_edges().into_iter().chain(random) {
+            let x = core::f64::consts::TAU * u2;
+            let (fast, exact) = (cos_fast(x), x.cos());
+            assert!(
+                (fast - exact).abs() <= 4.0 * f64::EPSILON,
+                "cos({x:e}): {fast:e} vs {exact:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn box_muller_fast_stays_within_the_documented_bound() {
+        let mut worst = 0.0f64;
+        let mut check = |u1: f64, u2: f64| {
+            let err = (box_muller_fast(u1, u2) - box_muller(u1, u2)).abs();
+            assert!(err <= BOX_MULLER_ERR, "({u1:e}, {u2:e}): error {err:e}");
+            worst = worst.max(err);
+        };
+        for u1 in u1_edges() {
+            for u2 in u2_edges() {
+                check(u1, u2);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(53);
+        for _ in 0..200_000 {
+            let (u1, u2) = box_muller_uniforms(&mut rng);
+            check(u1, u2);
+        }
+        // The constant keeps ≥ 4× headroom over what the kernel shows.
+        assert!(worst * 4.0 <= BOX_MULLER_ERR, "worst error {worst:e}");
+        // A lane that drew no Gaussian transforms to a finite zero.
+        let (_, u1, u2) = V1Draws::NO_GAUSSIAN;
+        assert_eq!(box_muller_fast(u1, u2), 0.0);
+    }
+
+    #[test]
+    fn split_constants_sum_to_their_targets() {
+        assert_eq!(LN2_HI + LN2_LO, core::f64::consts::LN_2);
+        assert_eq!(PI_HI + PI_LO, core::f64::consts::PI);
+        assert_eq!(LN2_HI.to_bits() & 0x1f_ffff, 0, "k·LN2_HI must be exact");
+        assert_eq!(PI_HI.to_bits() & 0xf_ffff, 0, "k·PI_HI must be exact");
+    }
+
+    /// Runs `cycles` through one tile per [`NOISE_BLOCK`] probes and
+    /// through scalar `perturb`, asserting equal measurements and RNG
+    /// states; returns the tile's fallback count.
+    fn assert_tile_matches_perturb(model: &NoiseModel, cycles: &[f64], seed: u64) -> u64 {
+        use rand::RngCore;
+        let mut tiled = StdRng::seed_from_u64(seed);
+        let mut scalar = StdRng::seed_from_u64(seed);
+        let mut tile = V1Tile::new();
+        for chunk in cycles.chunks(NOISE_BLOCK) {
+            for &c in chunk {
+                tile.push(model, &mut tiled, c);
+            }
+            let measured = tile.flush().to_vec();
+            assert_eq!(measured.len(), chunk.len());
+            assert!(tile.flush().is_empty(), "flush empties the tile");
+            for (&m, &c) in measured.iter().zip(chunk) {
+                assert_eq!(m, model.perturb(&mut scalar, c), "{model:?} at {c}");
+            }
+        }
+        assert_eq!(tiled.next_u64(), scalar.next_u64(), "RNG streams diverged");
+        tile.fallbacks()
+    }
+
+    #[test]
+    fn tile_matches_perturb_across_models() {
+        let cycles: Vec<f64> = (0..4096)
+            .map(|i| 13.0 + f64::from(i % 500) * 0.37)
+            .collect();
+        for (i, model) in [
+            NoiseModel::new(1.1, 0.003, (200.0, 1800.0)),
+            NoiseModel::new(6.6, 0.009, (400.0, 3600.0)),
+            NoiseModel::new(0.0, 0.05, (500.0, 1000.0)),
+            NoiseModel::new(2.5, 0.0, (0.0, 0.0)),
+            NoiseModel::new(3.0, 1.0, (250.0, 250.0)),
+            NoiseModel::none(),
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert_tile_matches_perturb(model, &cycles, 60 + i as u64);
+        }
+    }
+
+    #[test]
+    fn ties_and_out_of_range_inputs_fall_back_to_the_exact_expression() {
+        // σ = 0 with a certain integer-valued spike on x.5 cycles: every
+        // fast value is an exact tie, which the filter must send down
+        // the exact path (round() ties away from zero).
+        let ties: Vec<f64> = (0..40).map(|i| f64::from(i) + 0.5).collect();
+        let spiked = NoiseModel::new(0.0, 1.0, (300.0, 300.0));
+        assert_eq!(assert_tile_matches_perturb(&spiked, &ties, 1), 40);
+        assert_eq!(
+            assert_tile_matches_perturb(&NoiseModel::none(), &ties, 2),
+            40
+        );
+        // Far beyond the fast path's σ and magnitude ranges, and with
+        // measurements that clamp at 1 cycle.
+        let huge_sigma = NoiseModel::new(1.0e4, 0.0, (0.0, 0.0));
+        assert_eq!(assert_tile_matches_perturb(&huge_sigma, &ties, 3), 40);
+        let huge_cost = vec![1.0e9; 20];
+        let fallbacks =
+            assert_tile_matches_perturb(&NoiseModel::new(1.0, 0.0, (0.0, 0.0)), &huge_cost, 4);
+        assert_eq!(fallbacks, 20);
+        let negative = vec![-5.0; 20];
+        assert_tile_matches_perturb(&NoiseModel::new(1.0, 0.0, (0.0, 0.0)), &negative, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile full")]
+    fn tile_refuses_a_seventeenth_probe() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut tile = V1Tile::new();
+        for _ in 0..=NOISE_BLOCK {
+            tile.push(&NoiseModel::none(), &mut rng, 1.0);
+        }
     }
 
     /// Baseline anchors the preset moment tests scale from.

@@ -6,7 +6,9 @@
 //! * **v1** pins the *individual samples*: the per-probe Box–Muller
 //!   noise stream is byte-for-byte reproducible, so every golden row
 //!   recorded before the versioning existed stays bit-exact forever.
-//!   This is the paper-reproduction regime and the default.
+//!   This is the paper-reproduction regime and the default. Batched
+//!   probes evaluate each tile's transcendentals together
+//!   ([`crate::V1Tile`]) without moving any sample or measurement.
 //! * **v2** pins only the *statistics*: the same Gaussian + spike
 //!   distribution is produced by a table-driven ziggurat sampler
 //!   filling per-tile noise blocks, amortizing RNG and transcendental

@@ -8,10 +8,13 @@
 //! its ziggurat Gaussian and fixed-point spike decision are pinned by
 //! moment and Kolmogorov–Smirnov tests at n = 10⁵, and its batched
 //! block fill must resolve drift ramps per probe index (never
-//! quantized per block). The `#[ignore]`d test is the tier-2
-//! cross-regime accuracy-parity gate over the full campaign grid.
+//! quantized per block). The `#[ignore]`d tests are tier-2 gates: the
+//! cross-regime accuracy parity over the full campaign grid, and the
+//! 1.2·10⁸-draw equality of the tiled v1 kernel with scalar `perturb`.
 
-use avx_aslr::uarch::{CpuProfile, Machine, NoiseModel, NoiseProfile, ObservablesVersion, OpKind};
+use avx_aslr::uarch::{
+    CpuProfile, Machine, NoiseModel, NoiseProfile, ObservablesVersion, OpKind, V1Tile, NOISE_BLOCK,
+};
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +59,54 @@ fn v1_stream_matches_the_boxmuller_reference_bit_for_bit() {
                 r.to_bits(),
                 "model {i} draw {draw}: v1 stream diverged ({a} vs {r})"
             );
+        }
+    }
+}
+
+#[test]
+#[ignore = "tier-2: 1.2e8-draw tiled-v1 equality, release mode"]
+fn v1_tiles_equal_scalar_perturb_over_120_million_draws() {
+    // The tile kernel's transcendentals are not libm's; what keeps the
+    // v1 stream bit-exact is its error bound plus the tie filter. This
+    // drives 2·10⁷ probes per model through both paths — cycle costs
+    // step by quarter cycles, so exact x.5 costs recur — and requires
+    // equal measurements and equal RNG states throughout.
+    use rand::RngCore;
+    let models = [
+        NoiseModel::new(1.1, 0.003, (200.0, 1800.0)),
+        NoiseModel::new(6.6, 0.009, (400.0, 3600.0)),
+        NoiseModel::new(12.0, 0.048, (375.0, 3300.0)),
+        NoiseModel::new(0.0, 0.05, (500.0, 1000.0)),
+        NoiseModel::new(2.5, 0.0, (0.0, 0.0)),
+        NoiseModel::new(3.0, 1.0, (250.0, 250.0)),
+    ];
+    let per_model = 20_000_000u64;
+    for (m, model) in models.iter().enumerate() {
+        let mut tiled = StdRng::seed_from_u64(5000 + m as u64);
+        let mut scalar = StdRng::seed_from_u64(5000 + m as u64);
+        let mut tile = V1Tile::new();
+        let cycles = |i: u64| 13.0 + (i % 1997) as f64 * 0.25;
+        for start in (0..per_model).step_by(NOISE_BLOCK) {
+            for i in start..start + NOISE_BLOCK as u64 {
+                tile.push(model, &mut tiled, cycles(i));
+            }
+            for (i, &measured) in (start..).zip(tile.flush()) {
+                let expected = model.perturb(&mut scalar, cycles(i));
+                assert_eq!(measured, expected, "model {m}, probe {i}");
+            }
+        }
+        assert_eq!(
+            tiled.next_u64(),
+            scalar.next_u64(),
+            "model {m}: RNG diverged"
+        );
+        let rate = tile.fallbacks() as f64 / per_model as f64;
+        println!(
+            "model {m} ({model:?}): exact fallbacks {} ({rate:.2e})",
+            tile.fallbacks()
+        );
+        if model.sigma > 0.0 {
+            assert!(rate < 1e-5, "model {m}: fast path barely used ({rate:.2e})");
         }
     }
 }
