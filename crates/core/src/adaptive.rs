@@ -243,6 +243,14 @@ impl AdaptiveBatch {
         }
     }
 
+    /// Empties the batch, keeping its buffers for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.mapped.clear();
+        self.samples.clear();
+        self.probes.clear();
+        self.settled.clear();
+    }
+
     /// Total raw probes the sweep issued.
     #[must_use]
     pub fn total_probes(&self) -> u64 {
@@ -372,7 +380,7 @@ impl AdaptiveSampler {
     /// One warm-up + SPRT measurement rounds over a single tile,
     /// appending the per-address calls to `out`. All intermediate state
     /// lives in `scratch`, so the sweep loop allocates nothing.
-    fn classify_tile<P: Prober + ?Sized>(
+    pub(crate) fn classify_tile<P: Prober + ?Sized>(
         &self,
         p: &mut P,
         kind: OpKind,
@@ -433,9 +441,11 @@ impl AdaptiveSampler {
     }
 }
 
-/// Reusable per-tile state of [`AdaptiveSampler::classify_tile`].
+/// Reusable per-tile state of [`AdaptiveSampler::classify_tile`]. Every
+/// buffer is cleared before use, so one instance can serve any number
+/// of tiles, samplers and calls.
 #[derive(Clone, Debug, Default)]
-struct AdaptiveScratch {
+pub(crate) struct AdaptiveScratch {
     warm: Vec<u64>,
     acc: Vec<SequentialLlr>,
     floor: Vec<u64>,

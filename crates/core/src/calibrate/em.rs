@@ -81,31 +81,44 @@ impl GaussianMixFit {
 /// inputs *do* return a fit — EM happily bisects one Gaussian — which
 /// is why consumers must check [`GaussianMixFit::is_separated`] before
 /// trusting the modes.
+///
+/// # Run-length evaluation
+///
+/// Cycle counts repeat heavily (a 128-sample window holds a few dozen
+/// distinct values), so each E-step evaluates the responsibility and
+/// the three per-sample sufficient-statistic terms once per *run* of
+/// equal sorted values, then adds them once per sample, in sample
+/// order. The terms are pure functions of the sample value, and the
+/// sums see the same addends in the same order as a per-sample loop, so
+/// every iterate — and with it the convergence test and the iteration
+/// count — is bit-identical to it. The two `ln(weight)` terms are
+/// hoisted out of the loop, and the larger of the two log-densities
+/// skips its `exp`: shifted by itself it is exactly `exp(0.0) = 1.0`.
 #[must_use]
 pub fn fit_two_gaussians(samples: &[u64]) -> Option<GaussianMixFit> {
     if samples.len() < 4 {
         return None;
     }
-    let mut sorted: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-    sorted.sort_unstable_by(f64::total_cmp);
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
     if sorted.first() == sorted.last() {
         return None; // zero variance: nothing to split
     }
+    let runs: Vec<(f64, usize)> = sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0] as f64, run.len()))
+        .collect();
 
     // Deterministic initialization: median split.
     let mid = sorted.len() / 2;
-    let half_mean = |part: &[f64]| {
+    let mean_of = |part: &[u64]| {
         let mut w = Welford::new();
-        w.extend(part.iter().copied());
-        w.mean()
+        w.extend(part.iter().map(|&x| x as f64));
+        w
     };
-    let mut lo = half_mean(&sorted[..mid]);
-    let mut hi = half_mean(&sorted[mid..]);
-    let mut sigma = {
-        let mut w = Welford::new();
-        w.extend(sorted.iter().copied());
-        (w.stddev() / 2.0).max(EM_SIGMA_FLOOR)
-    };
+    let mut lo = mean_of(&sorted[..mid]).mean();
+    let mut hi = mean_of(&sorted[mid..]).mean();
+    let mut sigma = (mean_of(&sorted).stddev() / 2.0).max(EM_SIGMA_FLOOR);
     let mut lo_weight = 0.5f64;
     let n = sorted.len() as f64;
 
@@ -113,18 +126,27 @@ pub fn fit_two_gaussians(samples: &[u64]) -> Option<GaussianMixFit> {
         // E-step: responsibility of the *high* component per sample,
         // computed against the max exponent for stability.
         let inv_two_var = 1.0 / (2.0 * sigma * sigma);
+        let ln_lo = lo_weight.max(1e-12).ln();
+        let ln_hi = (1.0 - lo_weight).max(1e-12).ln();
         let (mut sum_r, mut sum_x_lo, mut sum_x_hi, mut sum_sq) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for &x in &sorted {
-            let log_lo = lo_weight.max(1e-12).ln() - (x - lo) * (x - lo) * inv_two_var;
-            let log_hi = (1.0 - lo_weight).max(1e-12).ln() - (x - hi) * (x - hi) * inv_two_var;
-            let m = log_lo.max(log_hi);
-            let p_lo = (log_lo - m).exp();
-            let p_hi = (log_hi - m).exp();
+        for &(x, count) in &runs {
+            let log_lo = ln_lo - (x - lo) * (x - lo) * inv_two_var;
+            let log_hi = ln_hi - (x - hi) * (x - hi) * inv_two_var;
+            let (p_lo, p_hi) = if log_lo >= log_hi {
+                (1.0, (log_hi - log_lo).exp())
+            } else {
+                ((log_lo - log_hi).exp(), 1.0)
+            };
             let r_hi = p_hi / (p_lo + p_hi);
-            sum_r += r_hi;
-            sum_x_lo += (1.0 - r_hi) * x;
-            sum_x_hi += r_hi * x;
-            sum_sq += (1.0 - r_hi) * (x - lo) * (x - lo) + r_hi * (x - hi) * (x - hi);
+            let x_lo = (1.0 - r_hi) * x;
+            let x_hi = r_hi * x;
+            let sq = (1.0 - r_hi) * (x - lo) * (x - lo) + r_hi * (x - hi) * (x - hi);
+            for _ in 0..count {
+                sum_r += r_hi;
+                sum_x_lo += x_lo;
+                sum_x_hi += x_hi;
+                sum_sq += sq;
+            }
         }
 
         // M-step.
@@ -235,6 +257,149 @@ mod tests {
             samples.push(105 + (i % 5)); // mean 107
         }
         samples
+    }
+
+    /// The same EM evaluated sample by sample, with both `exp`s and
+    /// both `ln`s per sample: the oracle of the differential test below.
+    fn per_sample_em(samples: &[u64]) -> Option<GaussianMixFit> {
+        if samples.len() < 4 {
+            return None;
+        }
+        let mut sorted: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
+        sorted.sort_unstable_by(f64::total_cmp);
+        if sorted.first() == sorted.last() {
+            return None; // zero variance: nothing to split
+        }
+
+        // Deterministic initialization: median split.
+        let mid = sorted.len() / 2;
+        let half_mean = |part: &[f64]| {
+            let mut w = Welford::new();
+            w.extend(part.iter().copied());
+            w.mean()
+        };
+        let mut lo = half_mean(&sorted[..mid]);
+        let mut hi = half_mean(&sorted[mid..]);
+        let mut sigma = {
+            let mut w = Welford::new();
+            w.extend(sorted.iter().copied());
+            (w.stddev() / 2.0).max(EM_SIGMA_FLOOR)
+        };
+        let mut lo_weight = 0.5f64;
+        let n = sorted.len() as f64;
+
+        for iteration in 1..=EM_MAX_ITERATIONS {
+            // E-step: responsibility of the *high* component per sample,
+            // computed against the max exponent for stability.
+            let inv_two_var = 1.0 / (2.0 * sigma * sigma);
+            let (mut sum_r, mut sum_x_lo, mut sum_x_hi, mut sum_sq) =
+                (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+            for &x in &sorted {
+                let log_lo = lo_weight.max(1e-12).ln() - (x - lo) * (x - lo) * inv_two_var;
+                let log_hi = (1.0 - lo_weight).max(1e-12).ln() - (x - hi) * (x - hi) * inv_two_var;
+                let m = log_lo.max(log_hi);
+                let p_lo = (log_lo - m).exp();
+                let p_hi = (log_hi - m).exp();
+                let r_hi = p_hi / (p_lo + p_hi);
+                sum_r += r_hi;
+                sum_x_lo += (1.0 - r_hi) * x;
+                sum_x_hi += r_hi * x;
+                sum_sq += (1.0 - r_hi) * (x - lo) * (x - lo) + r_hi * (x - hi) * (x - hi);
+            }
+
+            // M-step.
+            let w_hi = sum_r / n;
+            let w_lo = 1.0 - w_hi;
+            let new_lo = if w_lo * n > 1e-9 {
+                sum_x_lo / (w_lo * n)
+            } else {
+                lo
+            };
+            let new_hi = if w_hi * n > 1e-9 {
+                sum_x_hi / (w_hi * n)
+            } else {
+                hi
+            };
+            let new_sigma = (sum_sq / n).sqrt().max(EM_SIGMA_FLOOR);
+
+            let shift = (new_lo - lo).abs() + (new_hi - hi).abs();
+            lo = new_lo;
+            hi = new_hi;
+            sigma = new_sigma;
+            lo_weight = w_lo;
+            if shift < EM_TOLERANCE {
+                return Some(finish(lo, hi, sigma, lo_weight, sorted.len(), iteration));
+            }
+        }
+        Some(finish(
+            lo,
+            hi,
+            sigma,
+            lo_weight,
+            sorted.len(),
+            EM_MAX_ITERATIONS,
+        ))
+    }
+
+    /// Every field of a fit as raw bits, so `-0.0`/`0.0` or NaN payload
+    /// differences cannot hide behind `f64` equality.
+    fn fit_bits(fit: Option<GaussianMixFit>) -> Option<[u64; 6]> {
+        fit.map(|f| {
+            [
+                f.lo_mean.to_bits(),
+                f.hi_mean.to_bits(),
+                f.sigma.to_bits(),
+                f.lo_weight.to_bits(),
+                f.n as u64,
+                u64::from(f.iterations),
+            ]
+        })
+    }
+
+    #[test]
+    fn run_length_em_is_bit_identical_to_the_per_sample_loop() {
+        let mut state = 0x5eed_0e11_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            crate::fleet::splitmix64(state) % bound
+        };
+        let (mut fits, mut capped) = (0u32, 0u32);
+        for case in 0..10_000u64 {
+            let n = 1 + next(128) as usize;
+            let spread = 1 + next(8);
+            let samples: Vec<u64> = (0..n)
+                .map(|_| {
+                    let band = match case % 8 {
+                        // One band: EM splits it, often up to the cap.
+                        6 => 107,
+                        // Balanced bands with a gap comparable to σ.
+                        7 => 100 + 4 * next(2),
+                        // Mapped/unmapped sweep window: 1 in 8 mapped.
+                        _ if next(8) == 0 => 93,
+                        _ => 107,
+                    };
+                    let wobble = next(2 * spread + 1);
+                    // Occasional interrupt spike.
+                    let spike = if next(64) == 0 { 400 + next(4000) } else { 0 };
+                    band + wobble + spike - spread
+                })
+                .collect();
+            let new = fit_two_gaussians(&samples);
+            assert_eq!(
+                fit_bits(new),
+                fit_bits(per_sample_em(&samples)),
+                "{samples:?}"
+            );
+            if let Some(fit) = new {
+                fits += 1;
+                capped += u32::from(fit.iterations == EM_MAX_ITERATIONS);
+            }
+        }
+        assert!(fits > 9_000, "{fits} fits");
+        assert!(
+            capped > 1_000,
+            "only {capped} fits reached the iteration cap"
+        );
     }
 
     #[test]

@@ -57,6 +57,7 @@
 //! ```
 
 use core::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -642,6 +643,20 @@ impl Fleet {
                         checkpoint.completed.len()
                     ));
                 }
+                let done_victims: u64 = (0..shards)
+                    .filter(|&s| checkpoint.completed[s as usize])
+                    .map(|s| {
+                        let (lo, hi) = self.shard_range(s);
+                        hi - lo
+                    })
+                    .sum();
+                if checkpoint.reducer.victims != done_victims {
+                    return Err(format!(
+                        "checkpoint {} counts {} victims, its completed shards hold {done_victims}",
+                        path.display(),
+                        checkpoint.reducer.victims
+                    ));
+                }
                 completed = checkpoint.completed;
                 restored = checkpoint.reducer;
             }
@@ -758,8 +773,10 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message on schema mismatch or any missing/malformed
-    /// field.
+    /// Returns a message on schema mismatch, any missing/malformed
+    /// field, or a reducer no fleet could have produced: a probe-moment
+    /// count other than the victim count, a probe minimum above the
+    /// maximum, or more hits than records.
     pub fn from_json(src: &str) -> Result<Self, String> {
         let schema = json_str(src, "schema").ok_or("checkpoint: missing schema")?;
         if schema != FLEET_CHECKPOINT_SCHEMA {
@@ -793,6 +810,25 @@ impl Checkpoint {
             },
             confidence,
         };
+        let moments = &reducer.probe_moments;
+        if moments.n != reducer.victims {
+            return Err(format!(
+                "checkpoint: probe_n {} does not match victims {}",
+                moments.n, reducer.victims
+            ));
+        }
+        if moments.n > 0 && moments.min > moments.max {
+            return Err(format!(
+                "checkpoint: probe_min {} exceeds probe_max {}",
+                moments.min, moments.max
+            ));
+        }
+        if reducer.hits > reducer.records {
+            return Err(format!(
+                "checkpoint: hits {} exceed records {}",
+                reducer.hits, reducer.records
+            ));
+        }
         Ok(Self {
             fingerprint,
             completed,
@@ -801,16 +837,22 @@ impl Checkpoint {
     }
 
     /// Writes the checkpoint atomically: serialize to `<path>.tmp`,
-    /// then rename over `path`, so a kill mid-write never leaves a
-    /// truncated checkpoint behind.
+    /// flush it to disk, then rename over `path`, so neither a kill
+    /// mid-write nor a crash right after the rename leaves a truncated
+    /// checkpoint behind.
     ///
     /// # Errors
     ///
-    /// Returns a message when the temporary write or the rename fails.
+    /// Returns a message when the temporary write, its flush or the
+    /// rename fails.
     pub fn store(&self, path: &Path) -> Result<(), String> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("checkpoint write {}: {e}", tmp.display()))?;
+        let write = || {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(self.to_json().as_bytes())?;
+            file.sync_all()
+        };
+        write().map_err(|e| format!("checkpoint write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, path)
             .map_err(|e| format!("checkpoint rename {}: {e}", path.display()))
     }

@@ -74,10 +74,10 @@ use std::collections::VecDeque;
 
 use avx_mmu::VirtAddr;
 
-use crate::adaptive::{AdaptiveMinFilter, Sampling};
+use crate::adaptive::{AdaptiveBatch, AdaptiveMinFilter, AdaptiveScratch, Sampling};
 use crate::calibrate::{CalibrationFit, Threshold};
 use crate::primitives::{PageTableAttack, SweepClassification};
-use crate::prober::{ProbeStrategy, Prober};
+use crate::prober::{ProbeScratch, ProbeStrategy, Prober};
 use crate::stats::mad_sigma_scratch;
 use crate::sweep::AddrRange;
 
@@ -187,7 +187,7 @@ pub struct DriftMonitor {
     since_refit: usize,
     /// Reused MAD buffer — the monitor runs once per probe tile and
     /// must not put allocations back on the zero-alloc sweep path.
-    scratch: Vec<f64>,
+    scratch: Vec<u64>,
 }
 
 /// Band entries below this count are too thin for a MAD estimate.
@@ -237,8 +237,8 @@ impl DriftMonitor {
             let samples = entries
                 .iter()
                 .skip(skip)
-                .map(|e| e.sample as f64)
-                .filter(|&s| (s <= boundary) == fast);
+                .map(|e| e.sample)
+                .filter(|&s| (s as f64 <= boundary) == fast);
             match mad_sigma_scratch(samples, scratch) {
                 Some(mad) if scratch.len() >= MIN_BAND_SAMPLES => mad,
                 _ => 0.0,
@@ -310,8 +310,7 @@ impl DriftMonitor {
             let Self {
                 entries, scratch, ..
             } = self;
-            mad_sigma_scratch(entries.iter().skip(skip).map(|e| e.sample as f64), scratch)
-                .unwrap_or(0.0)
+            mad_sigma_scratch(entries.iter().skip(skip).map(|e| e.sample), scratch).unwrap_or(0.0)
         }
     }
 
@@ -358,6 +357,22 @@ pub struct Recalibrating {
     events: Vec<RecalEvent>,
     /// Candidates processed across the driver's lifetime.
     processed: usize,
+    /// Reused per-tile buffers (no allocation per sweep tile).
+    tile: TileBuffers,
+}
+
+/// The driver's reused per-tile buffers: every sweep tile goes through
+/// them, on either sampling path, so the closed loop allocates nothing
+/// per tile. Each tile clears them first, so they carry no state from
+/// one tile or call to the next.
+#[derive(Clone, Debug)]
+struct TileBuffers {
+    /// The tile's calls, samples, probe counts and settled flags.
+    batch: AdaptiveBatch,
+    /// Intermediate state of the adaptive sampler.
+    adaptive: AdaptiveScratch,
+    /// Intermediate state of the fixed probe strategy.
+    fixed: ProbeScratch,
 }
 
 impl Recalibrating {
@@ -381,6 +396,11 @@ impl Recalibrating {
             monitor: DriftMonitor::new(config, baseline_sigma),
             events: Vec::new(),
             processed: 0,
+            tile: TileBuffers {
+                batch: AdaptiveBatch::with_capacity(ProbeStrategy::BATCH_TILE),
+                adaptive: AdaptiveScratch::default(),
+                fixed: ProbeScratch::default(),
+            },
         }
     }
 
@@ -453,29 +473,34 @@ impl Recalibrating {
         call_base: usize,
         out: &mut SweepClassification,
     ) {
+        let TileBuffers {
+            batch,
+            adaptive,
+            fixed,
+        } = &mut self.tile;
+        batch.clear();
         match self.attack.sampler {
             Some(sampler) => {
-                let batch = sampler.classify_batch(p, self.attack.op, tile);
+                sampler.classify_tile(p, self.attack.op, tile, batch, adaptive);
                 out.probes += batch.total_probes();
-                for (i, &addr) in tile.iter().enumerate() {
-                    self.monitor
-                        .observe(self.processed, addr, batch.samples[i], batch.settled[i]);
-                    out.samples.push(batch.samples[i]);
-                    out.mapped.push(batch.mapped[i]);
-                    self.processed += 1;
-                }
             }
             None => {
-                let samples = self.attack.strategy.measure_batch(p, self.attack.op, tile);
-                out.probes +=
-                    tile.len() as u64 * u64::from(self.attack.strategy.probes_per_measurement());
-                for (i, &addr) in tile.iter().enumerate() {
-                    self.monitor.observe(self.processed, addr, samples[i], true);
-                    out.samples.push(samples[i]);
-                    out.mapped.push(self.attack.threshold.is_mapped(samples[i]));
-                    self.processed += 1;
-                }
+                let strategy = self.attack.strategy;
+                strategy.measure_batch_into(p, self.attack.op, tile, &mut batch.samples, fixed);
+                out.probes += tile.len() as u64 * u64::from(strategy.probes_per_measurement());
+                let threshold = self.attack.threshold;
+                batch
+                    .mapped
+                    .extend(batch.samples.iter().map(|&s| threshold.is_mapped(s)));
+                batch.settled.resize(tile.len(), true);
             }
+        }
+        for (i, &addr) in tile.iter().enumerate() {
+            self.monitor
+                .observe(self.processed, addr, batch.samples[i], batch.settled[i]);
+            out.samples.push(batch.samples[i]);
+            out.mapped.push(batch.mapped[i]);
+            self.processed += 1;
         }
         if self.events.len() < self.config.max_refits as usize {
             if let Some(signal) = self.monitor.check(self.attack.threshold.boundary()) {
@@ -580,7 +605,7 @@ pub struct RecalibratingMinFilter {
     since_escalation: usize,
     escalations: u32,
     /// Reused MAD buffer (one dispersion check per probe tile).
-    scratch: Vec<f64>,
+    scratch: Vec<u64>,
 }
 
 /// Hard cap on the escalated min-filter width.
@@ -648,8 +673,7 @@ impl RecalibratingMinFilter {
             return;
         }
         let dispersion =
-            mad_sigma_scratch(self.window.iter().map(|&x| x as f64), &mut self.scratch)
-                .unwrap_or(0.0);
+            mad_sigma_scratch(self.window.iter().copied(), &mut self.scratch).unwrap_or(0.0);
         let Some(baseline) = self.baseline else {
             if self.window.len() >= self.config.window.max(1) {
                 self.baseline = Some(dispersion);

@@ -171,31 +171,70 @@ pub const MAD_CONSISTENCY: f64 = 1.4826;
 /// point: interrupt spikes in up to half the samples cannot move it.
 /// The [`crate::calibrate::NoiseAware`] selector keys off this number
 /// to decide whether the environment needs a robust floor estimator.
-/// `None` when empty.
+/// `None` when empty. Samples must lie below [`MAD_EXACT_LIMIT`].
 #[must_use]
 pub fn mad_sigma(samples: &[u64]) -> Option<f64> {
-    mad_sigma_scratch(samples.iter().map(|&x| x as f64), &mut Vec::new())
+    mad_sigma_scratch(samples.iter().copied(), &mut Vec::new())
+}
+
+/// Exclusive upper bound of the sample domain on which
+/// [`mad_sigma_scratch`] is exact: 2⁵².
+///
+/// Below it, the textbook `f64` evaluation (median, then deviations,
+/// then their median) makes no rounding error at all: the median is a
+/// multiple of ½ below 2⁵², so is every deviation, and the two middle
+/// deviations share their fractional part, so their sum is an integer
+/// below 2⁵³. Every intermediate is representable, both evaluations
+/// compute the exact MAD, and their results agree bit for bit. Cycle
+/// counts are many orders of magnitude below the limit.
+pub const MAD_EXACT_LIMIT: u64 = 1 << 52;
+
+/// Twice the median of `v` (the sum of the two middle order statistics
+/// for even lengths), reordering `v` by selection. `None` when empty.
+fn doubled_median(v: &mut [u64]) -> Option<u64> {
+    let n = v.len();
+    if n == 0 {
+        return None;
+    }
+    let (lower, &mut upper, _) = v.select_nth_unstable(n / 2);
+    let below = if n.is_multiple_of(2) {
+        *lower.iter().max().expect("even n ≥ 2 leaves a lower half")
+    } else {
+        upper
+    };
+    Some(below + upper)
 }
 
 /// Allocation-free variant of [`mad_sigma`] for per-tile hot paths
 /// (the recalibration [`crate::recal::DriftMonitor`] runs one of these
 /// per probe tile): identical result, with all intermediate values
-/// kept in the caller's reused `scratch` buffer. On return `scratch`
-/// holds the sorted absolute deviations; its length is the sample
-/// count, which callers use for minimum-band-size checks.
+/// kept in the caller's reused `scratch` buffer. On return only the
+/// length of `scratch` is meaningful — the sample count, which callers
+/// use for minimum-band-size checks; its contents are in no particular
+/// order.
+///
+/// Works in doubled integer units with two O(n) selections instead of
+/// two `f64` sorts: `center2 = 2·median(x)`, each deviation is
+/// `|2x − center2|`, and the result is
+/// `MAD_CONSISTENCY × (2·median(|2x − center2|)) / 4`. The result is
+/// exact, and bit-identical to the sort-based `f64` evaluation, for
+/// samples below [`MAD_EXACT_LIMIT`] (debug-asserted).
 pub fn mad_sigma_scratch(
-    samples: impl Iterator<Item = f64>,
-    scratch: &mut Vec<f64>,
+    samples: impl Iterator<Item = u64>,
+    scratch: &mut Vec<u64>,
 ) -> Option<f64> {
     scratch.clear();
     scratch.extend(samples);
-    scratch.sort_unstable_by(f64::total_cmp);
-    let center = median_of_sorted(scratch)?;
+    debug_assert!(
+        scratch.iter().all(|&x| x < MAD_EXACT_LIMIT),
+        "mad_sigma_scratch: sample outside the exact domain (< 2^52)"
+    );
+    let center2 = doubled_median(scratch)?;
     for v in scratch.iter_mut() {
-        *v = (*v - center).abs();
+        *v = (2 * *v).abs_diff(center2);
     }
-    scratch.sort_unstable_by(f64::total_cmp);
-    median_of_sorted(scratch).map(|d| MAD_CONSISTENCY * d)
+    let dev4 = doubled_median(scratch)?;
+    Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
 }
 
 /// Symmetrically trimmed mean: sorts the samples, drops the `trim`
@@ -522,24 +561,69 @@ mod tests {
         assert_eq!(mad_sigma(&[]), None);
     }
 
+    /// The textbook sort-based `f64` MAD (median, deviations, their
+    /// median): the oracle of the differential test below.
+    fn sorted_f64_mad(samples: impl Iterator<Item = f64>, scratch: &mut Vec<f64>) -> Option<f64> {
+        scratch.clear();
+        scratch.extend(samples);
+        scratch.sort_unstable_by(f64::total_cmp);
+        let center = median_of_sorted(scratch)?;
+        for v in scratch.iter_mut() {
+            *v = (*v - center).abs();
+        }
+        scratch.sort_unstable_by(f64::total_cmp);
+        median_of_sorted(scratch).map(|d| MAD_CONSISTENCY * d)
+    }
+
     #[test]
-    fn mad_sigma_scratch_is_bit_identical_and_reports_the_count() {
-        let mut scratch = Vec::new();
+    fn integer_mad_is_bit_identical_to_the_sorted_f64_mad() {
+        let mut state = 0x3ad_5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            crate::fleet::splitmix64(state) % bound
+        };
+        let top = MAD_EXACT_LIMIT - 1;
+        let (mut scratch, mut oracle) = (Vec::new(), Vec::new());
+        let mut check = |samples: &[u64]| {
+            let new = mad_sigma_scratch(samples.iter().copied(), &mut scratch);
+            let old = sorted_f64_mad(samples.iter().map(|&x| x as f64), &mut oracle);
+            assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits), "{samples:?}");
+            assert_eq!(scratch.len(), samples.len(), "count reported via scratch");
+        };
         for samples in [
             vec![],
-            vec![93u64],
-            vec![90, 93, 93, 93, 96],
-            vec![87, 90, 93, 96, 2099],
-            (0..257u64).map(|i| 100 + (i * 7919) % 37).collect(),
+            vec![93],
+            vec![0],
+            vec![top],
+            vec![93, 107],
+            vec![0, top],
         ] {
-            let reference = mad_sigma(&samples);
-            let scratched = mad_sigma_scratch(samples.iter().map(|&x| x as f64), &mut scratch);
-            assert_eq!(
-                reference.map(f64::to_bits),
-                scratched.map(f64::to_bits),
-                "{samples:?}"
-            );
-            assert_eq!(scratch.len(), samples.len(), "count reported via scratch");
+            check(&samples);
+        }
+        for case in 0..20_000u64 {
+            let n = 3 + next(298) as usize;
+            let samples: Vec<u64> = (0..n)
+                .map(|_| match case % 4 {
+                    // A timing band with interrupt spikes.
+                    0 => {
+                        90 + next(30)
+                            + if next(16) == 0 {
+                                2_000 + next(50_000)
+                            } else {
+                                0
+                            }
+                    }
+                    // Two bands, as a sweep window holds them.
+                    1 => [93, 107][next(2) as usize] + next(5),
+                    // Near the top of the exact domain.
+                    2 => top - next(1 << 20),
+                    // Both ends of the domain: middle deviations near
+                    // 2⁵¹, their sum beyond 2⁵².
+                    _ if next(2) == 0 => next(1 << 20),
+                    _ => top - next(1 << 20),
+                })
+                .collect();
+            check(&samples);
         }
     }
 

@@ -316,3 +316,91 @@ fn counters_survive_million_victim_magnitudes_without_overflow() {
     let back = Checkpoint::from_json(&checkpoint.to_json()).expect("roundtrip");
     assert_eq!(back, checkpoint);
 }
+
+/// A serialized single-shard checkpoint over `victims` synthetic
+/// outcomes: consistent, so each negative test below breaks exactly
+/// one rule of it.
+fn checkpoint_json(victims: u64) -> String {
+    Checkpoint {
+        fingerprint: 3,
+        completed: vec![true],
+        reducer: reduce(0..victims),
+    }
+    .to_json()
+}
+
+#[test]
+fn checkpoint_with_probe_count_other_than_victims_is_refused() {
+    let good = checkpoint_json(5);
+    assert!(Checkpoint::from_json(&good).is_ok());
+    let bad = good.replace("\"probe_n\": 5", "\"probe_n\": 6");
+    let err = Checkpoint::from_json(&bad).expect_err("probe_n != victims");
+    assert!(
+        err.contains("probe_n 6") && err.contains("victims 5"),
+        "{err}"
+    );
+}
+
+#[test]
+fn checkpoint_with_probe_min_above_max_is_refused() {
+    let good = checkpoint_json(5);
+    let r = Checkpoint::from_json(&good).expect("consistent").reducer;
+    let (min, max) = (
+        r.probe_moments.min().unwrap(),
+        r.probe_moments.max().unwrap(),
+    );
+    let bad = good.replace(
+        &format!("\"probe_min\": {min}"),
+        &format!("\"probe_min\": {}", max + 1),
+    );
+    let err = Checkpoint::from_json(&bad).expect_err("probe_min > probe_max");
+    assert!(
+        err.contains("probe_min") && err.contains("probe_max"),
+        "{err}"
+    );
+    // An empty reducer keeps its sentinel min > max and stays valid.
+    assert!(Checkpoint::from_json(&checkpoint_json(0)).is_ok());
+}
+
+#[test]
+fn checkpoint_with_more_hits_than_records_is_refused() {
+    let good = checkpoint_json(5);
+    let r = Checkpoint::from_json(&good).expect("consistent").reducer;
+    let bad = good.replace(
+        &format!("\"hits\": {}", r.hits),
+        &format!("\"hits\": {}", r.records + 1),
+    );
+    let err = Checkpoint::from_json(&bad).expect_err("hits > records");
+    assert!(err.contains("hits") && err.contains("records"), "{err}");
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_whose_victims_disagree_with_its_shards() {
+    let path = scratch("victims");
+    let _ = std::fs::remove_file(&path);
+    let config = || {
+        FleetConfig::new(40)
+            .with_pool(4)
+            .with_shards(4)
+            .with_checkpoint(&path)
+    };
+    small_fleet(config().with_max_shards(1))
+        .run()
+        .expect("first shard");
+
+    // One completed shard of 10 victims, re-counted as 9 (probe moments
+    // kept consistent, so only the resume-time check can catch it).
+    let json = std::fs::read_to_string(&path).expect("checkpoint written");
+    let edited = json
+        .replace("\"victims\": 10", "\"victims\": 9")
+        .replace("\"probe_n\": 10", "\"probe_n\": 9");
+    assert_ne!(edited, json);
+    Checkpoint::from_json(&edited).expect("self-consistent reducer");
+    std::fs::write(&path, edited).expect("rewrite checkpoint");
+    let err = small_fleet(config())
+        .run()
+        .expect_err("victims disagreeing with the completed shards must be refused");
+    assert!(err.contains("victims"), "{err}");
+
+    let _ = std::fs::remove_file(&path);
+}

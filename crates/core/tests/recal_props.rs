@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use avx_channel::attacks::kaslr::KernelBaseFinder;
 use avx_channel::attacks::modules::ModuleScanner;
 use avx_channel::recal::{DriftMonitor, RecalConfig, Recalibrating};
+use avx_channel::sweep::AddrRange;
 use avx_channel::{AdaptiveSampler, PageTableAttack, ProbeStrategy, SimProber, Threshold};
 use avx_mmu::VirtAddr;
 use avx_os::linux::{LinuxConfig, LinuxSystem};
@@ -265,4 +266,69 @@ fn refit_rebuilds_the_sampler_through_the_fit() {
     );
     // The boundary survives the refits (band means are stable).
     assert!((driver.threshold().boundary() - fit.threshold.boundary()).abs() <= 4.0);
+}
+
+/// The driver's reused tile buffers carry no state from one tile or
+/// call to the next. On a drifting scan with refits firing, slice and
+/// range sweeps over the same uneven chunks (each ending in a partial
+/// tile) agree call by call, events included. With the rescan off —
+/// the only step that depends on call boundaries — tile-aligned chunks
+/// reproduce one whole-range call exactly.
+#[test]
+fn reused_tile_buffers_carry_no_state_across_tiles_or_calls() {
+    let drifting = |rescan: bool| {
+        let sys = LinuxSystem::build(LinuxConfig::seeded(44));
+        let (mut machine, truth) = sys.into_machine(CpuProfile::alder_lake_i5_12400f(), 44);
+        machine.set_noise_profile(NoiseProfile::drift_quiet_to_laptop());
+        let mut p = SimProber::new(machine);
+        let fit = Threshold::calibrate_with(
+            &mut p,
+            truth.user.calibration,
+            16,
+            avx_channel::CalibratorKind::NoiseAware,
+        );
+        let attack =
+            PageTableAttack::new(fit.threshold).with_adaptive(AdaptiveSampler::from_fit(&fit));
+        let config = RecalConfig {
+            rescan,
+            ..RecalConfig::default()
+        };
+        (p, Recalibrating::new(attack, config))
+    };
+    let events = |driver: &Recalibrating| format!("{:?}", driver.events());
+    let kernel = KernelBaseFinder::candidate_range();
+    let range = AddrRange::new(kernel.addr(0), 0x20_0000, 525);
+
+    let (mut p_slice, mut by_slice) = drifting(true);
+    let (mut p_range, mut by_range) = drifting(true);
+    for chunk in range.chunks(85) {
+        let a = by_slice.sweep(&mut p_slice, &chunk.to_vec());
+        let b = by_range.sweep_range(&mut p_range, &chunk);
+        assert_eq!(a.samples, b.samples);
+        assert_eq!(a.mapped, b.mapped);
+        assert_eq!((a.probes, a.refits), (b.probes, b.refits));
+        assert_eq!(events(&by_slice), events(&by_range));
+    }
+    assert!(
+        by_slice.refits() >= 2,
+        "the scan must refit: {}",
+        by_slice.refits()
+    );
+
+    let (mut p_whole, mut whole) = drifting(false);
+    let (mut p_chunked, mut chunked) = drifting(false);
+    let one = whole.sweep_range(&mut p_whole, &range);
+    let (mut samples, mut mapped, mut probes, mut refits) = (Vec::new(), Vec::new(), 0, 0);
+    for chunk in range.chunks(80) {
+        let part = chunked.sweep(&mut p_chunked, &chunk.to_vec());
+        samples.extend(part.samples);
+        mapped.extend(part.mapped);
+        probes += part.probes;
+        refits += part.refits;
+    }
+    assert!(one.refits >= 2, "the scan must refit: {}", one.refits);
+    assert_eq!(samples, one.samples);
+    assert_eq!(mapped, one.mapped);
+    assert_eq!((probes, refits), (one.probes, one.refits));
+    assert_eq!(events(&chunked), events(&whole));
 }
