@@ -10,6 +10,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use avx_bench::paper;
+use avx_channel::attacks::campaign::CampaignConfig;
 use avx_channel::attacks::cloud::run_scenario;
 use avx_channel::report::{fmt_seconds, Table};
 use avx_os::cloud::CloudScenario;
@@ -25,7 +26,7 @@ fn print_cloud() {
             paper::CLOUD_SECONDS[4],
         ];
         for (i, scenario) in CloudScenario::all(77).iter().enumerate() {
-            let report = run_scenario(scenario, 7 + i as u64);
+            let report = run_scenario(scenario, 7 + i as u64, &CampaignConfig::default());
             assert!(report.base_correct, "{report}");
             table.row([
                 report.provider.to_string(),
@@ -44,6 +45,7 @@ fn print_cloud() {
 
 fn bench(c: &mut Criterion) {
     print_cloud();
+    let quiet = CampaignConfig::default();
     let mut group = c.benchmark_group("cloud_kaslr");
     group
         .sample_size(10)
@@ -53,14 +55,14 @@ fn bench(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            run_scenario(&CloudScenario::amazon_ec2(seed), seed).base_correct
+            run_scenario(&CloudScenario::amazon_ec2(seed), seed, &quiet).base_correct
         })
     });
     group.bench_function("gce_direct_break", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            run_scenario(&CloudScenario::google_gce(seed), seed).base_correct
+            run_scenario(&CloudScenario::google_gce(seed), seed, &quiet).base_correct
         })
     });
     group.finish();

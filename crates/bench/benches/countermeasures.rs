@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avx_channel::countermeasures::{evaluate_fgkaslr, evaluate_flare};
+use avx_channel::defense::point_checks::{evaluate_fgkaslr, evaluate_flare};
 use avx_uarch::CpuProfile;
 
 fn print_countermeasures() {

@@ -25,9 +25,8 @@
 //! binary is what `EXPERIMENTS.md` records.
 
 use avx_bench::{
-    accuracy_trials, calibrate, calibrator_kind, confirm_config, defense_kind, linux_prober,
-    linux_prober_with, noise_profile, observables_version, paper, recal_config, sampling_policy,
-    schedule_kind, schedule_spec,
+    accuracy_trials, calibrate, calibrator_kind, confirm_config, linux_prober, linux_prober_with,
+    noise_profile, observables_version, paper, recal_config, sampling_policy, schedule_spec,
 };
 use avx_channel::attacks::behavior::{SpyConfig, TlbSpy};
 use avx_channel::attacks::cloud::run_scenario;
@@ -133,21 +132,11 @@ fn main() {
 /// and kill-and-resume boundaries; CI diffs it) and a `victims/sec`
 /// throughput line.
 fn fleet(victims: u64) {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::fleet::{Fleet, FleetConfig};
 
     heading("Fleet campaign — kernel-base population sweep");
-    let campaign = CampaignConfig {
-        noise: noise_profile(),
-        sampling: sampling_policy(),
-        calibrator: calibrator_kind(),
-        recal: recal_config(),
-        confirm: confirm_config(),
-        observables: observables_version(),
-        defense: defense_kind(),
-        schedule: schedule_kind(),
-        ..CampaignConfig::default()
-    };
+    let campaign = avx_bench::cli_config();
     let mut config = FleetConfig::new(victims);
     if let Some(shards) = avx_bench::fleet_shards() {
         config = config.with_shards(shards);
@@ -322,37 +311,16 @@ fn trace_demo() {
             return;
         }
     };
-    use avx_channel::attacks::campaign::CampaignConfig;
-    let profile = CpuProfile::alder_lake_i5_12400f();
-    let (mut p, truth) = linux_prober(profile.clone(), 77);
-    // Mirror the campaign install order and attacker tooling: the
-    // victim's baseline noise environment is the trace's `base` preset
-    // (the events perturb it), and the attacker runs under the session
-    // knobs — sampling policy, calibrator, recalibration.
-    let base = sched.profile();
-    p.machine_mut().set_noise_profile(base);
-    p.machine_mut().set_observables(observables_version());
-    p.machine_mut().set_victim_schedule(Some(sched));
-    let config = CampaignConfig::new(1, 77)
-        .with_noise(base)
-        .with_sampling(sampling_policy())
-        .with_calibrator(calibrator_kind())
-        .with_observables(observables_version());
-    let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
-    let mut finder = KernelBaseFinder::new(fit.threshold);
-    if let Some(sampler) = config.sampler_for(&profile, &fit) {
-        finder = finder.with_adaptive(sampler);
-    }
-    if let Some(strategy) = config.sampling.strategy_override() {
-        finder = finder.with_strategy(strategy);
-    }
-    if let Some(recal) = recal_config() {
-        finder = finder.with_recalibration(recal);
-    }
-    let scan = finder.scan(&mut p);
+    // The command line's victim flags (`--observables`, `--defense`) and
+    // attacker flags (sampling, `--calibrator`, `--recalibrate`,
+    // `--confirm`) apply exactly as in a campaign trial.
+    let config = avx_bench::cli_config();
+    let (p, truth, scan) = avx_bench::trace_demo_scan(sched, config, 77);
     let fired = p.machine().victim_schedule().map_or(0, |s| s.fired());
     println!(
-        "  trace demo {spec:?}: base {} (truth {}, {}), {fired} events fired over {} probes",
+        "  trace demo {spec:?} (defense={}, confirm={}): base {} (truth {}, {}), {fired} events fired over {} probes",
+        config.defense,
+        if config.confirm.is_some() { "on" } else { "off" },
         scan.base.map_or("-".into(), |b| b.to_string()),
         truth.kernel_base,
         if scan.base == Some(truth.kernel_base) {
@@ -368,34 +336,22 @@ fn trace_demo() {
 /// evaluated desktop/mobile parts, trials parallelized via rayon.
 fn full_campaign() {
     use avx_channel::attacks::campaign::{Campaign, CampaignConfig};
-    let trials = accuracy_trials().min(12);
-    let noise = noise_profile();
-    let sampling = sampling_policy();
-    let calibrator = calibrator_kind();
-    let recal = recal_config();
-    let confirm = confirm_config();
-    let observables = observables_version();
-    let defense = defense_kind();
-    let schedule = schedule_kind();
+    let config = CampaignConfig {
+        trials: accuracy_trials().min(12),
+        ..avx_bench::cli_config()
+    };
     heading(&format!(
-        "Full campaign — all 8 attacks x 3 CPUs (n={trials}, noise={noise}, sampling={}, calibrator={calibrator}, recalibrate={}, confirm={}, observables={observables}, defense={defense}, schedule={schedule}, rayon-parallel)",
-        sampling.name(),
-        if recal.is_some() { "on" } else { "off" },
-        if confirm.is_some() { "on" } else { "off" },
+        "Full campaign — all 8 attacks x 3 CPUs (n={}, noise={}, sampling={}, calibrator={}, recalibrate={}, confirm={}, observables={}, defense={}, schedule={}, rayon-parallel)",
+        config.trials,
+        config.noise,
+        config.sampling.name(),
+        config.calibrator,
+        if config.recal.is_some() { "on" } else { "off" },
+        if config.confirm.is_some() { "on" } else { "off" },
+        config.observables,
+        config.defense,
+        config.schedule,
     ));
-    let mut config = CampaignConfig::new(trials, 0)
-        .with_noise(noise)
-        .with_sampling(sampling)
-        .with_calibrator(calibrator)
-        .with_observables(observables)
-        .with_defense(defense)
-        .with_schedule(schedule);
-    if let Some(recal) = recal {
-        config = config.with_recalibration(recal);
-    }
-    if let Some(confirm) = confirm {
-        config = config.with_confirmation(confirm);
-    }
     let campaign = Campaign::full(config);
     let mut table = Table::new([
         "CPU", "Target", "Probing", "Total", "p/addr", "Accuracy", "Records",
@@ -1051,9 +1007,10 @@ fn windows() {
 }
 
 fn cloud() {
+    use avx_channel::attacks::campaign::CampaignConfig;
     heading("§IV-H — cloud KASLR breaks");
     for scenario in CloudScenario::all(99) {
-        let report = run_scenario(&scenario, 15);
+        let report = run_scenario(&scenario, 15, &CampaignConfig::default());
         println!("  {report}");
     }
     println!(

@@ -9,12 +9,14 @@
 
 pub mod throughput;
 
+use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+use avx_channel::attacks::KaslrScan;
 use avx_channel::{
-    CalibratorKind, ConfirmConfig, DefenseKind, RecalConfig, Sampling, ScheduleKind, SimProber,
-    Threshold,
+    CalibratorKind, ConfirmConfig, DefenseKind, KernelBaseFinder, RecalConfig, Sampling,
+    ScheduleKind, SimProber, Threshold,
 };
 use avx_os::linux::{LinuxConfig, LinuxSystem, LinuxTruth};
-use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, ObservablesVersion};
+use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, ObservablesVersion, VictimSchedule};
 
 /// The paper's published numbers, used for side-by-side reporting.
 pub mod paper {
@@ -74,9 +76,7 @@ pub mod paper {
 /// Builds a Linux machine + prober on `profile`, with realistic noise.
 #[must_use]
 pub fn linux_prober(profile: CpuProfile, seed: u64) -> (SimProber, LinuxTruth) {
-    let sys = LinuxSystem::build(LinuxConfig::seeded(seed));
-    let (machine, truth) = sys.into_machine(profile, seed.wrapping_add(0x9e37_79b9));
-    (SimProber::new(machine), truth)
+    linux_prober_with(LinuxConfig::seeded(seed), profile, seed)
 }
 
 /// Builds a Linux machine + prober with custom config.
@@ -94,10 +94,9 @@ pub fn linux_prober_with(
 /// Same, with timing noise disabled (deterministic mean extraction).
 #[must_use]
 pub fn quiet_linux_prober(profile: CpuProfile, seed: u64) -> (SimProber, LinuxTruth) {
-    let sys = LinuxSystem::build(LinuxConfig::seeded(seed));
-    let (mut machine, truth) = sys.into_machine(profile, seed.wrapping_add(0x9e37_79b9));
-    machine.set_noise(NoiseModel::none());
-    (SimProber::new(machine), truth)
+    let (mut p, truth) = linux_prober(profile, seed);
+    p.machine_mut().set_noise(NoiseModel::none());
+    (p, truth)
 }
 
 /// Calibrates the §IV-B threshold on a fresh prober.
@@ -342,10 +341,66 @@ pub fn sampling_policy() -> Sampling {
     }
 }
 
+/// The campaign config the command-line flags select: `--noise`, the
+/// sampling flags, `--calibrator`, `--recalibrate`, `--confirm`,
+/// `--observables`, `--defense` and `--schedule`, each with its `AVX_*`
+/// fallback, over the default trial count and first seed.
+#[must_use]
+pub fn cli_config() -> CampaignConfig {
+    CampaignConfig {
+        noise: noise_profile(),
+        sampling: sampling_policy(),
+        calibrator: calibrator_kind(),
+        recal: recal_config(),
+        confirm: confirm_config(),
+        observables: observables_version(),
+        defense: defense_kind(),
+        schedule: schedule_kind(),
+        ..CampaignConfig::default()
+    }
+}
+
+/// One kernel-base scan of the seeded Linux victim on the i5-12400F
+/// running a user-authored victim `schedule` (the trace grammar of
+/// `docs/VICTIMS.md`). The victim goes through
+/// [`CampaignConfig::install`] like a campaign trial, with the trace's
+/// `base` preset as its noise environment and the trace in place of
+/// `config.schedule`; the attacker calibrates with `config.calibrator`
+/// and runs under [`CampaignConfig::tune`]. Returns the prober (its
+/// machine holds the fired schedule), the victim's ground truth and the
+/// scan.
+#[must_use]
+pub fn trace_demo_scan(
+    schedule: VictimSchedule,
+    config: CampaignConfig,
+    seed: u64,
+) -> (SimProber, LinuxTruth, KaslrScan) {
+    let profile = CpuProfile::alder_lake_i5_12400f();
+    let (mut p, truth) = linux_prober(profile.clone(), seed);
+    let config = CampaignConfig {
+        noise: schedule.profile(),
+        schedule: ScheduleKind::None,
+        ..config
+    };
+    config.install(
+        p.machine_mut(),
+        &Scenario::KernelBase.defense_regions(),
+        seed,
+    );
+    p.machine_mut().set_victim_schedule(Some(schedule));
+    let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
+    let finder = config.tune(
+        KernelBaseFinder::new(fit.threshold),
+        config.sampler_for(&profile, &fit),
+    );
+    let scan = finder.scan(&mut p);
+    (p, truth, scan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avx_channel::KernelBaseFinder;
+    use avx_channel::Prober;
 
     #[test]
     fn helpers_compose_into_a_working_attack() {
@@ -353,6 +408,31 @@ mod tests {
         let th = calibrate(&mut p, &truth);
         let scan = KernelBaseFinder::new(th).scan(&mut p);
         assert_eq!(scan.base, Some(truth.kernel_base));
+    }
+
+    #[test]
+    fn trace_demo_honors_the_defense_and_confirmation_knobs() {
+        let demo = |config: CampaignConfig| {
+            let trace = VictimSchedule::from_trace("every 8 8 module-load 4\n", 77).unwrap();
+            trace_demo_scan(trace, config, 77)
+        };
+        let config = CampaignConfig::default();
+        let (p, truth, scan) = demo(config);
+        assert!(p.machine().victim_schedule().unwrap().fired() > 0);
+        assert_eq!(scan.base, Some(truth.kernel_base));
+        // The confirmation layer re-tests candidates before committing.
+        let (confirmed, _, confirmed_scan) =
+            demo(config.with_confirmation(ConfirmConfig::default()));
+        assert_eq!(confirmed_scan.base, scan.base);
+        assert!(
+            confirmed.probes_issued() > p.probes_issued(),
+            "confirmation re-tests: {} vs {} probes",
+            confirmed.probes_issued(),
+            p.probes_issued()
+        );
+        // The masked victim decouples the scan from the real layout.
+        let (_, truth, masked) = demo(config.with_defense(DefenseKind::MaskedTranslation));
+        assert_ne!(masked.base, Some(truth.kernel_base));
     }
 
     #[test]

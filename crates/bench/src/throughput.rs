@@ -40,18 +40,12 @@ pub struct CampaignThroughput {
     pub trials_per_sec: f64,
 }
 
-/// Runs the full attack × CPU × noise grid once under the default
-/// (v1, bit-exact) observables regime and reports throughput.
-#[must_use]
-pub fn measure_noise_grid(trials: u64) -> CampaignThroughput {
-    measure_noise_grid_with(trials, ObservablesVersion::V1)
-}
-
-/// [`measure_noise_grid`] under an explicit observables regime — the
-/// v2 measurement is the perf target the batched ziggurat kernel is
+/// Runs the full attack × CPU × noise grid once under `observables` and
+/// reports throughput. v1 is the bit-exact paper stream; the v2
+/// measurement is the perf target the batched ziggurat kernel is
 /// accountable to.
 #[must_use]
-pub fn measure_noise_grid_with(trials: u64, observables: ObservablesVersion) -> CampaignThroughput {
+pub fn measure_noise_grid(trials: u64, observables: ObservablesVersion) -> CampaignThroughput {
     let campaign =
         Campaign::noise_grid(CampaignConfig::new(trials, 0).with_observables(observables));
     let start = Instant::now();
@@ -87,22 +81,14 @@ pub struct SweepThroughput {
     pub probes_per_sec: f64,
 }
 
-/// Measures the quiet-profile Fig. 4 sweep throughput: one fresh system,
-/// then repeated full 512-slot scans until at least `min_probes` raw
-/// probes have been issued.
+/// Measures the quiet-profile Fig. 4 sweep throughput under
+/// `observables`: one fresh system, then repeated full 512-slot scans
+/// until at least `min_probes` raw probes have been issued. The sweep
+/// runs noise-free in either regime (quiet prober), so the v2 number
+/// isolates the batched block plumbing's overhead from the sampler
+/// speedup.
 #[must_use]
-pub fn measure_fig4_sweep(min_probes: u64) -> SweepThroughput {
-    measure_fig4_sweep_with(min_probes, ObservablesVersion::V1)
-}
-
-/// [`measure_fig4_sweep`] under an explicit observables regime. The
-/// sweep runs noise-free either way (quiet prober), so this isolates
-/// the batched block plumbing's overhead from the sampler speedup.
-#[must_use]
-pub fn measure_fig4_sweep_with(
-    min_probes: u64,
-    observables: ObservablesVersion,
-) -> SweepThroughput {
+pub fn measure_fig4_sweep(min_probes: u64, observables: ObservablesVersion) -> SweepThroughput {
     let (mut p, truth) = crate::quiet_linux_prober(CpuProfile::alder_lake_i5_12400f(), 4);
     p.machine_mut().set_observables(observables);
     let th = Threshold::calibrate(&mut p, truth.user.calibration, 16);
@@ -152,17 +138,12 @@ pub struct DriftRowThroughput {
 }
 
 /// Measures the closed-loop drift row (`repro --noise drift --adaptive
-/// --calibrator noise-aware --recalibrate` as a campaign cell).
+/// --calibrator noise-aware --recalibrate` as a campaign cell) under
+/// `observables`. The drift ramp is resolved per probe index in both
+/// regimes (v2 blocks never quantize the ramp), so accuracy is
+/// comparable across them.
 #[must_use]
-pub fn measure_drift_row(trials: u64) -> DriftRowThroughput {
-    measure_drift_row_with(trials, ObservablesVersion::V1)
-}
-
-/// [`measure_drift_row`] under an explicit observables regime. The
-/// drift ramp is resolved per probe index in both regimes (v2 blocks
-/// never quantize the ramp), so accuracy is comparable across them.
-#[must_use]
-pub fn measure_drift_row_with(trials: u64, observables: ObservablesVersion) -> DriftRowThroughput {
+pub fn measure_drift_row(trials: u64, observables: ObservablesVersion) -> DriftRowThroughput {
     let config = CampaignConfig::new(trials, 0)
         .with_noise(NoiseProfile::drift_quiet_to_laptop())
         .with_sampling(Sampling::adaptive())
@@ -207,20 +188,11 @@ pub struct ScheduleRowThroughput {
 
 /// Measures the closed-loop schedule row (`repro --schedule dvfs-square
 /// --adaptive --calibrator noise-aware --recalibrate` as a campaign
-/// cell).
+/// cell) under `observables`. The schedule's virtual clock ticks per
+/// victim-observed op in both regimes, so accuracy is comparable across
+/// them.
 #[must_use]
-pub fn measure_schedule_row(trials: u64) -> ScheduleRowThroughput {
-    measure_schedule_row_with(trials, ObservablesVersion::V1)
-}
-
-/// [`measure_schedule_row`] under an explicit observables regime. The
-/// schedule's virtual clock ticks per victim-observed op in both
-/// regimes, so accuracy is comparable across them.
-#[must_use]
-pub fn measure_schedule_row_with(
-    trials: u64,
-    observables: ObservablesVersion,
-) -> ScheduleRowThroughput {
+pub fn measure_schedule_row(trials: u64, observables: ObservablesVersion) -> ScheduleRowThroughput {
     let config = CampaignConfig::new(trials, 0)
         .with_schedule(ScheduleKind::DvfsSquare)
         .with_sampling(Sampling::adaptive())
@@ -430,14 +402,14 @@ pub fn bench_json_path() -> Option<std::path::PathBuf> {
 /// measurements for console reporting.
 pub fn run_bench_json(path: &std::path::Path) -> std::io::Result<BenchMeasurements> {
     let m = BenchMeasurements {
-        grid: measure_noise_grid(2),
-        sweep: measure_fig4_sweep(64 * 1024),
-        drift: measure_drift_row(8),
-        grid_v2: measure_noise_grid_with(2, ObservablesVersion::V2),
-        sweep_v2: measure_fig4_sweep_with(64 * 1024, ObservablesVersion::V2),
-        drift_v2: measure_drift_row_with(8, ObservablesVersion::V2),
+        grid: measure_noise_grid(2, ObservablesVersion::V1),
+        sweep: measure_fig4_sweep(64 * 1024, ObservablesVersion::V1),
+        drift: measure_drift_row(8, ObservablesVersion::V1),
+        grid_v2: measure_noise_grid(2, ObservablesVersion::V2),
+        sweep_v2: measure_fig4_sweep(64 * 1024, ObservablesVersion::V2),
+        drift_v2: measure_drift_row(8, ObservablesVersion::V2),
         fleet: measure_fleet(100_000),
-        schedule_row: measure_schedule_row(8),
+        schedule_row: measure_schedule_row(8, ObservablesVersion::V1),
     };
     std::fs::write(path, bench_json(&m))?;
     Ok(m)
@@ -449,7 +421,7 @@ mod tests {
 
     #[test]
     fn sweep_measurement_reports_positive_throughput() {
-        let sweep = measure_fig4_sweep(1024);
+        let sweep = measure_fig4_sweep(1024, ObservablesVersion::V1);
         assert!(sweep.probes >= 1024);
         assert!(sweep.probes_per_sec > 0.0);
     }
@@ -553,7 +525,7 @@ mod tests {
 
     #[test]
     fn v2_sweep_measurement_reports_positive_throughput() {
-        let sweep = measure_fig4_sweep_with(1024, ObservablesVersion::V2);
+        let sweep = measure_fig4_sweep(1024, ObservablesVersion::V2);
         assert_eq!(sweep.observables, ObservablesVersion::V2);
         assert!(sweep.probes >= 1024);
         assert!(sweep.probes_per_sec > 0.0);
@@ -561,7 +533,7 @@ mod tests {
 
     #[test]
     fn schedule_row_measurement_recovers_and_reports_throughput() {
-        let row = measure_schedule_row(2);
+        let row = measure_schedule_row(2, ObservablesVersion::V1);
         assert_eq!(row.trials, 2);
         assert_eq!(row.schedule, "dvfs-square");
         assert!(row.probes > 0);
@@ -571,7 +543,7 @@ mod tests {
 
     #[test]
     fn drift_row_measurement_recovers_and_reports_throughput() {
-        let drift = measure_drift_row(2);
+        let drift = measure_drift_row(2, ObservablesVersion::V1);
         assert_eq!(drift.trials, 2);
         assert!(drift.probes > 0);
         assert!(drift.probes_per_sec > 0.0);

@@ -17,7 +17,7 @@
 //! a fraction of the recorded numbers.
 
 use avx_bench::throughput::{
-    measure_fig4_sweep_with, measure_noise_grid_with, CampaignThroughput, SweepThroughput,
+    measure_fig4_sweep, measure_noise_grid, CampaignThroughput, SweepThroughput,
 };
 use avx_uarch::ObservablesVersion;
 
@@ -33,8 +33,8 @@ const GRID_FLOOR_PROBES_PER_SEC: f64 = 2_000_000.0;
 fn best_sweep(observables: ObservablesVersion) -> SweepThroughput {
     // Two measurements; keep the better one to shrug off scheduler
     // hiccups on shared runners.
-    let a = measure_fig4_sweep_with(128 * 1024, observables);
-    let b = measure_fig4_sweep_with(128 * 1024, observables);
+    let a = measure_fig4_sweep(128 * 1024, observables);
+    let b = measure_fig4_sweep(128 * 1024, observables);
     if a.probes_per_sec >= b.probes_per_sec {
         a
     } else {
@@ -43,8 +43,8 @@ fn best_sweep(observables: ObservablesVersion) -> SweepThroughput {
 }
 
 fn best_grid(observables: ObservablesVersion) -> CampaignThroughput {
-    let a = measure_noise_grid_with(1, observables);
-    let b = measure_noise_grid_with(1, observables);
+    let a = measure_noise_grid(1, observables);
+    let b = measure_noise_grid(1, observables);
     if a.probes_per_sec >= b.probes_per_sec {
         a
     } else {
@@ -82,7 +82,7 @@ fn noise_grid_throughput_stays_above_floor() {
 fn bench_json_flag_produces_valid_record() {
     // The measurement machinery behind `repro --bench-json` works end
     // to end (small n; runs in debug CI too).
-    let sweep = measure_fig4_sweep_with(2048, ObservablesVersion::V1);
+    let sweep = measure_fig4_sweep(2048, ObservablesVersion::V1);
     assert!(sweep.probes >= 2048);
     assert!(sweep.wall_seconds > 0.0);
 }
@@ -104,9 +104,9 @@ fn grid_measurement_pins_probe_counts_per_regime() {
     // grid carries `ScheduleKind::None`, so these counts moving would
     // mean the event scheduler leaked into the unscheduled path
     // (invariant 13).
-    let v1 = measure_noise_grid_with(2, ObservablesVersion::V1);
+    let v1 = measure_noise_grid(2, ObservablesVersion::V1);
     assert_eq!(v1.probes, GRID_PROBES_V1, "v1 grid probe count moved");
-    let v2 = measure_noise_grid_with(2, ObservablesVersion::V2);
+    let v2 = measure_noise_grid(2, ObservablesVersion::V2);
     assert_eq!(v2.probes, GRID_PROBES_V2, "v2 grid probe count moved");
     assert_eq!(v1.rows, v2.rows, "regimes run the same grid shape");
 }

@@ -49,12 +49,13 @@ use crate::schedule::ScheduleKind;
 use crate::stats::Trials;
 
 use super::behavior::{SpyConfig, TlbSpy};
-use super::cloud::run_scenario_scheduled;
+use super::cloud::run_scenario;
 use super::kaslr::{AmdKernelBaseFinder, KernelBaseFinder};
 use super::kpti::KptiAttack;
 use super::modules::ModuleScanner;
 use super::userspace::{LibraryMatcher, UserSpaceScanner};
 use super::windows::WindowsKaslrAttack;
+use super::PageTableScan;
 
 /// Campaign parameters.
 #[derive(Clone, Copy, Debug)]
@@ -203,6 +204,46 @@ impl CampaignConfig {
             fit,
             self.noise.effective_sigma(&profile.timing),
         )
+    }
+
+    /// Installs this config's victim environment on `machine`: noise
+    /// profile, observables regime, the defense over `regions` and the
+    /// event schedule, in that order, with the defense and schedule
+    /// randomness drawn from `seed`. The one installation site of every
+    /// campaign trial and cloud guest (invariants 12 and 13): it runs
+    /// before the first probe, so the attacker calibrates against the
+    /// defended, event-driven victim, and it only ever mutates this
+    /// machine, never a shared fixture. An empty `regions` list installs
+    /// no defense.
+    pub fn install(&self, machine: &mut Machine, regions: &[DefenseRegion], seed: u64) {
+        machine.set_noise_profile(self.noise);
+        machine.set_observables(self.observables);
+        self.defense.install(machine, regions, seed);
+        self.schedule.install(machine, self.noise, seed);
+    }
+
+    /// Applies this config's attacker policy to one of the scans built
+    /// on [`crate::PageTableAttack`] ([`KernelBaseFinder`],
+    /// [`ModuleScanner`], [`KptiAttack`], [`WindowsKaslrAttack`]): the
+    /// adaptive `sampler` (from [`CampaignConfig::sampler_for`]), the
+    /// policy's [`Sampling::strategy_override`], recalibration and
+    /// confirmation. Knobs that are off leave the scan's defaults.
+    #[must_use]
+    pub fn tune<S: PageTableScan>(&self, mut scan: S, sampler: Option<AdaptiveSampler>) -> S {
+        let (attack, confirm_slot) = scan.knobs();
+        if let Some(sampler) = sampler {
+            attack.sampler = Some(sampler);
+        }
+        if let Some(strategy) = self.sampling.strategy_override() {
+            attack.strategy = strategy;
+        }
+        if let Some(recal) = self.recal {
+            attack.recal = Some(recal);
+        }
+        if let Some(confirm) = self.confirm {
+            *confirm_slot = Some(confirm);
+        }
+        scan
     }
 }
 
@@ -427,8 +468,8 @@ impl Scenario {
     /// happens to target); Windows victims defend the 18-bit kernel
     /// region. User-space ASLR is process-local and outside the kernel
     /// defense menu, so [`Scenario::UserSpace`] defends nothing — its
-    /// defended rows honestly equal its undefended ones. Cloud chains
-    /// install per-guest regions inside the chain runner.
+    /// defended rows honestly equal its undefended ones. Cloud guests
+    /// install their own regions inside [`super::cloud::run_scenario`].
     #[must_use]
     pub fn defense_regions(self) -> Vec<DefenseRegion> {
         match self {
@@ -883,42 +924,40 @@ impl Cell<'_> {
 // ---------------------------------------------------------------------
 // Per-scenario trial implementations.
 
-/// The regions a defended Linux victim protects — kernel text plus the
-/// module area, matching [`Scenario::defense_regions`].
-fn linux_defense_regions() -> [DefenseRegion; 2] {
-    [
-        DefenseRegion::linux_kernel_text(),
-        DefenseRegion::linux_modules(),
-    ]
+/// Machine over a copy-on-write snapshot of a prebuilt Linux system,
+/// with the campaign's victim environment installed over the regions
+/// every Linux scenario defends ([`Scenario::defense_regions`]). The
+/// defense and schedule go onto the snapshot machine, so a
+/// re-randomizing victim or churning schedule only ever mutates its
+/// clone.
+fn linux_machine(
+    profile: &CpuProfile,
+    sys: &LinuxSystem,
+    seed: u64,
+    config: CampaignConfig,
+) -> (Machine, avx_os::LinuxTruth) {
+    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
+    config.install(&mut machine, &Scenario::KernelBase.defense_regions(), seed);
+    (machine, truth)
 }
 
-/// Machine + calibrated prober over a copy-on-write snapshot of a
-/// prebuilt Linux system, running under the campaign's noise
-/// environment, defense and event schedule, calibrating with the
-/// campaign's estimator. The defense and schedule are installed on the
-/// snapshot machine before the first probe (so a re-randomizing victim
-/// or churning schedule only ever mutates its clone), and before
-/// calibration (the attacker calibrates against the defended,
-/// event-driven victim, like on real silicon).
+/// [`linux_machine`] plus a prober calibrated with the campaign's
+/// estimator — against the defended, event-driven victim, like on real
+/// silicon.
 fn linux_prober(
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> (SimProber, avx_os::LinuxTruth, CalibrationFit) {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config
-        .defense
-        .install(&mut machine, &linux_defense_regions(), seed);
-    config.schedule.install(&mut machine, config.noise, seed);
+    let (machine, truth) = linux_machine(profile, sys, seed, config);
     let mut p = SimProber::new(machine);
     let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
     (p, truth, fit)
 }
 
-fn seconds(profile_ghz: f64, cycles: u64) -> f64 {
+/// Host seconds of `cycles` at `profile_ghz`.
+pub(super) fn seconds(profile_ghz: f64, cycles: u64) -> f64 {
     cycles as f64 / (profile_ghz * 1e9)
 }
 
@@ -929,19 +968,10 @@ fn kernel_base_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
-    let mut finder = KernelBaseFinder::new(fit.threshold);
-    if let Some(sampler) = config.sampler_for(profile, &fit) {
-        finder = finder.with_adaptive(sampler);
-    }
-    if let Some(strategy) = config.sampling.strategy_override() {
-        finder = finder.with_strategy(strategy);
-    }
-    if let Some(recal) = config.recal {
-        finder = finder.with_recalibration(recal);
-    }
-    if let Some(confirm) = config.confirm {
-        finder = finder.with_confirmation(confirm);
-    }
+    let finder = config.tune(
+        KernelBaseFinder::new(fit.threshold),
+        config.sampler_for(profile, &fit),
+    );
     let scan = finder.scan(&mut p);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
@@ -961,14 +991,10 @@ fn amd_base_trial(
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config
-        .defense
-        .install(&mut machine, &linux_defense_regions(), seed);
-    config.schedule.install(&mut machine, config.noise, seed);
+    let (machine, truth) = linux_machine(profile, sys, seed, config);
     let mut p = SimProber::new(machine);
+    // The level scan turns the sampling policy into its own knobs: an
+    // early-stopping min-filter or a fixed repeat count.
     let mut finder = AmdKernelBaseFinder::for_default_kernel();
     if let Some(filter) = config.sampling.min_filter() {
         finder = finder.with_early_stop(filter);
@@ -999,19 +1025,10 @@ fn modules_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
-    let mut scanner = ModuleScanner::new(fit.threshold);
-    if let Some(sampler) = config.sampler_for(profile, &fit) {
-        scanner = scanner.with_adaptive(sampler);
-    }
-    if let Some(strategy) = config.sampling.strategy_override() {
-        scanner = scanner.with_strategy(strategy);
-    }
-    if let Some(recal) = config.recal {
-        scanner = scanner.with_recalibration(recal);
-    }
-    if let Some(confirm) = config.confirm {
-        scanner = scanner.with_confirmation(confirm);
-    }
+    let scanner = config.tune(
+        ModuleScanner::new(fit.threshold),
+        config.sampler_for(profile, &fit),
+    );
     let scan = scanner.scan(&mut p);
     let mut accuracy = Trials::new();
     for m in &truth.modules {
@@ -1038,19 +1055,10 @@ fn kpti_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
-    let mut attack = KptiAttack::new(fit.threshold, KPTI_TRAMPOLINE_OFFSET);
-    if let Some(sampler) = config.sampler_for(profile, &fit) {
-        attack = attack.with_adaptive(sampler);
-    }
-    if let Some(strategy) = config.sampling.strategy_override() {
-        attack = attack.with_strategy(strategy);
-    }
-    if let Some(recal) = config.recal {
-        attack = attack.with_recalibration(recal);
-    }
-    if let Some(confirm) = config.confirm {
-        attack = attack.with_confirmation(confirm);
-    }
+    let attack = config.tune(
+        KptiAttack::new(fit.threshold, KPTI_TRAMPOLINE_OFFSET),
+        config.sampler_for(profile, &fit),
+    );
     let scan = attack.scan(&mut p);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
@@ -1130,9 +1138,7 @@ fn userspace_trial(
         .map(own, PageSize::Size4K, PteFlags::user_ro())
         .expect("calibration page free");
     let mut machine = Machine::new(profile.clone(), space, machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config.schedule.install(&mut machine, config.noise, seed);
+    config.install(&mut machine, &Scenario::UserSpace.defense_regions(), seed);
     let mut p = SimProber::new(machine);
     let (perm, fit) = PermissionAttack::calibrate_with(&mut p, own, config.calibrator);
     let mut scanner = UserSpaceScanner::new(perm);
@@ -1187,27 +1193,17 @@ fn windows_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    machine.set_noise_profile(config.noise);
-    machine.set_observables(config.observables);
-    config
-        .defense
-        .install(&mut machine, &[DefenseRegion::windows_kernel()], seed);
-    config.schedule.install(&mut machine, config.noise, seed);
+    config.install(
+        &mut machine,
+        &Scenario::WindowsKaslr.defense_regions(),
+        seed,
+    );
     let mut p = SimProber::new(machine);
     let fit = Threshold::calibrate_with(&mut p, truth.user_scratch, 16, config.calibrator);
-    let mut attack = WindowsKaslrAttack::new(fit.threshold);
-    if let Some(sampler) = config.sampler_for(profile, &fit) {
-        attack = attack.with_adaptive(sampler);
-    }
-    if let Some(strategy) = config.sampling.strategy_override() {
-        attack = attack.with_strategy(strategy);
-    }
-    if let Some(recal) = config.recal {
-        attack = attack.with_recalibration(recal);
-    }
-    if let Some(confirm) = config.confirm {
-        attack = attack.with_confirmation(confirm);
-    }
+    let attack = config.tune(
+        WindowsKaslrAttack::new(fit.threshold),
+        config.sampler_for(profile, &fit),
+    );
     let scan = attack.find_kernel_region(&mut p);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
@@ -1226,18 +1222,7 @@ fn cloud_trial(seed: u64, config: CampaignConfig) -> TrialOutcome {
     let (mut probing, mut total) = (0.0f64, 0.0f64);
     let (mut probes, mut addresses) = (0u64, 0u64);
     for scenario in CloudScenario::all(seed) {
-        let report = run_scenario_scheduled(
-            &scenario,
-            machine_seed(seed),
-            config.noise,
-            config.sampling,
-            config.calibrator,
-            config.recal,
-            config.observables,
-            config.confirm,
-            config.defense,
-            config.schedule,
-        );
+        let report = run_scenario(&scenario, machine_seed(seed), &config);
         accuracy.record(report.base_correct);
         probing += report.probing_seconds;
         total += report.base_seconds + report.modules_seconds.unwrap_or(0.0);
@@ -1254,30 +1239,6 @@ fn cloud_trial(seed: u64, config: CampaignConfig) -> TrialOutcome {
     }
 }
 
-// ---------------------------------------------------------------------
-// The historical single-scenario entry points, now thin wrappers over
-// the engine (kept because benches, the repro binary and downstream
-// users call them directly).
-
-/// Runs the Intel kernel-base attack over fresh systems.
-#[must_use]
-pub fn intel_base_campaign(profile: &CpuProfile, config: CampaignConfig) -> CampaignRow {
-    Scenario::KernelBase.campaign(profile, config)
-}
-
-/// Runs the module detection attack; accuracy is per true module
-/// exactly detected (base and size), as in §IV-C.
-#[must_use]
-pub fn intel_modules_campaign(profile: &CpuProfile, config: CampaignConfig) -> CampaignRow {
-    Scenario::Modules.campaign(profile, config)
-}
-
-/// Runs the AMD level-based base attack over fresh systems.
-#[must_use]
-pub fn amd_base_campaign(config: CampaignConfig) -> CampaignRow {
-    Scenario::AmdKernelBase.campaign(&CpuProfile::zen3_ryzen5_5600x(), config)
-}
-
 /// The full Table I: the five paper rows in order (12400F base/modules,
 /// 1065G7 base/modules, 5600X base). Module rows cap trials at 20 —
 /// each trial probes 16384 slots.
@@ -1288,11 +1249,11 @@ pub fn table1(config: CampaignConfig) -> Vec<CampaignRow> {
         ..config
     };
     vec![
-        intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), config),
-        intel_modules_campaign(&CpuProfile::alder_lake_i5_12400f(), module_config),
-        intel_base_campaign(&CpuProfile::ice_lake_i7_1065g7(), config),
-        intel_modules_campaign(&CpuProfile::ice_lake_i7_1065g7(), module_config),
-        amd_base_campaign(config),
+        Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), config),
+        Scenario::Modules.campaign(&CpuProfile::alder_lake_i5_12400f(), module_config),
+        Scenario::KernelBase.campaign(&CpuProfile::ice_lake_i7_1065g7(), config),
+        Scenario::Modules.campaign(&CpuProfile::ice_lake_i7_1065g7(), module_config),
+        Scenario::AmdKernelBase.campaign(&CpuProfile::zen3_ryzen5_5600x(), config),
     ]
 }
 
@@ -1306,7 +1267,7 @@ mod tests {
 
     #[test]
     fn intel_base_campaign_reports_sane_numbers() {
-        let row = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let row = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
         assert_eq!(row.accuracy.total, 6);
         assert!(row.accuracy.rate() > 0.8);
         assert!(row.probing_seconds > 0.0);
@@ -1316,16 +1277,16 @@ mod tests {
 
     #[test]
     fn module_campaign_counts_per_module() {
-        let row =
-            intel_modules_campaign(&CpuProfile::ice_lake_i7_1065g7(), CampaignConfig::new(2, 3));
+        let row = Scenario::Modules
+            .campaign(&CpuProfile::ice_lake_i7_1065g7(), CampaignConfig::new(2, 3));
         assert_eq!(row.accuracy.total, 2 * 125);
         assert!(row.accuracy.rate() > 0.95);
     }
 
     #[test]
     fn amd_campaign_slower_than_intel_desktop() {
-        let amd = amd_base_campaign(small());
-        let intel = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let amd = Scenario::AmdKernelBase.campaign(&CpuProfile::zen3_ryzen5_5600x(), small());
+        let intel = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
         assert!(amd.total_seconds > intel.total_seconds);
         assert!(amd.accuracy.rate() > 0.8);
     }
@@ -1429,7 +1390,7 @@ mod tests {
 
     #[test]
     fn rows_report_probes_per_address() {
-        let row = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let row = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
         // Fixed second-of-two on 512 slots plus the 17 calibration
         // probes per trial: a little above 2 probes per address.
         assert!(row.probes > 0);
@@ -1448,11 +1409,11 @@ mod tests {
         // The acceptance claim: same quiet-profile campaign accuracy as
         // the fixed-repetition (noise-robust) path, ≥2x fewer probes.
         let base = small();
-        let fixed = intel_base_campaign(
+        let fixed = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             base.with_sampling(Sampling::fixed_budget()),
         );
-        let adaptive = intel_base_campaign(
+        let adaptive = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             base.with_sampling(Sampling::adaptive()),
         );
@@ -1471,8 +1432,8 @@ mod tests {
     #[test]
     fn noisy_cell_spends_more_probes_per_address_than_quiet() {
         let base = CampaignConfig::new(6, 19).with_sampling(Sampling::adaptive());
-        let quiet = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), base);
-        let noisy = intel_base_campaign(
+        let quiet = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), base);
+        let noisy = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             base.with_noise(NoiseProfile::LaptopDvfs),
         );
@@ -1533,8 +1494,8 @@ mod tests {
 
     #[test]
     fn defended_rows_tag_their_defense_and_undefended_rows_do_not() {
-        let none = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
-        let masked = intel_base_campaign(
+        let none = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let masked = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             small().with_defense(DefenseKind::MaskedTranslation),
         );
@@ -1557,8 +1518,8 @@ mod tests {
 
     #[test]
     fn scheduled_rows_tag_their_schedule_and_unscheduled_rows_do_not() {
-        let none = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
-        let burst = intel_base_campaign(
+        let none = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let burst = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             small().with_schedule(ScheduleKind::CoTenantBurst),
         );
@@ -1619,8 +1580,8 @@ mod tests {
 
     #[test]
     fn v2_observables_campaign_is_accurate_and_tagged() {
-        let v1 = intel_base_campaign(&CpuProfile::alder_lake_i5_12400f(), small());
-        let v2 = intel_base_campaign(
+        let v1 = Scenario::KernelBase.campaign(&CpuProfile::alder_lake_i5_12400f(), small());
+        let v2 = Scenario::KernelBase.campaign(
             &CpuProfile::alder_lake_i5_12400f(),
             small().with_observables(ObservablesVersion::V2),
         );

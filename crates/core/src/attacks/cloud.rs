@@ -12,16 +12,11 @@ use avx_mmu::VirtAddr;
 use avx_os::cloud::{CloudProvider, CloudScenario, GuestOs};
 use avx_os::linux::{LinuxSystem, KERNEL_SLOTS, MODULE_SLOTS};
 use avx_os::windows::WindowsSystem;
-use avx_uarch::{NoiseProfile, ObservablesVersion};
 
-use crate::adaptive::Sampling;
-use crate::calibrate::{CalibratorKind, Threshold};
-use crate::decision::ConfirmConfig;
-use crate::defense::{DefenseKind, DefenseRegion};
+use crate::calibrate::Threshold;
 use crate::prober::{Prober, SimProber};
-use crate::recal::RecalConfig;
-use crate::schedule::ScheduleKind;
 
+use super::campaign::{seconds, CampaignConfig, Scenario};
 use super::kaslr::KernelBaseFinder;
 use super::kpti::KptiAttack;
 use super::modules::ModuleScanner;
@@ -76,226 +71,44 @@ impl fmt::Display for CloudBreakReport {
     }
 }
 
-/// Runs the full attack chain against one provider preset on a quiet
-/// host with the paper's fixed probe schedule.
+/// Runs the full attack chain against one provider preset under
+/// `config`'s victim environment and attacker policy — the cloud leg of
+/// the campaign grid. Each guest installs the environment through
+/// [`CampaignConfig::install`] over its own kernel's randomization
+/// regions (the Linux guests defend kernel text plus the module area,
+/// the Windows guest its 18-bit region), seeded with `machine_seed`,
+/// before the chain's first probe. Every sweep of the chain (KPTI
+/// trampoline, GCE base + modules, Azure region scan) is tuned through
+/// [`CampaignConfig::tune`]. [`CampaignConfig::default`] is the paper's
+/// quiet host with its fixed probe schedule.
 #[must_use]
-pub fn run_scenario(scenario: &CloudScenario, machine_seed: u64) -> CloudBreakReport {
-    run_scenario_with(scenario, machine_seed, NoiseProfile::Quiet, Sampling::Fixed)
-}
-
-/// Runs the full attack chain against one provider preset under an
-/// explicit noise environment and sampling policy — the cloud leg of
-/// the campaign's attack × noise grid. Calibrates with the default
-/// [`CalibratorKind::Legacy`] estimator.
-#[must_use]
-pub fn run_scenario_with(
+pub fn run_scenario(
     scenario: &CloudScenario,
     machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
+    config: &CampaignConfig,
 ) -> CloudBreakReport {
-    run_scenario_calibrated(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        CalibratorKind::Legacy,
-    )
-}
-
-/// [`run_scenario_with`] under an explicit threshold estimator — what
-/// [`crate::attacks::campaign::CampaignConfig::calibrator`] threads
-/// into the cloud scenario rows.
-#[must_use]
-pub fn run_scenario_calibrated(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-) -> CloudBreakReport {
-    run_scenario_configured(scenario, machine_seed, noise, sampling, calibrator, None)
-}
-
-/// [`run_scenario_calibrated`] plus the closed-loop recalibration
-/// switch — the full set of knobs
-/// [`crate::attacks::campaign::CampaignConfig`] threads into the cloud
-/// rows. With `recal` set, every sweep of the chain (KPTI trampoline,
-/// GCE base + modules, Azure region scan) runs under
-/// [`crate::recal::Recalibrating`].
-#[must_use]
-pub fn run_scenario_configured(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-) -> CloudBreakReport {
-    run_scenario_observed(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        ObservablesVersion::V1,
-    )
-}
-
-/// [`run_scenario_configured`] under an explicit observables regime.
-/// The v1 regime is bit-exact with [`run_scenario_configured`]; v2 runs
-/// the same chain over the batched ziggurat noise kernel. Delegates to
-/// [`run_scenario_decided`] with the confirmation layer off.
-#[must_use]
-pub fn run_scenario_observed(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-) -> CloudBreakReport {
-    run_scenario_decided(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        observables,
-        None,
-    )
-}
-
-/// [`run_scenario_observed`] plus the confirmation decision layer — the
-/// full set of knobs [`crate::attacks::campaign::CampaignConfig`]
-/// threads into the cloud rows. With `confirm` set, every
-/// needle-in-haystack scan of the chain (KPTI trampoline, GCE base +
-/// modules, Azure region scan) re-tests its candidates through
-/// [`crate::decision`] before committing to an answer.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_decided(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
-) -> CloudBreakReport {
-    run_scenario_defended(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        observables,
-        confirm,
-        DefenseKind::None,
-    )
-}
-
-/// [`run_scenario_decided`] against a defended guest: the complete set
-/// of campaign knobs. Each guest installs the defense over its own
-/// kernel's randomization regions — the Linux guests defend kernel text
-/// plus the module area, the Windows guest its 18-bit region — before
-/// the chain's first probe. [`DefenseKind::None`] is architecturally
-/// silent, so [`run_scenario_decided`] stays bit-exact.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_defended(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
-    defense: DefenseKind,
-) -> CloudBreakReport {
-    run_scenario_scheduled(
-        scenario,
-        machine_seed,
-        noise,
-        sampling,
-        calibrator,
-        recal,
-        observables,
-        confirm,
-        defense,
-        ScheduleKind::None,
-    )
-}
-
-/// [`run_scenario_defended`] against an event-driven guest: the
-/// complete set of campaign knobs. Each guest installs the victim
-/// schedule after its defense and before the chain's first probe, so
-/// the virtual wall clock covers calibration and every sweep.
-/// [`ScheduleKind::None`] is architecturally silent, so
-/// [`run_scenario_defended`] stays bit-exact.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_scheduled(
-    scenario: &CloudScenario,
-    machine_seed: u64,
-    noise: NoiseProfile,
-    sampling: Sampling,
-    calibrator: CalibratorKind,
-    recal: Option<RecalConfig>,
-    observables: ObservablesVersion,
-    confirm: Option<ConfirmConfig>,
-    defense: DefenseKind,
-    schedule: ScheduleKind,
-) -> CloudBreakReport {
-    let sigma = noise.effective_sigma(&scenario.cpu.timing);
     match &scenario.guest {
         GuestOs::Linux(cfg) => {
             let sys = LinuxSystem::build(cfg.clone());
             let (mut machine, truth) = sys.into_machine(scenario.cpu.clone(), machine_seed);
-            machine.set_noise_profile(noise);
-            machine.set_observables(observables);
-            defense.install(
-                &mut machine,
-                &[
-                    DefenseRegion::linux_kernel_text(),
-                    DefenseRegion::linux_modules(),
-                ],
-                machine_seed,
-            );
-            schedule.install(&mut machine, noise, machine_seed);
+            // A Linux guest defends what every Linux scenario does.
+            let regions = Scenario::KernelBase.defense_regions();
+            config.install(&mut machine, &regions, machine_seed);
             let mut p = SimProber::new(machine);
-            let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, calibrator);
+            let fit =
+                Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
             let th = fit.threshold;
-            let sampler = sampling.sampler_for_calibration(calibrator, &fit, sigma);
+            let sampler = config.sampler_for(&scenario.cpu, &fit);
 
             if cfg.kpti {
-                let mut attack = KptiAttack::new(th, cfg.trampoline_offset);
-                if let Some(sampler) = sampler {
-                    attack = attack.with_adaptive(sampler);
-                }
-                if let Some(strategy) = sampling.strategy_override() {
-                    attack = attack.with_strategy(strategy);
-                }
-                if let Some(recal) = recal {
-                    attack = attack.with_recalibration(recal);
-                }
-                if let Some(confirm) = confirm {
-                    attack = attack.with_confirmation(confirm);
-                }
+                let attack = config.tune(KptiAttack::new(th, cfg.trampoline_offset), sampler);
                 let scan = attack.scan(&mut p);
-                let seconds = scan.total_cycles as f64 / (p.clock_ghz() * 1e9);
                 CloudBreakReport {
                     provider: scenario.provider,
                     base: scan.base,
                     base_correct: scan.base == Some(truth.kernel_base),
-                    base_seconds: seconds,
-                    probing_seconds: scan.probing_cycles as f64 / (p.clock_ghz() * 1e9),
+                    base_seconds: seconds(p.clock_ghz(), scan.total_cycles),
+                    probing_seconds: seconds(p.clock_ghz(), scan.probing_cycles),
                     // KPTI unmaps the module area from the user page
                     // table; our model therefore reports no modules here
                     // (see EXPERIMENTS.md for the deviation note).
@@ -306,37 +119,21 @@ pub fn run_scenario_scheduled(
                     method: "KPTI trampoline",
                 }
             } else {
-                let mut base_finder = KernelBaseFinder::new(th);
-                let mut module_scanner = ModuleScanner::new(th);
-                if let Some(sampler) = sampler {
-                    base_finder = base_finder.with_adaptive(sampler);
-                    module_scanner = module_scanner.with_adaptive(sampler);
-                }
-                if let Some(strategy) = sampling.strategy_override() {
-                    base_finder = base_finder.with_strategy(strategy);
-                    module_scanner = module_scanner.with_strategy(strategy);
-                }
-                if let Some(recal) = recal {
-                    base_finder = base_finder.with_recalibration(recal);
-                    module_scanner = module_scanner.with_recalibration(recal);
-                }
-                if let Some(confirm) = confirm {
-                    base_finder = base_finder.with_confirmation(confirm);
-                    module_scanner = module_scanner.with_confirmation(confirm);
-                }
+                let base_finder = config.tune(KernelBaseFinder::new(th), sampler);
+                let module_scanner = config.tune(ModuleScanner::new(th), sampler);
                 let scan = base_finder.scan(&mut p);
-                let base_seconds = scan.total_cycles as f64 / (p.clock_ghz() * 1e9);
                 let module_scan = module_scanner.scan(&mut p);
-                let modules_seconds = module_scan.total_cycles as f64 / (p.clock_ghz() * 1e9);
                 CloudBreakReport {
                     provider: scenario.provider,
                     base: scan.base,
                     base_correct: scan.base == Some(truth.kernel_base),
-                    base_seconds,
-                    probing_seconds: (scan.probing_cycles + module_scan.probing_cycles) as f64
-                        / (p.clock_ghz() * 1e9),
+                    base_seconds: seconds(p.clock_ghz(), scan.total_cycles),
+                    probing_seconds: seconds(
+                        p.clock_ghz(),
+                        scan.probing_cycles + module_scan.probing_cycles,
+                    ),
                     modules_detected: Some(module_scan.detected.len()),
-                    modules_seconds: Some(modules_seconds),
+                    modules_seconds: Some(seconds(p.clock_ghz(), module_scan.total_cycles)),
                     probes: p.probes_issued(),
                     addresses: KERNEL_SLOTS + MODULE_SLOTS,
                     method: "mapped/unmapped scan",
@@ -346,37 +143,21 @@ pub fn run_scenario_scheduled(
         GuestOs::Windows(cfg) => {
             let sys = WindowsSystem::build(cfg.clone());
             let (mut machine, truth) = sys.into_machine(scenario.cpu.clone(), machine_seed);
-            machine.set_noise_profile(noise);
-            machine.set_observables(observables);
-            defense.install(
-                &mut machine,
-                &[DefenseRegion::windows_kernel()],
-                machine_seed,
-            );
-            schedule.install(&mut machine, noise, machine_seed);
+            let regions = Scenario::WindowsKaslr.defense_regions();
+            config.install(&mut machine, &regions, machine_seed);
             let mut p = SimProber::new(machine);
-            let fit = Threshold::calibrate_with(&mut p, truth.user_scratch, 16, calibrator);
-            let mut attack = WindowsKaslrAttack::new(fit.threshold);
-            if let Some(sampler) = sampling.sampler_for_calibration(calibrator, &fit, sigma) {
-                attack = attack.with_adaptive(sampler);
-            }
-            if let Some(strategy) = sampling.strategy_override() {
-                attack = attack.with_strategy(strategy);
-            }
-            if let Some(recal) = recal {
-                attack = attack.with_recalibration(recal);
-            }
-            if let Some(confirm) = confirm {
-                attack = attack.with_confirmation(confirm);
-            }
+            let fit = Threshold::calibrate_with(&mut p, truth.user_scratch, 16, config.calibrator);
+            let attack = config.tune(
+                WindowsKaslrAttack::new(fit.threshold),
+                config.sampler_for(&scenario.cpu, &fit),
+            );
             let scan = attack.find_kernel_region(&mut p);
-            let seconds = scan.total_cycles as f64 / (p.clock_ghz() * 1e9);
             CloudBreakReport {
                 provider: scenario.provider,
                 base: scan.base,
                 base_correct: scan.base == Some(truth.kernel_base),
-                base_seconds: seconds,
-                probing_seconds: scan.probing_cycles as f64 / (p.clock_ghz() * 1e9),
+                base_seconds: seconds(p.clock_ghz(), scan.total_cycles),
+                probing_seconds: seconds(p.clock_ghz(), scan.probing_cycles),
                 modules_detected: None,
                 modules_seconds: None,
                 probes: p.probes_issued(),
@@ -390,10 +171,16 @@ pub fn run_scenario_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::Sampling;
+
+    /// The chain on the paper's quiet host with its fixed schedule.
+    fn quiet(scenario: &CloudScenario, machine_seed: u64) -> CloudBreakReport {
+        run_scenario(scenario, machine_seed, &CampaignConfig::default())
+    }
 
     #[test]
     fn ec2_breaks_via_trampoline() {
-        let report = run_scenario(&CloudScenario::amazon_ec2(11), 1);
+        let report = quiet(&CloudScenario::amazon_ec2(11), 1);
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "KPTI trampoline");
         assert!(report.modules_detected.is_none(), "KPTI hides modules");
@@ -401,7 +188,7 @@ mod tests {
 
     #[test]
     fn gce_breaks_directly_and_sees_modules() {
-        let report = run_scenario(&CloudScenario::google_gce(12), 2);
+        let report = quiet(&CloudScenario::google_gce(12), 2);
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "mapped/unmapped scan");
         assert_eq!(report.modules_detected, Some(125));
@@ -410,7 +197,7 @@ mod tests {
 
     #[test]
     fn azure_derandomizes_18_bits() {
-        let report = run_scenario(&CloudScenario::microsoft_azure(13), 3);
+        let report = quiet(&CloudScenario::microsoft_azure(13), 3);
         assert!(report.base_correct, "{report}");
         assert_eq!(report.method, "18-bit Windows region scan");
     }
@@ -419,9 +206,9 @@ mod tests {
     fn runtimes_ordered_like_the_paper() {
         // EC2/GCE kernel-base runtimes are sub-millisecond-ish; Azure's
         // 18-bit scan is orders of magnitude longer (paper: 2.06 s).
-        let ec2 = run_scenario(&CloudScenario::amazon_ec2(21), 4);
-        let gce = run_scenario(&CloudScenario::google_gce(22), 5);
-        let azure = run_scenario(&CloudScenario::microsoft_azure(23), 6);
+        let ec2 = quiet(&CloudScenario::amazon_ec2(21), 4);
+        let gce = quiet(&CloudScenario::google_gce(22), 5);
+        let azure = quiet(&CloudScenario::microsoft_azure(23), 6);
         assert!(ec2.base_seconds < 0.1, "{}", ec2.base_seconds);
         assert!(gce.base_seconds < 0.1, "{}", gce.base_seconds);
         assert!(
@@ -434,17 +221,15 @@ mod tests {
     fn adaptive_cloud_chain_stays_correct_and_spends_fewer_probes() {
         // The comparator is the noise-robust fixed budget: what the
         // fixed path must spend per address to survive noisy profiles.
-        let fixed = run_scenario_with(
+        let fixed = run_scenario(
             &CloudScenario::google_gce(41),
             8,
-            NoiseProfile::Quiet,
-            Sampling::fixed_budget(),
+            &CampaignConfig::default().with_sampling(Sampling::fixed_budget()),
         );
-        let adaptive = run_scenario_with(
+        let adaptive = run_scenario(
             &CloudScenario::google_gce(41),
             8,
-            NoiseProfile::Quiet,
-            Sampling::adaptive(),
+            &CampaignConfig::default().with_sampling(Sampling::adaptive()),
         );
         assert!(fixed.base_correct, "{fixed}");
         assert!(adaptive.base_correct, "{adaptive}");
@@ -460,7 +245,7 @@ mod tests {
 
     #[test]
     fn report_display_is_informative() {
-        let report = run_scenario(&CloudScenario::google_gce(31), 7);
+        let report = quiet(&CloudScenario::google_gce(31), 7);
         let text = report.to_string();
         assert!(text.contains("Google GCE"));
         assert!(text.contains("correct"));

@@ -61,6 +61,12 @@ pub struct KernelBaseFinder {
     confirm: Option<ConfirmConfig>,
 }
 
+impl super::PageTableScan for KernelBaseFinder {
+    fn knobs(&mut self) -> (&mut PageTableAttack, &mut Option<ConfirmConfig>) {
+        (&mut self.attack, &mut self.confirm)
+    }
+}
+
 impl KernelBaseFinder {
     /// Builds the finder from a calibrated threshold.
     #[must_use]

@@ -75,6 +75,12 @@ pub struct KptiAttack {
     pub trampoline_offset: u64,
 }
 
+impl super::PageTableScan for KptiAttack {
+    fn knobs(&mut self) -> (&mut PageTableAttack, &mut Option<ConfirmConfig>) {
+        (&mut self.attack, &mut self.confirm)
+    }
+}
+
 impl KptiAttack {
     /// Builds the attack for a given threshold and build constant.
     #[must_use]

@@ -18,9 +18,27 @@ pub mod modules;
 pub mod userspace;
 pub mod windows;
 
+use knobs::PageTableScan;
+
+/// The attacker-knob slots of the scans built on
+/// [`crate::PageTableAttack`], which
+/// [`campaign::CampaignConfig::tune`] sets. Sealed: the trait is public
+/// so `tune` can name it in its bound, but its module is private, so
+/// only this crate's four scans implement it.
+mod knobs {
+    use crate::decision::ConfirmConfig;
+    use crate::primitives::PageTableAttack;
+
+    /// A scan with one [`PageTableAttack`] and one confirmation slot.
+    pub trait PageTableScan {
+        /// The scan's sweep primitive and its confirmation slot.
+        fn knobs(&mut self) -> (&mut PageTableAttack, &mut Option<ConfirmConfig>);
+    }
+}
+
 pub use behavior::{AppFingerprinter, BehaviourTrace, SpyConfig, TlbSpy};
 pub use campaign::{table1, Campaign, CampaignConfig, CampaignRow, Scenario, TrialOutcome};
-pub use cloud::{run_scenario, run_scenario_defended, CloudBreakReport};
+pub use cloud::{run_scenario, CloudBreakReport};
 pub use kaslr::{AmdKaslrScan, AmdKernelBaseFinder, KaslrScan, KernelBaseFinder};
 pub use kpti::{KptiAttack, KptiConfidence, KptiScan};
 pub use modules::{

@@ -54,6 +54,12 @@ pub struct ModuleScanner {
     confirm: Option<ConfirmConfig>,
 }
 
+impl super::PageTableScan for ModuleScanner {
+    fn knobs(&mut self) -> (&mut PageTableAttack, &mut Option<ConfirmConfig>) {
+        (&mut self.attack, &mut self.confirm)
+    }
+}
+
 impl ModuleScanner {
     /// Builds a scanner; uses a min-of-2 strategy because a single spike
     /// would otherwise split a module into two runs.

@@ -52,6 +52,12 @@ pub struct WindowsKaslrAttack {
     confirm: Option<ConfirmConfig>,
 }
 
+impl super::PageTableScan for WindowsKaslrAttack {
+    fn knobs(&mut self) -> (&mut PageTableAttack, &mut Option<ConfirmConfig>) {
+        (&mut self.attack, &mut self.confirm)
+    }
+}
+
 impl WindowsKaslrAttack {
     /// Builds the attack from a calibrated threshold.
     #[must_use]

@@ -1,9 +1,9 @@
-//! Countermeasure evaluation (§V) — compatibility shim.
+//! Countermeasure deployment analysis (§V-B).
 //!
-//! The FLARE and FGKASLR point checks migrated to
+//! The FLARE and FGKASLR point checks live in
 //! [`crate::defense::point_checks`], the single defense-evaluation
-//! site (invariant 12); they are re-exported here unchanged. What
-//! remains native to this module is the §V-B deployment analysis:
+//! site (invariant 12). This module holds the §V-B deployment
+//! analysis:
 //!
 //! * **Masked-op replacement** (§V-B): executing `VMASKMOV` with an
 //!   all-zero mask as a NOP would close the channel; the paper surveys
@@ -12,8 +12,6 @@
 //!   the impact analysis here consumes its counts.
 
 use core::fmt;
-
-pub use crate::defense::point_checks::{evaluate_fgkaslr, evaluate_flare, FgkaslrEval, FlareEval};
 
 /// The §V-B deployment analysis of replacing all-zero-mask masked ops
 /// with NOPs, fed by a binary survey (see `avx-hw`'s scanner).

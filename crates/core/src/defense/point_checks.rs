@@ -7,8 +7,7 @@
 //! without violating fixture immutability. They stay what the paper
 //! made them — point checks against purpose-built systems — but they
 //! live here so there is exactly one defense-evaluation site
-//! (invariant 12). `crate::countermeasures` re-exports them for
-//! compatibility.
+//! (invariant 12).
 //!
 //! * **FLARE** \[5\] maps dummy pages over unmapped kernel ranges so the
 //!   page-table attack (P2) sees a uniform picture. The bypass: dummy
@@ -225,39 +224,5 @@ mod tests {
         let b = evaluate_fgkaslr(CpuProfile::alder_lake_i5_12400f(), 5, "prepare_kernel_cred");
         assert!(a.function_page_correct && b.function_page_correct);
         assert_ne!(a.function_page, b.function_page);
-    }
-
-    /// The migration parity pin: the legacy `crate::countermeasures`
-    /// path and the canonical defense-site path are the same functions
-    /// and produce identical headline verdicts.
-    #[test]
-    fn countermeasures_shim_is_parity_with_defense_site() {
-        let via_defense = evaluate_flare(CpuProfile::alder_lake_i5_12400f(), 3);
-        let via_shim =
-            crate::countermeasures::evaluate_flare(CpuProfile::alder_lake_i5_12400f(), 3);
-        assert_eq!(
-            via_shim.page_table_defeated,
-            via_defense.page_table_defeated
-        );
-        assert_eq!(
-            via_shim.page_table_mapped_slots,
-            via_defense.page_table_mapped_slots
-        );
-        assert_eq!(via_shim.tlb_base, via_defense.tlb_base);
-        assert_eq!(via_shim.tlb_correct, via_defense.tlb_correct);
-
-        let fg_defense = evaluate_fgkaslr(CpuProfile::alder_lake_i5_12400f(), 4, "commit_creds");
-        let fg_shim = crate::countermeasures::evaluate_fgkaslr(
-            CpuProfile::alder_lake_i5_12400f(),
-            4,
-            "commit_creds",
-        );
-        assert_eq!(fg_shim.base, fg_defense.base);
-        assert_eq!(fg_shim.base_correct, fg_defense.base_correct);
-        assert_eq!(fg_shim.function_page, fg_defense.function_page);
-        assert_eq!(
-            fg_shim.function_page_correct,
-            fg_defense.function_page_correct
-        );
     }
 }

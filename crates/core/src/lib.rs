@@ -21,7 +21,7 @@
 //! | User-space / SGX | §IV-F, Fig. 7 | [`attacks::UserSpaceScanner`] |
 //! | Windows 10 / KVAS | §IV-G | [`attacks::WindowsKaslrAttack`] |
 //! | Cloud guests | §IV-H | [`attacks::run_scenario`] |
-//! | Defense analysis | §V | [`defense`] (legacy shim: [`countermeasures`]) |
+//! | Defense analysis | §V | [`defense::point_checks`] |
 //!
 //! Attacks are generic over [`Prober`]; [`SimProber`] runs them against
 //! the deterministic microarchitectural simulator, while the `avx-hw`
