@@ -153,6 +153,29 @@ impl AssocArray {
     fn len(&self) -> usize {
         self.tags.len()
     }
+
+    /// `true` when some cached tag lies in `lo..=hi`.
+    fn holds_tag_in(&self, lo: u64, hi: u64) -> bool {
+        self.tags.iter().any(|&t| lo <= t && t <= hi)
+    }
+}
+
+/// A PSC slot proven to be the one [`PagingStructureCache::lookup_deepest`]
+/// hits for a range of addresses (see
+/// [`PagingStructureCache::prove_resume`]). Valid only while
+/// [`PagingStructureCache::generation`] is unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PscResume {
+    level: Level,
+    slot: usize,
+    tag: u64,
+}
+
+impl PscResume {
+    /// `true` when `va` carries this slot's tag.
+    pub(crate) fn tags(&self, va: VirtAddr) -> bool {
+        PagingStructureCache::tag_for(va, self.level) == self.tag
+    }
 }
 
 /// The three-level paging-structure cache.
@@ -169,6 +192,10 @@ pub struct PagingStructureCache {
     pde: AssocArray,
     hits: u64,
     misses: u64,
+    /// Bumped by every change to the arrays' tags, slots or entries
+    /// (`insert`, `invlpg`, `flush_all`); lookups leave it alone. A
+    /// [`PscResume`] proof holds while it is unchanged.
+    generation: u64,
 }
 
 impl PagingStructureCache {
@@ -181,6 +208,7 @@ impl PagingStructureCache {
             pde: AssocArray::new(config.pde_entries),
             hits: 0,
             misses: 0,
+            generation: 0,
         }
     }
 
@@ -193,13 +221,17 @@ impl PagingStructureCache {
         }
     }
 
-    fn tag_for(va: VirtAddr, level: Level) -> u64 {
+    fn shift_of(level: Level) -> u32 {
         match level {
-            Level::Pml4 => va.as_u64() >> 39,
-            Level::Pdpt => va.as_u64() >> 30,
-            Level::Pd => va.as_u64() >> 21,
+            Level::Pml4 => 39,
+            Level::Pdpt => 30,
+            Level::Pd => 21,
             Level::Pt => unreachable!("PT entries are not PSC-cached"),
         }
+    }
+
+    fn tag_for(va: VirtAddr, level: Level) -> u64 {
+        va.as_u64() >> Self::shift_of(level)
     }
 
     /// Finds the deepest cached partial translation for `va`.
@@ -236,6 +268,7 @@ impl PagingStructureCache {
             return;
         }
         let tag = Self::tag_for(va, level);
+        self.generation += 1;
         if let Some(array) = self.array_for(level) {
             array.insert(tag, entry);
         }
@@ -257,6 +290,7 @@ impl PagingStructureCache {
 
     /// Invalidates all cached entries covering `va` (part of `INVLPG`).
     pub fn invlpg(&mut self, va: VirtAddr) {
+        self.generation += 1;
         self.pml4e.invalidate_tag(va.as_u64() >> 39);
         self.pdpte.invalidate_tag(va.as_u64() >> 30);
         self.pde.invalidate_tag(va.as_u64() >> 21);
@@ -264,9 +298,89 @@ impl PagingStructureCache {
 
     /// Drops every cached entry (CR3 write without PCID).
     pub fn flush_all(&mut self) {
+        self.generation += 1;
         self.pml4e.clear();
         self.pdpte.clear();
         self.pde.clear();
+    }
+
+    /// The mutation counter the fast path's PSC-resume proofs are keyed on
+    /// (see [`crate::ResumeMemo`]).
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Proves, without touching any state, how
+    /// [`PagingStructureCache::lookup_deepest`] resolves every address
+    /// in `lo..=hi` that shares `va`'s tag at `level`: it hits `level`'s
+    /// slot for that tag, because every deeper array misses. `None`
+    /// when `level` does not hold the tag or a deeper array holds a tag
+    /// inside the range. Returns the proof and the cached entry.
+    pub(crate) fn prove_resume(
+        &self,
+        level: Level,
+        va: VirtAddr,
+        lo: u64,
+        hi: u64,
+    ) -> Option<(PscResume, PscEntry)> {
+        let shift = Self::shift_of(level);
+        let tag = Self::tag_for(va, level);
+        let lo = lo.max(tag << shift);
+        let hi = hi.min((tag << shift) | ((1u64 << shift) - 1));
+        let array = match level {
+            Level::Pml4 => &self.pml4e,
+            Level::Pdpt => &self.pdpte,
+            Level::Pd => &self.pde,
+            Level::Pt => return None,
+        };
+        let slot = array.index.find(tag)?;
+        let deeper_clear = self
+            .arrays_by_depth()
+            .into_iter()
+            .take_while(|&(_, s)| s < shift)
+            .all(|(a, s)| !a.holds_tag_in(lo >> s, hi >> s));
+        deeper_clear.then(|| (PscResume { level, slot, tag }, array.entries[slot]))
+    }
+
+    /// `true` when `lookup_deepest` misses every array for every
+    /// address in `lo..=hi` (no cached tag inside the range). Pure.
+    pub(crate) fn proves_miss(&self, lo: u64, hi: u64) -> bool {
+        self.arrays_by_depth()
+            .into_iter()
+            .all(|(a, s)| !a.holds_tag_in(lo >> s, hi >> s))
+    }
+
+    /// The three arrays with their tag shifts, deepest first (the
+    /// order `lookup_deepest` probes them in).
+    fn arrays_by_depth(&self) -> [(&AssocArray, u32); 3] {
+        [(&self.pde, 21), (&self.pdpte, 30), (&self.pml4e, 39)]
+    }
+
+    /// Applies exactly the state changes of a `lookup_deepest` call that
+    /// `proof` covers: the hit array's clock tick, stamp and MRU slot,
+    /// and the hit count (the deeper arrays' misses change nothing).
+    /// The caller must have checked that [`Self::generation`] still
+    /// equals the generation the proof was made at.
+    pub(crate) fn replay_hit(&mut self, proof: &PscResume) -> PscEntry {
+        let array = match proof.level {
+            Level::Pml4 => &mut self.pml4e,
+            Level::Pdpt => &mut self.pdpte,
+            Level::Pd => &mut self.pde,
+            Level::Pt => unreachable!("PSC never caches PT entries"),
+        };
+        debug_assert_eq!(array.tags[proof.slot], proof.tag, "stale PSC proof");
+        array.clock += 1;
+        array.stamps[proof.slot] = array.clock;
+        array.mru = proof.slot;
+        self.hits += 1;
+        array.entries[proof.slot]
+    }
+
+    /// Applies the state change of a `lookup_deepest` call proven to
+    /// miss by [`Self::proves_miss`]: the miss count alone.
+    pub(crate) fn replay_miss(&mut self) {
+        self.misses += 1;
     }
 
     /// Total number of live entries across the three arrays.

@@ -42,7 +42,7 @@
 //! under randomized map/unmap/protect/A-D-bit/probe interleavings.
 
 use crate::addr::VirtAddr;
-use crate::psc::{PagingStructureCache, PscEntry};
+use crate::psc::{PagingStructureCache, PscEntry, PscResume};
 use crate::space::{AddressSpace, MappedRegion, PageSize};
 use crate::table::{FrameId, Level, ENTRIES_PER_TABLE};
 use crate::walk::{EffectivePerms, WalkAccessList, WalkOutcome, Walker};
@@ -108,6 +108,25 @@ pub struct ShadowWalk {
     /// and finds its line warm — so the engine may charge it
     /// analytically. See `Machine::translate_page` in `avx-uarch`.
     pub clean_replay: bool,
+}
+
+/// A proof, made once per shadow interval, that every walk of an
+/// address in that interval starts the same way: the PSC lookup
+/// resolves to one known slot (or misses every array), and the walk
+/// resumes right above the terminal entry. Built by
+/// [`ShadowIndex::resume_memo`], consumed by
+/// [`ShadowIndex::replay_nonpresent`]; it holds while the space's
+/// [`AddressSpace::shape_epoch`], the PSC's
+/// [`PagingStructureCache::generation`], the interval and (for a
+/// resumed walk) the PSC tag all match.
+#[derive(Clone, Copy, Debug)]
+pub struct ResumeMemo {
+    interval: usize,
+    shape_epoch: u64,
+    psc_generation: u64,
+    /// The deepest intermediate's PSC slot; `None` for a walk that
+    /// terminates at the PML4 and misses all three arrays.
+    resume: Option<PscResume>,
 }
 
 /// Outcome of the O(log n) point query ([`ShadowIndex::lookup`]).
@@ -337,6 +356,114 @@ impl ShadowIndex {
             }
         }
         walk
+    }
+
+    /// Proves, without touching any state, how the walk of `va` begins
+    /// for every address of its interval that shares its PSC tag: the
+    /// `lookup_deepest` outcome and a resume point right above the
+    /// terminal entry, so the walk reads the terminal entry alone.
+    /// `None` when no such proof holds (the deepest intermediate is not
+    /// cached, a deeper PSC array holds a tag inside the range, or the
+    /// cached entry is stale). `hint` as in
+    /// [`ShadowIndex::walk_hinted`], taken by value.
+    #[must_use]
+    pub fn resume_memo(
+        &self,
+        space: &AddressSpace,
+        va: VirtAddr,
+        psc: &PagingStructureCache,
+        mut hint: usize,
+    ) -> Option<ResumeMemo> {
+        if !self.is_current(space) {
+            return None;
+        }
+        let interval = self.find(va.as_u64(), &mut hint);
+        let iv = &self.intervals[interval];
+        let depth = iv.depth as usize;
+        let resume = if depth == 1 {
+            if !psc.proves_miss(iv.start, iv.last) {
+                return None;
+            }
+            None
+        } else {
+            let level = Level::WALK_ORDER[depth - 2];
+            let (proof, entry) = psc.prove_resume(level, va, iv.start, iv.last)?;
+            if entry.next_table != iv.tables[depth - 1] {
+                return None;
+            }
+            Some(proof)
+        };
+        Some(ResumeMemo {
+            interval,
+            shape_epoch: self.shape_epoch,
+            psc_generation: psc.generation(),
+            resume,
+        })
+    }
+
+    /// `true` while `memo` proves the start of `va`'s walk: same shape
+    /// epoch, same PSC generation, `va` inside the memo's interval and
+    /// carrying its PSC tag. Pure and O(1).
+    #[must_use]
+    pub fn memo_applies(
+        &self,
+        memo: &ResumeMemo,
+        space: &AddressSpace,
+        psc: &PagingStructureCache,
+        va: VirtAddr,
+    ) -> bool {
+        memo.shape_epoch == space.shape_epoch()
+            && memo.shape_epoch == self.shape_epoch
+            && memo.psc_generation == psc.generation()
+            && self.intervals[memo.interval].covers(va.as_u64())
+            && memo.resume.is_none_or(|r| r.tags(va))
+    }
+
+    /// The O(1) walk of a non-present terminal entry: when `memo`
+    /// applies to `va` and the terminal entry (read live) is not
+    /// present, applies exactly the state changes of
+    /// [`ShadowIndex::walk_costed`] — the replayed PSC lookup, the hint,
+    /// and one `on_access` for the terminal entry — and returns the
+    /// same verdict. Otherwise `None`, with no state touched.
+    pub fn replay_nonpresent<F: FnMut(FrameId, usize)>(
+        &self,
+        space: &AddressSpace,
+        va: VirtAddr,
+        psc: &mut PagingStructureCache,
+        memo: &ResumeMemo,
+        hint: &mut usize,
+        on_access: &mut F,
+    ) -> Option<ShadowWalk> {
+        if !self.memo_applies(memo, space, psc, va) {
+            return None;
+        }
+        let iv = &self.intervals[memo.interval];
+        let depth = iv.depth as usize;
+        let level = Level::WALK_ORDER[depth - 1];
+        let table = iv.tables[depth - 1];
+        let idx = va.index_for(level);
+        if space.table(table).entry(idx).is_present() {
+            return None;
+        }
+        let perms = match &memo.resume {
+            Some(proof) => psc.replay_hit(proof).perms,
+            None => {
+                psc.replay_miss();
+                EffectivePerms::most_permissive()
+            }
+        };
+        *hint = memo.interval;
+        on_access(table, idx);
+        Some(ShadowWalk {
+            terminal_level: level,
+            structures_accessed: 1,
+            resumed: memo.resume.is_some(),
+            present_leaf: false,
+            perms,
+            page_size: PageSize::Size4K,
+            frame_number: 0,
+            clean_replay: true,
+        })
     }
 
     /// The (table, entry index) slot whose entry terminates the walk

@@ -99,6 +99,9 @@ fn tlb_key_for_shift(va: VirtAddr, size_shift: u32) -> u64 {
     ((va.as_u64() >> size_shift) << 2) | size_code_for_shift(size_shift) as u64
 }
 
+/// The span of a TLB with no entries: contains no address.
+const EMPTY_SPAN: (u64, u64) = (u64::MAX, 0);
+
 /// A placeholder for invalid slots (parallel-array layout needs a value
 /// there; `stamp == 0` marks it dead and it is never read as an entry).
 const DEAD_ENTRY: TlbEntry = TlbEntry {
@@ -468,6 +471,12 @@ pub struct Tlb {
     hits_l1: u64,
     hits_l2: u64,
     misses: u64,
+    /// Conservative hull `span.0..=span.1` of every address a cached
+    /// entry may cover: it widens on each fill and resets only when
+    /// [`Tlb::flush`] empties every array (`span.0 > span.1` means
+    /// empty). Invalidations leave it wide, which keeps it an upper
+    /// bound. An address outside it is a guaranteed miss.
+    span: (u64, u64),
 }
 
 impl Tlb {
@@ -489,6 +498,7 @@ impl Tlb {
             hits_l1: 0,
             hits_l2: 0,
             misses: 0,
+            span: EMPTY_SPAN,
         }
     }
 
@@ -532,7 +542,25 @@ impl Tlb {
         self.dtlb.contains(va) || self.huge.contains(va) || self.stlb.contains(va)
     }
 
+    /// `false` only when no cached entry can cover `va`, so a
+    /// [`Tlb::lookup`] of it is a guaranteed miss. Pure and O(1).
+    #[must_use]
+    pub fn may_cover(&self, va: VirtAddr) -> bool {
+        self.span.0 <= va.as_u64() && va.as_u64() <= self.span.1
+    }
+
+    /// Books a miss the caller proved with [`Tlb::may_cover`]: the only
+    /// state change a missing [`Tlb::lookup`] makes is its counter.
+    pub fn record_miss(&mut self) {
+        self.misses += 1;
+    }
+
     fn promote(&mut self, entry: TlbEntry) {
+        let start = entry.vpn << entry.size.shift();
+        self.span = (
+            self.span.0.min(start),
+            self.span.1.max(start | (entry.size.bytes() - 1)),
+        );
         match entry.size {
             PageSize::Size4K => {
                 let _ = self.dtlb.insert(entry);
@@ -568,6 +596,9 @@ impl Tlb {
         self.dtlb.flush(keep_global);
         self.huge.flush(keep_global);
         self.stlb.flush(keep_global);
+        if !keep_global {
+            self.span = EMPTY_SPAN;
+        }
     }
 
     /// Simulates the user-level eviction pattern of Gras et al.: fills the

@@ -60,4 +60,6 @@ pub use noise::{DriftRamp, NoiseModel, NoiseProfile, NoiseSchedule, V1Tile, NOIS
 pub use observables::ObservablesVersion;
 pub use pmc::{Event, PmcBank, PmcDelta, PmcSnapshot};
 pub use profile::{CpuModel, CpuProfile, TimingParams, Vendor};
-pub use sched::{SchedEvent, SchedRegion, VictimSchedule, DEFAULT_TENANT_WEIGHT};
+pub use sched::{
+    SchedEvent, SchedRegion, VictimSchedule, DEFAULT_TENANT_WEIGHT, MAX_TENANT_MULTIPLIER,
+};

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use avx_mmu::{
-    AddressSpace, Level, PagingStructureCache, ShadowIndex, ShadowWalk, Tlb, TlbEntry, TlbLookup,
-    VirtAddr, WalkOutcome, Walker,
+    AddressSpace, Level, PagingStructureCache, ResumeMemo, ShadowIndex, ShadowWalk, Tlb, TlbEntry,
+    TlbLookup, VirtAddr, WalkOutcome, Walker,
 };
 
 use crate::defense::VictimDefense;
@@ -28,7 +28,7 @@ use crate::memory::SparseMemory;
 use crate::noise::{NoiseModel, NoiseSchedule, V1Tile, NOISE_BLOCK};
 use crate::observables::ObservablesVersion;
 use crate::pmc::{Event, PmcBank};
-use crate::profile::CpuProfile;
+use crate::profile::{CpuProfile, TimingParams};
 use crate::sched::VictimSchedule;
 
 /// Result of executing one masked operation.
@@ -171,6 +171,10 @@ pub struct Machine {
     /// `false` forces the reference walker (the bit-exactness property
     /// suites compare the two paths).
     shadow_enabled: bool,
+    /// The PSC-resume proof of the batch paths' non-present fast path
+    /// ([`Machine::translate_nonpresent_fast`]), rebuilt after a
+    /// full-path probe it does not cover.
+    resume_memo: Option<ResumeMemo>,
     pmc: PmcBank,
     mem: SparseMemory,
     noise: NoiseModel,
@@ -221,6 +225,7 @@ impl Machine {
             shadow: None,
             shadow_hint: 0,
             shadow_enabled: true,
+            resume_memo: None,
             pmc: PmcBank::new(),
             mem: SparseMemory::new(),
             noise,
@@ -252,6 +257,25 @@ impl Machine {
     /// hardware; call [`Machine::invlpg`] as an OS would.
     pub fn space_mut(&mut self) -> &mut AddressSpace {
         &mut self.space
+    }
+
+    /// The TLB (diagnostics; the fast-path oracle tests compare it).
+    #[must_use]
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
+    }
+
+    /// The paging-structure caches (diagnostics).
+    #[must_use]
+    pub fn psc(&self) -> &PagingStructureCache {
+        &self.psc
+    }
+
+    /// The cache of recently walked paging-structure lines
+    /// (diagnostics).
+    #[must_use]
+    pub fn pte_lines(&self) -> &PteLineCache {
+        &self.lines
     }
 
     /// The performance counters.
@@ -527,9 +551,11 @@ impl Machine {
     }
 
     /// Disables (or re-enables) the shadow translation index, forcing
-    /// every walk through the reference [`Walker`]. The two paths are
-    /// observably identical — this switch exists so the property suites
-    /// can *prove* that by running both against the same op sequence.
+    /// every walk through the reference [`Walker`]. Disabling it also
+    /// turns off the batch paths' O(1) non-present fast path, so the
+    /// disabled machine is the full reference. The paths are observably
+    /// identical — this switch exists so the property suites can
+    /// *prove* that by running both against the same op sequence.
     pub fn set_shadow_enabled(&mut self, enabled: bool) {
         self.shadow_enabled = enabled;
     }
@@ -630,9 +656,15 @@ impl Machine {
     pub fn execute_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
         let probe = BatchProbe::new(kind, &self.profile.timing);
         out.reserve(addrs.len());
-        match self.observables {
-            ObservablesVersion::V1 => self.execute_tiles_v1(&probe, addrs, out),
-            ObservablesVersion::V2 => self.execute_tiles_v2(&probe, addrs, out),
+        // The fast path's preconditions that hold for a whole batch: no
+        // victim schedule or defense can act between probes, and the
+        // shadow index is on.
+        let fast = self.sched.is_none() && self.defense.is_none() && self.shadow_enabled;
+        match (self.observables, fast) {
+            (ObservablesVersion::V1, true) => self.execute_tiles_v1::<true>(&probe, addrs, out),
+            (ObservablesVersion::V1, false) => self.execute_tiles_v1::<false>(&probe, addrs, out),
+            (ObservablesVersion::V2, true) => self.execute_tiles_v2::<true>(&probe, addrs, out),
+            (ObservablesVersion::V2, false) => self.execute_tiles_v2::<false>(&probe, addrs, out),
         }
     }
 
@@ -645,11 +677,16 @@ impl Machine {
     /// measurement and the RNG state are bit-identical to the same
     /// probes run through the scalar path (asserted by
     /// `execute_batch_matches_scalar_*`).
-    fn execute_tiles_v1(&mut self, probe: &BatchProbe, addrs: &[VirtAddr], out: &mut Vec<u64>) {
+    fn execute_tiles_v1<const FAST: bool>(
+        &mut self,
+        probe: &BatchProbe,
+        addrs: &[VirtAddr],
+        out: &mut Vec<u64>,
+    ) {
         for chunk in addrs.chunks(NOISE_BLOCK) {
             self.pmc.add(probe.retired_event, chunk.len() as u64);
             for &addr in chunk {
-                let cycles = self.translate_probe(probe, addr);
+                let cycles = self.translate_probe::<FAST>(probe, addr);
                 let model = self.next_noise();
                 self.v1_tile.push(&model, &mut self.rng, cycles);
             }
@@ -666,14 +703,19 @@ impl Machine {
     /// touches the RNG, so pre-drawing preserves the per-sample stream:
     /// a v2 batch is bit-identical to the same probes run through the
     /// v2 scalar path (asserted by `execute_batch_matches_scalar_*`).
-    fn execute_tiles_v2(&mut self, probe: &BatchProbe, addrs: &[VirtAddr], out: &mut Vec<u64>) {
+    fn execute_tiles_v2<const FAST: bool>(
+        &mut self,
+        probe: &BatchProbe,
+        addrs: &[VirtAddr],
+        out: &mut Vec<u64>,
+    ) {
         let mut block = [0.0f64; NOISE_BLOCK];
         for chunk in addrs.chunks(NOISE_BLOCK) {
             let noise = &mut block[..chunk.len()];
             self.fill_noise_block(noise);
             self.pmc.add(probe.retired_event, chunk.len() as u64);
             for (&addr, &n) in chunk.iter().zip(noise.iter()) {
-                let cycles = self.translate_probe(probe, addr);
+                let cycles = self.translate_probe::<FAST>(probe, addr);
                 let measured = (cycles + n).round().max(1.0) as u64;
                 self.tsc += measured;
                 out.push(measured);
@@ -684,25 +726,107 @@ impl Machine {
     /// One all-zero-mask probe up to its noise — the per-probe body of
     /// both batch paths: ticks the victim schedule and defenses,
     /// translates the footprint's pages and returns the deterministic
-    /// cycle cost. Never touches the RNG.
+    /// cycle cost. Never touches the RNG. `FAST` (no schedule, no
+    /// defense, shadow index on) lets a single-page probe take
+    /// [`Machine::translate_nonpresent_fast`].
     #[inline]
-    fn translate_probe(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
+    fn translate_probe<const FAST: bool>(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
         self.sched_tick();
         self.defense_tick();
         let mut acc = OpAccounting::new(probe.base);
-        // The zero mask means no lane is unmasked, so `visit_page` can
-        // never report a fault on this path.
+        // The zero mask means no lane is unmasked, so no page can ever
+        // report a fault on this path.
         let first_page = addr.align_down(4096);
         let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
+        if FAST && last_page == first_page {
+            if let Some(verdict) = self.translate_nonpresent_fast(first_page) {
+                let _ = self.account_page(probe.kind, first_page, &verdict, false, &mut acc, None);
+                return self.finish_probe(probe, acc);
+            }
+        }
         let _ = self.visit_page(probe.kind, first_page, false, &mut acc, None);
         if last_page != first_page {
             let _ = self.visit_page(probe.kind, last_page, false, &mut acc, None);
+        } else if FAST {
+            self.refresh_resume_memo(first_page);
         }
+        self.finish_probe(probe, acc)
+    }
+
+    /// The per-probe tail of both batch paths: the user-half extra of a
+    /// non-present load and the probe's walk PMC event.
+    #[inline]
+    fn finish_probe(&mut self, probe: &BatchProbe, mut acc: OpAccounting) -> f64 {
         if acc.user_nonpresent {
             acc.cycles += probe.nonpresent_extra;
         }
         self.pmc.add(probe.walk_event, u64::from(acc.walks_total));
         acc.cycles
+    }
+
+    /// Whether `page` walks uncached: AMD's kernel-half walks bypass the
+    /// TLB and the PSC. The full path, the fast path and the memo
+    /// builder must agree on this, so they all ask here.
+    fn walks_uncached(&self, page: VirtAddr) -> bool {
+        self.profile.kernel_walks_uncached() && page.is_kernel_half()
+    }
+
+    /// The O(1) translation of a page whose walk ends at a non-present
+    /// entry. It serves the page only when three proofs hold, checked
+    /// before any state changes:
+    ///
+    /// * **TLB miss:** `page` lies outside [`Tlb::may_cover`]'s span, so
+    ///   a lookup would miss without touching replacement state;
+    /// * **PSC resume:** the [`ResumeMemo`] still applies, so the PSC
+    ///   lookup hits its proven slot (or misses every array) and the
+    ///   walk resumes right above the terminal entry;
+    /// * **non-present terminal:** the terminal entry, read live, is not
+    ///   present.
+    ///
+    /// It then applies exactly the full path's state changes — the TLB
+    /// miss count and event, the replayed PSC lookup, the shadow hint
+    /// and the terminal line touch — and charges the walk through the
+    /// same cost helpers as [`Machine::translate_page`].
+    fn translate_nonpresent_fast(&mut self, page: VirtAddr) -> Option<PageVerdict> {
+        if self.walks_uncached(page) {
+            return None;
+        }
+        if self.tlb.may_cover(page) {
+            return None;
+        }
+        let (memo, shadow) = (self.resume_memo.as_ref()?, self.shadow.as_ref()?);
+        let t = self.profile.timing;
+        let lines = &mut self.lines;
+        let mut cycles = 0.0;
+        let walk = shadow.replay_nonpresent(
+            &self.space,
+            page,
+            &mut self.psc,
+            memo,
+            &mut self.shadow_hint,
+            &mut |table, idx| cycles += step_cycles(&t, lines.touch(table, idx)),
+        )?;
+        self.tlb.record_miss();
+        self.pmc.bump(Event::TlbMiss);
+        add_root_walk_extra(&t, &walk, false, &mut cycles);
+        Some(self.nonpresent_verdict(page, false, &walk, cycles))
+    }
+
+    /// Rebuilds the fast path's [`ResumeMemo`] after a full-path probe
+    /// of `page`, unless the current memo already covers it.
+    fn refresh_resume_memo(&mut self, page: VirtAddr) {
+        if self.walks_uncached(page) {
+            return;
+        }
+        let Some(shadow) = self.shadow.as_ref() else {
+            return;
+        };
+        if let Some(memo) = &self.resume_memo {
+            if shadow.memo_applies(memo, &self.space, &self.psc, page) {
+                return;
+            }
+        }
+        self.resume_memo = shadow.resume_memo(&self.space, page, &self.psc, self.shadow_hint);
     }
 
     /// Fills one noise block in per-sample order, advancing the probe
@@ -746,8 +870,24 @@ impl Machine {
         // TLB-/shadow-indexed) address in one place. Kernel-side
         // accesses (`touch_as_kernel`) keep the unmasked view.
         let page = self.defended_page(page);
-        let t = self.profile.timing;
         let verdict = self.translate_page(page);
+        self.account_page(kind, page, &verdict, has_unmasked, acc, ok_pages)
+    }
+
+    /// Accounts one translated page of a masked op: its cycles and
+    /// walks, the dirty-bit assist or A/D maintenance of an accessible
+    /// page, and the fault or the suppression assist of a bad one.
+    /// Shared by [`Machine::visit_page`] and the batch paths' fast path.
+    fn account_page(
+        &mut self,
+        kind: OpKind,
+        page: VirtAddr,
+        verdict: &PageVerdict,
+        has_unmasked: bool,
+        acc: &mut OpAccounting,
+        ok_pages: Option<&mut Vec<(VirtAddr, u64)>>,
+    ) -> Option<Fault> {
+        let t = self.profile.timing;
         acc.cycles += verdict.cycles;
         acc.walks_total += verdict.walks;
         if !acc.first_page_seen {
@@ -878,7 +1018,7 @@ impl Machine {
     /// updating the caches.
     fn translate_page(&mut self, page: VirtAddr) -> PageVerdict {
         let t = self.profile.timing;
-        let bypass = self.profile.kernel_walks_uncached() && page.is_kernel_half();
+        let bypass = self.walks_uncached(page);
 
         if !bypass {
             if let Some((entry, lookup)) = self.tlb.lookup(page) {
@@ -907,49 +1047,10 @@ impl Machine {
 
         // Walk. Non-present translations are re-walked while the assist
         // decides suppression (Fig. 2: 2 completed walks per probe).
-        let (walk, mut cycles) = self.perform_walk(page, bypass);
-        let mut walks: u8 = 1;
+        let (walk, cycles) = self.perform_walk(page, bypass);
 
         if !walk.present_leaf {
-            // Intel's suppression assist re-walks the translation
-            // (Fig. 2: 2 completed walks). AMD shows no such retry —
-            // mapped and unmapped kernel pages time identically (§IV-B).
-            if !bypass {
-                for _ in 1..t.nonpresent_retries.max(1) {
-                    if walk.clean_replay {
-                        // The first walk ran through the clean shadow
-                        // replay, so the retry is fully determined (see
-                        // `ShadowWalk::clean_replay`): it resumes from
-                        // the deepest intermediate the first walk left
-                        // in the PSC and re-reads only the terminal
-                        // entry, whose line the first walk just made
-                        // warm. A PML4-terminated walk has no resume
-                        // point, so it alone pays the level extras.
-                        // PSC/line replacement *order* is untouched —
-                        // the retry would only refresh the entry that
-                        // is already the most recent of its array.
-                        cycles += t.walk_step_warm;
-                        if walk.terminal_level == Level::Pml4 {
-                            cycles += t.level_extra_pml4;
-                        }
-                    } else {
-                        let retry = self.perform_walk(page, bypass);
-                        cycles += retry.1;
-                    }
-                    walks += 1;
-                }
-            }
-            return PageVerdict {
-                present: false,
-                user: false,
-                writable: false,
-                dirty: false,
-                phys_frame: None,
-                tlb_hit: None,
-                terminal_level: Some(walk.terminal_level),
-                walks,
-                cycles,
-            };
+            return self.nonpresent_verdict(page, bypass, &walk, cycles);
         }
 
         if !bypass {
@@ -969,6 +1070,60 @@ impl Machine {
             writable: walk.perms.writable,
             dirty: walk.perms.dirty,
             phys_frame: Some(walk.frame_number),
+            tlb_hit: None,
+            terminal_level: Some(walk.terminal_level),
+            walks: 1,
+            cycles,
+        }
+    }
+
+    /// The verdict of a walk that ended at a non-present entry, `cycles`
+    /// being the first walk's cost — the one copy of the non-present
+    /// retry accounting, shared by [`Machine::translate_page`] and
+    /// [`Machine::translate_nonpresent_fast`].
+    fn nonpresent_verdict(
+        &mut self,
+        page: VirtAddr,
+        bypass: bool,
+        walk: &ShadowWalk,
+        mut cycles: f64,
+    ) -> PageVerdict {
+        let t = self.profile.timing;
+        let mut walks: u8 = 1;
+        // Intel's suppression assist re-walks the translation (Fig. 2:
+        // 2 completed walks). AMD shows no such retry — mapped and
+        // unmapped kernel pages time identically (§IV-B).
+        if !bypass {
+            for _ in 1..t.nonpresent_retries.max(1) {
+                if walk.clean_replay {
+                    // The first walk ran through the clean shadow
+                    // replay, so the retry is fully determined (see
+                    // `ShadowWalk::clean_replay`): it resumes from the
+                    // deepest intermediate the first walk left in the
+                    // PSC and re-reads only the terminal entry, whose
+                    // line the first walk just made warm. A
+                    // PML4-terminated walk has no resume point, so it
+                    // alone pays the level extras. PSC/line replacement
+                    // *order* is untouched — the retry would only
+                    // refresh the entry that is already the most recent
+                    // of its array.
+                    cycles += step_cycles(&t, true);
+                    if walk.terminal_level == Level::Pml4 {
+                        cycles += level_extra(&t, Level::Pml4);
+                    }
+                } else {
+                    let retry = self.perform_walk(page, bypass);
+                    cycles += retry.1;
+                }
+                walks += 1;
+            }
+        }
+        PageVerdict {
+            present: false,
+            user: false,
+            writable: false,
+            dirty: false,
+            phys_frame: None,
             tlb_hit: None,
             terminal_level: Some(walk.terminal_level),
             walks,
@@ -1000,11 +1155,7 @@ impl Machine {
                 } else {
                     lines.touch(table, idx)
                 };
-                cycles += if warm {
-                    t.walk_step_warm
-                } else {
-                    t.walk_step_cold
-                };
+                cycles += step_cycles(&t, warm);
             };
             let psc = if bypass_psc {
                 None
@@ -1030,25 +1181,12 @@ impl Machine {
                 } else {
                     self.lines.touch(table, idx)
                 };
-                cycles += if warm {
-                    t.walk_step_warm
-                } else {
-                    t.walk_step_cold
-                };
+                cycles += step_cycles(&t, warm);
             }
             ShadowWalk::from(&outcome)
         };
 
-        // Termination-level extras apply to root walks only (see
-        // `TimingParams::level_extra_pt` and DESIGN.md §5).
-        if !walk.resumed || bypass_psc {
-            cycles += match walk.terminal_level {
-                Level::Pt => t.level_extra_pt,
-                Level::Pd => t.level_extra_pd,
-                Level::Pdpt => t.level_extra_pdpt,
-                Level::Pml4 => t.level_extra_pml4,
-            };
-        }
+        add_root_walk_extra(&t, &walk, bypass_psc, &mut cycles);
         (walk, cycles)
     }
 
@@ -1121,6 +1259,34 @@ impl Machine {
         let offset = va.as_u64() - mapping.start.as_u64();
         let pa = mapping.phys.wrapping_add(offset);
         self.mem.read(pa, buf);
+    }
+}
+
+/// Cost of one paging-structure access whose line was warm or cold.
+fn step_cycles(t: &TimingParams, warm: bool) -> f64 {
+    if warm {
+        t.walk_step_warm
+    } else {
+        t.walk_step_cold
+    }
+}
+
+/// The termination-level extra a root (unresumed) walk pays.
+fn level_extra(t: &TimingParams, terminal: Level) -> f64 {
+    match terminal {
+        Level::Pt => t.level_extra_pt,
+        Level::Pd => t.level_extra_pd,
+        Level::Pdpt => t.level_extra_pdpt,
+        Level::Pml4 => t.level_extra_pml4,
+    }
+}
+
+/// Adds `walk`'s termination-level extra to `cycles` when it applies:
+/// to root walks only, PSC-resumed ones excepted (see
+/// `TimingParams::level_extra_pt` and DESIGN.md §5).
+fn add_root_walk_extra(t: &TimingParams, walk: &ShadowWalk, bypass_psc: bool, cycles: &mut f64) {
+    if !walk.resumed || bypass_psc {
+        *cycles += level_extra(t, walk.terminal_level);
     }
 }
 
@@ -1687,8 +1853,36 @@ mod tests {
         half_cycle.timing.base_load += 0.5;
         half_cycle.timing.base_store += 0.5;
         let ice_lake = CpuProfile::ice_lake_i7_1065g7();
+        let zen3 = CpuProfile::zen3_ryzen5_5600x();
+        let mut tiny_psc = CpuProfile::alder_lake_i5_12400f();
+        tiny_psc.psc = avx_mmu::PscConfig {
+            pml4e_entries: 2,
+            pdpte_entries: 1,
+            pde_entries: 0,
+        };
         type Case<'a> = (&'a str, &'a CpuProfile, fn(&mut Machine));
-        let cases: [Case; 6] = [
+        let cases: [Case; 10] = [
+            // Fast-path rows: no schedule or defense, so the batch
+            // machine serves non-present probes in O(1) and the scalar
+            // machine never does.
+            ("fast path, noisy", &ice_lake, |m| {
+                m.set_noise(NoiseModel::new(1.3, 0.05, (200.0, 900.0)));
+            }),
+            (
+                "fast path, Zen 3 kernel walks bypass the PSC",
+                &zen3,
+                |_| {},
+            ),
+            ("fast path, zero-capacity PDE cache", &tiny_psc, |_| {}),
+            (
+                "fast path, after a kernel touch and a flush",
+                &ice_lake,
+                |m| {
+                    m.touch_as_kernel(va(KERNEL_M));
+                    m.flush_tlb(true);
+                    m.touch_as_kernel(va(USER_M));
+                },
+            ),
             ("σ = 0, certain spike, x.5 cycles", &half_cycle, |m| {
                 m.set_noise(NoiseModel::new(0.0, 1.0, (300.0, 300.0)));
             }),
@@ -1727,11 +1921,20 @@ mod tests {
                 m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
             }),
         ];
+        // 2 MiB kernel slots across KERNEL_M, 4 KiB user pages across
+        // USER_M/USER_U, and 1 GiB strides through both halves.
+        let runs = [
+            (0xffff_ffff_a000_0000u64, 0x20_0000u64),
+            (USER_M - 0x3000, 0x1000),
+            (0xffff_ff80_0000_0000, 0x4000_0000),
+            (0x5540_0000_0000, 0x4000_0000),
+        ];
         for (label, profile, configure) in cases {
-            for len in [1u64, 15, 16, 17, 69] {
-                let addrs: Vec<VirtAddr> = (0..len)
-                    .map(|i| va(0xffff_ffff_a000_0000 + i * 0x20_0000))
-                    .collect();
+            for (&(start, stride), len) in runs
+                .iter()
+                .flat_map(|run| [1u64, 15, 16, 17, 69].map(|len| (run, len)))
+            {
+                let addrs: Vec<VirtAddr> = (0..len).map(|i| va(start + i * stride)).collect();
                 for kind in [OpKind::Load, OpKind::Store] {
                     let mut scalar = fig2_machine_on(profile.clone());
                     let mut batched = fig2_machine_on(profile.clone());
@@ -1739,7 +1942,7 @@ mod tests {
                     configure(&mut batched);
                     let batch = batched.execute_batch(kind, &addrs);
                     let looped: Vec<u64> = addrs.iter().map(|&a| scalar.probe(kind, a)).collect();
-                    assert_eq!(batch, looped, "{label}, {len} × {kind}");
+                    assert_eq!(batch, looped, "{label}, {start:#x} + {len} × {kind}");
                     assert_eq!(scalar.elapsed_cycles(), batched.elapsed_cycles());
                     assert_eq!(scalar.rerandomizations(), batched.rerandomizations());
                     for event in [
@@ -1748,6 +1951,26 @@ mod tests {
                         Event::AssistsAny,
                     ] {
                         assert_eq!(scalar.pmc().read(event), batched.pmc().read(event));
+                    }
+                    assert_eq!(scalar.tlb().stats(), batched.tlb().stats(), "{label}");
+                    for (a, b) in [
+                        (
+                            format!("{:?}", scalar.tlb()),
+                            format!("{:?}", batched.tlb()),
+                        ),
+                        (
+                            format!("{:?}", scalar.psc()),
+                            format!("{:?}", batched.psc()),
+                        ),
+                        (
+                            format!("{:?}", scalar.pte_lines()),
+                            format!("{:?}", batched.pte_lines()),
+                        ),
+                    ] {
+                        assert_eq!(
+                            a, b,
+                            "{label}, {start:#x} + {len} × {kind}: translation state"
+                        );
                     }
                     // RNG, schedule and defense state continue in step.
                     let next = |m: &mut Machine| m.execute_batch(kind, &addrs[..1]);

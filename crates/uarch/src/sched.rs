@@ -201,6 +201,18 @@ pub struct VictimSchedule {
 /// `n` tenants scale σ and spike rate by `1 + n × weight`.
 pub const DEFAULT_TENANT_WEIGHT: f64 = 2.0;
 
+/// Cap of the co-tenant noise multiplier `1 + tenants × weight`: the
+/// effective model's σ never exceeds the base σ times this, which keeps
+/// every measurement, and the machine's cycle clock, far from `u64`
+/// overflow. A tenant weight above `MAX_TENANT_MULTIPLIER - 1` would
+/// leave this range with a single tenant and is refused.
+pub const MAX_TENANT_MULTIPLIER: f64 = 10_000.0;
+
+/// `true` for a tenant weight inside the noise model's bounded range.
+fn weight_in_range(weight: f64) -> bool {
+    (0.0..=MAX_TENANT_MULTIPLIER - 1.0).contains(&weight)
+}
+
 impl VictimSchedule {
     /// An empty schedule ticking every `ops_per_tick` ops, with its
     /// SplitMix64 draw stream seeded from `seed`.
@@ -238,8 +250,18 @@ impl VictimSchedule {
 
     /// Sets the per-tenant noise multiplier weight
     /// (default [`DEFAULT_TENANT_WEIGHT`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ weight ≤ MAX_TENANT_MULTIPLIER - 1` (see
+    /// [`MAX_TENANT_MULTIPLIER`]); NaN is refused too.
     #[must_use]
     pub fn with_tenant_weight(mut self, weight: f64) -> Self {
+        assert!(
+            weight_in_range(weight),
+            "tenant weight must lie in 0..={}",
+            MAX_TENANT_MULTIPLIER - 1.0
+        );
         self.tenant_weight = weight;
         self
     }
@@ -364,8 +386,10 @@ impl VictimSchedule {
             return None;
         }
         let Reverse(q) = self.queue.pop().expect("peeked above");
-        if let Some(interval) = q.every {
-            self.push(q.tick + interval, q.event, Some(interval));
+        // A recurrence whose next tick overflows `u64` could never
+        // fire again, so dropping it is exact.
+        if let Some(next) = q.every.and_then(|interval| q.tick.checked_add(interval)) {
+            self.push(next, q.event, q.every);
         }
         self.fired += 1;
         Some(q.event)
@@ -373,14 +397,17 @@ impl VictimSchedule {
 
     /// The noise model the current environment induces on `timing`:
     /// the active preset's model with σ and spike rate scaled by
-    /// `1 + tenants × weight` (spike rate capped at 0.5 like every
-    /// preset; spike magnitudes are interrupt-length, not
-    /// contention-scaled). This is what the machine feeds its
-    /// stationary-swap site after any noise-shaped event.
+    /// `1 + tenants × weight`, capped at [`MAX_TENANT_MULTIPLIER`]
+    /// (spike rate capped at 0.5 like every preset; spike magnitudes
+    /// are interrupt-length, not contention-scaled). This is what the
+    /// machine feeds its stationary-swap site after any noise-shaped
+    /// event.
     #[must_use]
     pub fn effective_model(&self, timing: &TimingParams) -> NoiseModel {
         let base = self.profile.model_for(timing);
-        let m = 1.0 + f64::from(self.tenants) * self.tenant_weight;
+        // The weight is range-checked on entry, so the product is
+        // finite; the cap bounds many tenants.
+        let m = (1.0 + f64::from(self.tenants) * self.tenant_weight).min(MAX_TENANT_MULTIPLIER);
         NoiseModel::new(
             base.sigma * m,
             (base.spike_prob * m).min(0.5),
@@ -398,10 +425,13 @@ impl VictimSchedule {
                 self.profile = p;
                 true
             }
-            SchedEvent::TenantArrive => {
-                self.tenants += 1;
-                true
-            }
+            SchedEvent::TenantArrive => match self.tenants.checked_add(1) {
+                Some(tenants) => {
+                    self.tenants = tenants;
+                    true
+                }
+                None => false,
+            },
             SchedEvent::TenantDepart if self.tenants > 0 => {
                 self.tenants -= 1;
                 true
@@ -537,8 +567,13 @@ impl VictimSchedule {
                     let w: f64 = tok
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|w: &f64| w.is_finite() && *w >= 0.0)
-                        .ok_or_else(|| err("expected a non-negative number"))?;
+                        .filter(|&w| weight_in_range(w))
+                        .ok_or_else(|| {
+                            err(&format!(
+                                "expected a number in 0..={} (the bounded noise range)",
+                                MAX_TENANT_MULTIPLIER - 1.0
+                            ))
+                        })?;
                     sched.tenant_weight = w;
                 }
                 "base" => {
@@ -803,11 +838,53 @@ mod tests {
             ("at 4 module-load 0\n", "page count"),
             ("warp 4\n", "unknown directive"),
             ("at 4 tenant-arrive extra\n", "trailing tokens"),
+            ("tenant-weight -1\n", "bounded noise range"),
+            // σ → ∞ used to overflow the machine's cycle clock.
+            (
+                "tenant-weight 1e308\nat 0 tenant-arrive\nat 0 tenant-arrive\n",
+                "bounded noise range",
+            ),
         ] {
             let err = VictimSchedule::from_trace(text, 0).unwrap_err();
             assert!(err.contains("line 1"), "{err}");
             assert!(err.contains(what), "{err} should mention {what}");
         }
+        // An input that parses and must run without panicking: a
+        // recurrence whose next tick overflows `u64` fires once and is
+        // dropped; the other recurrence keeps firing every tick.
+        let text = "every 1 18446744073709551615 tenant-arrive\nevery 1 1 tenant-arrive\n";
+        let mut s = VictimSchedule::from_trace(text, 0).unwrap();
+        s.ops_per_tick = 1;
+        let mut m = crate::Machine::new(
+            crate::CpuProfile::alder_lake_i5_12400f(),
+            avx_mmu::AddressSpace::new(),
+            0,
+        );
+        m.set_victim_schedule(Some(s));
+        let addrs = [avx_mmu::VirtAddr::new_truncate(0x1000); 8];
+        let _ = m.execute_batch(crate::OpKind::Load, &addrs);
+        let sched = m.victim_schedule().expect("still installed");
+        assert_eq!(sched.fired(), 1 + 8);
+        assert_eq!(sched.pending(), 1, "the overflowing recurrence is gone");
+    }
+
+    #[test]
+    fn tenant_multiplier_is_capped() {
+        let mut s = VictimSchedule::new(1, 0).with_tenant_weight(MAX_TENANT_MULTIPLIER - 1.0);
+        let timing = crate::CpuProfile::alder_lake_i5_12400f().timing;
+        let base = s.effective_model(&timing);
+        for _ in 0..3 {
+            assert!(s.apply_env_event(SchedEvent::TenantArrive));
+        }
+        let m = s.effective_model(&timing);
+        assert_eq!(m.sigma, base.sigma * MAX_TENANT_MULTIPLIER);
+        assert!(m.sigma.is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant weight")]
+    fn out_of_range_tenant_weight_is_refused() {
+        let _ = VictimSchedule::new(1, 0).with_tenant_weight(f64::NAN);
     }
 
     #[test]

@@ -6,6 +6,9 @@ use proptest::prelude::*;
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
 use avx_uarch::{CpuProfile, ElemWidth, Event, Machine, Mask, MaskedOp, NoiseModel, OpKind};
 
+#[path = "support/fast_path.rs"]
+mod fast_path;
+
 const USER_M: u64 = 0x5555_5555_4000;
 const KERNEL_M: u64 = 0xffff_ffff_a1e0_0000;
 const KERNEL_U: u64 = 0xffff_ffff_a1a0_0000;
@@ -297,4 +300,138 @@ proptest! {
         }
         prop_assert_eq!(fast.space().iter_regions(), slow.space().iter_regions());
     }
+
+    /// The batch paths' O(1) non-present fast path is observably
+    /// identical to the scalar path (which never takes it) and to the
+    /// reference walker (shadow index off, so no fast path either):
+    /// measurements, clocks, PMCs, TLB and PSC counters, and the TLB,
+    /// PSC and PTE-line cache state, under seeded scripts of 4 KiB,
+    /// 2 MiB and 1 GiB stride runs in both halves, page-crossing
+    /// footprints, repeated batches, loads and stores, and INVLPG,
+    /// flushes, evictions, kernel touches and map/unmap between
+    /// batches, on every profile of `fast_path::profiles`.
+    #[test]
+    fn nonpresent_fast_path_matches_scalar_and_reference(
+        seed in any::<u64>(),
+        profile_idx in 0usize..4,
+    ) {
+        let (name, profile) = fast_path::profiles().swap_remove(profile_idx);
+        let space = fast_path_space();
+        let sites = [
+            USER_M,
+            USER_M + 0x4000, // the guard page
+            USER_M - 0x20_0000,
+            0x7f00_0000_0000,
+            0x40_0000_0000, // a 1 GiB user page
+            0x7fff_ffe0_0000, // top of the user half
+            KERNEL_M,
+            KERNEL_U,
+            0xffff_ffff_8000_0000,
+            0xffff_ffff_c012_3000,
+            0xffff_ff80_4000_0000,
+            0xffff_ffc0_0000_0000, // a 1 GiB kernel page
+            0xffff_8000_0000_0000, // bottom of the kernel half
+        ];
+        let mut oracle = fast_path::Oracle::new(&profile, &space, seed);
+        let script = fast_path::random_script(seed, &sites, 40);
+        oracle.run(&format!("{name}, seed {seed:#x}"), &script);
+    }
+}
+
+/// The two hazards the fast path's O(1) proofs guard against, as fixed
+/// scripts: a PSC slot the resume proof names is evicted and refilled
+/// by walks that do not refresh the proof (page-crossing probes), and a
+/// stale TLB entry still covers a page that was unmapped without
+/// `INVLPG`. A PSC `insert` that did not bump the generation, or a TLB
+/// fill that did not widen the span, fails this test.
+#[test]
+fn nonpresent_fast_path_tracks_psc_eviction_and_stale_tlb_entries() {
+    use fast_path::{run_of, Step};
+    let space = fast_path_space();
+    let gib = |i: u64| 0xffff_ff80_0000_0000 + i * 0x4000_0000;
+    let user_page = USER_M + 0x10_0000;
+    let script = [
+        // Resume proof for the PD of GiB 1 (slot 0 is a 2 MiB leaf).
+        Step::Probe(OpKind::Load, run_of(gib(1) + 0x20_0000, 0x20_0000, 8)),
+        // Two page-crossing walks fill the PDPTEs of GiB 2 and 3.
+        Step::Probe(
+            OpKind::Load,
+            vec![
+                VirtAddr::new_truncate(gib(2) + 0x40_0ff0),
+                VirtAddr::new_truncate(gib(3) + 0x40_0ff0),
+            ],
+        ),
+        Step::Probe(OpKind::Store, run_of(gib(1) + 0x60_0000, 0x20_0000, 4)),
+        // A TLB entry that outlives its mapping.
+        Step::Map(VirtAddr::new_truncate(user_page)),
+        Step::Probe(OpKind::Load, run_of(user_page, 0x1000, 1)),
+        Step::Unmap(VirtAddr::new_truncate(user_page)),
+        Step::Probe(
+            OpKind::Load,
+            [user_page, user_page + 0x1000, user_page, user_page + 0x2000]
+                .map(VirtAddr::new_truncate)
+                .to_vec(),
+        ),
+    ];
+    for (name, profile) in fast_path::profiles() {
+        for seed in [0, 7] {
+            let mut oracle = fast_path::Oracle::new(&profile, &space, seed);
+            oracle.run(&format!("{name}, seed {seed}"), &script);
+        }
+    }
+}
+
+/// A space with leaves of every size in both halves, a guard page, and
+/// 2 MiB pages spread over several GiB so small PSC arrays thrash.
+fn fast_path_space() -> AddressSpace {
+    let mut space = AddressSpace::new();
+    let va = VirtAddr::new_truncate;
+    space
+        .map_range(va(USER_M), 4, PageSize::Size4K, PteFlags::user_rw())
+        .unwrap();
+    space
+        .map(va(USER_M + 0x4000), PageSize::Size4K, PteFlags::user_rw())
+        .unwrap();
+    space
+        .protect(
+            va(USER_M + 0x4000),
+            PageSize::Size4K,
+            PteFlags::none_guard(),
+        )
+        .unwrap();
+    space
+        .map(va(0x7f00_0000_0000), PageSize::Size2M, PteFlags::user_ro())
+        .unwrap();
+    space
+        .map(va(0x40_0000_0000), PageSize::Size1G, PteFlags::user_rw())
+        .unwrap();
+    space
+        .map_range(va(KERNEL_M), 3, PageSize::Size2M, PteFlags::kernel_rx())
+        .unwrap();
+    for base in [
+        0xffff_ffff_8000_0000u64,
+        0xffff_ff80_4000_0000,
+        0xffff_ff80_8000_0000,
+        0xffff_ff80_c000_0000,
+    ] {
+        space
+            .map(va(base), PageSize::Size2M, PteFlags::kernel_rw())
+            .unwrap();
+    }
+    space
+        .map_range(
+            va(0xffff_ffff_c012_3000),
+            3,
+            PageSize::Size4K,
+            PteFlags::kernel_rx(),
+        )
+        .unwrap();
+    space
+        .map(
+            va(0xffff_ffc0_0000_0000),
+            PageSize::Size1G,
+            PteFlags::kernel_ro(),
+        )
+        .unwrap();
+    space
 }

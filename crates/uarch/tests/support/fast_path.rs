@@ -1,0 +1,224 @@
+//! The three-machine oracle of the batch paths' non-present fast path,
+//! shared by `engine_props.rs` and the OS-fixture suite of `avx-os`
+//! (`crates/os/tests/fast_path_fixtures.rs` includes this file).
+//!
+//! One space, one profile, one seed, three machines:
+//! * `batch` runs `execute_batch` with the shadow index on — the only
+//!   machine eligible for the fast path;
+//! * `scalar` runs `execute` once per probe, which never takes it;
+//! * `reference` runs `execute_batch` with the shadow index off, which
+//!   also turns the fast path off.
+//!
+//! After every step the three agree on measurements, clocks, PMC banks
+//! and `Tlb::stats()`. `batch` and `scalar` also agree on PSC hit/miss
+//! counts and print the same TLB, PSC and PTE-line cache (`{:?}`),
+//! replacement stamps and MRU slots included. (The reference walker
+//! re-walks a non-present retry that the shadow path charges
+//! analytically, so its PSC counters legitimately run ahead.)
+
+use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
+use avx_uarch::{CpuProfile, Event, Machine, OpKind};
+
+/// One step of an oracle script, applied to all three machines.
+#[derive(Clone, Debug)]
+pub enum Step {
+    /// One batch of all-zero-mask probes.
+    Probe(OpKind, Vec<VirtAddr>),
+    Invlpg(VirtAddr),
+    FlushTlb(bool),
+    Evict(VirtAddr),
+    TouchAsKernel(VirtAddr),
+    /// `space_mut().map` of one 4 KiB page (errors ignored, alike on all
+    /// three machines).
+    Map(VirtAddr),
+    /// `space_mut().unmap` of one 4 KiB page, without `INVLPG`.
+    Unmap(VirtAddr),
+}
+
+/// The profiles every oracle case runs on: Intel with retries, AMD's
+/// PSC-bypassing kernel walks, half-cycle costs (the v1 tile's tie
+/// filter) and a PSC with a zero-capacity PDE array and two-entry upper
+/// arrays (constant eviction, no cacheable PDEs).
+pub fn profiles() -> Vec<(&'static str, CpuProfile)> {
+    let mut half_cycle = CpuProfile::ice_lake_i7_1065g7();
+    half_cycle.timing.base_load += 0.5;
+    half_cycle.timing.base_store += 0.5;
+    let mut tiny_psc = CpuProfile::alder_lake_i5_12400f();
+    tiny_psc.psc = avx_mmu::PscConfig {
+        pml4e_entries: 2,
+        pdpte_entries: 2,
+        pde_entries: 0,
+    };
+    vec![
+        ("Alder Lake", CpuProfile::alder_lake_i5_12400f()),
+        ("Zen 3", CpuProfile::zen3_ryzen5_5600x()),
+        ("x.5 cycles", half_cycle),
+        ("tiny PSC", tiny_psc),
+    ]
+}
+
+/// The batch, scalar and reference machines over one space.
+pub struct Oracle {
+    batch: Machine,
+    scalar: Machine,
+    reference: Machine,
+}
+
+impl Oracle {
+    /// Three machines with `profile`'s full noise model and one seed.
+    pub fn new(profile: &CpuProfile, space: &AddressSpace, seed: u64) -> Self {
+        let build = || Machine::new(profile.clone(), space.clone(), seed);
+        let mut reference = build();
+        reference.set_shadow_enabled(false);
+        Self {
+            batch: build(),
+            scalar: build(),
+            reference,
+        }
+    }
+
+    /// Applies `step` to all three machines and checks that they agree.
+    pub fn step(&mut self, step: &Step, ctx: &str) {
+        if let Step::Probe(kind, addrs) = step {
+            let batch = self.batch.execute_batch(*kind, addrs);
+            let reference = self.reference.execute_batch(*kind, addrs);
+            let scalar: Vec<u64> = addrs.iter().map(|&a| self.scalar.probe(*kind, a)).collect();
+            assert_eq!(batch, scalar, "{ctx}: batch vs scalar measurements");
+            assert_eq!(batch, reference, "{ctx}: batch vs reference measurements");
+        } else {
+            for m in [&mut self.batch, &mut self.scalar, &mut self.reference] {
+                apply(m, step);
+            }
+        }
+        self.check(ctx);
+    }
+
+    /// Runs a whole script, naming the failing step.
+    pub fn run(&mut self, label: &str, script: &[Step]) {
+        for (i, step) in script.iter().enumerate() {
+            self.step(step, &format!("{label}, step {i}"));
+        }
+    }
+
+    fn check(&self, ctx: &str) {
+        let b = &self.batch;
+        for (name, m) in [("scalar", &self.scalar), ("reference", &self.reference)] {
+            assert_eq!(
+                b.elapsed_cycles(),
+                m.elapsed_cycles(),
+                "{ctx}: clock vs {name}"
+            );
+            for event in Event::ALL {
+                assert_eq!(
+                    b.pmc().read(event),
+                    m.pmc().read(event),
+                    "{ctx}: {event:?} vs {name}"
+                );
+            }
+            assert_eq!(
+                b.tlb().stats(),
+                m.tlb().stats(),
+                "{ctx}: TLB stats vs {name}"
+            );
+        }
+        let s = &self.scalar;
+        assert_eq!(
+            (b.psc().hits(), b.psc().misses()),
+            (s.psc().hits(), s.psc().misses()),
+            "{ctx}: PSC hits/misses"
+        );
+        assert_eq!(
+            format!("{:?}", b.tlb()),
+            format!("{:?}", s.tlb()),
+            "{ctx}: TLB"
+        );
+        assert_eq!(
+            format!("{:?}", b.psc()),
+            format!("{:?}", s.psc()),
+            "{ctx}: PSC"
+        );
+        assert_eq!(
+            format!("{:?}", b.pte_lines()),
+            format!("{:?}", s.pte_lines()),
+            "{ctx}: PTE lines"
+        );
+    }
+}
+
+fn apply(m: &mut Machine, step: &Step) {
+    match *step {
+        Step::Probe(..) => unreachable!("probes are run by Oracle::step"),
+        Step::Invlpg(va) => m.invlpg(va),
+        Step::FlushTlb(keep_global) => m.flush_tlb(keep_global),
+        Step::Evict(va) => m.evict_translation(va),
+        Step::TouchAsKernel(va) => m.touch_as_kernel(va),
+        Step::Map(va) => {
+            let flags = if va.is_kernel_half() {
+                PteFlags::kernel_rw()
+            } else {
+                PteFlags::user_rw()
+            };
+            let _ = m
+                .space_mut()
+                .map(va.align_down(4096), PageSize::Size4K, flags);
+        }
+        Step::Unmap(va) => {
+            let _ = m.space_mut().unmap(va.align_down(4096), PageSize::Size4K);
+        }
+    }
+}
+
+/// A run of `len` probes from `start` with `stride` bytes between them.
+pub fn run_of(start: u64, stride: u64, len: u64) -> Vec<VirtAddr> {
+    (0..len)
+        .map(|i| VirtAddr::new_truncate(start.wrapping_add(i.wrapping_mul(stride))))
+        .collect()
+}
+
+/// A seeded script around `sites`: stride runs of 4 KiB, 2 MiB and
+/// 1 GiB that start a few strides below a site (so they cross interval
+/// boundaries and present leaves), page-crossing offsets `0xfe1..=0xfff`,
+/// repeated batches, loads and stores, and every translation-cache and
+/// space mutation the engine exposes between batches.
+pub fn random_script(seed: u64, sites: &[u64], steps: usize) -> Vec<Step> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    (0..steps)
+        .map(|_| {
+            let site = sites[(next() % sites.len() as u64) as usize];
+            let va = VirtAddr::new_truncate(site);
+            match next() % 14 {
+                0..=7 => {
+                    let stride = [0x1000, 0x20_0000, 0x4000_0000][(next() % 3) as usize];
+                    let offset = match next() % 3 {
+                        0 => 0xfe1 + next() % 31,
+                        1 => 0,
+                        _ => (next() % 64) * 4,
+                    };
+                    let start = site.wrapping_sub((next() % 8) * stride) + offset;
+                    let mut addrs = run_of(start, stride, 1 + next() % 40);
+                    if next() % 4 == 0 {
+                        addrs.extend(addrs.clone());
+                    }
+                    let kind = if next() % 2 == 0 {
+                        OpKind::Load
+                    } else {
+                        OpKind::Store
+                    };
+                    Step::Probe(kind, addrs)
+                }
+                8 => Step::Invlpg(va),
+                9 => Step::FlushTlb(next() % 2 == 0),
+                10 => Step::Evict(va),
+                11 => Step::TouchAsKernel(va),
+                12 => Step::Map(va),
+                _ => Step::Unmap(va),
+            }
+        })
+        .collect()
+}
