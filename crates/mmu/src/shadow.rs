@@ -40,6 +40,19 @@
 //!
 //! The property suite in `tests/shadow_props.rs` pins this equivalence
 //! under randomized map/unmap/protect/A-D-bit/probe interleavings.
+//!
+//! # Build cost
+//!
+//! Every structural mutation (a module load, a re-randomizer slide)
+//! forces a rebuild, so event-driven victims rebuild often.
+//! [`ShadowIndex::build`] therefore never reads a page table — the
+//! bulk of a layout: a page table is always exactly one interval. An
+//! upper-level table costs one
+//! [`PageTable::iter_live`](crate::PageTable::iter_live) pass (a zero
+//! test per slot) plus O(1) per live entry, since each terminal run
+//! between two descending entries is emitted arithmetically. The tests
+//! pin it to a verbatim copy of the per-entry build
+//! (`tests/support/shadow_reference.rs`).
 
 use crate::addr::VirtAddr;
 use crate::psc::{PagingStructureCache, PscEntry, PscResume};
@@ -608,10 +621,13 @@ const fn level_shift(level: Level) -> u32 {
     }
 }
 
-/// Emits intervals for every slot of `table_id`, recursing into present
+/// Emits the intervals of `table_id`'s slots, recursing into present
 /// intermediates. Consecutive slots that terminate the walk at this
 /// level — zero, guard, or leaf alike — merge into one interval: the
-/// walk shape is identical across them and values are read live.
+/// walk shape is identical across them and values are read live. So a
+/// page table is one interval, emitted without reading its entries, and
+/// an upper-level table only visits its live entries (see "Build
+/// cost" in the module docs).
 fn build_table(
     space: &AddressSpace,
     table_id: FrameId,
@@ -621,58 +637,72 @@ fn build_table(
     out: &mut Vec<ShadowInterval>,
 ) {
     let level = Level::WALK_ORDER[depth_idx];
-    let shift = level_shift(level);
-    let span = level.entry_span();
     chain[depth_idx] = table_id;
-
-    let mut run: Option<(u64, u64)> = None; // (start, last) of a terminal run
-    for idx in 0..ENTRIES_PER_TABLE {
-        // Canonicalize: at the PML4 level bit 47 sign-extends.
-        let va = VirtAddr::new_truncate(va_prefix | (idx as u64) << shift).as_u64();
-        let last = va + (span - 1);
-        let entry = space.table(table_id).entry(idx);
-
-        let descends = entry.is_present()
-            && match level {
-                Level::Pt => false,
-                Level::Pml4 => true,
-                _ => !entry.is_huge_leaf(),
-            };
-
+    if level == Level::Pt {
+        emit_terminal_slots(0, ENTRIES_PER_TABLE, depth_idx, va_prefix, chain, out);
+        return;
+    }
+    let mut next_slot = 0;
+    for (idx, entry) in space.table(table_id).iter_live() {
+        let descends = entry.is_present() && (level == Level::Pml4 || !entry.is_huge_leaf());
         if !descends {
-            run = match run {
-                Some((start, prev_last)) if prev_last.wrapping_add(1) == va => Some((start, last)),
-                Some(done) => {
-                    flush_run(done, depth_idx, chain, out);
-                    Some((va, last))
-                }
-                None => Some((va, last)),
-            };
             continue;
         }
-
-        if let Some(done) = run.take() {
-            flush_run(done, depth_idx, chain, out);
-        }
+        emit_terminal_slots(next_slot, idx, depth_idx, va_prefix, chain, out);
         let next =
             FrameId::new(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
-        build_table(space, next, depth_idx + 1, va, chain, out);
+        build_table(
+            space,
+            next,
+            depth_idx + 1,
+            slot_va(level, va_prefix, idx),
+            chain,
+            out,
+        );
         chain[depth_idx] = table_id;
+        next_slot = idx + 1;
     }
-    if let Some(done) = run {
-        flush_run(done, depth_idx, chain, out);
-    }
+    emit_terminal_slots(
+        next_slot,
+        ENTRIES_PER_TABLE,
+        depth_idx,
+        va_prefix,
+        chain,
+        out,
+    );
 }
 
-fn flush_run(
-    (start, last): (u64, u64),
+/// First address of slot `idx` of a `level` table under `va_prefix`,
+/// canonicalized: at the PML4 level bit 47 sign-extends.
+fn slot_va(level: Level, va_prefix: u64, idx: usize) -> u64 {
+    VirtAddr::new_truncate(va_prefix | (idx as u64) << level_shift(level)).as_u64()
+}
+
+/// Emits the terminal run of slots `lo..hi` (nothing when empty) as one
+/// interval — two at the PML4 level when the run straddles the
+/// canonical hole between slots 255 and 256, whose address ranges are
+/// not adjacent.
+fn emit_terminal_slots(
+    lo: usize,
+    hi: usize,
     depth_idx: usize,
+    va_prefix: u64,
     chain: &[FrameId; 4],
     out: &mut Vec<ShadowInterval>,
 ) {
+    const KERNEL_HALF_SLOT: usize = ENTRIES_PER_TABLE / 2;
+    if lo >= hi {
+        return;
+    }
+    let level = Level::WALK_ORDER[depth_idx];
+    if level == Level::Pml4 && lo < KERNEL_HALF_SLOT && KERNEL_HALF_SLOT < hi {
+        emit_terminal_slots(lo, KERNEL_HALF_SLOT, depth_idx, va_prefix, chain, out);
+        emit_terminal_slots(KERNEL_HALF_SLOT, hi, depth_idx, va_prefix, chain, out);
+        return;
+    }
     out.push(ShadowInterval {
-        start,
-        last,
+        start: slot_va(level, va_prefix, lo),
+        last: slot_va(level, va_prefix, hi - 1) + (level.entry_span() - 1),
         tables: *chain,
         depth: depth_idx as u8 + 1,
     });

@@ -18,6 +18,9 @@ use avx_mmu::{
     WalkOutcome, Walker,
 };
 
+#[path = "support/shadow_reference.rs"]
+mod shadow_reference;
+
 /// Candidate page bases the mutation driver works over: a mix of user,
 /// kernel-text, module-area and wild addresses, various alignments.
 const SITES: [u64; 8] = [
@@ -29,6 +32,15 @@ const SITES: [u64; 8] = [
     0xffff_ffff_c012_3000, // module-area 4K
     0xffff_c000_0000_0000, // 1G-aligned kernel
     0x1234_5678_9000,      // wild hole
+];
+
+/// Sites either side of the canonical hole: the top 4 KiB, 2 MiB and
+/// 1 GiB of PML4 slot 255 and the bottom of slot 256.
+const HOLE_SITES: [u64; 4] = [
+    0x7fff_ffff_f000,
+    0x7fff_ffe0_0000,
+    0x7fff_c000_0000,
+    0xffff_8000_0000_0000,
 ];
 
 fn assert_same_outcome(a: &WalkOutcome, b: &WalkOutcome, step: usize) {
@@ -147,6 +159,51 @@ proptest! {
     #[test]
     fn shadow_index_is_bit_exact_with_walker(seed in 0u64..1 << 32) {
         drive(seed, 160);
+    }
+
+    /// The live-entry build prints exactly like the per-entry reference
+    /// build after every step of a random structural history: 4 KiB,
+    /// 2 MiB and 1 GiB leaves, non-present guard entries, unmaps that
+    /// prune tables, in both halves and on the PML4 slots 255 and 256
+    /// either side of the canonical hole.
+    #[test]
+    fn shadow_build_matches_the_per_entry_build(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb01d);
+        let mut space = AddressSpace::new();
+        shadow_reference::assert_build_matches_reference(&space, "empty space");
+        for step in 0..48 {
+            let site = if rng.gen_range(0u32..3) == 0 {
+                HOLE_SITES[rng.gen_range(0..HOLE_SITES.len())]
+            } else {
+                SITES[rng.gen_range(0..SITES.len())]
+            };
+            let size = match rng.gen_range(0u32..4) {
+                0 => PageSize::Size2M,
+                1 => PageSize::Size1G,
+                _ => PageSize::Size4K,
+            };
+            let va = VirtAddr::new_truncate(site).align_down(size.bytes());
+            match rng.gen_range(0u32..4) {
+                0 | 1 => {
+                    let flags = if va.is_kernel_half() {
+                        PteFlags::kernel_rx()
+                    } else {
+                        PteFlags::user_rw()
+                    };
+                    let _ = space.map(va, size, flags);
+                }
+                2 => {
+                    let _ = space.unmap(va, size);
+                }
+                _ => {
+                    let _ = space.protect(va, size, PteFlags::none_guard());
+                }
+            }
+            shadow_reference::assert_build_matches_reference(
+                &space,
+                &format!("seed {seed}, step {step}"),
+            );
+        }
     }
 
     /// The point query agrees with the walker's view after arbitrary

@@ -169,7 +169,8 @@ pub struct Machine {
     /// consecutive intervals, making the common lookup O(1).
     shadow_hint: usize,
     /// `false` forces the reference walker (the bit-exactness property
-    /// suites compare the two paths).
+    /// suites compare the two paths). Starts `true` unless the crate is
+    /// built with the test-only `reference-walk` feature.
     shadow_enabled: bool,
     /// The PSC-resume proof of the batch paths' non-present fast path
     /// ([`Machine::translate_nonpresent_fast`]), rebuilt after a
@@ -224,7 +225,7 @@ impl Machine {
             walker: Walker::new(),
             shadow: None,
             shadow_hint: 0,
-            shadow_enabled: true,
+            shadow_enabled: !cfg!(feature = "reference-walk"),
             resume_memo: None,
             pmc: PmcBank::new(),
             mem: SparseMemory::new(),
@@ -361,7 +362,8 @@ impl Machine {
     /// the single dispatch point between the v1 and v2 regimes for the
     /// scalar path (the v2 batch path pre-draws whole noise blocks but
     /// consumes the RNG in the same per-sample order, so scalar and
-    /// batched v2 streams stay bit-identical).
+    /// batched v2 streams stay bit-identical, except across a scheduled
+    /// noise-shaped event inside a block — see `execute_tiles_v2`).
     fn measure_cycles(&mut self, cycles: f64) -> u64 {
         match self.observables {
             ObservablesVersion::V1 => self.next_noise().perturb(&mut self.rng, cycles),
@@ -552,10 +554,14 @@ impl Machine {
 
     /// Disables (or re-enables) the shadow translation index, forcing
     /// every walk through the reference [`Walker`]. Disabling it also
-    /// turns off the batch paths' O(1) non-present fast path, so the
-    /// disabled machine is the full reference. The paths are observably
+    /// turns off the batch paths' O(1) non-present fast path — on every
+    /// machine, scheduled and defended ones included — so the disabled
+    /// machine is the full reference. The paths are observably
     /// identical — this switch exists so the property suites can
-    /// *prove* that by running both against the same op sequence.
+    /// *prove* that by running both against the same op sequence. A
+    /// machine starts with the index on, unless `avx-uarch` is built
+    /// with the `reference-walk` feature (which runs every machine of a
+    /// test binary on the reference walker).
     pub fn set_shadow_enabled(&mut self, enabled: bool) {
         self.shadow_enabled = enabled;
     }
@@ -656,11 +662,11 @@ impl Machine {
     pub fn execute_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
         let probe = BatchProbe::new(kind, &self.profile.timing);
         out.reserve(addrs.len());
-        // The fast path's preconditions that hold for a whole batch: no
-        // victim schedule or defense can act between probes, and the
-        // shadow index is on.
-        let fast = self.sched.is_none() && self.defense.is_none() && self.shadow_enabled;
-        match (self.observables, fast) {
+        // The fast path's one batch-wide precondition: the shadow index
+        // is on. Schedule events and defense firings run in the
+        // per-probe ticks, before the fast path's proofs, which see
+        // every effect they can have (invariant 15).
+        match (self.observables, self.shadow_enabled) {
             (ObservablesVersion::V1, true) => self.execute_tiles_v1::<true>(&probe, addrs, out),
             (ObservablesVersion::V1, false) => self.execute_tiles_v1::<false>(&probe, addrs, out),
             (ObservablesVersion::V2, true) => self.execute_tiles_v2::<true>(&probe, addrs, out),
@@ -702,7 +708,12 @@ impl Machine {
     /// before the translation loop consumes it. Translation never
     /// touches the RNG, so pre-drawing preserves the per-sample stream:
     /// a v2 batch is bit-identical to the same probes run through the
-    /// v2 scalar path (asserted by `execute_batch_matches_scalar_*`).
+    /// v2 scalar path (`v2_batch_matches_v2_scalar_*`) — unless a
+    /// scheduled noise-shaped event (noise swap, tenant arrival or
+    /// departure) fires inside a block. The block was drawn from the
+    /// model in force at its first probe, while the scalar path draws
+    /// each later probe from the swapped model. Space-only schedules
+    /// and drift ramps (resolved per probe index) keep the identity.
     fn execute_tiles_v2<const FAST: bool>(
         &mut self,
         probe: &BatchProbe,
@@ -726,9 +737,10 @@ impl Machine {
     /// One all-zero-mask probe up to its noise — the per-probe body of
     /// both batch paths: ticks the victim schedule and defenses,
     /// translates the footprint's pages and returns the deterministic
-    /// cycle cost. Never touches the RNG. `FAST` (no schedule, no
-    /// defense, shadow index on) lets a single-page probe take
-    /// [`Machine::translate_nonpresent_fast`].
+    /// cycle cost. Never touches the RNG. `FAST` (shadow index on) lets
+    /// a single-page probe take [`Machine::translate_nonpresent_fast`].
+    /// The ticks run first, so whatever an event or a firing changed is
+    /// already visible to the fast path's proofs.
     #[inline]
     fn translate_probe<const FAST: bool>(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
         self.sched_tick();
@@ -739,8 +751,10 @@ impl Machine {
         let first_page = addr.align_down(4096);
         let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
         if FAST && last_page == first_page {
-            if let Some(verdict) = self.translate_nonpresent_fast(first_page) {
-                let _ = self.account_page(probe.kind, first_page, &verdict, false, &mut acc, None);
+            // The page `visit_page` would translate: the defense's view.
+            let page = self.defended_page(first_page);
+            if let Some(verdict) = self.translate_nonpresent_fast(page) {
+                let _ = self.account_page(probe.kind, page, &verdict, false, &mut acc, None);
                 return self.finish_probe(probe, acc);
             }
         }
@@ -748,7 +762,7 @@ impl Machine {
         if last_page != first_page {
             let _ = self.visit_page(probe.kind, last_page, false, &mut acc, None);
         } else if FAST {
-            self.refresh_resume_memo(first_page);
+            self.refresh_resume_memo(self.defended_page(first_page));
         }
         self.finish_probe(probe, acc)
     }
@@ -1862,9 +1876,9 @@ mod tests {
         };
         type Case<'a> = (&'a str, &'a CpuProfile, fn(&mut Machine));
         let cases: [Case; 10] = [
-            // Fast-path rows: no schedule or defense, so the batch
-            // machine serves non-present probes in O(1) and the scalar
-            // machine never does.
+            // The batch machine of every row, the scheduled and
+            // defended ones included, serves single-page non-present
+            // probes in O(1); the scalar machine never does.
             ("fast path, noisy", &ice_lake, |m| {
                 m.set_noise(NoiseModel::new(1.3, 0.05, (200.0, 900.0)));
             }),
@@ -2021,6 +2035,60 @@ mod tests {
                     batched.pmc().read(event),
                     "{kind}: {event:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn v2_batch_matches_v2_scalar_under_space_only_schedules() {
+        // The v2 block is drawn from the model in force at its first
+        // probe. Space events never touch that model, so a schedule of
+        // module churn alone — events landing mid-block, on the probed
+        // pages — keeps the v2 batch equal to the v2 scalar path. (A
+        // noise-shaped event mid-block does not; see
+        // `execute_tiles_v2`.)
+        use crate::observables::ObservablesVersion;
+        use crate::sched::{SchedEvent, SchedRegion, VictimSchedule};
+        const MODULES: u64 = 0xffff_ffff_c000_0000;
+        let addrs: Vec<VirtAddr> = (0..69).map(|i| va(MODULES + i * 0x1000)).collect();
+        for ops_per_tick in [1, 3, 16] {
+            for kind in [OpKind::Load, OpKind::Store] {
+                let mut scalar = fig2_machine();
+                let mut batched = fig2_machine();
+                for m in [&mut scalar, &mut batched] {
+                    m.set_noise(NoiseModel::new(1.3, 0.05, (200.0, 900.0)));
+                    m.set_observables(ObservablesVersion::V2);
+                    m.set_victim_schedule(Some(
+                        VictimSchedule::new(ops_per_tick, 5)
+                            .with_module_region(SchedRegion::new(
+                                MODULES,
+                                MODULES + 0x2_0000,
+                                0x1000,
+                            ))
+                            .every(1, 2, SchedEvent::ModuleLoad { pages: 2 })
+                            .every(2, 3, SchedEvent::ModuleUnload),
+                    ));
+                }
+                let batch = batched.execute_batch(kind, &addrs);
+                let looped: Vec<u64> = addrs.iter().map(|&a| scalar.probe(kind, a)).collect();
+                let ctx = format!("{ops_per_tick} ops/tick, {kind}");
+                assert_eq!(batch, looped, "{ctx}");
+                assert_eq!(scalar.elapsed_cycles(), batched.elapsed_cycles());
+                let fired = |m: &Machine| m.victim_schedule().map(VictimSchedule::fired);
+                assert!(fired(&batched) >= Some(3), "{ctx}: events fired mid-batch");
+                assert_eq!(fired(&scalar), fired(&batched), "{ctx}");
+                assert_eq!(
+                    scalar.space().iter_regions(),
+                    batched.space().iter_regions(),
+                    "{ctx}"
+                );
+                for event in Event::ALL {
+                    assert_eq!(
+                        scalar.pmc().read(event),
+                        batched.pmc().read(event),
+                        "{ctx}: {event:?}"
+                    );
+                }
             }
         }
     }

@@ -182,6 +182,12 @@ pub struct VictimSchedule {
     ops_per_tick: u64,
     ops_seen: u64,
     queue: BinaryHeap<Reverse<Queued>>,
+    /// The `ops_seen` count at which the queue head falls due — its
+    /// tick times `ops_per_tick`, the first op count whose `now()`
+    /// reaches the tick. `None` for an empty queue or a product past
+    /// `u64`, which `ops_seen` never reaches. Recomputed whenever the
+    /// queue head or the rate changes.
+    due_at: Option<u64>,
     seq: u64,
     fired: u64,
     /// The preset the environment is currently in (initially the
@@ -227,6 +233,7 @@ impl VictimSchedule {
             ops_per_tick,
             ops_seen: 0,
             queue: BinaryHeap::new(),
+            due_at: None,
             seq: 0,
             fired: 0,
             profile: NoiseProfile::Quiet,
@@ -312,6 +319,27 @@ impl VictimSchedule {
             event,
             every,
         }));
+        self.refresh_due();
+    }
+
+    fn set_ops_per_tick(&mut self, ops_per_tick: u64) {
+        self.ops_per_tick = ops_per_tick;
+        self.refresh_due();
+    }
+
+    /// Recomputes `due_at` from the queue head:
+    /// `tick ≤ ops_seen / ops_per_tick` exactly when
+    /// `tick × ops_per_tick ≤ ops_seen`.
+    fn refresh_due(&mut self) {
+        self.due_at = self
+            .queue
+            .peek()
+            .and_then(|Reverse(q)| q.tick.checked_mul(self.ops_per_tick));
+    }
+
+    /// Whether the queue head is due at the current op count.
+    fn head_due(&self) -> bool {
+        self.due_at.is_some_and(|due| self.ops_seen >= due)
     }
 
     /// The wall-clock rate: victim-observed ops per tick.
@@ -371,21 +399,20 @@ impl VictimSchedule {
 
     /// Counts one victim-observed op and reports whether any event is
     /// now due — the machine's per-op fast path (one increment, one
-    /// heap peek).
+    /// compare against the cached due count).
     pub fn advance_op(&mut self) -> bool {
         self.ops_seen += 1;
-        let now = self.now();
-        self.queue.peek().is_some_and(|Reverse(q)| q.tick <= now)
+        self.head_due()
     }
 
     /// Pops the next due event in `(tick, insertion-seq)` order,
     /// re-queueing recurrences. `None` once the current tick is drained.
     pub fn pop_due(&mut self) -> Option<SchedEvent> {
-        let now = self.now();
-        if self.queue.peek().is_none_or(|Reverse(q)| q.tick > now) {
+        if !self.head_due() {
             return None;
         }
-        let Reverse(q) = self.queue.pop().expect("peeked above");
+        let Reverse(q) = self.queue.pop().expect("a due head exists");
+        self.refresh_due();
         // A recurrence whose next tick overflows `u64` could never
         // fire again, so dropping it is exact.
         if let Some(next) = q.every.and_then(|interval| q.tick.checked_add(interval)) {
@@ -561,7 +588,7 @@ impl VictimSchedule {
                         .and_then(|v| v.parse().ok())
                         .filter(|&n| n > 0)
                         .ok_or_else(|| err("expected a positive integer"))?;
-                    sched.ops_per_tick = n;
+                    sched.set_ops_per_tick(n);
                 }
                 "tenant-weight" => {
                     let w: f64 = tok
@@ -854,7 +881,7 @@ mod tests {
         // dropped; the other recurrence keeps firing every tick.
         let text = "every 1 18446744073709551615 tenant-arrive\nevery 1 1 tenant-arrive\n";
         let mut s = VictimSchedule::from_trace(text, 0).unwrap();
-        s.ops_per_tick = 1;
+        s.set_ops_per_tick(1);
         let mut m = crate::Machine::new(
             crate::CpuProfile::alder_lake_i5_12400f(),
             avx_mmu::AddressSpace::new(),

@@ -332,9 +332,47 @@ proptest! {
             0xffff_ffc0_0000_0000, // a 1 GiB kernel page
             0xffff_8000_0000_0000, // bottom of the kernel half
         ];
-        let mut oracle = fast_path::Oracle::new(&profile, &space, seed);
+        let mut oracle = fast_path::Oracle::new(&profile, &space, seed, &|_| {});
         let script = fast_path::random_script(seed, &sites, 40);
         oracle.run(&format!("{name}, seed {seed:#x}"), &script);
+    }
+
+    /// The same oracle on scheduled and defended victims, whose batch
+    /// machines take the fast path too: module loads and unloads among
+    /// the probed 4 KiB kernel pages, noise swaps and tenant churn (at
+    /// 1 and 16 ops per tick), masked translation and a re-randomizer
+    /// of the kernel image firing every 37 ops. Every tick lands
+    /// between probes of one batch, before the fast path's proofs.
+    #[test]
+    fn nonpresent_fast_path_matches_under_schedules_and_defenses(
+        seed in any::<u64>(),
+        profile_idx in 0usize..4,
+        victim_idx in 0usize..6,
+    ) {
+        let (name, profile) = fast_path::profiles().swap_remove(profile_idx);
+        // Modules load into 4 KiB slots just above the mapped pages at
+        // 0xffff_ffff_c012_3000, where no script site maps or unmaps;
+        // the defenses protect the 2 MiB kernel text of the first
+        // kernel GiB.
+        let (victim_name, victim) = fast_path::victims(
+            (0xffff_ffff_c013_0000, 0xffff_ffff_c017_0000),
+            (0xffff_ffff_8000_0000, 0xffff_ffff_c000_0000),
+            seed,
+        )
+        .swap_remove(victim_idx);
+        let space = fast_path_space();
+        let sites = [
+            USER_M,
+            USER_M + 0x4000, // the guard page
+            KERNEL_M,
+            KERNEL_U,
+            0xffff_ffff_8000_0000,
+            0xffff_ffff_c012_3000,
+            0xffff_ffc0_0000_0000, // a 1 GiB kernel page
+        ];
+        let mut oracle = fast_path::Oracle::new(&profile, &space, seed, &victim);
+        let script = fast_path::random_script(seed, &sites, 40);
+        oracle.run(&format!("{name}, {victim_name}, seed {seed:#x}"), &script);
     }
 }
 
@@ -375,7 +413,7 @@ fn nonpresent_fast_path_tracks_psc_eviction_and_stale_tlb_entries() {
     ];
     for (name, profile) in fast_path::profiles() {
         for seed in [0, 7] {
-            let mut oracle = fast_path::Oracle::new(&profile, &space, seed);
+            let mut oracle = fast_path::Oracle::new(&profile, &space, seed, &|_| {});
             oracle.run(&format!("{name}, seed {seed}"), &script);
         }
     }

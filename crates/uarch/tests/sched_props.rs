@@ -12,6 +12,10 @@
 //! 4. Space events route through the page-table chokepoint: module
 //!    churn mutates the victim's own space mid-stream and the clock
 //!    ticks per victim-observed op.
+//! 5. The clock fires every event at the op index the division form
+//!    `tick <= ops_seen / ops_per_tick` names.
+
+use proptest::prelude::*;
 
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
 use avx_uarch::{
@@ -199,4 +203,97 @@ fn probes_against_churned_pages_see_the_mapping_flip() {
         m.space().mapped_pages() > 2,
         "the module's pages joined the victim space"
     );
+}
+
+// ---------------------------------------------------------------------
+// Property 5: the cached due count fires exactly where division does.
+
+/// The division-form reference clock: a sorted list of
+/// `(tick, seq, id, every)`, popped while `tick <= ops / ops_per_tick`.
+/// Returns `(op index, id)` per firing.
+fn reference_firings(
+    ops_per_tick: u64,
+    events: &[(u64, Option<u64>)],
+    ops: u64,
+) -> Vec<(u64, u64)> {
+    let mut queue: Vec<(u64, u64, u64, Option<u64>)> = events
+        .iter()
+        .enumerate()
+        .map(|(i, &(tick, every))| (tick, i as u64 + 1, i as u64, every))
+        .collect();
+    let mut seq = events.len() as u64;
+    let mut fired = Vec::new();
+    for op in 1..=ops {
+        let now = op / ops_per_tick;
+        loop {
+            queue.sort_unstable();
+            match queue.first() {
+                Some(&(tick, _, id, every)) if tick <= now => {
+                    queue.remove(0);
+                    fired.push((op, id));
+                    if let Some(next) = every.and_then(|e| tick.checked_add(e)) {
+                        seq += 1;
+                        queue.push((next, seq, id, every));
+                    }
+                }
+                _ => break,
+            }
+        }
+    }
+    fired
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random rates, one-shot and recurring events (ticks near
+    /// `u64::MAX` and rates whose product overflows included), the
+    /// schedule fires every event at the same op index, in the same
+    /// order, as the division form; `now()`, `ops_seen()` and
+    /// `fired()` keep their values.
+    #[test]
+    fn cached_due_count_fires_like_the_division_form(
+        rate_pick in 0u32..8,
+        small_rate in 1u64..=24,
+        events in prop::collection::vec(
+            (0u64..48, any::<bool>(), 1u64..12, 0u32..8),
+            1..8,
+        ),
+    ) {
+        let ops_per_tick = match rate_pick {
+            0 => 1 << 62,
+            1 => u64::MAX,
+            _ => small_rate,
+        };
+        let events: Vec<(u64, Option<u64>)> = events
+            .into_iter()
+            .map(|(tick, recurs, every, far)| {
+                let tick = if far == 0 { u64::MAX - tick } else { tick };
+                (tick, recurs.then_some(every))
+            })
+            .collect();
+        let ops = 400;
+        let mut sched = VictimSchedule::new(ops_per_tick, 0);
+        for (id, &(tick, every)) in events.iter().enumerate() {
+            let event = SchedEvent::ModuleLoad { pages: id as u64 };
+            sched = match every {
+                Some(interval) => sched.every(tick, interval, event),
+                None => sched.at(tick, event),
+            };
+        }
+        let mut fired = Vec::new();
+        for op in 1..=ops {
+            if sched.advance_op() {
+                while let Some(SchedEvent::ModuleLoad { pages }) = sched.pop_due() {
+                    fired.push((op, pages));
+                }
+            } else {
+                prop_assert!(sched.pop_due().is_none(), "op {}", op);
+            }
+            prop_assert_eq!(sched.ops_seen(), op);
+            prop_assert_eq!(sched.now(), op / ops_per_tick);
+            prop_assert_eq!(sched.fired(), fired.len() as u64);
+        }
+        prop_assert_eq!(fired, reference_firings(ops_per_tick, &events, ops));
+    }
 }

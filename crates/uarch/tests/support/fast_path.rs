@@ -9,6 +9,9 @@
 //! * `reference` runs `execute_batch` with the shadow index off, which
 //!   also turns the fast path off.
 //!
+//! A victim environment ([`victims`]: a schedule or a defense) may be
+//! installed on all three alike; the batch machine stays eligible.
+//!
 //! After every step the three agree on measurements, clocks, PMC banks
 //! and `Tlb::stats()`. `batch` and `scalar` also agree on PSC hit/miss
 //! counts and print the same TLB, PSC and PTE-line cache (`{:?}`),
@@ -17,7 +20,10 @@
 //! analytically, so its PSC counters legitimately run ahead.)
 
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
-use avx_uarch::{CpuProfile, Event, Machine, OpKind};
+use avx_uarch::sched::{SchedEvent, SchedRegion, VictimSchedule};
+use avx_uarch::{
+    AddressMask, CpuProfile, Event, Machine, NoiseProfile, OpKind, Rerandomizer, VictimDefense,
+};
 
 /// One step of an oracle script, applied to all three machines.
 #[derive(Clone, Debug)]
@@ -57,6 +63,61 @@ pub fn profiles() -> Vec<(&'static str, CpuProfile)> {
     ]
 }
 
+/// A victim environment, installed alike on the three machines.
+pub type Victim = Box<dyn Fn(&mut Machine)>;
+
+/// The scheduled and defended victims of the oracle, seeded by `seed`:
+/// module loads and unloads in `modules` (4 KiB slots), noise swaps,
+/// and tenant arrivals and departures, each at 1 and 16 ops per tick;
+/// masked translation of `image` (2 MiB slots), and a re-randomizer of
+/// the image mapped there, firing every 37 ops.
+pub fn victims(modules: (u64, u64), image: (u64, u64), seed: u64) -> Vec<(String, Victim)> {
+    let mut out: Vec<(String, Victim)> = Vec::new();
+    for ops_per_tick in [1, 16] {
+        out.push((
+            format!("module churn, {ops_per_tick} ops/tick"),
+            Box::new(move |m| {
+                m.set_victim_schedule(Some(
+                    VictimSchedule::new(ops_per_tick, seed)
+                        .with_module_region(SchedRegion::new(modules.0, modules.1, 0x1000))
+                        .every(2, 5, SchedEvent::ModuleLoad { pages: 2 })
+                        .every(1, 3, SchedEvent::ModuleLoad { pages: 1 })
+                        .every(4, 4, SchedEvent::ModuleUnload),
+                ));
+            }),
+        ));
+        out.push((
+            format!("noise swaps and tenants, {ops_per_tick} ops/tick"),
+            Box::new(move |m| {
+                m.set_victim_schedule(Some(
+                    VictimSchedule::new(ops_per_tick, seed)
+                        .with_base(NoiseProfile::Quiet)
+                        .every(3, 7, SchedEvent::NoiseSwap(NoiseProfile::LaptopDvfs))
+                        .every(6, 7, SchedEvent::NoiseSwap(NoiseProfile::SmtSibling))
+                        .every(2, 5, SchedEvent::TenantArrive)
+                        .every(4, 5, SchedEvent::TenantDepart),
+                ));
+            }),
+        ));
+    }
+    out.push((
+        "masked translation".into(),
+        Box::new(move |m| {
+            let mask = AddressMask::new(image.0, image.1, 0x20_0000, seed);
+            m.set_defense(Some(VictimDefense::new().with_mask(mask)));
+        }),
+    ));
+    out.push((
+        "re-randomizer, period 37".into(),
+        Box::new(move |m| {
+            let r = Rerandomizer::capture(m.space(), image.0, image.1, 0x20_0000, 37, seed)
+                .expect("an image is mapped in the region");
+            m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
+        }),
+    ));
+    out
+}
+
 /// The batch, scalar and reference machines over one space.
 pub struct Oracle {
     batch: Machine,
@@ -65,9 +126,19 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    /// Three machines with `profile`'s full noise model and one seed.
-    pub fn new(profile: &CpuProfile, space: &AddressSpace, seed: u64) -> Self {
-        let build = || Machine::new(profile.clone(), space.clone(), seed);
+    /// Three machines with `profile`'s full noise model and one seed,
+    /// `victim` installed on each (`&|_| {}` for a bare machine).
+    pub fn new(
+        profile: &CpuProfile,
+        space: &AddressSpace,
+        seed: u64,
+        victim: &dyn Fn(&mut Machine),
+    ) -> Self {
+        let build = || {
+            let mut m = Machine::new(profile.clone(), space.clone(), seed);
+            victim(&mut m);
+            m
+        };
         let mut reference = build();
         reference.set_shadow_enabled(false);
         Self {
@@ -119,6 +190,19 @@ impl Oracle {
                 b.tlb().stats(),
                 m.tlb().stats(),
                 "{ctx}: TLB stats vs {name}"
+            );
+            assert_eq!(
+                (
+                    b.rerandomizations(),
+                    b.victim_schedule().map(VictimSchedule::fired),
+                    b.space().shape_epoch(),
+                ),
+                (
+                    m.rerandomizations(),
+                    m.victim_schedule().map(VictimSchedule::fired),
+                    m.space().shape_epoch(),
+                ),
+                "{ctx}: victim events and space shape vs {name}"
             );
         }
         let s = &self.scalar;
