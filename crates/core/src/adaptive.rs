@@ -396,7 +396,7 @@ impl AdaptiveSampler {
         p.probe_batch_into(kind, tile, &mut s.warm);
 
         s.acc.clear();
-        s.acc.extend(tile.iter().map(|_| self.accumulator()));
+        s.acc.resize(tile.len(), self.accumulator());
         s.floor.clear();
         s.floor.resize(tile.len(), u64::MAX);
         s.probes.clear();
@@ -466,6 +466,21 @@ pub struct MinFilterBatch {
 }
 
 impl MinFilterBatch {
+    /// An empty batch with room for `n` addresses.
+    #[must_use]
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            mins: Vec::with_capacity(n),
+            probes: Vec::with_capacity(n),
+        }
+    }
+
+    /// Empties the batch, keeping its buffers for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.mins.clear();
+        self.probes.clear();
+    }
+
     /// Total raw probes the sweep issued.
     #[must_use]
     pub fn total_probes(&self) -> u64 {
@@ -511,10 +526,7 @@ impl AdaptiveMinFilter {
         kind: OpKind,
         addrs: &[VirtAddr],
     ) -> MinFilterBatch {
-        let mut out = MinFilterBatch {
-            mins: Vec::with_capacity(addrs.len()),
-            probes: Vec::with_capacity(addrs.len()),
-        };
+        let mut out = MinFilterBatch::with_capacity(addrs.len());
         let mut scratch = MinFilterScratch::default();
         for tile in addrs.chunks(ProbeStrategy::BATCH_TILE) {
             self.measure_tile(p, kind, tile, &mut out, &mut scratch);
@@ -530,10 +542,7 @@ impl AdaptiveMinFilter {
         kind: OpKind,
         range: &AddrRange,
     ) -> MinFilterBatch {
-        let mut out = MinFilterBatch {
-            mins: Vec::with_capacity(range.len()),
-            probes: Vec::with_capacity(range.len()),
-        };
+        let mut out = MinFilterBatch::with_capacity(range.len());
         let mut scratch = MinFilterScratch::default();
         let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
         for chunk in range.chunks(ProbeStrategy::BATCH_TILE as u64) {
@@ -543,7 +552,11 @@ impl AdaptiveMinFilter {
         out
     }
 
-    fn measure_tile<P: Prober + ?Sized>(
+    /// One warm-up + early-stopping rounds over a single tile,
+    /// appending the per-address floors and probe counts to `out`. All
+    /// intermediate state lives in `s`, so a tile loop allocates
+    /// nothing.
+    pub(crate) fn measure_tile<P: Prober + ?Sized>(
         &self,
         p: &mut P,
         kind: OpKind,
@@ -594,8 +607,9 @@ impl AdaptiveMinFilter {
 }
 
 /// Reusable per-tile state of [`AdaptiveMinFilter::measure_tile`].
+/// Every buffer is cleared before use.
 #[derive(Clone, Debug, Default)]
-struct MinFilterScratch {
+pub(crate) struct MinFilterScratch {
     warm: Vec<u64>,
     min: Vec<u64>,
     stable: Vec<u8>,

@@ -74,11 +74,13 @@ use std::collections::VecDeque;
 
 use avx_mmu::VirtAddr;
 
-use crate::adaptive::{AdaptiveBatch, AdaptiveMinFilter, AdaptiveScratch, Sampling};
+use crate::adaptive::{
+    AdaptiveBatch, AdaptiveMinFilter, AdaptiveScratch, MinFilterBatch, MinFilterScratch, Sampling,
+};
 use crate::calibrate::{CalibrationFit, Threshold};
 use crate::primitives::{PageTableAttack, SweepClassification};
 use crate::prober::{ProbeScratch, ProbeStrategy, Prober};
-use crate::stats::mad_sigma_scratch;
+use crate::stats::{mad_sigma_runs, mad_sigma_scratch, SampleRuns};
 use crate::sweep::AddrRange;
 
 /// Tuning knobs of the closed loop. The defaults are the pinned
@@ -178,20 +180,56 @@ struct WindowEntry {
 /// under a stationary environment that matches the fit's σ, and under
 /// `NoiseModel::none()` it is exactly zero, so the trigger can never
 /// fire on a noiseless scan (property-pinned).
+///
+/// The window is kept twice: in arrival order (what the re-fit, the
+/// rescan and eviction need) and as a run-length multiset sorted by
+/// sample value, with a running count of forced decisions. A 128-sample
+/// window holds a dozen to a few dozen distinct cycle counts, so
+/// [`DriftMonitor::observe`] is a binary search plus an increment (and
+/// the decrement of the evicted sample), and [`DriftMonitor::check`]
+/// splits the runs at the boundary and reads each band's doubled
+/// median and doubled deviation-median by walking them — the exact
+/// integer order statistics [`crate::stats::mad_sigma_scratch`]
+/// selects, so every trigger decision and [`DriftSignal`] payload is
+/// bit-identical to selecting over the window. Samples must lie below
+/// [`crate::stats::MAD_EXACT_LIMIT`] (debug-asserted); a verbatim copy
+/// of the selection-based monitor is the oracle of
+/// `crates/core/tests/recal_props.rs`.
 #[derive(Clone, Debug)]
 pub struct DriftMonitor {
     config: RecalConfig,
     /// σ the current fit claims; the dispersion limit scales from it.
     baseline_sigma: f64,
+    /// The window in arrival order.
     entries: VecDeque<WindowEntry>,
+    /// The same samples as sorted `(value, count)` runs.
+    sorted: SampleRuns,
+    /// Entries whose decision was forced at the probe budget.
+    forced: usize,
     since_refit: usize,
-    /// Reused MAD buffer — the monitor runs once per probe tile and
-    /// must not put allocations back on the zero-alloc sweep path.
+    /// Reused MAD buffer of the refit-time σ refresh.
     scratch: Vec<u64>,
 }
 
 /// Band entries below this count are too thin for a MAD estimate.
 pub const MIN_BAND_SAMPLES: usize = 8;
+
+/// The one band-partition rule of the monitor: a sample belongs to the
+/// fast (mapped) band iff it lies at or below the decision boundary.
+/// Monotone in the sample, so it splits sorted runs at one point; a NaN
+/// boundary puts every sample in the slow band.
+fn in_fast_band(sample: u64, boundary: f64) -> bool {
+    sample as f64 <= boundary
+}
+
+/// MAD-σ of one band's runs; 0 for bands thinner than
+/// [`MIN_BAND_SAMPLES`].
+fn band_sigma(runs: &[(u64, usize)]) -> f64 {
+    if runs.iter().map(|&(_, count)| count).sum::<usize>() < MIN_BAND_SAMPLES {
+        return 0.0;
+    }
+    mad_sigma_runs(runs).unwrap_or(0.0)
+}
 
 impl DriftMonitor {
     /// A monitor against the σ of the calibration currently in effect.
@@ -201,6 +239,8 @@ impl DriftMonitor {
             config,
             baseline_sigma,
             entries: VecDeque::with_capacity(config.window.max(1)),
+            sorted: SampleRuns::default(),
+            forced: 0,
             // The initial fit needs no cooldown: trigger as soon as the
             // window has evidence.
             since_refit: config.cooldown,
@@ -211,8 +251,13 @@ impl DriftMonitor {
     /// Streams one candidate's representative sample into the window.
     pub fn observe(&mut self, index: usize, addr: VirtAddr, sample: u64, settled: bool) {
         if self.entries.len() >= self.config.window.max(1) {
-            self.entries.pop_front();
+            if let Some(old) = self.entries.pop_front() {
+                self.sorted.remove(old.sample);
+                self.forced -= usize::from(!old.settled);
+            }
         }
+        self.sorted.insert(sample);
+        self.forced += usize::from(!settled);
         self.entries.push_back(WindowEntry {
             index,
             addr,
@@ -222,37 +267,15 @@ impl DriftMonitor {
         self.since_refit = self.since_refit.saturating_add(1);
     }
 
-    /// The one band-partition rule of the monitor: split the window
-    /// (skipping the oldest `skip` entries) at `boundary` and return
-    /// the larger per-band MAD-σ (bands with fewer than
-    /// [`MIN_BAND_SAMPLES`] entries read as 0). Both the dispersion
-    /// trigger and the σ-refresh route through here so the band
-    /// convention cannot fork; the reused scratch buffer keeps the
-    /// per-tile check allocation-free.
-    fn band_mad(&mut self, skip: usize, boundary: f64) -> f64 {
-        let Self {
-            entries, scratch, ..
-        } = self;
-        let mut band = |fast: bool| {
-            let samples = entries
-                .iter()
-                .skip(skip)
-                .map(|e| e.sample)
-                .filter(|&s| (s as f64 <= boundary) == fast);
-            match mad_sigma_scratch(samples, scratch) {
-                Some(mad) if scratch.len() >= MIN_BAND_SAMPLES => mad,
-                _ => 0.0,
-            }
-        };
-        band(true).max(band(false))
-    }
-
     /// The windowed per-band dispersion: the larger MAD-σ of the two
     /// bands the decision boundary splits the window into (bands with
-    /// fewer than [`MIN_BAND_SAMPLES`] entries are skipped).
+    /// fewer than [`MIN_BAND_SAMPLES`] entries read as 0). O(distinct
+    /// sample values).
     #[must_use]
-    pub fn band_dispersion(&mut self, boundary: f64) -> f64 {
-        self.band_mad(0, boundary)
+    pub fn band_dispersion(&self, boundary: f64) -> f64 {
+        let runs = self.sorted.runs();
+        let split = runs.partition_point(|&(sample, _)| in_fast_band(sample, boundary));
+        band_sigma(&runs[..split]).max(band_sigma(&runs[split..]))
     }
 
     /// Fraction of window entries whose decision was forced at the
@@ -262,13 +285,12 @@ impl DriftMonitor {
         if self.entries.is_empty() {
             return 0.0;
         }
-        let forced = self.entries.iter().filter(|e| !e.settled).count();
-        forced as f64 / self.entries.len() as f64
+        self.forced as f64 / self.entries.len() as f64
     }
 
     /// Checks the triggers against the current decision boundary.
     #[must_use]
-    pub fn check(&mut self, boundary: f64) -> Option<DriftSignal> {
+    pub fn check(&self, boundary: f64) -> Option<DriftSignal> {
         if self.entries.len() < self.config.min_samples.max(1)
             || self.since_refit < self.config.cooldown
         {
@@ -287,30 +309,39 @@ impl DriftMonitor {
     }
 
     /// The window's samples in arrival order (what the re-fit consumes).
-    #[must_use]
-    pub fn samples(&self) -> Vec<u64> {
-        self.entries.iter().map(|e| e.sample).collect()
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.entries.iter().map(|e| e.sample)
     }
 
     /// Per-band MAD-σ of the *freshest half* of the window. While a
     /// ramp is still in progress the window mixes noise levels, so a
     /// full-window estimate lags the live σ; the freshest half tracks
     /// it, and a continuing ramp simply re-trips the (re-based) trigger
-    /// and walks the estimate up step by step.
+    /// and walks the estimate up step by step. Runs once per refit, so
+    /// it selects over the half instead of keeping a second sorted
+    /// window, with the band rule of [`DriftMonitor::check`].
     #[must_use]
     pub fn fresh_sigma(&mut self, boundary: f64) -> f64 {
         let half = self.entries.len().div_ceil(2);
         let skip = self.entries.len() - half;
-        let per_band = self.band_mad(skip, boundary);
+        let Self {
+            entries, scratch, ..
+        } = self;
+        let fresh = || entries.iter().skip(skip).map(|e| e.sample);
+        let mut band = |fast: bool| {
+            let samples = fresh().filter(|&s| in_fast_band(s, boundary) == fast);
+            match mad_sigma_scratch(samples, scratch) {
+                Some(mad) if scratch.len() >= MIN_BAND_SAMPLES => mad,
+                _ => 0.0,
+            }
+        };
+        let per_band = band(true).max(band(false));
         if per_band > 0.0 {
             per_band
         } else {
             // Both bands too thin to split: fall back to the half's
             // overall MAD (still spike-robust).
-            let Self {
-                entries, scratch, ..
-            } = self;
-            mad_sigma_scratch(entries.iter().skip(skip).map(|e| e.sample), scratch).unwrap_or(0.0)
+            mad_sigma_scratch(fresh(), scratch).unwrap_or(0.0)
         }
     }
 
@@ -319,17 +350,9 @@ impl DriftMonitor {
     pub fn note_refit(&mut self, new_sigma: f64) {
         self.baseline_sigma = new_sigma;
         self.entries.clear();
+        self.sorted.clear();
+        self.forced = 0;
         self.since_refit = 0;
-    }
-
-    /// Window addresses at or past `floor_index`, for the post-refit
-    /// rescan (arrival order).
-    fn rescan_targets(&self, floor_index: usize) -> Vec<(usize, VirtAddr)> {
-        self.entries
-            .iter()
-            .filter(|e| e.index >= floor_index)
-            .map(|e| (e.index, e.addr))
-            .collect()
     }
 }
 
@@ -359,12 +382,17 @@ pub struct Recalibrating {
     processed: usize,
     /// Reused per-tile buffers (no allocation per sweep tile).
     tile: TileBuffers,
+    /// Reused refit inputs: the window's samples in arrival order and
+    /// one rescan tile's addresses (the driver allocates nothing per
+    /// refit; the EM fit sorts its own copy).
+    refit_window: Vec<u64>,
+    rescan_tile: Vec<VirtAddr>,
 }
 
-/// The driver's reused per-tile buffers: every sweep tile goes through
-/// them, on either sampling path, so the closed loop allocates nothing
-/// per tile. Each tile clears them first, so they carry no state from
-/// one tile or call to the next.
+/// The driver's reused per-tile buffers: every sweep and rescan tile
+/// goes through them, on either sampling path, so the closed loop
+/// allocates nothing per tile. Each tile clears them first, so they
+/// carry no state from one tile or call to the next.
 #[derive(Clone, Debug)]
 struct TileBuffers {
     /// The tile's calls, samples, probe counts and settled flags.
@@ -373,6 +401,41 @@ struct TileBuffers {
     adaptive: AdaptiveScratch,
     /// Intermediate state of the fixed probe strategy.
     fixed: ProbeScratch,
+}
+
+impl TileBuffers {
+    /// Classifies one tile with `attack`'s current fit into `batch`
+    /// (cleared first), through whichever sampling engine the attack
+    /// carries; returns the raw probes spent.
+    fn classify<P: Prober + ?Sized>(
+        &mut self,
+        attack: &PageTableAttack,
+        p: &mut P,
+        tile: &[VirtAddr],
+    ) -> u64 {
+        let Self {
+            batch,
+            adaptive,
+            fixed,
+        } = self;
+        batch.clear();
+        match attack.sampler {
+            Some(sampler) => {
+                sampler.classify_tile(p, attack.op, tile, batch, adaptive);
+                batch.total_probes()
+            }
+            None => {
+                let strategy = attack.strategy;
+                strategy.measure_batch_into(p, attack.op, tile, &mut batch.samples, fixed);
+                let threshold = attack.threshold;
+                batch
+                    .mapped
+                    .extend(batch.samples.iter().map(|&s| threshold.is_mapped(s)));
+                batch.settled.resize(tile.len(), true);
+                tile.len() as u64 * u64::from(strategy.probes_per_measurement())
+            }
+        }
+    }
 }
 
 impl Recalibrating {
@@ -401,6 +464,8 @@ impl Recalibrating {
                 adaptive: AdaptiveScratch::default(),
                 fixed: ProbeScratch::default(),
             },
+            refit_window: Vec::with_capacity(config.window.max(1)),
+            rescan_tile: Vec::with_capacity(ProbeStrategy::BATCH_TILE),
         }
     }
 
@@ -473,28 +538,8 @@ impl Recalibrating {
         call_base: usize,
         out: &mut SweepClassification,
     ) {
-        let TileBuffers {
-            batch,
-            adaptive,
-            fixed,
-        } = &mut self.tile;
-        batch.clear();
-        match self.attack.sampler {
-            Some(sampler) => {
-                sampler.classify_tile(p, self.attack.op, tile, batch, adaptive);
-                out.probes += batch.total_probes();
-            }
-            None => {
-                let strategy = self.attack.strategy;
-                strategy.measure_batch_into(p, self.attack.op, tile, &mut batch.samples, fixed);
-                out.probes += tile.len() as u64 * u64::from(strategy.probes_per_measurement());
-                let threshold = self.attack.threshold;
-                batch
-                    .mapped
-                    .extend(batch.samples.iter().map(|&s| threshold.is_mapped(s)));
-                batch.settled.resize(tile.len(), true);
-            }
-        }
+        out.probes += self.tile.classify(&self.attack, p, tile);
+        let batch = &self.tile.batch;
         for (i, &addr) in tile.iter().enumerate() {
             self.monitor
                 .observe(self.processed, addr, batch.samples[i], batch.settled[i]);
@@ -518,7 +563,8 @@ impl Recalibrating {
         call_base: usize,
         out: &mut SweepClassification,
     ) {
-        let window = self.monitor.samples();
+        self.refit_window.clear();
+        self.refit_window.extend(self.monitor.samples());
         // The EM re-fit recovers both band means and the live σ when
         // the window genuinely straddles both populations. Mid-ramp,
         // though, EM can "discover" two modes *inside* one noise band
@@ -534,7 +580,7 @@ impl Recalibrating {
         // model is refreshed, from the freshest half of the window so
         // a still-running ramp is tracked rather than averaged away.
         let tolerance = (self.reference.margin / 2.0).max(2.0);
-        let fit = Threshold::refit_bimodal(&window)
+        let fit = Threshold::refit_bimodal(&self.refit_window)
             .filter(|f| (f.threshold.value - self.reference.value).abs() <= tolerance)
             .unwrap_or(CalibrationFit {
                 threshold: self.attack.threshold,
@@ -551,11 +597,6 @@ impl Recalibrating {
             fit,
         });
         out.refits += 1;
-        let targets = if self.config.rescan {
-            self.monitor.rescan_targets(call_base)
-        } else {
-            Vec::new()
-        };
 
         self.attack.threshold = fit.threshold;
         if let Some(old) = self.attack.sampler {
@@ -564,23 +605,40 @@ impl Recalibrating {
             // over from the old sampler.
             self.attack.sampler = Sampling::Adaptive(old.config).sampler_from_fit(&fit);
         }
+        if self.config.rescan {
+            self.rescan(p, call_base, out);
+        }
         self.monitor
             .note_refit(fit.sigma.max(self.config.sigma_floor));
+    }
 
-        if targets.is_empty() {
-            return;
-        }
-        // Rescan: the window's candidates were decided under the stale
-        // fit while the drift built up — re-classify them with the
-        // fresh one. Only entries of the *current* call can be patched
-        // (earlier chunks of a streaming scan are already consumed).
-        let addrs: Vec<VirtAddr> = targets.iter().map(|&(_, a)| a).collect();
-        let redo = self.attack.sweep(p, &addrs);
-        out.probes += redo.probes;
-        for (t, &(index, _)) in targets.iter().enumerate() {
-            let local = index - call_base;
-            out.samples[local] = redo.samples[t];
-            out.mapped[local] = redo.mapped[t];
+    /// Rescan: the window's candidates were decided under the stale fit
+    /// while the drift built up — re-classify them with the fresh one,
+    /// in tiles of [`ProbeStrategy::BATCH_TILE`] through the driver's
+    /// tile buffers. Only entries of the *current* call can be patched
+    /// (earlier chunks of a streaming scan are already consumed); their
+    /// indices rise in arrival order, so they are a suffix of the
+    /// window.
+    fn rescan<P: Prober + ?Sized>(
+        &mut self,
+        p: &mut P,
+        call_base: usize,
+        out: &mut SweepClassification,
+    ) {
+        let entries = &self.monitor.entries;
+        let first = entries.partition_point(|e| e.index < call_base);
+        for start in (first..entries.len()).step_by(ProbeStrategy::BATCH_TILE) {
+            let end = (start + ProbeStrategy::BATCH_TILE).min(entries.len());
+            let targets = entries.range(start..end);
+            self.rescan_tile.clear();
+            self.rescan_tile.extend(targets.clone().map(|e| e.addr));
+            out.probes += self.tile.classify(&self.attack, p, &self.rescan_tile);
+            let batch = &self.tile.batch;
+            for (e, (&sample, &mapped)) in targets.zip(batch.samples.iter().zip(&batch.mapped)) {
+                let local = e.index - call_base;
+                out.samples[local] = sample;
+                out.mapped[local] = mapped;
+            }
         }
     }
 }
@@ -598,14 +656,19 @@ impl Recalibrating {
 pub struct RecalibratingMinFilter {
     filter: AdaptiveMinFilter,
     config: RecalConfig,
+    /// The window of floors in arrival order (for eviction) and as
+    /// sorted runs (its whole-window MAD, the unsplit case of
+    /// [`DriftMonitor::band_dispersion`]).
     window: VecDeque<u64>,
+    sorted: SampleRuns,
     /// Quiet-phase reference dispersion, established from the first
     /// full window.
     baseline: Option<f64>,
     since_escalation: usize,
     escalations: u32,
-    /// Reused MAD buffer (one dispersion check per probe tile).
-    scratch: Vec<u64>,
+    /// Reused per-tile buffers (no allocation per sweep tile).
+    batch: MinFilterBatch,
+    scratch: MinFilterScratch,
 }
 
 /// Hard cap on the escalated min-filter width.
@@ -619,10 +682,12 @@ impl RecalibratingMinFilter {
             filter,
             config,
             window: VecDeque::with_capacity(config.window.max(1)),
+            sorted: SampleRuns::default(),
             baseline: None,
             since_escalation: config.cooldown,
             escalations: 0,
-            scratch: Vec::with_capacity(config.window.max(1)),
+            batch: MinFilterBatch::with_capacity(ProbeStrategy::BATCH_TILE),
+            scratch: MinFilterScratch::default(),
         }
     }
 
@@ -651,16 +716,26 @@ impl RecalibratingMinFilter {
         let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
         for chunk in range.tiles() {
             chunk.fill(&mut tile);
-            let batch = self.filter.measure_batch(p, avx_uarch::OpKind::Load, &tile);
-            probes += batch.total_probes();
-            for &floor in &batch.mins {
+            self.batch.clear();
+            self.filter.measure_tile(
+                p,
+                avx_uarch::OpKind::Load,
+                &tile,
+                &mut self.batch,
+                &mut self.scratch,
+            );
+            probes += self.batch.total_probes();
+            for &floor in &self.batch.mins {
                 if self.window.len() >= self.config.window.max(1) {
-                    self.window.pop_front();
+                    if let Some(old) = self.window.pop_front() {
+                        self.sorted.remove(old);
+                    }
                 }
                 self.window.push_back(floor);
+                self.sorted.insert(floor);
                 self.since_escalation = self.since_escalation.saturating_add(1);
             }
-            floors.extend_from_slice(&batch.mins);
+            floors.extend_from_slice(&self.batch.mins);
             self.maybe_escalate();
         }
         (floors, probes)
@@ -672,8 +747,7 @@ impl RecalibratingMinFilter {
         if self.window.len() < self.config.min_samples.max(1) {
             return;
         }
-        let dispersion =
-            mad_sigma_scratch(self.window.iter().copied(), &mut self.scratch).unwrap_or(0.0);
+        let dispersion = mad_sigma_runs(self.sorted.runs()).unwrap_or(0.0);
         let Some(baseline) = self.baseline else {
             if self.window.len() >= self.config.window.max(1) {
                 self.baseline = Some(dispersion);

@@ -205,13 +205,13 @@ fn doubled_median(v: &mut [u64]) -> Option<u64> {
     Some(below + upper)
 }
 
-/// Allocation-free variant of [`mad_sigma`] for per-tile hot paths
-/// (the recalibration [`crate::recal::DriftMonitor`] runs one of these
-/// per probe tile): identical result, with all intermediate values
-/// kept in the caller's reused `scratch` buffer. On return only the
-/// length of `scratch` is meaningful — the sample count, which callers
-/// use for minimum-band-size checks; its contents are in no particular
-/// order.
+/// Allocation-free variant of [`mad_sigma`] for repeated estimates
+/// (the σ refresh of [`crate::recal::DriftMonitor::fresh_sigma`]; the
+/// per-tile drift check walks a sorted run-length window instead):
+/// identical result, with all intermediate values kept in the caller's
+/// reused `scratch` buffer. On return only the length of `scratch` is
+/// meaningful — the sample count, which callers use for minimum-band-
+/// size checks; its contents are in no particular order.
 ///
 /// Works in doubled integer units with two O(n) selections instead of
 /// two `f64` sorts: `center2 = 2·median(x)`, each deviation is
@@ -234,6 +234,99 @@ pub fn mad_sigma_scratch(
         *v = (2 * *v).abs_diff(center2);
     }
     let dev4 = doubled_median(scratch)?;
+    Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
+}
+
+/// A multiset of samples kept as `(value, count)` runs sorted by value.
+/// The sliding windows of [`crate::recal`] hold a dozen to a few dozen
+/// distinct cycle counts among 128 samples: they update it with one
+/// binary search per sample (plus a shift when a run appears or
+/// empties) and read its MAD in O(runs) with [`mad_sigma_runs`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SampleRuns {
+    runs: Vec<(u64, usize)>,
+}
+
+impl SampleRuns {
+    /// Adds one sample. Samples must lie below [`MAD_EXACT_LIMIT`]
+    /// (debug-asserted), the domain where [`mad_sigma_runs`] is exact.
+    pub(crate) fn insert(&mut self, x: u64) {
+        debug_assert!(
+            x < MAD_EXACT_LIMIT,
+            "SampleRuns: sample outside the exact domain (< 2^52)"
+        );
+        match self.runs.binary_search_by_key(&x, |&(v, _)| v) {
+            Ok(i) => self.runs[i].1 += 1,
+            Err(i) => self.runs.insert(i, (x, 1)),
+        }
+    }
+
+    /// Removes one copy of a sample the multiset holds.
+    pub(crate) fn remove(&mut self, x: u64) {
+        let i = self
+            .runs
+            .binary_search_by_key(&x, |&(v, _)| v)
+            .expect("removing a sample the window does not hold");
+        self.runs[i].1 -= 1;
+        if self.runs[i].1 == 0 {
+            self.runs.remove(i);
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+    }
+
+    /// The runs, sorted by value, every count ≥ 1.
+    pub(crate) fn runs(&self) -> &[(u64, usize)] {
+        &self.runs
+    }
+}
+
+/// Twice the median of the multiset whose `n` values arrive as
+/// `(value, count)` runs in ascending order: the same sum of middle
+/// order statistics as [`doubled_median`]. `None` when `n` is 0.
+fn doubled_median_of_runs(sorted: impl Iterator<Item = (u64, usize)>, n: usize) -> Option<u64> {
+    let (lower_rank, upper_rank) = (n.checked_sub(1)? / 2, n / 2);
+    let mut seen = 0;
+    let mut lower = None;
+    for (x, count) in sorted {
+        seen += count;
+        if seen > lower_rank {
+            let lower = *lower.get_or_insert(x);
+            if seen > upper_rank {
+                return Some(lower + x);
+            }
+        }
+    }
+    None
+}
+
+/// [`mad_sigma_scratch`] over a sorted run-length multiset (a
+/// [`SampleRuns`] or a slice of one): the same doubled-unit order
+/// statistics, read by walking the runs instead of selecting, so the
+/// result is bit-identical for values below [`MAD_EXACT_LIMIT`].
+///
+/// The doubled center comes from one ascending walk; the deviations
+/// `|2x − center2|` of the runs below and above the center each rise
+/// away from it, so merging the two outward walks yields them in
+/// ascending order for the second. O(d) in the number of runs.
+pub(crate) fn mad_sigma_runs(runs: &[(u64, usize)]) -> Option<f64> {
+    let n = runs.iter().map(|&(_, count)| count).sum();
+    let center2 = doubled_median_of_runs(runs.iter().copied(), n)?;
+    let split = runs.partition_point(|&(x, _)| 2 * x < center2);
+    let mut below = runs[..split].iter().rev().peekable();
+    let mut above = runs[split..].iter().peekable();
+    let deviations = std::iter::from_fn(|| {
+        let low = below.peek().map(|&&(x, count)| (center2 - 2 * x, count));
+        let high = above.peek().map(|&&(x, count)| (2 * x - center2, count));
+        match (low, high) {
+            (Some(l), Some(h)) if l.0 <= h.0 => below.next().and(low),
+            (Some(_), None) => below.next().and(low),
+            _ => above.next().and(high),
+        }
+    });
+    let dev4 = doubled_median_of_runs(deviations, n)?;
     Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
 }
 
@@ -625,6 +718,47 @@ mod tests {
                 .collect();
             check(&samples);
         }
+    }
+
+    #[test]
+    fn run_length_mad_is_bit_identical_to_the_selection_mad() {
+        let mut state = 0x5e1_ec7_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            crate::fleet::splitmix64(state) % bound
+        };
+        let top = MAD_EXACT_LIMIT - 1;
+        let mut scratch = Vec::new();
+        for case in 0..1_500u64 {
+            // A sliding window over a stream: every removal and
+            // insertion keeps the runs equal to the window's multiset.
+            let window = 1 + next(150) as usize;
+            let mut fifo = std::collections::VecDeque::new();
+            let mut runs = SampleRuns::default();
+            for _ in 0..window + next(64) as usize {
+                let x = match case % 4 {
+                    0 => 90 + next(30) + if next(16) == 0 { 4_000 } else { 0 },
+                    1 => [93, 107][next(2) as usize] + next(3),
+                    2 => top - next(8),
+                    _ => [next(4), top - next(4)][next(2) as usize],
+                };
+                if fifo.len() == window {
+                    runs.remove(fifo.pop_front().unwrap());
+                }
+                fifo.push_back(x);
+                runs.insert(x);
+                assert!(runs.runs().windows(2).all(|w| w[0].0 < w[1].0));
+                let selected = mad_sigma_scratch(fifo.iter().copied(), &mut scratch);
+                let walked = mad_sigma_runs(runs.runs());
+                assert_eq!(
+                    walked.map(f64::to_bits),
+                    selected.map(f64::to_bits),
+                    "{fifo:?}"
+                );
+            }
+        }
+        assert_eq!(mad_sigma_runs(&[]), None);
+        assert_eq!(mad_sigma_runs(&[(top, 1)]), Some(0.0));
     }
 
     #[test]

@@ -19,12 +19,18 @@
 //!    [`Threshold::from_bimodal_samples`] k-means split placed it,
 //!    within tolerance, while additionally recovering the environment
 //!    σ the k-means path never produced.
+//!
+//! And one oracle: the run-length [`DriftMonitor`] reads the same
+//! trigger decisions, payload bits and dispersions as a verbatim copy
+//! of the selection-based monitor it replaced
+//! (`support/drift_reference.rs`).
 
 use proptest::prelude::*;
 
 use avx_channel::attacks::kaslr::KernelBaseFinder;
 use avx_channel::attacks::modules::ModuleScanner;
-use avx_channel::recal::{DriftMonitor, RecalConfig, Recalibrating};
+use avx_channel::fleet::splitmix64;
+use avx_channel::recal::{DriftMonitor, DriftSignal, RecalConfig, Recalibrating};
 use avx_channel::sweep::AddrRange;
 use avx_channel::{AdaptiveSampler, PageTableAttack, ProbeStrategy, SimProber, Threshold};
 use avx_mmu::VirtAddr;
@@ -40,6 +46,115 @@ fn quiet_prober(seed: u64) -> (SimProber, avx_os::LinuxTruth) {
 
 fn va(i: u64) -> VirtAddr {
     VirtAddr::new_truncate(0xffff_ffff_8000_0000 + i * 0x1000)
+}
+
+#[path = "support/drift_reference.rs"]
+mod drift_reference;
+
+/// A trigger decision by bits: equal only if the variant and every
+/// payload bit are (NaN-safe, unlike `PartialEq`).
+fn signal_bits(signal: Option<DriftSignal>) -> Option<(u8, u64, u64)> {
+    signal.map(|s| match s {
+        DriftSignal::Dispersion { measured, limit } => (0, measured.to_bits(), limit.to_bits()),
+        DriftSignal::Unsettled { rate } => (1, rate.to_bits(), 0),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The run-length window against the selection-based reference:
+    /// after every tile, `check` (payload bits included),
+    /// `band_dispersion`, `fresh_sigma`, `unsettled_fraction` and the
+    /// arrival-order samples agree at boundaries that leave a band
+    /// empty or thin, equal a sample value, or are NaN or ±∞. Streams
+    /// carry duplicates and 4000-cycle spikes; windows run from 1 to
+    /// 200 samples (shorter than a tile, a tile evicts its own
+    /// samples); refits reset the window mid-stream.
+    #[test]
+    fn drift_monitor_matches_the_selection_reference(
+        seed in any::<u64>(),
+        window in prop_oneof![1usize..=16, 1usize..=200],
+        min_samples in 0usize..80,
+        cooldown in 0usize..80,
+        tile_len in 1usize..=16,
+        shape in 0u8..4,
+    ) {
+        let config = RecalConfig {
+            window,
+            min_samples,
+            cooldown,
+            dispersion_ratio: 1.5,
+            sigma_floor: 0.5,
+            unsettled_rate: 0.2,
+            ..RecalConfig::default()
+        };
+        let mut new = DriftMonitor::new(config, 1.0);
+        let mut old = drift_reference::DriftMonitor::new(config, 1.0);
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            splitmix64(state) % bound
+        };
+        let len = 200 + next(400) as usize;
+        let mut index = 0usize;
+        while index < len {
+            let mut last = 0;
+            for _ in 0..tile_len.min(len - index) {
+                let sample = match shape {
+                    // One tight band: mostly duplicates.
+                    0 => 107 + next(3),
+                    // Two bands, as a sweep window holds them.
+                    1 => [93, 107][next(2) as usize] + next(5),
+                    // A wide spread of distinct values.
+                    2 => 80 + next(60),
+                    // One band with a thin second band beside it.
+                    _ => if next(20) == 0 { 93 } else { 107 + next(2) },
+                } + if next(16) == 0 { 4_000 } else { 0 };
+                let settled = next(4) != 0;
+                new.observe(index, va(index as u64), sample, settled);
+                old.observe(index, va(index as u64), sample, settled);
+                last = sample;
+                index += 1;
+            }
+            if next(12) == 0 {
+                let sigma = 0.5 + next(8) as f64;
+                new.note_refit(sigma);
+                old.note_refit(sigma);
+            }
+            prop_assert_eq!(new.samples().collect::<Vec<_>>(), old.samples());
+            prop_assert_eq!(
+                new.unsettled_fraction().to_bits(),
+                old.unsettled_fraction().to_bits()
+            );
+            for boundary in [
+                100.0,
+                93.0,
+                last as f64,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                4_100.5,
+            ] {
+                let at = format!("index {index}, boundary {boundary}");
+                prop_assert_eq!(
+                    signal_bits(new.check(boundary)),
+                    signal_bits(old.check(boundary)),
+                    "check at {}", at
+                );
+                prop_assert_eq!(
+                    new.band_dispersion(boundary).to_bits(),
+                    old.band_dispersion(boundary).to_bits(),
+                    "band_dispersion at {}", at
+                );
+                prop_assert_eq!(
+                    new.fresh_sigma(boundary).to_bits(),
+                    old.fresh_sigma(boundary).to_bits(),
+                    "fresh_sigma at {}", at
+                );
+            }
+        }
+    }
 }
 
 proptest! {
