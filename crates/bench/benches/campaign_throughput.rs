@@ -1,9 +1,9 @@
 //! End-to-end campaign throughput: probes/sec and trials/sec over the
 //! full attack × CPU × noise grid, plus the quiet Fig. 4 sweep.
 //!
-//! This is the perf-trajectory bench: the same measurements back the
-//! `repro --bench-json` flag, which records them in
-//! `BENCH_campaign.json` so regressions across PRs are visible.
+//! The same measurements back the release throughput smoke
+//! (`tests/throughput_smoke.rs`). Performance claims use the repository
+//! benchmark, `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

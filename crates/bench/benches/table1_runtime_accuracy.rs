@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avx_bench::{accuracy_trials, calibrate, linux_prober, paper};
+use avx_bench::{calibrate, linux_prober, paper, Cli};
 use avx_channel::report::{fmt_seconds, Table};
 use avx_channel::{AmdKernelBaseFinder, KernelBaseFinder};
 use avx_uarch::CpuProfile;
@@ -21,7 +21,15 @@ use avx_uarch::CpuProfile;
 fn print_table1() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let trials = accuracy_trials();
+        // `cargo bench` passes its own flags, so only the environment
+        // is parsed: `AVX_TRIALS` through the repro binary's parser.
+        let trials = match Cli::parse(std::iter::empty::<&str>(), |name| std::env::var(name).ok()) {
+            Ok(cli) => cli.trials,
+            Err(err) => {
+                eprintln!("table1_runtime_accuracy: {err}");
+                std::process::exit(2);
+            }
+        };
         let rows = avx_channel::attacks::campaign::table1(
             avx_channel::attacks::campaign::CampaignConfig::new(trials, 0),
         );

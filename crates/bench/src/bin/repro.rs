@@ -21,14 +21,16 @@
 //! virtual wall clock mid-scan — a non-preset `--schedule` value is
 //! read as a trace file in the grammar of `docs/VICTIMS.md` — together
 //! they reproduce the probes-per-address numbers of the noise-scenario
-//! matrix and the drifting-noise recovery row. The output of this
-//! binary is what `EXPERIMENTS.md` records.
+//! matrix and the drifting-noise recovery row. Each flag has an `AVX_*`
+//! environment fallback, and `--fleet N` switches to the population
+//! sweep ([`avx_bench::Cli`] lists them all). An unknown flag or name, a
+//! number that does not parse, or an unreadable or invalid trace file
+//! is refused with a message and exit status 2. The README and
+//! `ARCHITECTURE.md` record what this binary prints.
 
-use avx_bench::{
-    accuracy_trials, calibrate, calibrator_kind, confirm_config, linux_prober, linux_prober_with,
-    noise_profile, observables_version, paper, recal_config, sampling_policy, schedule_spec,
-};
+use avx_bench::{calibrate, linux_prober, linux_prober_with, paper, Cli, Trace, TRACE_SEED};
 use avx_channel::attacks::behavior::{SpyConfig, TlbSpy};
+use avx_channel::attacks::campaign::CampaignConfig;
 use avx_channel::attacks::cloud::run_scenario;
 use avx_channel::attacks::modules::score;
 use avx_channel::attacks::userspace::{LibraryMatcher, UserSpaceScanner};
@@ -50,54 +52,32 @@ use avx_os::modules::{unique_sized, UBUNTU_18_04_MODULES};
 use avx_os::process::{build_process, ImageSignature};
 use avx_os::windows::{WindowsConfig, WindowsSystem, WindowsVersion};
 use avx_os::ExecutionContext;
-use avx_uarch::{CpuProfile, Event, Machine, MaskedOp, NoiseModel, OpKind, VictimSchedule};
+use avx_uarch::{CpuProfile, Event, Machine, MaskedOp, NoiseModel, OpKind};
 
 fn heading(text: &str) {
     println!("\n## {text}\n");
 }
 
 fn main() {
-    // `repro --bench-json <path>`: standardized end-to-end throughput
-    // measurement only (probes/sec + trials/sec of the full noise grid,
-    // plus the Fig. 4 sweep), written as machine-readable JSON so the
-    // perf trajectory is tracked across PRs in `BENCH_campaign.json`.
-    if let Some(path) = avx_bench::throughput::bench_json_path() {
-        let m = avx_bench::throughput::run_bench_json(&path).expect("write bench json");
-        println!(
-            "campaign throughput: {:.0} probes/s, {:.1} trials/s over {} rows in {:.2} s; \
-             fig4 sweep {:.0} probes/s; drift row {:.0} probes/s at {:.1} % → {}",
-            m.grid.probes_per_sec,
-            m.grid.trials_per_sec,
-            m.grid.rows,
-            m.grid.wall_seconds,
-            m.sweep.probes_per_sec,
-            m.drift.probes_per_sec,
-            m.drift.accuracy_pct,
-            path.display()
-        );
-        println!(
-            "observables v2: grid {:.0} probes/s in {:.2} s; fig4 sweep {:.0} probes/s; \
-             drift row {:.0} probes/s at {:.1} %",
-            m.grid_v2.probes_per_sec,
-            m.grid_v2.wall_seconds,
-            m.sweep_v2.probes_per_sec,
-            m.drift_v2.probes_per_sec,
-            m.drift_v2.accuracy_pct,
-        );
-        return;
-    }
+    let cli = match Cli::from_env() {
+        Ok(cli) => cli,
+        Err(err) => {
+            eprintln!("repro: {err}");
+            std::process::exit(2);
+        }
+    };
 
     // `repro --fleet N [--fleet-shards K] [--fleet-checkpoint <path>]`:
     // streaming population sweep via the fleet engine — constant-memory
     // sharded reducers with checkpoint/resume instead of the figure
     // sections.
-    if let Some(victims) = avx_bench::fleet_victims() {
-        fleet(victims);
+    if let Some(config) = &cli.fleet {
+        fleet(cli.campaign, config.clone());
         return;
     }
 
     println!("# AVX timing side-channel reproduction — full experiment run");
-    println!("(simulated substrate; see DESIGN.md for the substitution statement)");
+    println!("(simulated substrate; see README.md for the substitution statement)");
 
     fig1();
     fig2();
@@ -106,7 +86,7 @@ fn main() {
     prop4();
     prop6();
     fig4();
-    table1();
+    table1(&cli);
     fig5();
     kpti();
     fig6();
@@ -115,13 +95,13 @@ fn main() {
     cloud();
     countermeasures();
     survey();
-    adaptive_economy();
-    calibration_menu();
-    recalibration();
-    confirmation();
-    defense_arena();
-    schedules();
-    full_campaign();
+    adaptive_economy(&cli);
+    calibration_menu(&cli);
+    recalibration(&cli);
+    confirmation(&cli);
+    defense_arena(&cli);
+    schedules(&cli);
+    full_campaign(&cli);
     println!("\ndone.");
 }
 
@@ -131,22 +111,11 @@ fn main() {
 /// canonical `fleet aggregate:` line (bit-identical across shardings
 /// and kill-and-resume boundaries; CI diffs it) and a `victims/sec`
 /// throughput line.
-fn fleet(victims: u64) {
+fn fleet(campaign: CampaignConfig, config: avx_channel::fleet::FleetConfig) {
     use avx_channel::attacks::campaign::Scenario;
-    use avx_channel::fleet::{Fleet, FleetConfig};
+    use avx_channel::fleet::Fleet;
 
     heading("Fleet campaign — kernel-base population sweep");
-    let campaign = avx_bench::cli_config();
-    let mut config = FleetConfig::new(victims);
-    if let Some(shards) = avx_bench::fleet_shards() {
-        config = config.with_shards(shards);
-    }
-    if let Some(path) = avx_bench::fleet_checkpoint() {
-        config = config.with_checkpoint(path);
-    }
-    if let Some(max) = avx_bench::fleet_max_shards() {
-        config = config.with_max_shards(max);
-    }
     let fleet = Fleet::new(
         Scenario::KernelBase,
         CpuProfile::alder_lake_i5_12400f(),
@@ -211,11 +180,11 @@ fn fleet(victims: u64) {
 /// The defense arena: the kernel-base cell against every entry of the
 /// defense menu, quiet and laptop hosts — the per-row efficacy picture
 /// `docs/DEFENSES.md` documents.
-fn defense_arena() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn defense_arena(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::DefenseKind;
     use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+    let trials = cli.trials.min(12);
     heading(&format!(
         "Defense arena — kernel-base attack vs the defense menu (n={trials})"
     ));
@@ -227,9 +196,9 @@ fn defense_arena() {
                 &profile,
                 CampaignConfig::new(trials, 0)
                     .with_noise(noise)
-                    .with_sampling(sampling_policy())
-                    .with_calibrator(calibrator_kind())
-                    .with_observables(observables_version())
+                    .with_sampling(cli.campaign.sampling)
+                    .with_calibrator(cli.campaign.calibrator)
+                    .with_observables(cli.campaign.observables)
                     .with_defense(defense),
             );
             table.row([
@@ -250,10 +219,10 @@ fn defense_arena() {
 /// noise-preset swaps go stale against a one-shot threshold, and the
 /// closed loop recovers through `DriftMonitor::check` alone (see
 /// `docs/VICTIMS.md` for the per-row helps-vs-hurts picture).
-fn schedules() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn schedules(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::{CalibratorKind, RecalConfig, Sampling, ScheduleKind};
-    let trials = accuracy_trials().min(12);
+    let trials = cli.trials.min(12);
     heading(&format!(
         "Event-driven victims — schedule menu (n={trials}, adaptive sampling)"
     ));
@@ -261,7 +230,7 @@ fn schedules() {
     let base = CampaignConfig::new(trials, 0)
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(cli.campaign.observables);
     let mut table = Table::new(["Schedule", "Calibration", "p/addr", "Accuracy"]);
     for schedule in ScheduleKind::ALL {
         for (label, config) in [
@@ -286,36 +255,20 @@ fn schedules() {
         "  (select per run: repro --schedule <none|dvfs-square|cotenant-burst|module-churn> \
          or --schedule <trace-file>)"
     );
-    trace_demo();
+    if let Some(trace) = &cli.trace {
+        trace_demo(trace, cli.campaign);
+    }
 }
 
 /// `--schedule <trace-file>`: one demonstration scan against a
 /// user-authored victim schedule (the trace grammar of
-/// `docs/VICTIMS.md`), reported alongside the preset menu.
-fn trace_demo() {
-    let Some(spec) = schedule_spec() else { return };
-    if avx_channel::ScheduleKind::parse(&spec).is_some() {
-        return;
-    }
-    let text = match std::fs::read_to_string(&spec) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("  trace schedule {spec:?}: unreadable ({err}); demo skipped");
-            return;
-        }
-    };
-    let sched = match VictimSchedule::from_trace(&text, 77) {
-        Ok(sched) => sched,
-        Err(err) => {
-            println!("  trace schedule {spec:?}: {err}; demo skipped");
-            return;
-        }
-    };
-    // The command line's victim flags (`--observables`, `--defense`) and
-    // attacker flags (sampling, `--calibrator`, `--recalibrate`,
-    // `--confirm`) apply exactly as in a campaign trial.
-    let config = avx_bench::cli_config();
-    let (p, truth, scan) = avx_bench::trace_demo_scan(sched, config, 77);
+/// `docs/VICTIMS.md`), reported alongside the preset menu. The command
+/// line's victim flags (`--observables`, `--defense`) and attacker flags
+/// (sampling, `--calibrator`, `--recalibrate`, `--confirm`) apply
+/// exactly as in a campaign trial.
+fn trace_demo(trace: &Trace, config: CampaignConfig) {
+    let spec = &trace.path;
+    let (p, truth, scan) = avx_bench::trace_demo_scan(trace.schedule.clone(), config, TRACE_SEED);
     let fired = p.machine().victim_schedule().map_or(0, |s| s.fired());
     println!(
         "  trace demo {spec:?} (defense={}, confirm={}): base {} (truth {}, {}), {fired} events fired over {} probes",
@@ -334,11 +287,11 @@ fn trace_demo() {
 
 /// The generalized Table I: every §IV attack scenario across the three
 /// evaluated desktop/mobile parts, trials parallelized via rayon.
-fn full_campaign() {
-    use avx_channel::attacks::campaign::{Campaign, CampaignConfig};
+fn full_campaign(cli: &Cli) {
+    use avx_channel::attacks::campaign::Campaign;
     let config = CampaignConfig {
-        trials: accuracy_trials().min(12),
-        ..avx_bench::cli_config()
+        trials: cli.trials.min(12),
+        ..cli.campaign
     };
     heading(&format!(
         "Full campaign — all 8 attacks x 3 CPUs (n={}, noise={}, sampling={}, calibrator={}, recalibrate={}, confirm={}, observables={}, defense={}, schedule={}, rayon-parallel)",
@@ -372,11 +325,11 @@ fn full_campaign() {
 
 /// The adaptive engine's probe economy: the kernel-base cell across
 /// every noise preset, fixed vs fixed-budget vs adaptive.
-fn adaptive_economy() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn adaptive_economy(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::Sampling;
     use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(8);
+    let trials = cli.trials.min(8);
     heading(&format!(
         "Adaptive vs fixed — probes/address x accuracy across the noise matrix (n={trials})"
     ));
@@ -393,8 +346,8 @@ fn adaptive_economy() {
                 CampaignConfig::new(trials, 0)
                     .with_noise(noise)
                     .with_sampling(sampling)
-                    .with_calibrator(calibrator_kind())
-                    .with_observables(observables_version()),
+                    .with_calibrator(cli.campaign.calibrator)
+                    .with_observables(cli.campaign.observables),
             );
             table.row([
                 noise.to_string(),
@@ -415,11 +368,11 @@ fn adaptive_economy() {
 /// min-pulled legacy floor drifts ≈ 8 cycles low and caps accuracy
 /// regardless of the probe budget. Quiet rows ride along to show the
 /// robust estimators cost nothing when the host is quiet.
-fn calibration_menu() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn calibration_menu(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::{CalibratorKind, Sampling};
     use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+    let trials = cli.trials.min(12);
     heading(&format!(
         "Calibration estimators — noise-aware floor fitting (n={trials}, adaptive sampling)"
     ));
@@ -433,7 +386,7 @@ fn calibration_menu() {
                     .with_noise(noise)
                     .with_sampling(Sampling::adaptive())
                     .with_calibrator(calibrator)
-                    .with_observables(observables_version()),
+                    .with_observables(cli.campaign.observables),
             );
             table.row([
                 noise.to_string(),
@@ -452,11 +405,11 @@ fn calibration_menu() {
 /// One-shot calibration goes stale mid-sweep (the SPRT keeps trusting
 /// the quiet-phase σ); the closed loop detects the dispersion shift,
 /// re-fits via the EM threshold re-fit and recovers.
-fn recalibration() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn recalibration(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::{CalibratorKind, RecalConfig, Sampling};
     use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+    let trials = cli.trials.min(12);
     heading(&format!(
         "Closed-loop recalibration — quiet→laptop drift mid-scan (n={trials}, adaptive sampling)"
     ));
@@ -465,7 +418,7 @@ fn recalibration() {
         .with_noise(NoiseProfile::drift_quiet_to_laptop())
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(cli.campaign.observables);
     let mut table = Table::new(["Calibration", "p/addr", "Accuracy"]);
     for (label, config) in [
         ("one-shot", base),
@@ -493,11 +446,11 @@ fn recalibration() {
 /// the legacy first-wins rule latches onto them; the confirmation
 /// layer re-tests every candidate with an escalated budget and a
 /// slot-level sequential test before committing.
-fn confirmation() {
-    use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
+fn confirmation(cli: &Cli) {
+    use avx_channel::attacks::campaign::Scenario;
     use avx_channel::{CalibratorKind, ConfirmConfig, Sampling};
     use avx_uarch::NoiseProfile;
-    let trials = accuracy_trials().min(12);
+    let trials = cli.trials.min(12);
     heading(&format!(
         "Confirmation policy — KPTI trampoline under laptop DVFS (n={trials}, adaptive sampling)"
     ));
@@ -506,7 +459,7 @@ fn confirmation() {
         .with_noise(NoiseProfile::LaptopDvfs)
         .with_sampling(Sampling::adaptive())
         .with_calibrator(CalibratorKind::NoiseAware)
-        .with_observables(observables_version());
+        .with_observables(cli.campaign.observables);
     let mut table = Table::new(["Decision", "p/addr", "Accuracy"]);
     for (label, config) in [
         ("confirm=off (first-wins)", base),
@@ -788,25 +741,28 @@ fn fig4() {
     );
 }
 
-fn table1() {
-    let trials = accuracy_trials();
-    let noise = noise_profile();
-    let sampling = sampling_policy();
-    let calibrator = calibrator_kind();
+fn table1(cli: &Cli) {
+    let CampaignConfig {
+        noise,
+        sampling,
+        calibrator,
+        ..
+    } = cli.campaign;
+    let trials = cli.trials;
     heading(&format!(
         "Table I — runtime and accuracy (n={trials}, noise={noise}, sampling={}, calibrator={calibrator})",
         sampling.name()
     ));
-    let mut config = avx_channel::attacks::campaign::CampaignConfig::new(trials, 0)
-        .with_noise(noise)
-        .with_sampling(sampling)
-        .with_calibrator(calibrator);
-    if let Some(recal) = recal_config() {
-        config = config.with_recalibration(recal);
-    }
-    if let Some(confirm) = confirm_config() {
-        config = config.with_confirmation(confirm);
-    }
+    // Table I runs the paper's victim: the victim-side flags
+    // (`--observables`, `--defense`, `--schedule`) do not apply here.
+    let config = CampaignConfig {
+        recal: cli.campaign.recal,
+        confirm: cli.campaign.confirm,
+        ..CampaignConfig::new(trials, 0)
+            .with_noise(noise)
+            .with_sampling(sampling)
+            .with_calibrator(calibrator)
+    };
     let rows = avx_channel::attacks::campaign::table1(config);
     let mut table = Table::new(["CPU", "Target", "Probing", "Total", "p/addr", "Accuracy"]);
     for row in &rows {
@@ -1007,7 +963,6 @@ fn windows() {
 }
 
 fn cloud() {
-    use avx_channel::attacks::campaign::CampaignConfig;
     heading("§IV-H — cloud KASLR breaks");
     for scenario in CloudScenario::all(99) {
         let report = run_scenario(&scenario, 15, &CampaignConfig::default());

@@ -1,16 +1,21 @@
 //! # avx-bench — the reproduction harness
 //!
 //! Shared machinery for the Criterion benches (one per table/figure of
-//! the paper) and the `repro` binary that regenerates every number in
-//! `EXPERIMENTS.md`.
+//! the paper) and the `repro` binary that regenerates every number the
+//! README and `ARCHITECTURE.md` report. [`Cli`] is the one reader of the
+//! binary's flags and `AVX_*` environment.
 //!
 //! The `paper` module records the published values so every bench can
 //! print a paper-vs-measured comparison next to its timing output.
 
 pub mod throughput;
 
+use std::fmt;
+use std::path::PathBuf;
+
 use avx_channel::attacks::campaign::{CampaignConfig, Scenario};
 use avx_channel::attacks::KaslrScan;
+use avx_channel::fleet::FleetConfig;
 use avx_channel::{
     CalibratorKind, ConfirmConfig, DefenseKind, KernelBaseFinder, RecalConfig, Sampling,
     ScheduleKind, SimProber, Threshold,
@@ -113,250 +118,291 @@ pub fn sigma_only_noise(profile: &CpuProfile) -> NoiseModel {
     NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0))
 }
 
-/// Number of trials for accuracy sweeps; override with the
-/// `AVX_TRIALS` environment variable (the paper uses n = 10000, which
-/// is minutes of simulation — the default keeps `cargo bench` snappy).
-#[must_use]
-pub fn accuracy_trials() -> u64 {
-    std::env::var("AVX_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60)
+/// Seed of the `--schedule <trace-file>` victim schedule and of the
+/// demonstration scan `repro` runs against it.
+pub const TRACE_SEED: u64 = 77;
+
+/// A user-authored victim schedule named by `--schedule <trace-file>`
+/// (the grammar of `docs/VICTIMS.md`).
+#[derive(Clone, Debug)]
+pub struct Trace {
+    /// The path as given.
+    pub path: String,
+    /// The parsed schedule, seeded with [`TRACE_SEED`].
+    pub schedule: VictimSchedule,
 }
 
-/// Noise environment for the campaign sections: `--noise <name>` (or
-/// `--noise=<name>`) on the command line, else the `AVX_NOISE`
-/// environment variable, else the quiet host. Unknown names fall back
-/// to quiet rather than aborting a long repro run.
-#[must_use]
-pub fn noise_profile() -> NoiseProfile {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--noise" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--noise=") {
-            from_args = Some(value.to_string());
-            break;
-        }
-    }
-    from_args
-        .or_else(|| std::env::var("AVX_NOISE").ok())
-        .and_then(|v| NoiseProfile::parse(&v))
-        .unwrap_or(NoiseProfile::Quiet)
+/// Everything the repro harness reads from its command line and its
+/// `AVX_*` environment, validated once by [`Cli::parse`]. A flag beats
+/// its environment variable.
+#[derive(Clone, Debug)]
+pub struct Cli {
+    /// Trials per accuracy sweep: `AVX_TRIALS`, else 60 (the paper
+    /// uses n = 10000, which is minutes of simulation).
+    pub trials: u64,
+    /// The campaign flags over the default trial count and first seed:
+    /// `--noise`, `--adaptive` / `--fixed-budget`, `--calibrator`,
+    /// `--recalibrate`, `--confirm`, `--observables`, `--defense` and a
+    /// preset `--schedule`.
+    pub campaign: CampaignConfig,
+    /// `--schedule <trace-file>`: a non-preset schedule value, read and
+    /// parsed. The campaign itself stays unscheduled.
+    pub trace: Option<Trace>,
+    /// `--fleet N` with `--fleet-shards K`, `--fleet-checkpoint <path>`
+    /// and `--fleet-max-shards M`: the streaming population sweep of
+    /// [`avx_channel::fleet`]. `None` runs the figure/table repro.
+    pub fleet: Option<FleetConfig>,
 }
 
-/// Threshold estimator for the campaign sections:
-/// `--calibrator legacy|trimmed|bimodal|noise-aware` (or
-/// `--calibrator=<name>`) on the command line, else the
-/// `AVX_CALIBRATOR` environment variable, else the historical
-/// [`CalibratorKind::Legacy`] min-pulled floor. Unknown names fall
-/// back to legacy rather than aborting a long repro run.
-#[must_use]
-pub fn calibrator_kind() -> CalibratorKind {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--calibrator" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--calibrator=") {
-            from_args = Some(value.to_string());
-            break;
-        }
-    }
-    from_args
-        .or_else(|| std::env::var("AVX_CALIBRATOR").ok())
-        .and_then(|v| CalibratorKind::parse(&v))
-        .unwrap_or(CalibratorKind::Legacy)
+/// Why [`Cli::parse`] refused its input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// An argument that is not one of the harness's flags.
+    UnknownArgument(String),
+    /// A value-taking flag with nothing after it.
+    MissingValue(&'static str),
+    /// A name outside a flag's menu, or a number that does not parse.
+    InvalidValue {
+        /// The flag or environment variable that carried the value.
+        name: &'static str,
+        /// The value as given.
+        value: String,
+        /// What the flag accepts.
+        expected: &'static str,
+    },
+    /// A non-preset schedule value that is not a readable, valid trace.
+    Trace {
+        /// The flag or environment variable that carried the path.
+        name: &'static str,
+        /// The path as given.
+        path: String,
+        /// The I/O or grammar error.
+        reason: String,
+    },
 }
 
-/// Closed-loop recalibration for the campaign sections: `--recalibrate`
-/// (or `AVX_RECALIBRATE=1`) runs every sweep attack under the
-/// [`avx_channel::recal::Recalibrating`] driver with the pinned default
-/// [`RecalConfig`]. Off by default — the paper's one-shot calibration.
-#[must_use]
-pub fn recal_config() -> Option<RecalConfig> {
-    let from_args = std::env::args().any(|a| a == "--recalibrate");
-    let from_env = std::env::var("AVX_RECALIBRATE")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    (from_args || from_env).then(RecalConfig::default)
-}
-
-/// Confirmation decision layer for the campaign sections: `--confirm`
-/// (or `AVX_CONFIRM=1`) re-tests every needle-in-haystack candidate
-/// through [`avx_channel::decision`] with the pinned default
-/// [`ConfirmConfig`]. Off by default — the historical first-mapped-wins
-/// detection rules.
-#[must_use]
-pub fn confirm_config() -> Option<ConfirmConfig> {
-    let from_args = std::env::args().any(|a| a == "--confirm");
-    let from_env = std::env::var("AVX_CONFIRM")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    (from_args || from_env).then(ConfirmConfig::default)
-}
-
-/// Observables regime for the campaign sections:
-/// `--observables v1|v2` (or `--observables=<name>`) on the command
-/// line, else the `AVX_OBSERVABLES` environment variable, else the
-/// bit-exact [`ObservablesVersion::V1`] stream. Unknown names fall back
-/// to v1 rather than aborting a long repro run.
-#[must_use]
-pub fn observables_version() -> ObservablesVersion {
-    let mut args = std::env::args();
-    let mut from_args = None;
-    while let Some(arg) = args.next() {
-        if arg == "--observables" {
-            from_args = args.next();
-            break;
-        }
-        if let Some(value) = arg.strip_prefix("--observables=") {
-            from_args = Some(value.to_string());
-            break;
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::UnknownArgument(arg) => write!(f, "unknown argument {arg:?}"),
+            CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            CliError::InvalidValue {
+                name,
+                value,
+                expected,
+            } => write!(f, "invalid {name} value {value:?}: expected {expected}"),
+            CliError::Trace { name, path, reason } => {
+                write!(f, "invalid {name} value {path:?}: {reason}")
+            }
         }
     }
-    from_args
-        .or_else(|| std::env::var("AVX_OBSERVABLES").ok())
-        .and_then(|v| ObservablesVersion::parse(&v))
-        .unwrap_or(ObservablesVersion::V1)
 }
 
-/// Victim-side defense for the campaign sections:
-/// `--defense none|masked|rerandomizing` (or `--defense=<name>`) on the
-/// command line, else the `AVX_DEFENSE` environment variable, else the
-/// undefended [`DefenseKind::None`] victim — which is architecturally
-/// silent, so the default repro output is bit-exact. Unknown names fall
-/// back to none rather than aborting a long repro run.
-#[must_use]
-pub fn defense_kind() -> DefenseKind {
-    arg_value("defense")
-        .or_else(|| std::env::var("AVX_DEFENSE").ok())
-        .and_then(|v| DefenseKind::parse(&v))
-        .unwrap_or(DefenseKind::None)
-}
+impl std::error::Error for CliError {}
 
-/// Raw victim-schedule selector for the campaign sections:
-/// `--schedule <name|trace-file>` (or `--schedule=<value>`) on the
-/// command line, else the `AVX_SCHEDULE` environment variable. The
-/// repro binary treats values that are not preset names as trace-file
-/// paths (see `docs/VICTIMS.md` for the grammar).
-#[must_use]
-pub fn schedule_spec() -> Option<String> {
-    arg_value("schedule").or_else(|| std::env::var("AVX_SCHEDULE").ok())
-}
+/// The value-taking flags, each with the environment variable behind it.
+const KNOBS: [(&str, &str); 9] = [
+    ("--noise", "AVX_NOISE"),
+    ("--calibrator", "AVX_CALIBRATOR"),
+    ("--observables", "AVX_OBSERVABLES"),
+    ("--defense", "AVX_DEFENSE"),
+    ("--schedule", "AVX_SCHEDULE"),
+    ("--fleet", "AVX_FLEET"),
+    ("--fleet-shards", "AVX_FLEET_SHARDS"),
+    ("--fleet-checkpoint", "AVX_FLEET_CHECKPOINT"),
+    ("--fleet-max-shards", "AVX_FLEET_MAX_SHARDS"),
+];
 
-/// Victim event schedule for the campaign sections, resolved to a
-/// preset: `--schedule none|dvfs-square|cotenant-burst|module-churn`
-/// (or `AVX_SCHEDULE=<name>`), else the event-free
-/// [`ScheduleKind::None`] victim — which installs nothing, so the
-/// default repro output is bit-exact. Non-preset values (trace-file
-/// paths, typos) fall back to none here; the repro binary's schedule
-/// section separately demonstrates trace files.
-#[must_use]
-pub fn schedule_kind() -> ScheduleKind {
-    schedule_spec()
-        .and_then(|v| ScheduleKind::parse(&v))
-        .unwrap_or(ScheduleKind::None)
-}
+/// The switches, with the environment variable behind each one that
+/// has one.
+const SWITCHES: [(&str, Option<&str>); 4] = [
+    ("--adaptive", Some("AVX_ADAPTIVE")),
+    ("--fixed-budget", None),
+    ("--recalibrate", Some("AVX_RECALIBRATE")),
+    ("--confirm", Some("AVX_CONFIRM")),
+];
 
-/// Value of `--<name> <value>` or `--<name>=<value>` on the command
-/// line. Exact-name match: `--fleet` never swallows `--fleet-shards`.
-fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
-        }
-        if let Some(value) = arg.strip_prefix(&prefixed) {
-            return Some(value.to_string());
-        }
+const NUMBER: &str = "a non-negative integer";
+
+impl Cli {
+    /// [`Cli::parse`] over the process's arguments (program name
+    /// skipped) and environment. Bytes that are not UTF-8 become
+    /// U+FFFD, so they never match a flag or a name.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cli::parse`].
+    pub fn from_env() -> Result<Self, CliError> {
+        Self::parse(
+            std::env::args_os()
+                .skip(1)
+                .map(|arg| arg.to_string_lossy().into_owned()),
+            |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()),
+        )
     }
-    None
-}
 
-/// Fleet population size: `--fleet N` (or `AVX_FLEET=N`) switches the
-/// repro binary into the streaming population-sweep mode of
-/// [`avx_channel::fleet`]. `None` — the default — runs the classic
-/// figure/table repro.
-#[must_use]
-pub fn fleet_victims() -> Option<u64> {
-    arg_value("fleet")
-        .or_else(|| std::env::var("AVX_FLEET").ok())
-        .and_then(|v| v.parse().ok())
-}
+    /// Parses `args` (`--flag value` or `--flag=value`; the first
+    /// occurrence of a flag wins) over the `AVX_*` variables `env`
+    /// returns. An empty variable counts as unset, and a switch's
+    /// variable is on unless it is `0` or `false`. `--adaptive` (or
+    /// `AVX_ADAPTIVE`) beats `--fixed-budget`. A `--schedule` value that
+    /// is not a preset name is read as a trace file.
+    ///
+    /// # Errors
+    ///
+    /// An unknown argument, a flag without its value, a name outside a
+    /// flag's menu, a number that does not parse, or a trace file that
+    /// cannot be read or that [`VictimSchedule::from_trace`] rejects.
+    pub fn parse<I>(args: I, env: impl Fn(&str) -> Option<String>) -> Result<Self, CliError>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut switches: Vec<&'static str> = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let arg = arg.as_ref();
+            if let Some(&(flag, _)) = SWITCHES.iter().find(|(flag, _)| *flag == arg) {
+                switches.push(flag);
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg, None),
+            };
+            let Some(&(flag, _)) = KNOBS.iter().find(|(flag, _)| *flag == name) else {
+                return Err(CliError::UnknownArgument(arg.to_string()));
+            };
+            let value = match inline {
+                Some(value) => value,
+                None => match args.next() {
+                    Some(value) => value.as_ref().to_string(),
+                    None => return Err(CliError::MissingValue(flag)),
+                },
+            };
+            if given.iter().all(|(seen, _)| *seen != flag) {
+                given.push((flag, value));
+            }
+        }
+        let from_env = |var: &'static str| env(var).filter(|v| !v.is_empty()).map(|v| (var, v));
+        // The value of `flag`, else of its variable, with the name it came under.
+        let raw = |flag: &str| {
+            let &(flag, var) = KNOBS.iter().find(|(f, _)| *f == flag).expect("a knob");
+            match given.iter().find(|(seen, _)| *seen == flag) {
+                Some((_, value)) => Some((flag, value.clone())),
+                None => from_env(var),
+            }
+        };
+        let switch = |flag: &str| {
+            let (_, var) = SWITCHES.iter().find(|(f, _)| *f == flag).expect("a switch");
+            switches.contains(&flag)
+                || var
+                    .and_then(from_env)
+                    .is_some_and(|(_, v)| !(v == "0" || v.eq_ignore_ascii_case("false")))
+        };
+        let number = |flag| typed(raw(flag), NUMBER, |v| v.parse::<u64>().ok());
 
-/// Fleet shard count: `--fleet-shards K` (or `AVX_FLEET_SHARDS=K`)
-/// partitions the population into K contiguous shards instead of the
-/// default ~1024-victim shard size.
-#[must_use]
-pub fn fleet_shards() -> Option<u64> {
-    arg_value("fleet-shards")
-        .or_else(|| std::env::var("AVX_FLEET_SHARDS").ok())
-        .and_then(|v| v.parse().ok())
-}
+        let (schedule, trace) = match raw("--schedule") {
+            None => (ScheduleKind::None, None),
+            Some((name, path)) => match ScheduleKind::parse(&path) {
+                Some(schedule) => (schedule, None),
+                None => (ScheduleKind::None, Some(Trace::read(name, path)?)),
+            },
+        };
+        let default = CampaignConfig::default();
+        let campaign = CampaignConfig {
+            noise: typed(
+                raw("--noise"),
+                "quiet, smt, laptop, cloud or drift",
+                NoiseProfile::parse,
+            )?
+            .unwrap_or(default.noise),
+            sampling: if switch("--adaptive") {
+                Sampling::adaptive()
+            } else if switch("--fixed-budget") {
+                Sampling::fixed_budget()
+            } else {
+                Sampling::Fixed
+            },
+            calibrator: typed(
+                raw("--calibrator"),
+                "legacy, trimmed, bimodal or noise-aware",
+                CalibratorKind::parse,
+            )?
+            .unwrap_or(default.calibrator),
+            recal: switch("--recalibrate").then(RecalConfig::default),
+            confirm: switch("--confirm").then(ConfirmConfig::default),
+            observables: typed(raw("--observables"), "v1 or v2", ObservablesVersion::parse)?
+                .unwrap_or(default.observables),
+            defense: typed(
+                raw("--defense"),
+                "none, masked or rerandomizing",
+                DefenseKind::parse,
+            )?
+            .unwrap_or(default.defense),
+            schedule,
+            ..default
+        };
 
-/// Fleet checkpoint file: `--fleet-checkpoint <path>` (or
-/// `AVX_FLEET_CHECKPOINT=<path>`) enables shard-granular
-/// checkpoint/resume.
-#[must_use]
-pub fn fleet_checkpoint() -> Option<std::path::PathBuf> {
-    arg_value("fleet-checkpoint")
-        .or_else(|| std::env::var("AVX_FLEET_CHECKPOINT").ok())
-        .map(std::path::PathBuf::from)
-}
+        let shards = number("--fleet-shards")?;
+        let checkpoint = raw("--fleet-checkpoint").map(|(_, path)| PathBuf::from(path));
+        let max_shards = number("--fleet-max-shards")?;
+        let fleet = number("--fleet")?.map(|victims| {
+            let config = FleetConfig {
+                checkpoint,
+                max_shards,
+                ..FleetConfig::new(victims)
+            };
+            match shards {
+                Some(shards) => config.with_shards(shards),
+                None => config,
+            }
+        });
 
-/// Fleet per-run shard cap: `--fleet-max-shards M` (or
-/// `AVX_FLEET_MAX_SHARDS=M`) executes at most M pending shards before
-/// returning — the kill-and-resume lever the CI resume smoke uses.
-#[must_use]
-pub fn fleet_max_shards() -> Option<u64> {
-    arg_value("fleet-max-shards")
-        .or_else(|| std::env::var("AVX_FLEET_MAX_SHARDS").ok())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Probe-budget policy for the campaign sections: `--adaptive` (or
-/// `AVX_ADAPTIVE=1`) switches from the paper's fixed schedule to the
-/// SPRT engine; `--fixed-budget` selects the noise-robust fixed
-/// comparator.
-#[must_use]
-pub fn sampling_policy() -> Sampling {
-    let args: Vec<String> = std::env::args().collect();
-    let env_adaptive = std::env::var("AVX_ADAPTIVE")
-        .map(|v| !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
-        .unwrap_or(false);
-    if args.iter().any(|a| a == "--adaptive") || env_adaptive {
-        Sampling::adaptive()
-    } else if args.iter().any(|a| a == "--fixed-budget") {
-        Sampling::fixed_budget()
-    } else {
-        Sampling::Fixed
+        let trials = typed(from_env("AVX_TRIALS"), NUMBER, |v| v.parse().ok())?;
+        Ok(Self {
+            trials: trials.unwrap_or(60),
+            campaign,
+            trace,
+            fleet,
+        })
     }
 }
 
-/// The campaign config the command-line flags select: `--noise`, the
-/// sampling flags, `--calibrator`, `--recalibrate`, `--confirm`,
-/// `--observables`, `--defense` and `--schedule`, each with its `AVX_*`
-/// fallback, over the default trial count and first seed.
-#[must_use]
-pub fn cli_config() -> CampaignConfig {
-    CampaignConfig {
-        noise: noise_profile(),
-        sampling: sampling_policy(),
-        calibrator: calibrator_kind(),
-        recal: recal_config(),
-        confirm: confirm_config(),
-        observables: observables_version(),
-        defense: defense_kind(),
-        schedule: schedule_kind(),
-        ..CampaignConfig::default()
+/// `parse` applied to a raw value, or the [`CliError::InvalidValue`]
+/// naming its flag or variable.
+fn typed<T>(
+    raw: Option<(&'static str, String)>,
+    expected: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, CliError> {
+    raw.map(|(name, value)| match parse(&value) {
+        Some(parsed) => Ok(parsed),
+        None => Err(CliError::InvalidValue {
+            name,
+            value,
+            expected,
+        }),
+    })
+    .transpose()
+}
+
+impl Trace {
+    fn read(name: &'static str, path: String) -> Result<Self, CliError> {
+        let refuse = |reason: String| CliError::Trace {
+            name,
+            path: path.clone(),
+            reason,
+        };
+        let text = std::fs::read_to_string(&path).map_err(|err| {
+            refuse(format!(
+                "not a preset (none, dvfs-square, cotenant-burst or module-churn) \
+                 and not a readable trace file ({err})"
+            ))
+        })?;
+        let schedule = VictimSchedule::from_trace(&text, TRACE_SEED).map_err(refuse)?;
+        Ok(Self { path, schedule })
     }
 }
 
@@ -435,140 +481,396 @@ mod tests {
         assert_ne!(masked.base, Some(truth.kernel_base));
     }
 
+    type Env<'a> = &'a [(&'a str, &'a str)];
+
+    /// [`Cli::parse`] over `argv` and an environment holding exactly
+    /// `env`.
+    fn parse(argv: &[&str], env: Env) -> Result<Cli, CliError> {
+        Cli::parse(argv, |name| {
+            env.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| (*value).to_string())
+        })
+    }
+
+    fn cli(argv: &[&str], env: Env) -> Cli {
+        parse(argv, env).unwrap_or_else(|err| panic!("{argv:?} {env:?}: {err}"))
+    }
+
+    /// The error `argv` and `env` must produce; its message names the
+    /// argument, flag or variable and the value it refused.
+    fn refusal(argv: &[&str], env: Env) -> CliError {
+        let Err(err) = parse(argv, env) else {
+            panic!("{argv:?} {env:?} must be refused")
+        };
+        let message = err.to_string();
+        let named = match &err {
+            CliError::UnknownArgument(arg) => vec![arg.as_str()],
+            CliError::MissingValue(flag) => vec![*flag],
+            CliError::InvalidValue { name, value, .. } => vec![*name, value.as_str()],
+            CliError::Trace { name, path, .. } => vec![*name, path.as_str()],
+        };
+        for word in named {
+            assert!(message.contains(word), "{message:?} names {word:?}");
+        }
+        err
+    }
+
+    fn invalid(name: &'static str, value: &str, expected: &'static str) -> CliError {
+        CliError::InvalidValue {
+            name,
+            value: value.to_string(),
+            expected,
+        }
+    }
+
     #[test]
     fn trials_default_and_override() {
-        std::env::remove_var("AVX_TRIALS");
-        assert_eq!(accuracy_trials(), 60);
+        let cases: [(Env, u64); 4] = [
+            (&[], 60),
+            (&[("AVX_TRIALS", "")], 60),
+            (&[("AVX_TRIALS", "7")], 7),
+            (&[("AVX_TRIALS", "0")], 0),
+        ];
+        for (env, trials) in cases {
+            assert_eq!(cli(&[], env).trials, trials, "{env:?}");
+        }
+        for bad in ["many", "-1", "1e4", "18446744073709551616"] {
+            assert_eq!(
+                refusal(&[], &[("AVX_TRIALS", bad)]),
+                invalid("AVX_TRIALS", bad, NUMBER)
+            );
+        }
     }
 
     #[test]
     fn noise_and_sampling_defaults_are_the_paper_setup() {
-        std::env::remove_var("AVX_NOISE");
-        std::env::remove_var("AVX_ADAPTIVE");
-        assert_eq!(noise_profile(), NoiseProfile::Quiet);
-        assert_eq!(sampling_policy(), Sampling::Fixed);
-        // Explicitly-off values of the env knob stay off.
-        for off in ["0", "", "false", "FALSE"] {
-            std::env::set_var("AVX_ADAPTIVE", off);
-            assert_eq!(sampling_policy(), Sampling::Fixed, "AVX_ADAPTIVE={off:?}");
+        let default = cli(&[], &[]).campaign;
+        assert_eq!(default.noise, NoiseProfile::Quiet);
+        assert_eq!(default.sampling, Sampling::Fixed);
+        let noise: [(&[&str], Env, NoiseProfile); 5] = [
+            (&["--noise", "smt"], &[], NoiseProfile::SmtSibling),
+            (&["--noise=laptop"], &[], NoiseProfile::LaptopDvfs),
+            (&[], &[("AVX_NOISE", "cloud")], NoiseProfile::NoisyNeighbor),
+            (
+                &["--noise", "smt"],
+                &[("AVX_NOISE", "cloud")],
+                NoiseProfile::SmtSibling,
+            ),
+            (
+                &["--noise", "drift"],
+                &[],
+                NoiseProfile::drift_quiet_to_laptop(),
+            ),
+        ];
+        for (argv, env, expected) in noise {
+            assert_eq!(cli(argv, env).campaign.noise, expected, "{argv:?} {env:?}");
         }
-        std::env::set_var("AVX_ADAPTIVE", "1");
-        assert_eq!(sampling_policy(), Sampling::adaptive());
-        std::env::remove_var("AVX_ADAPTIVE");
+        // `--adaptive` (or a switched-on `AVX_ADAPTIVE`) beats
+        // `--fixed-budget`; explicitly-off values of the variable stay off.
+        let sampling: [(&[&str], Env, Sampling); 8] = [
+            (&[], &[("AVX_ADAPTIVE", "0")], Sampling::Fixed),
+            (&[], &[("AVX_ADAPTIVE", "")], Sampling::Fixed),
+            (&[], &[("AVX_ADAPTIVE", "false")], Sampling::Fixed),
+            (&[], &[("AVX_ADAPTIVE", "FALSE")], Sampling::Fixed),
+            (&[], &[("AVX_ADAPTIVE", "1")], Sampling::adaptive()),
+            (&["--fixed-budget"], &[], Sampling::fixed_budget()),
+            (&["--fixed-budget", "--adaptive"], &[], Sampling::adaptive()),
+            (
+                &["--fixed-budget"],
+                &[("AVX_ADAPTIVE", "1")],
+                Sampling::adaptive(),
+            ),
+        ];
+        for (argv, env, expected) in sampling {
+            assert_eq!(
+                cli(argv, env).campaign.sampling,
+                expected,
+                "{argv:?} {env:?}"
+            );
+        }
+        let expected = "quiet, smt, laptop, cloud or drift";
+        assert_eq!(
+            refusal(&["--noise", "smtt"], &[]),
+            invalid("--noise", "smtt", expected)
+        );
+        assert_eq!(
+            refusal(&[], &[("AVX_NOISE", "smtt")]),
+            invalid("AVX_NOISE", "smtt", expected)
+        );
+        assert_eq!(
+            refusal(&["--noise"], &[]),
+            CliError::MissingValue("--noise")
+        );
     }
 
     #[test]
     fn recalibration_defaults_off_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_RECALIBRATE");
-        assert_eq!(recal_config(), None);
-        std::env::set_var("AVX_RECALIBRATE", "1");
-        assert_eq!(recal_config(), Some(RecalConfig::default()));
-        std::env::set_var("AVX_RECALIBRATE", "0");
-        assert_eq!(recal_config(), None);
-        std::env::remove_var("AVX_RECALIBRATE");
+        let cases: [(&[&str], Env, bool); 5] = [
+            (&[], &[], false),
+            (&[], &[("AVX_RECALIBRATE", "1")], true),
+            (&[], &[("AVX_RECALIBRATE", "0")], false),
+            (&["--recalibrate"], &[], true),
+            (&["--recalibrate"], &[("AVX_RECALIBRATE", "0")], true),
+        ];
+        for (argv, env, on) in cases {
+            let expected = on.then(RecalConfig::default);
+            assert_eq!(cli(argv, env).campaign.recal, expected, "{argv:?} {env:?}");
+        }
     }
 
     #[test]
     fn confirmation_defaults_off_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_CONFIRM");
-        assert_eq!(confirm_config(), None);
-        std::env::set_var("AVX_CONFIRM", "1");
-        assert_eq!(confirm_config(), Some(ConfirmConfig::default()));
-        std::env::set_var("AVX_CONFIRM", "false");
-        assert_eq!(confirm_config(), None);
-        std::env::remove_var("AVX_CONFIRM");
+        let cases: [(&[&str], Env, bool); 5] = [
+            (&[], &[], false),
+            (&[], &[("AVX_CONFIRM", "1")], true),
+            (&[], &[("AVX_CONFIRM", "false")], false),
+            (&["--confirm"], &[], true),
+            (&["--confirm"], &[("AVX_CONFIRM", "false")], true),
+        ];
+        for (argv, env, on) in cases {
+            let expected = on.then(ConfirmConfig::default);
+            assert_eq!(
+                cli(argv, env).campaign.confirm,
+                expected,
+                "{argv:?} {env:?}"
+            );
+        }
     }
 
     #[test]
     fn observables_default_to_v1_and_honor_the_env_knob() {
-        std::env::remove_var("AVX_OBSERVABLES");
-        assert_eq!(observables_version(), ObservablesVersion::V1);
-        std::env::set_var("AVX_OBSERVABLES", "v2");
-        assert_eq!(observables_version(), ObservablesVersion::V2);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_OBSERVABLES", "v9");
-        assert_eq!(observables_version(), ObservablesVersion::V1);
-        std::env::remove_var("AVX_OBSERVABLES");
+        let cases: [(&[&str], Env, ObservablesVersion); 4] = [
+            (&[], &[], ObservablesVersion::V1),
+            (&[], &[("AVX_OBSERVABLES", "v2")], ObservablesVersion::V2),
+            (&["--observables=v2"], &[], ObservablesVersion::V2),
+            (
+                &["--observables", "v1"],
+                &[("AVX_OBSERVABLES", "v2")],
+                ObservablesVersion::V1,
+            ),
+        ];
+        for (argv, env, expected) in cases {
+            assert_eq!(
+                cli(argv, env).campaign.observables,
+                expected,
+                "{argv:?} {env:?}"
+            );
+        }
+        assert_eq!(
+            refusal(&[], &[("AVX_OBSERVABLES", "v9")]),
+            invalid("AVX_OBSERVABLES", "v9", "v1 or v2")
+        );
     }
 
     #[test]
     fn fleet_flags_default_off_and_honor_the_env_knobs() {
-        for var in [
-            "AVX_FLEET",
-            "AVX_FLEET_SHARDS",
-            "AVX_FLEET_CHECKPOINT",
-            "AVX_FLEET_MAX_SHARDS",
-        ] {
-            std::env::remove_var(var);
-        }
-        assert_eq!(fleet_victims(), None);
-        assert_eq!(fleet_shards(), None);
-        assert_eq!(fleet_checkpoint(), None);
-        assert_eq!(fleet_max_shards(), None);
-        std::env::set_var("AVX_FLEET", "100000");
-        assert_eq!(fleet_victims(), Some(100_000));
-        std::env::set_var("AVX_FLEET_SHARDS", "4");
-        assert_eq!(fleet_shards(), Some(4));
-        std::env::set_var("AVX_FLEET_CHECKPOINT", "/tmp/ck.json");
+        assert_eq!(cli(&[], &[]).fleet, None);
+        // The population settings only matter in fleet mode.
+        assert_eq!(cli(&["--fleet-shards", "4"], &[]).fleet, None);
+        let env: Env = &[
+            ("AVX_FLEET", "100000"),
+            ("AVX_FLEET_SHARDS", "4"),
+            ("AVX_FLEET_CHECKPOINT", "ck.json"),
+            ("AVX_FLEET_MAX_SHARDS", "1"),
+        ];
+        let full = FleetConfig::new(100_000)
+            .with_shards(4)
+            .with_checkpoint("ck.json")
+            .with_max_shards(1);
+        assert_eq!(cli(&[], env).fleet, Some(full));
         assert_eq!(
-            fleet_checkpoint(),
-            Some(std::path::PathBuf::from("/tmp/ck.json"))
+            cli(&["--fleet", "2000", "--fleet-shards=8"], env).fleet,
+            Some(
+                FleetConfig::new(2000)
+                    .with_shards(8)
+                    .with_checkpoint("ck.json")
+                    .with_max_shards(1)
+            )
         );
-        std::env::set_var("AVX_FLEET_MAX_SHARDS", "1");
-        assert_eq!(fleet_max_shards(), Some(1));
-        // Unparseable numbers fall back instead of aborting.
-        std::env::set_var("AVX_FLEET", "lots");
-        assert_eq!(fleet_victims(), None);
-        for var in [
-            "AVX_FLEET",
-            "AVX_FLEET_SHARDS",
-            "AVX_FLEET_CHECKPOINT",
-            "AVX_FLEET_MAX_SHARDS",
+        assert_eq!(
+            cli(&["--fleet", "18446744073709551615"], &[]).fleet,
+            Some(FleetConfig::new(u64::MAX))
+        );
+        for (argv, env, name, value) in [
+            (&["--fleet", "lots"][..], &[][..], "--fleet", "lots"),
+            (&[], &[("AVX_FLEET", "lots")], "AVX_FLEET", "lots"),
+            (&["--fleet-shards", "-1"], &[], "--fleet-shards", "-1"),
+            (
+                &["--fleet-max-shards=1.5"],
+                &[],
+                "--fleet-max-shards",
+                "1.5",
+            ),
+            (
+                &["--fleet", "18446744073709551616"],
+                &[],
+                "--fleet",
+                "18446744073709551616",
+            ),
         ] {
-            std::env::remove_var(var);
+            assert_eq!(refusal(argv, env), invalid(name, value, NUMBER));
         }
     }
 
     #[test]
     fn defense_defaults_to_none_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_DEFENSE");
-        assert_eq!(defense_kind(), DefenseKind::None);
-        std::env::set_var("AVX_DEFENSE", "masked");
-        assert_eq!(defense_kind(), DefenseKind::MaskedTranslation);
-        std::env::set_var("AVX_DEFENSE", "rerandomizing");
-        assert_eq!(defense_kind(), DefenseKind::Rerandomizing);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_DEFENSE", "bogus");
-        assert_eq!(defense_kind(), DefenseKind::None);
-        std::env::remove_var("AVX_DEFENSE");
+        let cases: [(&[&str], Env, DefenseKind); 4] = [
+            (&[], &[], DefenseKind::None),
+            (
+                &[],
+                &[("AVX_DEFENSE", "masked")],
+                DefenseKind::MaskedTranslation,
+            ),
+            (
+                &["--defense", "rerandomizing"],
+                &[],
+                DefenseKind::Rerandomizing,
+            ),
+            (
+                &["--defense", "none"],
+                &[("AVX_DEFENSE", "masked")],
+                DefenseKind::None,
+            ),
+        ];
+        for (argv, env, expected) in cases {
+            assert_eq!(
+                cli(argv, env).campaign.defense,
+                expected,
+                "{argv:?} {env:?}"
+            );
+        }
+        assert_eq!(
+            refusal(&["--noise", "smt", "--defense", "masekd"], &[]),
+            invalid("--defense", "masekd", "none, masked or rerandomizing")
+        );
     }
 
     #[test]
     fn schedule_defaults_to_none_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_SCHEDULE");
-        assert_eq!(schedule_kind(), ScheduleKind::None);
-        assert_eq!(schedule_spec(), None);
-        std::env::set_var("AVX_SCHEDULE", "dvfs-square");
-        assert_eq!(schedule_kind(), ScheduleKind::DvfsSquare);
-        std::env::set_var("AVX_SCHEDULE", "cotenant-burst");
-        assert_eq!(schedule_kind(), ScheduleKind::CoTenantBurst);
-        // Non-preset values (trace-file paths) resolve to none at the
-        // preset layer but stay visible through the raw spec.
-        std::env::set_var("AVX_SCHEDULE", "/tmp/victim.trace");
-        assert_eq!(schedule_kind(), ScheduleKind::None);
-        assert_eq!(schedule_spec(), Some("/tmp/victim.trace".to_string()));
-        std::env::remove_var("AVX_SCHEDULE");
+        let default = cli(&[], &[]);
+        assert_eq!(default.campaign.schedule, ScheduleKind::None);
+        assert!(default.trace.is_none());
+        let cases: [(&[&str], Env, ScheduleKind); 3] = [
+            (
+                &[],
+                &[("AVX_SCHEDULE", "dvfs-square")],
+                ScheduleKind::DvfsSquare,
+            ),
+            (
+                &["--schedule=cotenant-burst"],
+                &[],
+                ScheduleKind::CoTenantBurst,
+            ),
+            (
+                &["--schedule", "module-churn"],
+                &[("AVX_SCHEDULE", "dvfs-square")],
+                ScheduleKind::ModuleChurn,
+            ),
+        ];
+        for (argv, env, expected) in cases {
+            let parsed = cli(argv, env);
+            assert_eq!(parsed.campaign.schedule, expected, "{argv:?} {env:?}");
+            assert!(parsed.trace.is_none());
+        }
+
+        // A non-preset value is a trace file: read and parsed here, while
+        // the campaign itself stays unscheduled.
+        let dir = std::env::temp_dir();
+        let good = dir.join(format!("avx-cli-{}-good.trace", std::process::id()));
+        let bad = dir.join(format!("avx-cli-{}-bad.trace", std::process::id()));
+        std::fs::write(&good, "every 8 8 module-load 4\n").unwrap();
+        std::fs::write(&bad, "every 8 8 warp-drive\n").unwrap();
+        let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+        let parsed = cli(&["--schedule", good], &[]);
+        assert_eq!(parsed.campaign.schedule, ScheduleKind::None);
+        let trace = parsed.trace.expect("a trace");
+        assert_eq!(trace.path, good);
+        assert!(trace.schedule.pending() > 0);
+        assert_eq!(
+            cli(&[], &[("AVX_SCHEDULE", good)]).trace.unwrap().path,
+            good
+        );
+
+        let expect_trace_error =
+            |argv: &[&str], env: Env, name: &str, path: &str| match refusal(argv, env) {
+                CliError::Trace {
+                    name: got, path: p, ..
+                } => assert_eq!((got, p.as_str()), (name, path)),
+                other => panic!("{other:?}"),
+            };
+        expect_trace_error(&["--schedule", bad], &[], "--schedule", bad);
+        expect_trace_error(
+            &["--schedule", "/nonexistent.trace"],
+            &[],
+            "--schedule",
+            "/nonexistent.trace",
+        );
+        expect_trace_error(
+            &[],
+            &[("AVX_SCHEDULE", "dvfs-sqaure")],
+            "AVX_SCHEDULE",
+            "dvfs-sqaure",
+        );
+        std::fs::remove_file(good).unwrap();
+        std::fs::remove_file(bad).unwrap();
     }
 
     #[test]
     fn calibrator_defaults_to_legacy_and_honors_the_env_knob() {
-        std::env::remove_var("AVX_CALIBRATOR");
-        assert_eq!(calibrator_kind(), CalibratorKind::Legacy);
-        std::env::set_var("AVX_CALIBRATOR", "noise-aware");
-        assert_eq!(calibrator_kind(), CalibratorKind::NoiseAware);
-        // Unknown names fall back instead of aborting a long repro run.
-        std::env::set_var("AVX_CALIBRATOR", "bogus");
-        assert_eq!(calibrator_kind(), CalibratorKind::Legacy);
-        std::env::remove_var("AVX_CALIBRATOR");
+        let cases: [(&[&str], Env, CalibratorKind); 4] = [
+            (&[], &[], CalibratorKind::Legacy),
+            (
+                &[],
+                &[("AVX_CALIBRATOR", "noise-aware")],
+                CalibratorKind::NoiseAware,
+            ),
+            (&["--calibrator", "bimodal"], &[], CalibratorKind::Bimodal),
+            (
+                &["--calibrator=trimmed"],
+                &[("AVX_CALIBRATOR", "noise-aware")],
+                CalibratorKind::Trimmed,
+            ),
+        ];
+        for (argv, env, expected) in cases {
+            assert_eq!(
+                cli(argv, env).campaign.calibrator,
+                expected,
+                "{argv:?} {env:?}"
+            );
+        }
+        assert_eq!(
+            refusal(&[], &[("AVX_CALIBRATOR", "bogus")]),
+            invalid(
+                "AVX_CALIBRATOR",
+                "bogus",
+                "legacy, trimmed, bimodal or noise-aware"
+            )
+        );
+    }
+
+    #[test]
+    fn unknown_arguments_and_missing_values_are_refused() {
+        for (argv, arg) in [
+            (&["--bench-json", "x"][..], "--bench-json"),
+            (&["--bench-json=x"], "--bench-json=x"),
+            (&["--adaptive=1"], "--adaptive=1"),
+            (&["--noise", "smt", "extra"], "extra"),
+            (&["--bench"], "--bench"),
+            (&["--Noise", "smt"], "--Noise"),
+        ] {
+            assert_eq!(
+                refusal(argv, &[]),
+                CliError::UnknownArgument(arg.to_string())
+            );
+        }
+        for flag in [
+            "--calibrator",
+            "--schedule",
+            "--fleet",
+            "--fleet-checkpoint",
+        ] {
+            assert_eq!(refusal(&[flag], &[]), CliError::MissingValue(flag));
+        }
     }
 }

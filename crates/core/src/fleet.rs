@@ -513,9 +513,11 @@ impl Fleet {
     }
 
     /// Configuration fingerprint a checkpoint is bound to: resuming
-    /// under a different population, sharding, seed, scenario or
-    /// attack configuration is refused rather than silently merging
-    /// incompatible aggregates.
+    /// under a different population, sharding, seed, scenario, CPU or
+    /// campaign configuration is refused rather than silently merging
+    /// incompatible aggregates. Every [`CampaignConfig`] field but the
+    /// ignored `trials` and `seed0` is hashed through its `Debug` form,
+    /// so a new campaign axis is covered without being listed here.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = splitmix64(0xf1ee7);
@@ -528,16 +530,12 @@ impl Fleet {
         ] {
             h = splitmix64(h ^ word);
         }
-        let labels = format!(
-            "{}|{}|{}|{}|{}|{}|{}",
-            self.profile.model,
-            self.campaign.noise,
-            self.campaign.sampling.name(),
-            self.campaign.calibrator.name(),
-            self.campaign.observables.name(),
-            self.campaign.confirm.is_some(),
-            self.campaign.recal.is_some(),
-        );
+        let campaign = CampaignConfig {
+            trials: 0,
+            seed0: 0,
+            ..self.campaign
+        };
+        let labels = format!("{}|{campaign:?}", self.profile.model);
         for byte in labels.bytes() {
             h = splitmix64(h ^ u64::from(byte));
         }
@@ -616,13 +614,17 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns a message when the checkpoint file is unreadable,
-    /// corrupt, or was recorded under a different fleet configuration
-    /// (fingerprint mismatch), or when a checkpoint write fails.
+    /// Returns a message when the shard bitmap or the pending-shard
+    /// list cannot be allocated, when the checkpoint file is
+    /// unreadable, corrupt, or was recorded under a different fleet
+    /// configuration (fingerprint mismatch), or when a checkpoint write
+    /// fails.
     pub fn run(&self) -> Result<FleetReport, String> {
         let start = Instant::now();
         let shards = self.config.shard_count();
-        let mut completed = vec![false; shards as usize];
+        let mut completed = Vec::new();
+        reserve(&mut completed, shards, "shard bitmap")?;
+        completed.resize(shards as usize, false);
         let mut restored = FleetReducer::new();
         if let Some(path) = &self.config.checkpoint {
             if path.exists() {
@@ -663,10 +665,14 @@ impl Fleet {
         }
         let shards_resumed = completed.iter().filter(|&&done| done).count() as u64;
 
-        let mut pending: Vec<u64> = (0..shards).filter(|&s| !completed[s as usize]).collect();
-        if let Some(max) = self.config.max_shards {
-            pending.truncate(max as usize);
-        }
+        let runnable = (shards - shards_resumed).min(self.config.max_shards.unwrap_or(u64::MAX));
+        let mut pending = Vec::new();
+        reserve(&mut pending, runnable, "pending-shard list")?;
+        pending.extend(
+            (0..shards)
+                .filter(|&s| !completed[s as usize])
+                .take(runnable as usize),
+        );
         let shards_run = pending.len() as u64;
         let victims_run: u64 = pending
             .iter()
@@ -711,6 +717,15 @@ impl Fleet {
             wall_seconds: start.elapsed().as_secs_f64(),
         })
     }
+}
+
+/// Reserves room for exactly `len` more elements of `vec`, or names
+/// `what` in the error when the allocation cannot be made.
+fn reserve<T>(vec: &mut Vec<T>, len: u64, what: &str) -> Result<(), String> {
+    usize::try_from(len)
+        .ok()
+        .and_then(|len| vec.try_reserve_exact(len).ok())
+        .ok_or_else(|| format!("cannot allocate the {what} for {len} shards"))
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use avx_channel::attacks::campaign::{CampaignConfig, Scenario, TrialOutcome};
 use avx_channel::fleet::{splitmix64, victim_seed, Checkpoint, Fleet, FleetConfig, FleetReducer};
 use avx_channel::stats::Trials;
-use avx_channel::KptiConfidence;
+use avx_channel::{DefenseKind, KptiConfidence, ScheduleKind};
 use avx_uarch::CpuProfile;
 
 /// A small but real kernel-base fleet: big enough to span several
@@ -201,6 +201,26 @@ fn checkpoint_recorded_under_a_different_config_is_refused() {
     .expect_err("fingerprint mismatch must be refused");
     assert!(err.contains("fingerprint"), "{err}");
 
+    // Different defense or victim schedule — the aggregates measure a
+    // different victim.
+    for campaign in [
+        CampaignConfig::default().with_defense(DefenseKind::MaskedTranslation),
+        CampaignConfig::default().with_schedule(ScheduleKind::DvfsSquare),
+    ] {
+        let err = Fleet::new(
+            Scenario::KernelBase,
+            CpuProfile::alder_lake_i5_12400f(),
+            campaign,
+            FleetConfig::new(40)
+                .with_pool(4)
+                .with_shards(4)
+                .with_checkpoint(&path),
+        )
+        .run()
+        .expect_err("fingerprint mismatch must be refused");
+        assert!(err.contains("fingerprint"), "{err}");
+    }
+
     // Different shard count — the bitmap no longer lines up.
     let err = small_fleet(
         FleetConfig::new(40)
@@ -216,6 +236,19 @@ fn checkpoint_recorded_under_a_different_config_is_refused() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_population_too_large_to_track_is_an_error_not_an_abort() {
+    for config in [
+        FleetConfig::new(u64::MAX),
+        FleetConfig::new(u64::MAX).with_shard_size(1),
+    ] {
+        let err = small_fleet(config)
+            .run()
+            .expect_err("the shard bitmap cannot be allocated");
+        assert!(err.contains("cannot allocate"), "{err}");
+    }
 }
 
 #[test]

@@ -48,7 +48,7 @@ impl ObservablesVersion {
     pub const ALL: [ObservablesVersion; 2] = [ObservablesVersion::V1, ObservablesVersion::V2];
 
     /// Stable identifier (also what [`ObservablesVersion::parse`]
-    /// accepts, and the tag recorded per `BENCH_campaign.json` entry).
+    /// accepts, and the `CampaignRow::observables` label).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
