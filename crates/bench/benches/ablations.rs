@@ -1,4 +1,4 @@
-//! Ablation studies of the attack's design choices (DESIGN.md §5/§6).
+//! Ablation studies of the attack's design choices.
 //!
 //! Not a paper figure — these sweeps justify the knobs the paper fixes
 //! implicitly:

@@ -45,7 +45,7 @@
 //! );
 //! let sampler = AdaptiveSampler::from_fit(&fit);
 //! let addrs = [truth.kernel_base, truth.kernel_base.wrapping_add(0x4000_0000)];
-//! let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+//! let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
 //! assert_eq!(batch.mapped, vec![true, false]);
 //! assert!(batch.probes_per_address() <= 9.0, "hard budget respected");
 //! ```
@@ -56,7 +56,7 @@ use avx_uarch::OpKind;
 use crate::calibrate::{CalibrationFit, Threshold};
 use crate::prober::{ProbeStrategy, Prober};
 use crate::stats::{SeqDecision, SequentialLlr};
-use crate::sweep::AddrRange;
+use crate::sweep::TileSource;
 
 /// Probe budgets and the confidence target of the sequential test.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -216,7 +216,7 @@ impl Sampling {
 }
 
 /// Result of one adaptive sweep over a candidate set.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AdaptiveBatch {
     /// Per-address mapped/unmapped decision, input order.
     pub mapped: Vec<bool>,
@@ -335,45 +335,23 @@ impl AdaptiveSampler {
         )
     }
 
-    /// Sweeps `addrs`, classifying each candidate with as few probes as
-    /// its evidence allows.
+    /// Sweeps `candidates` (a slice or an [`crate::AddrRange`]),
+    /// classifying each with as few probes as its evidence allows.
     ///
     /// Works in [`ProbeStrategy::BATCH_TILE`]-sized tiles exactly like
     /// the fixed batched path: one warm-up pass per tile (translations
     /// resident for the measurement rounds), then measurement rounds
     /// over the tile's still-undecided addresses until every address
     /// has crossed an SPRT boundary or spent its budget.
-    pub fn classify_batch<P: Prober + ?Sized>(
+    pub fn classify<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &self,
         p: &mut P,
         kind: OpKind,
-        addrs: &[VirtAddr],
+        candidates: &C,
     ) -> AdaptiveBatch {
-        let mut out = AdaptiveBatch::with_capacity(addrs.len());
+        let mut out = AdaptiveBatch::with_capacity(candidates.candidate_count());
         let mut scratch = AdaptiveScratch::default();
-        for tile in addrs.chunks(ProbeStrategy::BATCH_TILE) {
-            self.classify_tile(p, kind, tile, &mut out, &mut scratch);
-        }
-        out
-    }
-
-    /// Streaming variant of [`AdaptiveSampler::classify_batch`] over an
-    /// [`AddrRange`]: candidate addresses are generated one tile at a
-    /// time into a reused buffer instead of materializing the full
-    /// range. Identical tile decomposition and probe order.
-    pub fn classify_range<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        kind: OpKind,
-        range: &AddrRange,
-    ) -> AdaptiveBatch {
-        let mut out = AdaptiveBatch::with_capacity(range.len());
-        let mut scratch = AdaptiveScratch::default();
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-        for chunk in range.chunks(ProbeStrategy::BATCH_TILE as u64) {
-            chunk.fill(&mut tile);
-            self.classify_tile(p, kind, &tile, &mut out, &mut scratch);
-        }
+        candidates.for_each_tile(|tile| self.classify_tile(p, kind, tile, &mut out, &mut scratch));
         out
     }
 
@@ -457,7 +435,7 @@ pub(crate) struct AdaptiveScratch {
 }
 
 /// Result of one adaptive min-filter sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MinFilterBatch {
     /// Per-address spike-filtered minimum, input order.
     pub mins: Vec<u64>,
@@ -519,36 +497,17 @@ impl Default for AdaptiveMinFilter {
 }
 
 impl AdaptiveMinFilter {
-    /// Sweeps `addrs` with the early-stopping min-filter, tile by tile.
-    pub fn measure_batch<P: Prober + ?Sized>(
+    /// Sweeps `candidates` (a slice or an [`crate::AddrRange`]) with
+    /// the early-stopping min-filter, tile by tile.
+    pub fn measure<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &self,
         p: &mut P,
         kind: OpKind,
-        addrs: &[VirtAddr],
+        candidates: &C,
     ) -> MinFilterBatch {
-        let mut out = MinFilterBatch::with_capacity(addrs.len());
+        let mut out = MinFilterBatch::with_capacity(candidates.candidate_count());
         let mut scratch = MinFilterScratch::default();
-        for tile in addrs.chunks(ProbeStrategy::BATCH_TILE) {
-            self.measure_tile(p, kind, tile, &mut out, &mut scratch);
-        }
-        out
-    }
-
-    /// Streaming variant of [`AdaptiveMinFilter::measure_batch`] over
-    /// an [`AddrRange`]: one reused tile buffer, identical probe order.
-    pub fn measure_range<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        kind: OpKind,
-        range: &AddrRange,
-    ) -> MinFilterBatch {
-        let mut out = MinFilterBatch::with_capacity(range.len());
-        let mut scratch = MinFilterScratch::default();
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-        for chunk in range.chunks(ProbeStrategy::BATCH_TILE as u64) {
-            chunk.fill(&mut tile);
-            self.measure_tile(p, kind, &tile, &mut out, &mut scratch);
-        }
+        candidates.for_each_tile(|tile| self.measure_tile(p, kind, tile, &mut out, &mut scratch));
         out
     }
 
@@ -674,7 +633,7 @@ mod tests {
             addrs.len() as u64 * u64::from(ProbeStrategy::MinOf(8).probes_per_measurement());
 
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0);
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+        let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
         assert_eq!(batch.mapped, fixed_mapped, "same classification");
         assert!(
             batch.total_probes() * 2 <= fixed_probes,
@@ -697,7 +656,7 @@ mod tests {
         let sampler = AdaptiveSampler::from_threshold(&th, 1e5)
             .with_config(AdaptiveConfig::with_max_probes(3));
         let addrs: Vec<VirtAddr> = kernel_range().into_iter().take(48).collect();
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+        let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
         for (i, &n) in batch.probes.iter().enumerate() {
             assert_eq!(n, 1 + 3, "addr {i}: warm-up + full budget");
             assert!(!batch.settled[i]);
@@ -714,7 +673,7 @@ mod tests {
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0);
         let addrs: Vec<VirtAddr> = kernel_range().into_iter().take(64).collect();
         let before = p.probes_issued();
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+        let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
         assert_eq!(p.probes_issued() - before, batch.total_probes());
     }
 
@@ -732,7 +691,7 @@ mod tests {
             max_probes: 12,
             ..AdaptiveMinFilter::default()
         };
-        let batch = filter.measure_batch(&mut p, OpKind::Load, &[kernel]);
+        let batch = filter.measure(&mut p, OpKind::Load, &[kernel]);
         assert_eq!(batch.mins, vec![93], "spikes filtered to the floor");
     }
 
@@ -741,7 +700,7 @@ mod tests {
         let (mut p, _) = quiet_linux(11);
         let addrs: Vec<VirtAddr> = kernel_range().into_iter().take(128).collect();
         let filter = AdaptiveMinFilter::default();
-        let batch = filter.measure_batch(&mut p, OpKind::Load, &addrs);
+        let batch = filter.measure(&mut p, OpKind::Load, &addrs);
         // Noiseless: round 1 sets the min, rounds 2–3 confirm it.
         for &n in &batch.probes {
             assert_eq!(n, 1 + 3, "warm-up + settle in stable_rounds+1");
@@ -756,12 +715,12 @@ mod tests {
         let (mut p, truth) = quiet_linux(13);
         let th = calibrated(&mut p, &truth);
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0);
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &[]);
+        let batch = sampler.classify(&mut p, OpKind::Load, &[] as &[VirtAddr]);
         assert!(batch.mapped.is_empty());
         assert_eq!(batch.probes_per_address(), 0.0);
         let filter = AdaptiveMinFilter::default();
         assert!(filter
-            .measure_batch(&mut p, OpKind::Load, &[])
+            .measure(&mut p, OpKind::Load, &[] as &[VirtAddr])
             .mins
             .is_empty());
     }

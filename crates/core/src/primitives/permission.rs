@@ -190,7 +190,7 @@ impl PermissionAttack {
             }
             // Adaptive load pass: "mapped" in SPRT terms = fast =
             // readable.
-            Some(sampler) => sampler.classify_batch(p, OpKind::Load, pages).mapped,
+            Some(sampler) => sampler.classify(p, OpKind::Load, pages).mapped,
         };
         let readable: Vec<(usize, VirtAddr)> = load_readable
             .iter()

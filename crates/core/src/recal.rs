@@ -63,7 +63,7 @@
 //! let attack = PageTableAttack::new(fit.threshold)
 //!     .with_adaptive(AdaptiveSampler::from_fit(&fit));
 //! let mut driver = Recalibrating::new(attack, RecalConfig::default());
-//! let sweep = driver.sweep_range(&mut p, &KernelBaseFinder::candidate_range());
+//! let sweep = driver.sweep(&mut p, &KernelBaseFinder::candidate_range());
 //! // The dispersion monitor notices the drift and re-fits in-scan.
 //! assert!(sweep.refits >= 1);
 //! assert!(driver.threshold().is_mapped(93));
@@ -74,14 +74,13 @@ use std::collections::VecDeque;
 
 use avx_mmu::VirtAddr;
 
-use crate::adaptive::{
-    AdaptiveBatch, AdaptiveMinFilter, AdaptiveScratch, MinFilterBatch, MinFilterScratch, Sampling,
-};
+use crate::adaptive::{AdaptiveMinFilter, MinFilterBatch, MinFilterScratch, Sampling};
 use crate::calibrate::{CalibrationFit, Threshold};
+use crate::primitives::page_table::TileScratch;
 use crate::primitives::{PageTableAttack, SweepClassification};
-use crate::prober::{ProbeScratch, ProbeStrategy, Prober};
+use crate::prober::{ProbeStrategy, Prober};
 use crate::stats::{mad_sigma_runs, mad_sigma_scratch, SampleRuns};
-use crate::sweep::AddrRange;
+use crate::sweep::TileSource;
 
 /// Tuning knobs of the closed loop. The defaults are the pinned
 /// campaign configuration (`repro --recalibrate`); `docs/CALIBRATION.md`
@@ -356,18 +355,29 @@ impl DriftMonitor {
     }
 }
 
-/// The closed-loop sweep driver.
+/// The sweep driver of [`PageTableAttack::sweep`], closed-loop when
+/// the attack carries a [`RecalConfig`].
 ///
-/// Wraps a [`PageTableAttack`] and sweeps with the identical tile
-/// decomposition as the open-loop paths
-/// ([`PageTableAttack::sweep_range`] /
-/// [`crate::AdaptiveSampler::classify_range`]), feeding every tile's
-/// representative samples through a [`DriftMonitor`]. State persists
-/// across calls, so chunked scans (the Windows §IV-G region loop) keep
-/// one threshold trajectory for the whole region.
+/// Classifies tile by tile through the [`TileSource`] decomposition,
+/// and under a [`RecalConfig`] feeds every tile's representative
+/// samples through a [`DriftMonitor`]. State persists across calls, so
+/// chunked scans (the Windows §IV-G region loop) keep one threshold
+/// trajectory for the whole region. Without a config it never refits
+/// and is the open-loop sweep.
 #[derive(Clone, Debug)]
 pub struct Recalibrating {
     attack: PageTableAttack,
+    /// The drift monitor and refit state; `None` for the open loop.
+    closed: Option<ClosedLoop>,
+    /// Candidates processed across the driver's lifetime.
+    processed: usize,
+    /// Reused per-tile buffers (no allocation per sweep tile).
+    tile: TileScratch,
+}
+
+/// Everything only the closed loop needs.
+#[derive(Clone, Debug)]
+struct ClosedLoop {
     config: RecalConfig,
     monitor: DriftMonitor,
     /// The threshold the attack was *calibrated* with — the fixed
@@ -378,94 +388,46 @@ pub struct Recalibrating {
     /// artifacts cannot random-walk the boundary into a band tail.
     reference: Threshold,
     events: Vec<RecalEvent>,
-    /// Candidates processed across the driver's lifetime.
-    processed: usize,
-    /// Reused per-tile buffers (no allocation per sweep tile).
-    tile: TileBuffers,
     /// Reused refit inputs: the window's samples in arrival order and
-    /// one rescan tile's addresses (the driver allocates nothing per
-    /// refit; the EM fit sorts its own copy).
+    /// the rescanned candidates' addresses (the driver allocates
+    /// nothing per refit; the EM fit sorts its own copy).
     refit_window: Vec<u64>,
-    rescan_tile: Vec<VirtAddr>,
-}
-
-/// The driver's reused per-tile buffers: every sweep and rescan tile
-/// goes through them, on either sampling path, so the closed loop
-/// allocates nothing per tile. Each tile clears them first, so they
-/// carry no state from one tile or call to the next.
-#[derive(Clone, Debug)]
-struct TileBuffers {
-    /// The tile's calls, samples, probe counts and settled flags.
-    batch: AdaptiveBatch,
-    /// Intermediate state of the adaptive sampler.
-    adaptive: AdaptiveScratch,
-    /// Intermediate state of the fixed probe strategy.
-    fixed: ProbeScratch,
-}
-
-impl TileBuffers {
-    /// Classifies one tile with `attack`'s current fit into `batch`
-    /// (cleared first), through whichever sampling engine the attack
-    /// carries; returns the raw probes spent.
-    fn classify<P: Prober + ?Sized>(
-        &mut self,
-        attack: &PageTableAttack,
-        p: &mut P,
-        tile: &[VirtAddr],
-    ) -> u64 {
-        let Self {
-            batch,
-            adaptive,
-            fixed,
-        } = self;
-        batch.clear();
-        match attack.sampler {
-            Some(sampler) => {
-                sampler.classify_tile(p, attack.op, tile, batch, adaptive);
-                batch.total_probes()
-            }
-            None => {
-                let strategy = attack.strategy;
-                strategy.measure_batch_into(p, attack.op, tile, &mut batch.samples, fixed);
-                let threshold = attack.threshold;
-                batch
-                    .mapped
-                    .extend(batch.samples.iter().map(|&s| threshold.is_mapped(s)));
-                batch.settled.resize(tile.len(), true);
-                tile.len() as u64 * u64::from(strategy.probes_per_measurement())
-            }
-        }
-    }
+    rescan_addrs: Vec<VirtAddr>,
 }
 
 impl Recalibrating {
-    /// Builds the driver around an attack. The monitor's baseline σ is
-    /// the sampler's fitted σ on the adaptive path and the
-    /// [`RecalConfig::sigma_floor`] on the fixed path (the fixed path
-    /// carries no σ model to compare against).
+    /// The closed-loop driver around `attack` under `config`.
     #[must_use]
     pub fn new(attack: PageTableAttack, config: RecalConfig) -> Self {
-        let baseline_sigma = attack
-            .sampler
-            .map_or(config.sigma_floor, |s| s.sigma)
-            .max(config.sigma_floor);
-        let mut attack = attack;
-        // The driver owns the loop; the inner attack must not recurse.
-        attack.recal = None;
+        Self::for_attack(attack.with_recalibration(config))
+    }
+
+    /// The driver `attack` describes: closed-loop under
+    /// [`PageTableAttack::recal`], open-loop without. The monitor's
+    /// baseline σ is the sampler's fitted σ on the adaptive path and
+    /// the [`RecalConfig::sigma_floor`] on the fixed path (the fixed
+    /// path carries no σ model to compare against).
+    #[must_use]
+    pub fn for_attack(attack: PageTableAttack) -> Self {
+        let closed = attack.recal.map(|config| {
+            let baseline_sigma = attack
+                .sampler
+                .map_or(config.sigma_floor, |s| s.sigma)
+                .max(config.sigma_floor);
+            ClosedLoop {
+                config,
+                monitor: DriftMonitor::new(config, baseline_sigma),
+                reference: attack.threshold,
+                events: Vec::new(),
+                refit_window: Vec::with_capacity(config.window.max(1)),
+                rescan_addrs: Vec::with_capacity(config.window.max(1)),
+            }
+        });
         Self {
-            reference: attack.threshold,
             attack,
-            config,
-            monitor: DriftMonitor::new(config, baseline_sigma),
-            events: Vec::new(),
+            closed,
             processed: 0,
-            tile: TileBuffers {
-                batch: AdaptiveBatch::with_capacity(ProbeStrategy::BATCH_TILE),
-                adaptive: AdaptiveScratch::default(),
-                fixed: ProbeScratch::default(),
-            },
-            refit_window: Vec::with_capacity(config.window.max(1)),
-            rescan_tile: Vec::with_capacity(ProbeStrategy::BATCH_TILE),
+            tile: TileScratch::default(),
         }
     }
 
@@ -478,59 +440,34 @@ impl Recalibrating {
     /// Recalibrations performed so far.
     #[must_use]
     pub fn refits(&self) -> u32 {
-        self.events.len() as u32
+        self.events().len() as u32
     }
 
     /// The recalibration log.
     #[must_use]
     pub fn events(&self) -> &[RecalEvent] {
-        &self.events
+        self.closed.as_ref().map_or(&[], |c| &c.events)
     }
 
-    /// Sweeps a candidate slice under the closed loop.
-    pub fn sweep<P: Prober + ?Sized>(
+    /// Sweeps `candidates` (a slice or an [`crate::AddrRange`]).
+    pub fn sweep<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &mut self,
         p: &mut P,
-        addrs: &[VirtAddr],
+        candidates: &C,
     ) -> SweepClassification {
         let mut out = SweepClassification {
-            samples: Vec::with_capacity(addrs.len()),
-            mapped: Vec::with_capacity(addrs.len()),
+            samples: Vec::with_capacity(candidates.candidate_count()),
+            mapped: Vec::with_capacity(candidates.candidate_count()),
             probes: 0,
             refits: 0,
         };
         let call_base = self.processed;
-        for tile in addrs.chunks(ProbeStrategy::BATCH_TILE) {
-            self.sweep_tile(p, tile, call_base, &mut out);
-        }
+        candidates.for_each_tile(|tile| self.sweep_tile(p, tile, call_base, &mut out));
         out
     }
 
-    /// Sweeps an [`AddrRange`] under the closed loop, streaming one
-    /// reused tile buffer (the [`AddrRange::tiles`] decomposition the
-    /// open-loop paths use).
-    pub fn sweep_range<P: Prober + ?Sized>(
-        &mut self,
-        p: &mut P,
-        range: &AddrRange,
-    ) -> SweepClassification {
-        let mut out = SweepClassification {
-            samples: Vec::with_capacity(range.len()),
-            mapped: Vec::with_capacity(range.len()),
-            probes: 0,
-            refits: 0,
-        };
-        let call_base = self.processed;
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-        for chunk in range.tiles() {
-            chunk.fill(&mut tile);
-            self.sweep_tile(p, &tile, call_base, &mut out);
-        }
-        out
-    }
-
-    /// One tile: classify with the current fit, feed the monitor,
-    /// possibly refit.
+    /// One tile: classify with the current fit and, on the closed loop,
+    /// feed the monitor and possibly refit.
     fn sweep_tile<P: Prober + ?Sized>(
         &mut self,
         p: &mut P,
@@ -538,17 +475,22 @@ impl Recalibrating {
         call_base: usize,
         out: &mut SweepClassification,
     ) {
-        out.probes += self.tile.classify(&self.attack, p, tile);
+        out.probes += self.attack.classify_tile(p, tile, &mut self.tile);
         let batch = &self.tile.batch;
+        out.samples.extend_from_slice(&batch.samples);
+        out.mapped.extend_from_slice(&batch.mapped);
+        let first = self.processed;
+        self.processed += tile.len();
+        let Some(closed) = &mut self.closed else {
+            return;
+        };
         for (i, &addr) in tile.iter().enumerate() {
-            self.monitor
-                .observe(self.processed, addr, batch.samples[i], batch.settled[i]);
-            out.samples.push(batch.samples[i]);
-            out.mapped.push(batch.mapped[i]);
-            self.processed += 1;
+            closed
+                .monitor
+                .observe(first + i, addr, batch.samples[i], batch.settled[i]);
         }
-        if self.events.len() < self.config.max_refits as usize {
-            if let Some(signal) = self.monitor.check(self.attack.threshold.boundary()) {
+        if closed.events.len() < closed.config.max_refits as usize {
+            if let Some(signal) = closed.monitor.check(self.attack.threshold.boundary()) {
                 self.refit(p, signal, call_base, out);
             }
         }
@@ -563,83 +505,99 @@ impl Recalibrating {
         call_base: usize,
         out: &mut SweepClassification,
     ) {
-        self.refit_window.clear();
-        self.refit_window.extend(self.monitor.samples());
+        let Self {
+            attack,
+            closed: Some(closed),
+            processed,
+            tile,
+        } = self
+        else {
+            return;
+        };
+        closed.refit_window.clear();
+        closed.refit_window.extend(closed.monitor.samples());
         // The EM re-fit recovers both band means and the live σ when
         // the window genuinely straddles both populations. Mid-ramp,
         // though, EM can "discover" two modes *inside* one noise band
         // (early tight samples vs late wide ones) and drag the
         // threshold into the unmapped band's tail — so the fit is only
         // trusted when its mapped mean lands near the *calibrated*
-        // reference level (`self.reference`, never the previous refit:
-        // successive artifacts must not compound into a random walk),
-        // which is a stable microarchitectural constant: environment
-        // drift widens the bands, it does not move them. Otherwise
-        // (including the single-band window of a thin scan like the
-        // KPTI trampoline hunt) the threshold stays put and only the σ
-        // model is refreshed, from the freshest half of the window so
-        // a still-running ramp is tracked rather than averaged away.
-        let tolerance = (self.reference.margin / 2.0).max(2.0);
-        let fit = Threshold::refit_bimodal(&self.refit_window)
-            .filter(|f| (f.threshold.value - self.reference.value).abs() <= tolerance)
+        // reference level (`closed.reference`, never the previous
+        // refit: successive artifacts must not compound into a random
+        // walk), which is a stable microarchitectural constant:
+        // environment drift widens the bands, it does not move them.
+        // Otherwise (including the single-band window of a thin scan
+        // like the KPTI trampoline hunt) the threshold stays put and
+        // only the σ model is refreshed, from the freshest half of the
+        // window so a still-running ramp is tracked rather than
+        // averaged away.
+        let tolerance = (closed.reference.margin / 2.0).max(2.0);
+        let fit = Threshold::refit_bimodal(&closed.refit_window)
+            .filter(|f| (f.threshold.value - closed.reference.value).abs() <= tolerance)
             .unwrap_or(CalibrationFit {
-                threshold: self.attack.threshold,
-                sigma: self
+                threshold: attack.threshold,
+                sigma: closed
                     .monitor
-                    .fresh_sigma(self.attack.threshold.boundary())
-                    .max(self.config.sigma_floor),
+                    .fresh_sigma(attack.threshold.boundary())
+                    .max(closed.config.sigma_floor),
                 estimator: "drift-sigma",
             });
-        self.events.push(RecalEvent {
-            at_address: self.processed,
+        closed.events.push(RecalEvent {
+            at_address: *processed,
             signal,
-            threshold_before: self.attack.threshold,
+            threshold_before: attack.threshold,
             fit,
         });
         out.refits += 1;
 
-        self.attack.threshold = fit.threshold;
-        if let Some(old) = self.attack.sampler {
+        attack.threshold = fit.threshold;
+        if let Some(old) = attack.sampler {
             // The single-σ-policy chokepoint: hypotheses *and*
             // likelihood σ both come from the new fit, budgets carry
             // over from the old sampler.
-            self.attack.sampler = Sampling::Adaptive(old.config).sampler_from_fit(&fit);
+            attack.sampler = Sampling::Adaptive(old.config).sampler_from_fit(&fit);
         }
-        if self.config.rescan {
-            self.rescan(p, call_base, out);
+        if closed.config.rescan {
+            closed.rescan(attack, tile, p, call_base, out);
         }
-        self.monitor
-            .note_refit(fit.sigma.max(self.config.sigma_floor));
+        closed
+            .monitor
+            .note_refit(fit.sigma.max(closed.config.sigma_floor));
     }
+}
 
+impl ClosedLoop {
     /// Rescan: the window's candidates were decided under the stale fit
     /// while the drift built up — re-classify them with the fresh one,
-    /// in tiles of [`ProbeStrategy::BATCH_TILE`] through the driver's
-    /// tile buffers. Only entries of the *current* call can be patched
+    /// tile by tile. Only entries of the *current* call can be patched
     /// (earlier chunks of a streaming scan are already consumed); their
     /// indices rise in arrival order, so they are a suffix of the
     /// window.
     fn rescan<P: Prober + ?Sized>(
         &mut self,
+        attack: &PageTableAttack,
+        scratch: &mut TileScratch,
         p: &mut P,
         call_base: usize,
         out: &mut SweepClassification,
     ) {
         let entries = &self.monitor.entries;
         let first = entries.partition_point(|e| e.index < call_base);
-        for start in (first..entries.len()).step_by(ProbeStrategy::BATCH_TILE) {
-            let end = (start + ProbeStrategy::BATCH_TILE).min(entries.len());
-            let targets = entries.range(start..end);
-            self.rescan_tile.clear();
-            self.rescan_tile.extend(targets.clone().map(|e| e.addr));
-            out.probes += self.tile.classify(&self.attack, p, &self.rescan_tile);
-            let batch = &self.tile.batch;
+        self.rescan_addrs.clear();
+        self.rescan_addrs
+            .extend(entries.range(first..).map(|e| e.addr));
+        let mut next = first;
+        self.rescan_addrs.for_each_tile(|tile| {
+            out.probes += attack.classify_tile(p, tile, scratch);
+            let batch = &scratch.batch;
+            let targets = entries.range(next..next + tile.len());
             for (e, (&sample, &mapped)) in targets.zip(batch.samples.iter().zip(&batch.mapped)) {
                 let local = e.index - call_base;
                 out.samples[local] = sample;
                 out.mapped[local] = mapped;
             }
-        }
+            next += tile.len();
+        });
     }
 }
 
@@ -703,24 +661,22 @@ impl RecalibratingMinFilter {
         self.filter
     }
 
-    /// Sweeps an [`AddrRange`] with the escalating min-filter; returns
-    /// the floors and the raw probe count, like
-    /// [`crate::LevelAttack::measure_range_counted`].
-    pub fn measure_range<P: Prober + ?Sized>(
+    /// Sweeps `candidates` (a slice or an [`crate::AddrRange`]) with
+    /// the escalating min-filter; returns the floors and the raw probe
+    /// count, like [`crate::LevelAttack::measure`].
+    pub fn measure_range<P: Prober + ?Sized, C: TileSource + ?Sized>(
         &mut self,
         p: &mut P,
-        range: &AddrRange,
+        candidates: &C,
     ) -> (Vec<u64>, u64) {
-        let mut floors = Vec::with_capacity(range.len());
+        let mut floors = Vec::with_capacity(candidates.candidate_count());
         let mut probes = 0u64;
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
-        for chunk in range.tiles() {
-            chunk.fill(&mut tile);
+        candidates.for_each_tile(|tile| {
             self.batch.clear();
             self.filter.measure_tile(
                 p,
                 avx_uarch::OpKind::Load,
-                &tile,
+                tile,
                 &mut self.batch,
                 &mut self.scratch,
             );
@@ -737,7 +693,7 @@ impl RecalibratingMinFilter {
             }
             floors.extend_from_slice(&self.batch.mins);
             self.maybe_escalate();
-        }
+        });
         (floors, probes)
     }
 
@@ -780,6 +736,7 @@ mod tests {
     use crate::adaptive::AdaptiveSampler;
     use crate::primitives::PageTableAttack;
     use crate::prober::SimProber;
+    use crate::sweep::AddrRange;
     use avx_os::linux::{LinuxConfig, LinuxSystem};
     use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, OpKind};
 
@@ -868,9 +825,9 @@ mod tests {
         let range = crate::attacks::kaslr::KernelBaseFinder::candidate_range();
 
         let attack = PageTableAttack::new(th);
-        let open = attack.sweep_range(&mut p, &range);
+        let open = attack.sweep(&mut p, &range);
         let mut driver = Recalibrating::new(attack, RecalConfig::default());
-        let closed = driver.sweep_range(&mut p, &range);
+        let closed = driver.sweep(&mut p, &range);
         assert_eq!(closed.refits, 0, "noiseless: trigger must not fire");
         assert_eq!(closed.samples, open.samples);
         assert_eq!(closed.mapped, open.mapped);
@@ -893,7 +850,7 @@ mod tests {
         let attack =
             PageTableAttack::new(fit.threshold).with_adaptive(AdaptiveSampler::from_fit(&fit));
         let mut driver = Recalibrating::new(attack, RecalConfig::default());
-        let sweep = driver.sweep_range(
+        let sweep = driver.sweep(
             &mut p,
             &crate::attacks::kaslr::KernelBaseFinder::candidate_range(),
         );
@@ -962,7 +919,7 @@ mod tests {
         let range = crate::attacks::kaslr::KernelBaseFinder::candidate_range();
         let mut total = 0u32;
         for chunk in range.chunks(128) {
-            let sweep = driver.sweep_range(&mut p, &chunk);
+            let sweep = driver.sweep(&mut p, &chunk);
             assert_eq!(sweep.mapped.len(), 128);
             total += sweep.refits;
         }
@@ -979,7 +936,7 @@ mod tests {
         let th = Threshold::calibrate(&mut p, truth.user.calibration, 8);
         let range = AddrRange::new(addr(0), 0x20_0000, 64);
         let attack = PageTableAttack::new(th);
-        let a = Recalibrating::new(attack, RecalConfig::default()).sweep_range(&mut p, &range);
+        let a = Recalibrating::new(attack, RecalConfig::default()).sweep(&mut p, &range);
         let b = Recalibrating::new(attack, RecalConfig::default()).sweep(&mut p, &range.to_vec());
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.mapped, b.mapped);

@@ -3,9 +3,10 @@
 //! Fig. 4 (512 × 2 MiB kernel slots), Fig. 5 (16384 × 4 KiB module
 //! pages), Fig. 7 (user pages) and the §IV-G Windows region scan all
 //! walk an arithmetic progression of candidate addresses and time one
-//! masked op per candidate. [`AddrRange`] describes such a progression;
-//! its iterators feed [`crate::ProbeStrategy::measure_batch`] so the
-//! probe backend sees whole batches instead of one address at a time.
+//! masked op per candidate. [`AddrRange`] describes such a progression,
+//! and [`TileSource`] hands either it or an address slice to the sweep
+//! engines one probe-pipeline tile at a time, so the probe backend sees
+//! whole batches instead of one address at a time.
 //!
 //! ```
 //! use avx_channel::AddrRange;
@@ -24,6 +25,8 @@
 //! ```
 
 use avx_mmu::VirtAddr;
+
+use crate::prober::ProbeStrategy;
 
 /// An arithmetic progression of candidate addresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,9 +79,7 @@ impl AddrRange {
         (0..self.count).map(|i| self.addr(i))
     }
 
-    /// Materializes all candidates. Full-series scans no longer need
-    /// this — they stream tiles via [`AddrRange::fill`] — but tests and
-    /// ad-hoc callers keep the convenience.
+    /// Materializes all candidates.
     #[must_use]
     pub fn to_vec(&self) -> Vec<VirtAddr> {
         self.iter().collect()
@@ -109,18 +110,57 @@ impl AddrRange {
     /// [`crate::ProbeStrategy::BATCH_TILE`]-sized steps. Every sweep
     /// engine — fixed, adaptive, and the closed-loop
     /// [`crate::recal::Recalibrating`] driver — iterates this exact
-    /// shape, which is what makes their probe orders (and therefore
-    /// their noise streams) interchangeable.
+    /// shape through [`TileSource`], which is what makes their probe
+    /// orders (and therefore their noise streams) interchangeable.
     pub fn tiles(&self) -> impl Iterator<Item = AddrRange> + '_ {
-        self.chunks(crate::prober::ProbeStrategy::BATCH_TILE as u64)
+        self.chunks(ProbeStrategy::BATCH_TILE as u64)
     }
 }
 
-impl IntoIterator for &AddrRange {
-    type Item = VirtAddr;
-    type IntoIter = std::vec::IntoIter<VirtAddr>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
+mod sealed {
+    pub trait Sealed {}
+    impl<T: AsRef<[avx_mmu::VirtAddr]> + ?Sized> Sealed for T {}
+    impl Sealed for super::AddrRange {}
+}
+
+/// The candidate shapes every sweep engine takes: an address slice
+/// (a `[VirtAddr]`, an array or a `Vec`) or an [`AddrRange`].
+///
+/// [`TileSource::for_each_tile`] is the one tile loop of the sweep
+/// engines: a slice is chunked in place, a range is generated into one
+/// reused tile buffer. Both yield the [`AddrRange::tiles`] shape, so a
+/// range and its `to_vec()` sweep probe for probe alike. Sealed: the
+/// engines rely on that tile shape.
+pub trait TileSource: sealed::Sealed {
+    /// Number of candidates.
+    fn candidate_count(&self) -> usize;
+
+    /// Calls `f` on consecutive tiles of at most
+    /// [`ProbeStrategy::BATCH_TILE`] candidates, in order.
+    fn for_each_tile(&self, f: impl FnMut(&[VirtAddr]));
+}
+
+impl<T: AsRef<[VirtAddr]> + ?Sized> TileSource for T {
+    fn candidate_count(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn for_each_tile(&self, f: impl FnMut(&[VirtAddr])) {
+        self.as_ref().chunks(ProbeStrategy::BATCH_TILE).for_each(f);
+    }
+}
+
+impl TileSource for AddrRange {
+    fn candidate_count(&self) -> usize {
+        self.len()
+    }
+
+    fn for_each_tile(&self, mut f: impl FnMut(&[VirtAddr])) {
+        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
+        for chunk in self.tiles() {
+            chunk.fill(&mut tile);
+            f(&tile);
+        }
     }
 }
 

@@ -60,7 +60,7 @@ proptest! {
         };
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0).with_config(config);
         let addrs = slots(offset, count);
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+        let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
         for (i, &n) in batch.probes.iter().enumerate() {
             prop_assert!(n >= 2, "addr {i}: at least warm-up + one sample, got {n}");
             prop_assert!(
@@ -89,7 +89,7 @@ proptest! {
         let (mut p, th) = quiet_prober(seed);
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0)
             .with_config(AdaptiveConfig::with_max_probes(max_probes));
-        let batch = sampler.classify_batch(&mut p, OpKind::Load, &addrs);
+        let batch = sampler.classify(&mut p, OpKind::Load, &addrs);
         prop_assert_eq!(batch.mapped, fixed);
     }
 
@@ -133,13 +133,13 @@ proptest! {
 
         let (mut p, th) = quiet_prober(seed);
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0);
-        let straight = sampler.classify_batch(&mut p, OpKind::Load, &tile);
+        let straight = sampler.classify(&mut p, OpKind::Load, &tile);
 
         let mut shuffled = tile.clone();
         shuffled.rotate_left(rotation % tile.len());
         let (mut p, th) = quiet_prober(seed);
         let sampler = AdaptiveSampler::from_threshold(&th, 1.0);
-        let rotated = sampler.classify_batch(&mut p, OpKind::Load, &shuffled);
+        let rotated = sampler.classify(&mut p, OpKind::Load, &shuffled);
 
         for (i, &addr) in tile.iter().enumerate() {
             let j = shuffled.iter().position(|&a| a == addr).unwrap();
@@ -166,7 +166,7 @@ fn min_filter_budget_is_never_exceeded() {
             stable_rounds: 200, // unreachably strict: budget must bind
             epsilon: 0,
         };
-        let batch = filter.measure_batch(&mut p, OpKind::Load, &slots(seed * 7, 40));
+        let batch = filter.measure(&mut p, OpKind::Load, &slots(seed * 7, 40));
         assert!(batch.probes.iter().all(|&n| n == 1 + 5), "seed {seed}");
     }
 }

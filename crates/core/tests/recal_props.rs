@@ -30,12 +30,18 @@ use proptest::prelude::*;
 use avx_channel::attacks::kaslr::KernelBaseFinder;
 use avx_channel::attacks::modules::ModuleScanner;
 use avx_channel::fleet::splitmix64;
-use avx_channel::recal::{DriftMonitor, DriftSignal, RecalConfig, Recalibrating};
+use avx_channel::primitives::SweepClassification;
+use avx_channel::recal::{
+    DriftMonitor, DriftSignal, RecalConfig, Recalibrating, RecalibratingMinFilter,
+};
 use avx_channel::sweep::AddrRange;
-use avx_channel::{AdaptiveSampler, PageTableAttack, ProbeStrategy, SimProber, Threshold};
+use avx_channel::{
+    AdaptiveMinFilter, AdaptiveSampler, LevelAttack, PageTableAttack, ProbeStrategy, Prober,
+    SimProber, Threshold,
+};
 use avx_mmu::VirtAddr;
 use avx_os::linux::{LinuxConfig, LinuxSystem};
-use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile};
+use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, OpKind};
 
 fn quiet_prober(seed: u64) -> (SimProber, avx_os::LinuxTruth) {
     let sys = LinuxSystem::build(LinuxConfig::seeded(seed));
@@ -184,9 +190,9 @@ proptest! {
         attack.strategy = strategy;
         let range = KernelBaseFinder::candidate_range();
 
-        let open = attack.sweep_range(&mut p_open, &range);
+        let open = attack.sweep(&mut p_open, &range);
         let mut driver = Recalibrating::new(attack, RecalConfig::default());
-        let closed = driver.sweep_range(&mut p_closed, &range);
+        let closed = driver.sweep(&mut p_closed, &range);
 
         prop_assert_eq!(closed.refits, 0);
         prop_assert_eq!(closed.samples, open.samples);
@@ -205,9 +211,9 @@ proptest! {
             .with_adaptive(AdaptiveSampler::from_threshold(&th, 1.0));
         let range = KernelBaseFinder::candidate_range();
 
-        let open = attack.sweep_range(&mut p, &range);
+        let open = attack.sweep(&mut p, &range);
         let mut driver = Recalibrating::new(attack, RecalConfig::default());
-        let closed = driver.sweep_range(&mut p, &range);
+        let closed = driver.sweep(&mut p, &range);
 
         prop_assert_eq!(closed.refits, 0);
         prop_assert_eq!(closed.samples, open.samples);
@@ -299,13 +305,13 @@ fn noiseless_chunked_sweep_is_bit_exact_and_never_refits() {
     let mut attack = PageTableAttack::new(th);
     attack.strategy = ProbeStrategy::MinOf(2);
 
-    let open = attack.sweep_range(&mut p, &scanner_range);
+    let open = attack.sweep(&mut p, &scanner_range);
     let mut driver = Recalibrating::new(attack, RecalConfig::default());
     let mut samples = Vec::new();
     let mut mapped = Vec::new();
     let mut probes = 0u64;
     for chunk in scanner_range.chunks(1024) {
-        let sweep = driver.sweep_range(&mut p, &chunk);
+        let sweep = driver.sweep(&mut p, &chunk);
         assert_eq!(sweep.refits, 0);
         samples.extend(sweep.samples);
         mapped.extend(sweep.mapped);
@@ -341,7 +347,7 @@ fn sigma_step_fires_within_one_window_end_to_end() {
     let config = RecalConfig::default();
     let attack = PageTableAttack::new(fit.threshold).with_adaptive(AdaptiveSampler::from_fit(&fit));
     let mut driver = Recalibrating::new(attack, config);
-    let sweep = driver.sweep_range(&mut p, &KernelBaseFinder::candidate_range());
+    let sweep = driver.sweep(&mut p, &KernelBaseFinder::candidate_range());
     assert!(sweep.refits >= 1, "σ×6 step must trigger the loop");
     let first = driver.events()[0];
     assert!(
@@ -370,7 +376,7 @@ fn refit_rebuilds_the_sampler_through_the_fit() {
     let sampler = AdaptiveSampler::from_fit(&fit);
     let attack = PageTableAttack::new(fit.threshold).with_adaptive(sampler);
     let mut driver = Recalibrating::new(attack, RecalConfig::default());
-    let _ = driver.sweep_range(&mut p, &KernelBaseFinder::candidate_range());
+    let _ = driver.sweep(&mut p, &KernelBaseFinder::candidate_range());
     assert!(driver.refits() >= 1);
     let last = driver.events().last().unwrap();
     assert!(
@@ -418,7 +424,7 @@ fn reused_tile_buffers_carry_no_state_across_tiles_or_calls() {
     let (mut p_range, mut by_range) = drifting(true);
     for chunk in range.chunks(85) {
         let a = by_slice.sweep(&mut p_slice, &chunk.to_vec());
-        let b = by_range.sweep_range(&mut p_range, &chunk);
+        let b = by_range.sweep(&mut p_range, &chunk);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.mapped, b.mapped);
         assert_eq!((a.probes, a.refits), (b.probes, b.refits));
@@ -432,7 +438,7 @@ fn reused_tile_buffers_carry_no_state_across_tiles_or_calls() {
 
     let (mut p_whole, mut whole) = drifting(false);
     let (mut p_chunked, mut chunked) = drifting(false);
-    let one = whole.sweep_range(&mut p_whole, &range);
+    let one = whole.sweep(&mut p_whole, &range);
     let (mut samples, mut mapped, mut probes, mut refits) = (Vec::new(), Vec::new(), 0, 0);
     for chunk in range.chunks(80) {
         let part = chunked.sweep(&mut p_chunked, &chunk.to_vec());
@@ -446,4 +452,174 @@ fn reused_tile_buffers_carry_no_state_across_tiles_or_calls() {
     assert_eq!(mapped, one.mapped);
     assert_eq!((probes, refits), (one.probes, one.refits));
     assert_eq!(events(&chunked), events(&whole));
+}
+
+/// Everything one sweep leaves behind: its output, the driver state it
+/// reports and the prober's counters and clocks.
+#[derive(Debug, PartialEq)]
+struct SweepTrace {
+    samples: Vec<u64>,
+    mapped: Vec<bool>,
+    probes: u64,
+    refits: u32,
+    escalations: u32,
+    /// The closed loop's refit log, or the sampler's per-address probe
+    /// counts and settled flags.
+    log: String,
+    probes_issued: u64,
+    probing_cycles: u64,
+    total_cycles: u64,
+}
+
+impl SweepTrace {
+    fn new(p: &SimProber, samples: Vec<u64>, mapped: Vec<bool>, probes: u64) -> Self {
+        Self {
+            samples,
+            mapped,
+            probes,
+            refits: 0,
+            escalations: 0,
+            log: String::new(),
+            probes_issued: p.probes_issued(),
+            probing_cycles: p.probing_cycles(),
+            total_cycles: p.total_cycles(),
+        }
+    }
+}
+
+/// A machine whose noise steps quiet → laptop (σ×6) at probe `step`,
+/// so the closed loops refit and escalate mid-sweep.
+fn stepping_prober(seed: u64, profile: CpuProfile, step: u64) -> (SimProber, avx_os::LinuxTruth) {
+    let sys = LinuxSystem::build(LinuxConfig::seeded(seed));
+    let (mut machine, truth) = sys.into_machine(profile, seed);
+    machine.set_noise_profile(NoiseProfile::drift_with(
+        NoiseProfile::Quiet,
+        NoiseProfile::LaptopDvfs,
+        step,
+        step,
+    ));
+    (SimProber::new(machine), truth)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every sweep engine reads a candidate range and the same
+    /// candidates as a slice identically: samples, verdicts, probe
+    /// counts, refits, escalations, the refit log, the sampler's
+    /// settled flags, the prober's probe count and both cycle clocks. The machine's noise steps up
+    /// mid-sweep, so the closed loops refit and escalate; the range
+    /// starts anywhere and ends mid-tile.
+    #[test]
+    fn every_engine_sweeps_a_range_and_its_slice_identically(
+        seed in 0u64..1000,
+        first in 0u64..40,
+        count in 300u64..=472,
+        step in 200u64..800,
+        min_of in 1u8..5,
+    ) {
+        let kernel = KernelBaseFinder::candidate_range();
+        let range = AddrRange::new(kernel.addr(first), kernel.stride, count);
+        let slice = range.to_vec();
+
+        // Engines 0–2 are open-loop (`SecondOfTwo`, `MinOf`, adaptive);
+        // 3 and 4 run the closed loop on the fixed and adaptive paths;
+        // 5 drives the adaptive sampler directly.
+        let page_table = |engine: u8, by_range: bool| {
+            let (mut p, truth) = stepping_prober(seed, CpuProfile::alder_lake_i5_12400f(), step);
+            let fit = Threshold::calibrate_with(
+                &mut p,
+                truth.user.calibration,
+                16,
+                avx_channel::CalibratorKind::NoiseAware,
+            );
+            let sampler = AdaptiveSampler::from_fit(&fit);
+            let mut attack = PageTableAttack::new(fit.threshold);
+            match engine {
+                1 => attack.strategy = ProbeStrategy::MinOf(min_of),
+                2 | 4 => attack = attack.with_adaptive(sampler),
+                _ => {}
+            }
+            let (sweep, log) = match engine {
+                0..=2 => {
+                    let sweep = if by_range {
+                        attack.sweep(&mut p, &range)
+                    } else {
+                        attack.sweep(&mut p, &slice)
+                    };
+                    (sweep, String::new())
+                }
+                3 | 4 => {
+                    let mut driver = Recalibrating::new(attack, RecalConfig::default());
+                    let sweep = if by_range {
+                        driver.sweep(&mut p, &range)
+                    } else {
+                        driver.sweep(&mut p, &slice)
+                    };
+                    (sweep, format!("{:?}", driver.events()))
+                }
+                _ => {
+                    let batch = if by_range {
+                        sampler.classify(&mut p, OpKind::Load, &range)
+                    } else {
+                        sampler.classify(&mut p, OpKind::Load, &slice)
+                    };
+                    let log = format!("{:?} {:?}", batch.probes, batch.settled);
+                    let sweep = SweepClassification {
+                        probes: batch.total_probes(),
+                        samples: batch.samples,
+                        mapped: batch.mapped,
+                        refits: 0,
+                    };
+                    (sweep, log)
+                }
+            };
+            let mut trace = SweepTrace::new(&p, sweep.samples, sweep.mapped, sweep.probes);
+            trace.refits = sweep.refits;
+            trace.log = log;
+            trace
+        };
+        for engine in 0..6u8 {
+            let a = page_table(engine, true);
+            let b = page_table(engine, false);
+            prop_assert_eq!(a, b, "page-table engine {}", engine);
+        }
+
+        // Engines 0–2 are `LevelAttack` fixed, early-stop and
+        // escalating; 3 drives the escalating min-filter directly.
+        let level = |engine: u8, by_range: bool| {
+            let (mut p, _) = stepping_prober(seed, CpuProfile::zen3_ryzen5_5600x(), step);
+            let mut attack = LevelAttack::default();
+            match engine {
+                0 => attack.repeats = min_of + 2,
+                1 => attack = attack.with_early_stop(AdaptiveMinFilter::default()),
+                2 => attack = attack.with_recalibration(RecalConfig::default()),
+                _ => {
+                    let mut driver = RecalibratingMinFilter::new(
+                        AdaptiveMinFilter::default(),
+                        RecalConfig::default(),
+                    );
+                    let (samples, probes) = if by_range {
+                        driver.measure_range(&mut p, &range)
+                    } else {
+                        driver.measure_range(&mut p, &slice)
+                    };
+                    let mut trace = SweepTrace::new(&p, samples, Vec::new(), probes);
+                    trace.escalations = driver.escalations();
+                    return trace;
+                }
+            }
+            let (samples, probes) = if by_range {
+                attack.measure(&mut p, &range)
+            } else {
+                attack.measure(&mut p, &slice)
+            };
+            SweepTrace::new(&p, samples, Vec::new(), probes)
+        };
+        for engine in 0..4u8 {
+            let a = level(engine, true);
+            let b = level(engine, false);
+            prop_assert_eq!(a, b, "level engine {}", engine);
+        }
+    }
 }

@@ -1297,7 +1297,8 @@ fn level_extra(t: &TimingParams, terminal: Level) -> f64 {
 
 /// Adds `walk`'s termination-level extra to `cycles` when it applies:
 /// to root walks only, PSC-resumed ones excepted (see
-/// `TimingParams::level_extra_pt` and DESIGN.md §5).
+/// `TimingParams::level_extra_pt`: the extras are fitted to the §III-B
+/// P3 level ordering).
 fn add_root_walk_extra(t: &TimingParams, walk: &ShadowWalk, bypass_psc: bool, cycles: &mut f64) {
     if !walk.resumed || bypass_psc {
         *cycles += level_extra(t, walk.terminal_level);

@@ -3,7 +3,8 @@
 //! Every profile corresponds to one of the processors evaluated in the
 //! paper. The latency parameters are *fitted* to the means the paper
 //! reports (Fig. 2, Fig. 3, §III-B, Table I), not derived from first
-//! principles; see `DESIGN.md` §5 for the fitting notes.
+//! principles; each [`TimingParams`] field names the figure or section
+//! it is fitted to.
 
 use core::fmt;
 

@@ -1,6 +1,6 @@
 //! Determinism guarantees: identical seeds → identical layouts,
-//! traces and attack outcomes (the property that makes every number in
-//! EXPERIMENTS.md reproducible).
+//! traces and attack outcomes (the property that makes every number
+//! `repro` prints reproducible).
 
 use avx_aslr::channel::{KernelBaseFinder, Prober, SimProber, Threshold};
 use avx_aslr::os::linux::{LinuxConfig, LinuxSystem};
