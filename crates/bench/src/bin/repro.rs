@@ -28,7 +28,9 @@
 //! is refused with a message and exit status 2. The README and
 //! `ARCHITECTURE.md` record what this binary prints.
 
-use avx_bench::{calibrate, linux_prober, linux_prober_with, paper, Cli, Trace, TRACE_SEED};
+use avx_bench::{
+    calibrate, linux_prober, linux_prober_with, paper, sigma_only_machine, Cli, Trace, TRACE_SEED,
+};
 use avx_channel::attacks::behavior::{SpyConfig, TlbSpy};
 use avx_channel::attacks::campaign::CampaignConfig;
 use avx_channel::attacks::cloud::run_scenario;
@@ -38,7 +40,7 @@ use avx_channel::attacks::windows::kernel_base_from_shadow;
 use avx_channel::countermeasures::MaskedOpSurvey;
 use avx_channel::defense::{evaluate_fgkaslr, evaluate_flare};
 use avx_channel::report::{ascii_plot_clamped, fmt_seconds, Series, Table};
-use avx_channel::stats::Summary;
+use avx_channel::stats::{Summary, Trials};
 use avx_channel::{
     KernelBaseFinder, KptiAttack, ModuleClassifier, ModuleScanner, PermissionAttack, ProbeStrategy,
     Prober, SimProber, Threshold, TlbAttack,
@@ -47,7 +49,7 @@ use avx_hw::scan::{survey_corpus, synthetic_corpus};
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
 use avx_os::activity::{apply_activity, ActivityTimeline};
 use avx_os::cloud::CloudScenario;
-use avx_os::linux::{LinuxConfig, KPTI_TRAMPOLINE_OFFSET};
+use avx_os::linux::{LinuxConfig, LinuxSystem, KPTI_TRAMPOLINE_OFFSET};
 use avx_os::modules::{unique_sized, UBUNTU_18_04_MODULES};
 use avx_os::process::{build_process, ImageSignature};
 use avx_os::windows::{WindowsConfig, WindowsSystem, WindowsVersion};
@@ -95,6 +97,7 @@ fn main() {
     cloud();
     countermeasures();
     survey();
+    ablations();
     adaptive_economy(&cli);
     calibration_menu(&cli);
     recalibration(&cli);
@@ -323,6 +326,94 @@ fn full_campaign(cli: &Cli) {
     println!("{table}");
 }
 
+/// Kernel-base accuracy over 40 fixed seeds (i5-12400F) with one knob
+/// moved: the probe strategy, an interrupt-spike probability in place of
+/// the profile's, or the threshold margin.
+fn ablation_accuracy(strategy: ProbeStrategy, spike_prob: Option<f64>, margin: Option<f64>) -> f64 {
+    let mut acc = Trials::new();
+    for seed in 0..40u64 {
+        let sys = LinuxSystem::build(LinuxConfig::seeded(seed * 23 + 7));
+        let (mut machine, truth) = sys.into_machine(CpuProfile::alder_lake_i5_12400f(), seed);
+        if let Some(p) = spike_prob {
+            let t = machine.profile().timing;
+            machine.set_noise(NoiseModel::new(t.noise_sigma, p, t.spike_range));
+        }
+        let mut prober = SimProber::new(machine);
+        let mut th = Threshold::calibrate(&mut prober, truth.user.calibration, 16);
+        if let Some(m) = margin {
+            th.margin = m;
+        }
+        let scan = KernelBaseFinder::new(th)
+            .with_strategy(strategy)
+            .scan(&mut prober);
+        acc.record(scan.base == Some(truth.kernel_base));
+    }
+    acc.percent()
+}
+
+/// The knobs the paper fixes implicitly: the probe strategy ("execute
+/// twice, measure the second"), the threshold margin around the
+/// 14-cycle band gap, the interrupt-spike rate, and the TLB eviction
+/// before each behaviour-spy probe.
+fn ablations() {
+    heading("Ablations — the attack's fixed knobs (kernel base, n=40)");
+    let pct = |x: f64| format!("{x:.1} %");
+    let mut t = Table::new(["Strategy", "Probes/slot", "Accuracy"]);
+    for (label, s) in [
+        ("single-shot", ProbeStrategy::Single),
+        ("second-of-two (paper)", ProbeStrategy::SecondOfTwo),
+        ("min-of-4", ProbeStrategy::MinOf(4)),
+    ] {
+        t.row([
+            label.to_string(),
+            s.probes_per_measurement().to_string(),
+            pct(ablation_accuracy(s, None, None)),
+        ]);
+    }
+    println!("{t}");
+    let mut t = Table::new(["Margin (cycles)", "Accuracy"]);
+    for margin in [0.0, 3.0, 7.0, 11.0, 14.0, 20.0] {
+        let acc = ablation_accuracy(ProbeStrategy::SecondOfTwo, None, Some(margin));
+        t.row([format!("{margin:.0}"), pct(acc)]);
+    }
+    println!("{t}");
+    let mut t = Table::new(["Spike prob", "Second-of-two", "Min-of-4"]);
+    for p in [0.0, 0.002, 0.01, 0.05, 0.2] {
+        t.row([
+            p.to_string(),
+            pct(ablation_accuracy(ProbeStrategy::SecondOfTwo, Some(p), None)),
+            pct(ablation_accuracy(ProbeStrategy::MinOf(4), Some(p), None)),
+        ]);
+    }
+    println!("{t}");
+
+    // The behaviour spy with eviction (Fig. 6's procedure) and without:
+    // a direct probe caches the translation itself, so idle seconds hit
+    // too.
+    let timeline = ActivityTimeline::bluetooth_session();
+    let (mut p, truth) = linux_prober(CpuProfile::ice_lake_i7_1065g7(), 9);
+    let th = calibrate(&mut p, &truth);
+    let module = truth.module("bluetooth").unwrap();
+    let (base, pages) = (module.base, module.spec.pages());
+    let tlb = TlbAttack::from_threshold(&th);
+    let spy = TlbSpy::new(SpyConfig::default(), tlb);
+    let trace = spy.monitor(&mut p, base, |p, t| {
+        apply_activity(p.machine_mut(), &timeline, base, pages, t);
+    });
+    let mut without = Trials::new();
+    for step in 0..100u64 {
+        let t = step as f64;
+        apply_activity(p.machine_mut(), &timeline, base, pages, t);
+        let hit = (p.probe(OpKind::Load, base) as f64) <= tlb.hit_boundary;
+        without.record(hit == timeline.active_at(t));
+    }
+    println!(
+        "  behaviour spy agreement: {} with eviction, {} without (self-pollution)",
+        pct(trace.score(&timeline, tlb.hit_boundary) * 100.0),
+        pct(without.percent())
+    );
+}
+
 /// The adaptive engine's probe economy: the kernel-base cell across
 /// every noise preset, fixed vs fixed-budget vs adaptive.
 fn adaptive_economy(cli: &Cli) {
@@ -479,13 +570,6 @@ fn confirmation(cli: &Cli) {
     println!("  (reproduce: repro --noise laptop --adaptive --calibrator noise-aware [--confirm])");
 }
 
-fn quiet_machine(profile: CpuProfile, space: AddressSpace, seed: u64) -> Machine {
-    let sigma = NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0));
-    let mut m = Machine::new(profile, space, seed);
-    m.set_noise(sigma);
-    m
-}
-
 fn fig1() {
     heading("Fig. 1 — fault suppression (A–D)");
     let mut space = AddressSpace::new();
@@ -493,7 +577,7 @@ fn fig1() {
     space
         .map(mapped, PageSize::Size4K, PteFlags::user_rw())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 1);
+    let mut m = sigma_only_machine(CpuProfile::ice_lake_i7_1065g7(), space, 1);
     let boundary = mapped.wrapping_add(0xff0);
     for (label, kind, bits) in [
         (
@@ -541,7 +625,7 @@ fn fig2() {
     space
         .map(kernel_m, PageSize::Size2M, PteFlags::kernel_rx())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 2);
+    let mut m = sigma_only_machine(CpuProfile::ice_lake_i7_1065g7(), space, 2);
 
     let mut table = Table::new(["page type", "measured", "paper", "assists", "walks"]);
     for (i, (label, addr)) in [
@@ -595,7 +679,7 @@ fn fig3() {
     space
         .protect(none, PageSize::Size4K, PteFlags::none_guard())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::generic_desktop(), space, 3);
+    let mut m = sigma_only_machine(CpuProfile::generic_desktop(), space, 3);
 
     let mut table = Table::new(["perm", "load", "paper", "store", "paper"]);
     for (i, (label, addr)) in [("r--", ro), ("r-x", rx), ("rw-", rw), ("---", none)]
@@ -648,7 +732,7 @@ fn prop3() {
     space
         .map(pdpt, PageSize::Size1G, PteFlags::kernel_rw())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::coffee_lake_i9_9900(), space, 4);
+    let mut m = sigma_only_machine(CpuProfile::coffee_lake_i9_9900(), space, 4);
     for (label, addr) in [
         ("PD   (2 MiB)", pd),
         ("PDPT (1 GiB)", pdpt),
@@ -675,7 +759,7 @@ fn prop4() {
     space
         .map(kernel, PageSize::Size2M, PteFlags::kernel_rx())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::coffee_lake_i9_9900(), space, 5);
+    let mut m = sigma_only_machine(CpuProfile::coffee_lake_i9_9900(), space, 5);
     let probe = MaskedOp::probe_load(kernel);
     let _ = m.execute(probe);
     let mut miss = Vec::new();
@@ -701,7 +785,7 @@ fn prop6() {
     space
         .map(kernel, PageSize::Size2M, PteFlags::kernel_rx())
         .unwrap();
-    let mut m = quiet_machine(CpuProfile::ice_lake_i7_1065g7(), space, 6);
+    let mut m = sigma_only_machine(CpuProfile::ice_lake_i7_1065g7(), space, 6);
     let load = MaskedOp::probe_load(kernel);
     let store = MaskedOp::probe_store(kernel);
     for _ in 0..4 {

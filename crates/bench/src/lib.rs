@@ -1,14 +1,13 @@
 //! # avx-bench — the reproduction harness
 //!
-//! Shared machinery for the Criterion benches (one per table/figure of
-//! the paper) and the `repro` binary that regenerates every number the
-//! README and `ARCHITECTURE.md` report. [`Cli`] is the one reader of the
-//! binary's flags and `AVX_*` environment.
+//! Shared machinery for the `repro` binary that regenerates every
+//! number the README and `ARCHITECTURE.md` report, and for the tests
+//! that hold the paper's pass/fail claims (`tests/paper_artifacts.rs`).
+//! [`Cli`] is the one reader of the binary's flags and `AVX_*`
+//! environment.
 //!
-//! The `paper` module records the published values so every bench can
-//! print a paper-vs-measured comparison next to its timing output.
-
-pub mod throughput;
+//! The `paper` module records the published values so `repro` can
+//! print a paper-vs-measured comparison next to every measurement.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -20,8 +19,11 @@ use avx_channel::{
     CalibratorKind, ConfirmConfig, DefenseKind, KernelBaseFinder, RecalConfig, Sampling,
     ScheduleKind, SimProber, Threshold,
 };
+use avx_mmu::AddressSpace;
 use avx_os::linux::{LinuxConfig, LinuxSystem, LinuxTruth};
-use avx_uarch::{CpuProfile, NoiseModel, NoiseProfile, ObservablesVersion, VictimSchedule};
+use avx_uarch::{
+    CpuProfile, Machine, NoiseModel, NoiseProfile, ObservablesVersion, VictimSchedule,
+};
 
 /// The paper's published numbers, used for side-by-side reporting.
 pub mod paper {
@@ -109,13 +111,17 @@ pub fn calibrate(p: &mut SimProber, truth: &LinuxTruth) -> Threshold {
     Threshold::calibrate(p, truth.user.calibration, 16)
 }
 
-/// Gaussian-jitter-only noise for the §III characterization benches:
-/// the paper measures those distributions on a quiescent machine where
-/// interrupt spikes are rare enough to be filtered, hence σ ≈ 1 cycle.
-/// The end-to-end attack benches keep the full noise model.
+/// A machine over `space` with Gaussian-jitter-only noise, for the
+/// §III characterizations: the paper measures those distributions on a
+/// quiescent machine where interrupt spikes are rare enough to be
+/// filtered, hence σ ≈ 1 cycle. The end-to-end attacks keep the full
+/// noise model.
 #[must_use]
-pub fn sigma_only_noise(profile: &CpuProfile) -> NoiseModel {
-    NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0))
+pub fn sigma_only_machine(profile: CpuProfile, space: AddressSpace, seed: u64) -> Machine {
+    let noise = NoiseModel::new(profile.timing.noise_sigma, 0.0, (0.0, 0.0));
+    let mut m = Machine::new(profile, space, seed);
+    m.set_noise(noise);
+    m
 }
 
 /// Seed of the `--schedule <trace-file>` victim schedule and of the

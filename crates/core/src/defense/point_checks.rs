@@ -28,7 +28,7 @@ use avx_uarch::CpuProfile;
 
 use crate::calibrate::Threshold;
 use crate::primitives::{TlbAttack, TlbState};
-use crate::prober::SimProber;
+use crate::prober::{ProbeStrategy, SimProber};
 
 use crate::attacks::kaslr::KernelBaseFinder;
 
@@ -127,8 +127,8 @@ pub fn evaluate_flare(profile: CpuProfile, seed: u64) -> FlareEval {
 /// Result of attacking an FGKASLR kernel.
 #[derive(Clone, Debug)]
 pub struct FgkaslrEval {
-    /// Base recovered by the ordinary scan (FGKASLR does not move the
-    /// image, so this still works).
+    /// Base recovered by the page-table scan (FGKASLR does not move the
+    /// image; the scan only widens its boundary for the 4 KiB text).
     pub base: Option<VirtAddr>,
     /// `true` when the base matches.
     pub base_correct: bool,
@@ -157,6 +157,11 @@ impl fmt::Display for FgkaslrEval {
     }
 }
 
+/// Acceptance margin of the FGKASLR base scan, in cycles above the
+/// calibrated level: between the min-of-four PT band (≤ 8 cycles above
+/// it) and the unmapped band (≥ 9.5 above it).
+const FGKASLR_BASE_MARGIN: f64 = 8.5;
+
 /// Attacks an FGKASLR kernel: base scan + per-function TLB template
 /// (§V-A, following the template idea of \[20\]).
 #[must_use]
@@ -170,7 +175,18 @@ pub fn evaluate_fgkaslr(profile: CpuProfile, seed: u64, function: &str) -> Fgkas
     let mut p = SimProber::new(machine);
     let th = Threshold::calibrate(&mut p, truth.user.calibration, 16);
 
-    let scan = KernelBaseFinder::new(th).scan(&mut p);
+    // FGKASLR maps the text at 4 KiB, so the image's first slots end
+    // their walk at the PT level (P3), a few cycles above the 2 MiB
+    // level the threshold is calibrated on: second-of-two readings
+    // straddle the default boundary and the first mapped run starts
+    // late. The minimum of four probes tightens the PT and unmapped
+    // bands, and the wider margin puts the boundary between them.
+    let scan = KernelBaseFinder::new(Threshold {
+        margin: FGKASLR_BASE_MARGIN,
+        ..th
+    })
+    .with_strategy(ProbeStrategy::MinOf(4))
+    .scan(&mut p);
     let base_correct = scan.base == Some(truth.kernel_base);
 
     // TLB template (shared primitive): for each candidate text page,

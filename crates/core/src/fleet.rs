@@ -171,12 +171,25 @@ impl MomentSum {
     }
 
     /// Merges another accumulator in — exact, order-independent.
+    ///
+    /// # Panics
+    ///
+    /// When a sum overflows ([`MomentSum::checked_merge`] reports it).
     pub fn merge(&mut self, other: &Self) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        *self = self.checked_merge(other).expect("probe moments overflow");
+    }
+
+    /// [`MomentSum::merge`] with checked adds: `None` when a sum
+    /// overflows.
+    #[must_use]
+    pub fn checked_merge(&self, other: &Self) -> Option<Self> {
+        Some(Self {
+            n: self.n.checked_add(other.n)?,
+            sum: self.sum.checked_add(other.sum)?,
+            sumsq: self.sumsq.checked_add(other.sumsq)?,
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+        })
     }
 
     /// Number of samples.
@@ -288,16 +301,44 @@ impl FleetReducer {
     }
 
     /// Merges another reducer in — exact, associative, commutative.
+    ///
+    /// # Panics
+    ///
+    /// When a total overflows; [`FleetReducer::checked_merge`] reports
+    /// that as an error instead.
     pub fn merge(&mut self, other: &Self) {
-        self.victims += other.victims;
-        self.hits += other.hits;
-        self.records += other.records;
-        self.probes += other.probes;
-        self.addresses += other.addresses;
-        self.probe_moments.merge(&other.probe_moments);
-        for (slot, count) in self.confidence.iter_mut().zip(other.confidence) {
-            *slot += count;
+        *self = self
+            .checked_merge(other)
+            .unwrap_or_else(|err| panic!("{err}"));
+    }
+
+    /// [`FleetReducer::merge`] with checked adds: the merged reducer,
+    /// or an error naming the first field whose total overflows.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the overflowing field.
+    pub fn checked_merge(&self, other: &Self) -> Result<Self, String> {
+        let add = |a: u64, b: u64, field: &str| {
+            a.checked_add(b)
+                .ok_or_else(|| format!("fleet reducer: {field} total overflows"))
+        };
+        let mut confidence = [0; 4];
+        for (slot, total) in confidence.iter_mut().enumerate() {
+            *total = add(self.confidence[slot], other.confidence[slot], "confidence")?;
         }
+        Ok(Self {
+            victims: add(self.victims, other.victims, "victims")?,
+            hits: add(self.hits, other.hits, "hits")?,
+            records: add(self.records, other.records, "records")?,
+            probes: add(self.probes, other.probes, "probes")?,
+            addresses: add(self.addresses, other.addresses, "addresses")?,
+            probe_moments: self
+                .probe_moments
+                .checked_merge(&other.probe_moments)
+                .ok_or("fleet reducer: probe moments overflow")?,
+            confidence,
+        })
     }
 
     /// Population accuracy as a [`Trials`] tracker.
@@ -618,7 +659,8 @@ impl Fleet {
     /// list cannot be allocated, when the checkpoint file is
     /// unreadable, corrupt, or was recorded under a different fleet
     /// configuration (fingerprint mismatch), or when a checkpoint write
-    /// fails.
+    /// fails, or when merging a shard into the restored aggregate
+    /// overflows a total.
     pub fn run(&self) -> Result<FleetReport, String> {
         let start = Instant::now();
         let shards = self.config.shard_count();
@@ -688,9 +730,15 @@ impl Fleet {
         pending.into_par_iter().for_each(|shard| {
             let local = self.run_shard(&pool, shard);
             let mut guard = state.lock().expect("fleet state lock");
-            let (completed, aggregate, io_status) = &mut *guard;
+            let (completed, aggregate, status) = &mut *guard;
+            match aggregate.checked_merge(&local) {
+                Ok(merged) => *aggregate = merged,
+                Err(err) => {
+                    *status = Err(err);
+                    return;
+                }
+            }
             completed[shard as usize] = true;
-            aggregate.merge(&local);
             if let Some(path) = &self.config.checkpoint {
                 let checkpoint = Checkpoint {
                     fingerprint,
@@ -698,13 +746,13 @@ impl Fleet {
                     reducer: *aggregate,
                 };
                 if let Err(err) = checkpoint.store(path) {
-                    *io_status = Err(err);
+                    *status = Err(err);
                 }
             }
         });
 
-        let (completed, aggregate, io_status) = state.into_inner().expect("fleet state lock");
-        io_status?;
+        let (completed, aggregate, status) = state.into_inner().expect("fleet state lock");
+        status?;
         let complete = completed.iter().all(|&done| done);
         Ok(FleetReport {
             probes_run: aggregate.probes - restored.probes,
@@ -790,8 +838,9 @@ impl Checkpoint {
     ///
     /// Returns a message on schema mismatch, any missing/malformed
     /// field, or a reducer no fleet could have produced: a probe-moment
-    /// count other than the victim count, a probe minimum above the
-    /// maximum, or more hits than records.
+    /// count other than the victim count, a probe total other than the
+    /// probe-moment sum, a probe minimum above the maximum, more hits
+    /// than records, or more confidence tags than victims.
     pub fn from_json(src: &str) -> Result<Self, String> {
         let schema = json_str(src, "schema").ok_or("checkpoint: missing schema")?;
         if schema != FLEET_CHECKPOINT_SCHEMA {
@@ -832,6 +881,12 @@ impl Checkpoint {
                 moments.n, reducer.victims
             ));
         }
+        if u128::from(reducer.probes) != moments.sum {
+            return Err(format!(
+                "checkpoint: probes {} does not match probe_sum {}",
+                reducer.probes, moments.sum
+            ));
+        }
         if moments.n > 0 && moments.min > moments.max {
             return Err(format!(
                 "checkpoint: probe_min {} exceeds probe_max {}",
@@ -842,6 +897,13 @@ impl Checkpoint {
             return Err(format!(
                 "checkpoint: hits {} exceed records {}",
                 reducer.hits, reducer.records
+            ));
+        }
+        let tagged: u128 = confidence.iter().map(|&c| u128::from(c)).sum();
+        if tagged > u128::from(reducer.victims) {
+            return Err(format!(
+                "checkpoint: confidence histogram tags {tagged} victims of {}",
+                reducer.victims
             ));
         }
         Ok(Self {

@@ -437,3 +437,63 @@ fn resume_refuses_a_checkpoint_whose_victims_disagree_with_its_shards() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn resume_refuses_a_checkpoint_whose_probe_total_would_overflow() {
+    let path = scratch("overflow");
+    let _ = std::fs::remove_file(&path);
+    let config = || {
+        FleetConfig::new(40)
+            .with_pool(4)
+            .with_shards(4)
+            .with_checkpoint(&path)
+    };
+    small_fleet(config().with_max_shards(1))
+        .run()
+        .expect("first shard");
+    let json = std::fs::read_to_string(&path).expect("checkpoint written");
+    let probes = Checkpoint::from_json(&json)
+        .expect("consistent")
+        .reducer
+        .probes;
+    let crafted = (u64::MAX - 5).to_string();
+
+    // A probe total the probe moments do not sum to, and a confidence
+    // histogram tagging more victims than the checkpoint holds, are
+    // refused on load.
+    let edited = json.replace(
+        &format!("\"probes\": {probes}"),
+        &format!("\"probes\": {crafted}"),
+    );
+    assert_ne!(edited, json);
+    let err = Checkpoint::from_json(&edited).expect_err("probes != probe_sum");
+    assert!(err.contains("probes") && err.contains("probe_sum"), "{err}");
+    std::fs::write(&path, &edited).expect("rewrite checkpoint");
+    let err = small_fleet(config())
+        .run()
+        .expect_err("an inconsistent probe total must be refused");
+    assert!(err.contains("probes"), "{err}");
+    let tagged = json.replace(
+        "\"confidence\": [0, 0, 0, 0]",
+        "\"confidence\": [0, 11, 0, 0]",
+    );
+    assert_ne!(tagged, json);
+    let err = Checkpoint::from_json(&tagged).expect_err("11 tags over 10 victims");
+    assert!(err.contains("confidence"), "{err}");
+
+    // A self-consistent total that overflows once the remaining shards
+    // merge in is an error naming the field, not a panic or a wrapped
+    // total.
+    let edited = edited.replace(
+        &format!("\"probe_sum\": \"{probes}\""),
+        &format!("\"probe_sum\": \"{crafted}\""),
+    );
+    Checkpoint::from_json(&edited).expect("self-consistent reducer");
+    std::fs::write(&path, edited).expect("rewrite checkpoint");
+    let err = small_fleet(config())
+        .run()
+        .expect_err("an overflowing probe total must be refused");
+    assert!(err.contains("probes") && err.contains("overflow"), "{err}");
+
+    let _ = std::fs::remove_file(&path);
+}
