@@ -430,8 +430,15 @@ impl Scenario {
         }
     }
 
-    /// Seed-space salt so different scenarios attack different layout
-    /// populations (mirrors the historical per-campaign offsets).
+    /// Seed-space offset of a scenario's layout seeds (mirrors the
+    /// historical per-campaign offsets): trial `i` builds its layout
+    /// from `seed0 + seed_salt() + i`.
+    ///
+    /// The salts are 1000 apart, so the populations are disjoint only
+    /// while `trials ≤ 1000`. Beyond that they overlap: with `trials =
+    /// 1024`, KernelBase trials 1000–1019 rebuild exactly Modules' 20
+    /// layouts (the same seeds through the same `LinuxConfig`). Moving
+    /// the salts would re-golden every row, so they stay.
     #[must_use]
     pub fn seed_salt(self) -> u64 {
         match self {
@@ -1263,6 +1270,27 @@ mod tests {
 
     fn small() -> CampaignConfig {
         CampaignConfig::new(6, 77)
+    }
+
+    /// Paging-structure bytes of the first trial's fixture of a seed-0
+    /// campaign. The dense 512-entry tables held 69,904 bytes for
+    /// KernelBase (17 tables, ≈ 68 KiB) and 32,896 for KPTI (8 tables,
+    /// ≈ 32 KiB); sparse tables hold 39,264 and 1,056. Fixture pools
+    /// hold every layout of a grid at once, so this is the benchmark's
+    /// memory guard in tier 1.
+    #[test]
+    fn seed0_fixtures_keep_their_paging_structures_sparse() {
+        for (scenario, bound) in [(Scenario::KernelBase, 40 << 10), (Scenario::Kpti, 2 << 10)] {
+            let seed = legacy_trial_seed(0, scenario.seed_salt(), 0);
+            let TrialFixture::Linux(sys) = scenario.build_fixture(seed) else {
+                panic!("{scenario:?} builds a Linux fixture");
+            };
+            let bytes = sys.space().table_bytes();
+            assert!(
+                bytes <= bound,
+                "{scenario:?}: {bytes} table bytes > {bound}"
+            );
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //! [`ShadowIndex::build`] therefore never reads a page table — the
 //! bulk of a layout: a page table is always exactly one interval. An
 //! upper-level table costs one
-//! [`PageTable::iter_live`](crate::PageTable::iter_live) pass (a zero
-//! test per slot) plus O(1) per live entry, since each terminal run
+//! [`PageTable::iter_live`](crate::PageTable::iter_live) pass (a walk
+//! over the set bits of its presence bitmap) plus O(1) per live entry, since each terminal run
 //! between two descending entries is emitted arithmetically. The tests
 //! pin it to a verbatim copy of the per-entry build
 //! (`tests/support/shadow_reference.rs`).

@@ -119,14 +119,22 @@ impl MappedRegion {
 /// The paging-structure arena is reference-counted per table:
 /// [`Clone`]ing an `AddressSpace` is a cheap snapshot (one `Arc` bump
 /// per table, no page data copied), and the first write to any table in
-/// a clone copies just that 4 KiB structure. Campaign engines exploit
-/// this to build a randomized layout once and hand every trial its own
-/// isolated O(1) copy.
+/// a clone copies just that structure. A [`PageTable`] is stored by its
+/// live entries — sparse (a presence bitmap and the live entries
+/// packed) below 64 of them, the dense 512-entry array from 64 on — so
+/// that copy is only as large as the table's live entries. Campaign
+/// engines exploit this to build a randomized layout once and hand
+/// every trial its own isolated O(1) copy.
 ///
 /// # Mutation epoch
 ///
 /// Every *effective* PTE change (map, unmap, protect, A/D-bit update
-/// that actually flips bits) bumps [`AddressSpace::epoch`]. Derived
+/// that actually flips bits) bumps [`AddressSpace::epoch`]. The range
+/// operations ([`AddressSpace::map_range`],
+/// [`AddressSpace::protect_range`],
+/// [`AddressSpace::mark_accessed_range`]) descend once per leaf table
+/// but still write every slot through the same single write path, so
+/// they count exactly like their per-page loops. Derived
 /// structures — notably the shadow translation index the execution
 /// engine keeps — use the epoch to invalidate themselves; rewriting an
 /// entry with its current value is a no-op and leaves the epoch alone.
@@ -189,6 +197,14 @@ impl AddressSpace {
             .zip(other.tables.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
+    }
+
+    /// Bytes the paging structures occupy: each table's inline size plus
+    /// its entry storage, tables shared with a snapshot counted in full
+    /// (diagnostics for the footprint tests).
+    #[must_use]
+    pub fn table_bytes(&self) -> usize {
+        self.tables.iter().map(|t| t.bytes()).sum()
     }
 
     /// Writes `pte` into slot `idx` of table `id`, copy-on-write,
@@ -292,48 +308,26 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        if !va.is_aligned(size.bytes()) {
-            return Err(MmuError::Misaligned {
-                addr: va.as_u64(),
-                size,
-            });
-        }
-        if pa.as_u64() & (size.bytes() - 1) != 0 {
-            return Err(MmuError::Misaligned {
-                addr: pa.as_u64(),
-                size,
-            });
-        }
+        check_alignment(va, pa, size)?;
+        let table_id = self.descend_for_map(va, size.leaf_level(), flags)?;
+        self.map_leaf(table_id, va, pa, size, flags)
+    }
 
-        let leaf_level = size.leaf_level();
+    /// Descends from the root to the `leaf_level` table covering `va`,
+    /// allocating missing intermediate tables and upgrading intermediate
+    /// permissions to what a mapping with `flags` needs.
+    fn descend_for_map(
+        &mut self,
+        va: VirtAddr,
+        leaf_level: Level,
+        flags: PteFlags,
+    ) -> Result<FrameId, MmuError> {
         let mut table_id = self.root;
         for level in Level::WALK_ORDER {
-            let idx = va.index_for(level);
             if level == leaf_level {
-                let existing = self.tables[table_id.index()].entry(idx);
-                if existing.raw() != 0 {
-                    return Err(if existing.is_huge_leaf() || level == Level::Pt {
-                        MmuError::AlreadyMapped { addr: va.as_u64() }
-                    } else {
-                        // A next-level table hangs here; cannot place a huge
-                        // leaf over it.
-                        MmuError::HugePageConflict { addr: va.as_u64() }
-                    });
-                }
-                let mut leaf_flags = flags;
-                if size != PageSize::Size4K {
-                    leaf_flags |= PteFlags::HUGE;
-                } else if leaf_flags.is_huge() {
-                    // On PT entries bit 7 is PAT, not PS; reject to avoid
-                    // silently mapping something surprising.
-                    return Err(MmuError::HugePageConflict { addr: va.as_u64() });
-                }
-                self.write_entry(table_id, idx, Pte::new(pa, leaf_flags));
-                self.mapped_pages += 1;
-                return Ok(());
+                return Ok(table_id);
             }
-
-            // Descend, allocating or validating the intermediate entry.
+            let idx = va.index_for(level);
             let entry = self.tables[table_id.index()].entry(idx);
             if entry.is_huge_leaf() || (entry.raw() != 0 && !entry.is_present()) {
                 // A present huge leaf — or a non-present guard left by
@@ -342,7 +336,7 @@ impl AddressSpace {
                 // table pointer (its address is a data frame).
                 return Err(MmuError::HugePageConflict { addr: va.as_u64() });
             }
-            let next_id = if entry.raw() == 0 {
+            table_id = if entry.raw() == 0 {
                 let new_id = self.alloc_table()?;
                 let mut inter = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::ACCESSED;
                 if flags.is_user() {
@@ -359,19 +353,57 @@ impl AddressSpace {
                 if flags.is_user() && !entry.flags().is_user() {
                     self.write_entry(table_id, idx, entry.with_flags_set(PteFlags::USER));
                 }
-                FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"))
+                table_frame(entry).expect("table frame id")
             };
-            table_id = next_id;
         }
         unreachable!("leaf level is always reached in WALK_ORDER");
     }
 
+    /// Writes the leaf `va` → `pa` into its slot of the leaf-level table
+    /// `table_id`, which must be free.
+    fn map_leaf(
+        &mut self,
+        table_id: FrameId,
+        va: VirtAddr,
+        pa: PhysAddr,
+        size: PageSize,
+        flags: PteFlags,
+    ) -> Result<(), MmuError> {
+        let idx = va.index_for(size.leaf_level());
+        let existing = self.tables[table_id.index()].entry(idx);
+        if existing.raw() != 0 {
+            return Err(if existing.is_huge_leaf() || size == PageSize::Size4K {
+                MmuError::AlreadyMapped { addr: va.as_u64() }
+            } else {
+                // A next-level table hangs here; cannot place a huge
+                // leaf over it.
+                MmuError::HugePageConflict { addr: va.as_u64() }
+            });
+        }
+        let mut leaf_flags = flags;
+        if size != PageSize::Size4K {
+            leaf_flags |= PteFlags::HUGE;
+        } else if leaf_flags.is_huge() {
+            // On PT entries bit 7 is PAT, not PS; reject to avoid
+            // silently mapping something surprising.
+            return Err(MmuError::HugePageConflict { addr: va.as_u64() });
+        }
+        self.write_entry(table_id, idx, Pte::new(pa, leaf_flags));
+        self.mapped_pages += 1;
+        Ok(())
+    }
+
     /// Maps `count` consecutive pages of `size` starting at `va`.
+    ///
+    /// Exactly the per-page [`AddressSpace::map`] loop — same entries,
+    /// backing frames, epochs and first error — but it descends once
+    /// per leaf table and then writes its consecutive slots.
     ///
     /// # Errors
     ///
     /// Fails fast on the first page that cannot be mapped (earlier pages
-    /// stay mapped).
+    /// stay mapped; the failing page still consumes its frame, as
+    /// [`AddressSpace::map`] does).
     pub fn map_range(
         &mut self,
         va: VirtAddr,
@@ -379,8 +411,21 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
+        let leaf_level = size.leaf_level();
+        let mut cursor = LeafCursor::default();
         for i in 0..count {
-            self.map(va.wrapping_add(i * size.bytes()), size, flags)?;
+            let page = va.wrapping_add(i * size.bytes());
+            let pa = self.alloc_data_frame(size);
+            check_alignment(page, pa, size)?;
+            let table_id = match cursor.get(page, leaf_level) {
+                Some(id) => id,
+                None => {
+                    let id = self.descend_for_map(page, leaf_level, flags)?;
+                    cursor.set(page, leaf_level, id);
+                    id
+                }
+            };
+            self.map_leaf(table_id, page, pa, size, flags)?;
         }
         Ok(())
     }
@@ -406,6 +451,9 @@ impl AddressSpace {
     /// Re-protects `count` consecutive pages of `size` starting at `va`
     /// (an `mprotect` over a whole VMA).
     ///
+    /// Exactly the per-page [`AddressSpace::protect`] loop, descending
+    /// once per leaf table.
+    ///
     /// # Errors
     ///
     /// Fails fast on the first page that cannot be re-protected.
@@ -416,8 +464,18 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
+        let mut cursor = LeafCursor::default();
         for i in 0..count {
-            self.protect(va.wrapping_add(i * size.bytes()), size, flags)?;
+            let page = va.wrapping_add(i * size.bytes());
+            let new_span = cursor.get(page, size.leaf_level()).is_none();
+            let found = self.locate_cached(page, size.leaf_level(), &mut cursor);
+            let slot = check_leaf_size(page, size, found)?;
+            self.protect_slot(slot, size, flags);
+            // The intermediates above a leaf table are shared by its
+            // whole span: one upgrade covers them.
+            if new_span && flags.is_user() {
+                self.upgrade_intermediates_to_user(page);
+            }
         }
         Ok(())
     }
@@ -463,12 +521,11 @@ impl AddressSpace {
                 break;
             }
             path.push((table_id, idx));
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
+            table_id = table_frame(entry).expect("table frame id");
         }
         for (parent, idx) in path.into_iter().rev() {
             let entry = self.tables[parent.index()].entry(idx);
-            let child =
-                FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
+            let child = table_frame(entry).expect("table frame id");
             if self.tables[child.index()].is_empty() {
                 self.write_entry(parent, idx, Pte::zero());
             } else {
@@ -493,17 +550,22 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
+        let slot = self.locate_leaf_slot(va, size)?;
+        self.protect_slot(slot, size, flags);
+        if flags.is_user() {
+            self.upgrade_intermediates_to_user(va);
+        }
+        Ok(())
+    }
+
+    /// Replaces the flags of the leaf in `slot`, keeping its target.
+    fn protect_slot(&mut self, (table_id, idx): (FrameId, usize), size: PageSize, flags: PteFlags) {
         let entry = self.tables[table_id.index()].entry(idx);
         let mut new_flags = flags;
         if size != PageSize::Size4K {
             new_flags |= PteFlags::HUGE;
         }
         self.write_entry(table_id, idx, entry.with_flags(new_flags));
-        if flags.is_user() {
-            self.upgrade_intermediates_to_user(va);
-        }
-        Ok(())
     }
 
     /// Sets `USER` on every present intermediate entry on the walk path
@@ -519,7 +581,7 @@ impl AddressSpace {
             if !entry.flags().is_user() {
                 self.write_entry(table_id, idx, entry.with_flags_set(PteFlags::USER));
             }
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame"));
+            table_id = table_frame(entry).expect("table frame id");
         }
     }
 
@@ -533,9 +595,42 @@ impl AddressSpace {
     ///
     /// [`MmuError::NotMapped`] if no present leaf covers `va`.
     pub fn mark_accessed(&mut self, va: VirtAddr, write: bool) -> Result<PteFlags, MmuError> {
-        let (table_id, idx) = self
-            .locate_any_leaf(va)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+        let slot = self.locate_any_leaf(va);
+        self.mark_slot(va, slot, write)
+    }
+
+    /// [`AddressSpace::mark_accessed`] on `count` consecutive pages of
+    /// `size` starting at `va`, descending once per leaf table.
+    ///
+    /// # Errors
+    ///
+    /// Fails fast on the first page no present leaf covers (earlier
+    /// pages stay marked).
+    pub fn mark_accessed_range(
+        &mut self,
+        va: VirtAddr,
+        count: u64,
+        size: PageSize,
+        write: bool,
+    ) -> Result<(), MmuError> {
+        let mut cursor = LeafCursor::default();
+        for i in 0..count {
+            let page = va.wrapping_add(i * size.bytes());
+            let slot = self.locate_cached(page, size.leaf_level(), &mut cursor);
+            self.mark_slot(page, slot, write)?;
+        }
+        Ok(())
+    }
+
+    /// Sets Accessed (and Dirty on `write`) on the present leaf in
+    /// `slot`, returning its previous flags.
+    fn mark_slot(
+        &mut self,
+        va: VirtAddr,
+        slot: Option<(FrameId, usize, Level)>,
+        write: bool,
+    ) -> Result<PteFlags, MmuError> {
+        let (table_id, idx, _) = slot.ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
         let entry = self.tables[table_id.index()].entry(idx);
         if !entry.is_present() {
             return Err(MmuError::NotMapped { addr: va.as_u64() });
@@ -558,7 +653,7 @@ impl AddressSpace {
     ///
     /// [`MmuError::NotMapped`] if no leaf covers `va`.
     pub fn clear_accessed_dirty(&mut self, va: VirtAddr) -> Result<(), MmuError> {
-        let (table_id, idx) = self
+        let (table_id, idx, _) = self
             .locate_any_leaf(va)
             .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
         let entry = self.tables[table_id.index()].entry(idx);
@@ -573,12 +668,11 @@ impl AddressSpace {
     /// Returns the leaf mapping covering `va`, if one is present.
     #[must_use]
     pub fn lookup(&self, va: VirtAddr) -> Option<MappedRegion> {
-        let (table_id, idx) = self.locate_any_leaf(va)?;
+        let (table_id, idx, level) = self.locate_any_leaf(va)?;
         let entry = self.tables[table_id.index()].entry(idx);
         if !entry.is_present() {
             return None;
         }
-        let level = self.level_of_slot(va, table_id)?;
         let size = PageSize::from_leaf_level(level)?;
         Some(MappedRegion {
             start: va.align_down(size.bytes()),
@@ -622,8 +716,7 @@ impl AddressSpace {
                     }
                 }
             } else if let Some(next) = level.next() {
-                let next_id =
-                    FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
+                let next_id = table_frame(entry).expect("table frame id");
                 self.collect_regions(next_id, next, va.as_u64(), out);
             }
         }
@@ -632,64 +725,118 @@ impl AddressSpace {
     /// Finds the table and index of the leaf slot for (`va`, `size`),
     /// verifying the mapping exists with exactly that size.
     fn locate_leaf_slot(&self, va: VirtAddr, size: PageSize) -> Result<(FrameId, usize), MmuError> {
-        let (table_id, idx) = self
-            .locate_any_leaf(va)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let level = self
-            .level_of_slot(va, table_id)
-            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let found =
-            PageSize::from_leaf_level(level).ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        if found != size {
-            return Err(MmuError::SizeMismatch {
-                addr: va.as_u64(),
-                found,
-                expected: size,
-            });
-        }
-        Ok((table_id, idx))
+        check_leaf_size(va, size, self.locate_any_leaf(va))
     }
 
     /// Descends to the slot that terminates the walk for `va`: either a
-    /// leaf entry (possibly non-present) or `None` when an intermediate
-    /// entry is missing entirely.
-    fn locate_any_leaf(&self, va: VirtAddr) -> Option<(FrameId, usize)> {
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
+    /// leaf entry (possibly non-present) with its level, or `None` when
+    /// an intermediate entry is missing entirely.
+    fn locate_any_leaf(&self, va: VirtAddr) -> Option<(FrameId, usize, Level)> {
+        self.locate_from(self.root, Level::Pml4, va)
+    }
+
+    /// [`AddressSpace::locate_any_leaf`] for the pages of a range
+    /// operation over `leaf_level` leaves: once a page's walk ends in a
+    /// `leaf_level` table, the rest of its `cursor` span starts there.
+    fn locate_cached(
+        &self,
+        va: VirtAddr,
+        leaf_level: Level,
+        cursor: &mut LeafCursor,
+    ) -> Option<(FrameId, usize, Level)> {
+        let found = match cursor.get(va, leaf_level) {
+            Some(id) => self.locate_from(id, leaf_level, va),
+            None => self.locate_any_leaf(va),
+        };
+        if let Some((id, _, level)) = found {
+            if level == leaf_level {
+                cursor.set(va, leaf_level, id);
+            }
+        }
+        found
+    }
+
+    /// [`AddressSpace::locate_any_leaf`] from table `table_id` at `level`
+    /// on the walk path of `va`.
+    fn locate_from(
+        &self,
+        mut table_id: FrameId,
+        mut level: Level,
+        va: VirtAddr,
+    ) -> Option<(FrameId, usize, Level)> {
+        loop {
             let idx = va.index_for(level);
             let entry = self.tables[table_id.index()].entry(idx);
             if level == Level::Pt {
-                if entry.raw() == 0 {
-                    return None;
-                }
-                return Some((table_id, idx));
+                return (entry.raw() != 0).then_some((table_id, idx, level));
             }
             if entry.is_huge_leaf() {
-                return Some((table_id, idx));
+                return Some((table_id, idx, level));
             }
             if entry.raw() == 0 || !entry.is_present() {
                 return None;
             }
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).ok()?);
+            table_id = table_frame(entry)?;
+            level = level.next()?;
         }
-        None
+    }
+}
+
+/// The leaf-level table a range operation last descended to, keyed by
+/// the address bits above that level's index: every page with the same
+/// key shares the entries above the leaf table, so the descent is
+/// reused until the key changes.
+#[derive(Default)]
+struct LeafCursor(Option<(u64, FrameId)>);
+
+impl LeafCursor {
+    fn key(va: VirtAddr, leaf_level: Level) -> u64 {
+        va.as_u64() >> (level_shift(leaf_level) + 9)
     }
 
-    /// Determines which level `table_id` sits at for address `va`.
-    fn level_of_slot(&self, va: VirtAddr, needle: FrameId) -> Option<Level> {
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            if table_id == needle {
-                return Some(level);
-            }
-            let entry = self.tables[table_id.index()].entry(va.index_for(level));
-            if entry.raw() == 0 || entry.is_huge_leaf() {
-                return None;
-            }
-            table_id = FrameId(u32::try_from(entry.addr().frame_number()).ok()?);
-        }
-        None
+    fn get(&self, va: VirtAddr, leaf_level: Level) -> Option<FrameId> {
+        self.0
+            .filter(|&(key, _)| key == Self::key(va, leaf_level))
+            .map(|(_, id)| id)
     }
+
+    fn set(&mut self, va: VirtAddr, leaf_level: Level, id: FrameId) {
+        self.0 = Some((Self::key(va, leaf_level), id));
+    }
+}
+
+/// The table a present intermediate entry points to.
+fn table_frame(entry: Pte) -> Option<FrameId> {
+    u32::try_from(entry.addr().frame_number()).ok().map(FrameId)
+}
+
+/// Checks that `va` and `pa` are both aligned to `size`.
+fn check_alignment(va: VirtAddr, pa: PhysAddr, size: PageSize) -> Result<(), MmuError> {
+    for addr in [va.as_u64(), pa.as_u64()] {
+        if addr & (size.bytes() - 1) != 0 {
+            return Err(MmuError::Misaligned { addr, size });
+        }
+    }
+    Ok(())
+}
+
+/// The leaf slot of a located walk end, if it maps a page of `size`.
+fn check_leaf_size(
+    va: VirtAddr,
+    size: PageSize,
+    found: Option<(FrameId, usize, Level)>,
+) -> Result<(FrameId, usize), MmuError> {
+    let (table_id, idx, level) = found.ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+    let found =
+        PageSize::from_leaf_level(level).ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
+    if found != size {
+        return Err(MmuError::SizeMismatch {
+            addr: va.as_u64(),
+            found,
+            expected: size,
+        });
+    }
+    Ok((table_id, idx))
 }
 
 impl Default for AddressSpace {

@@ -392,15 +392,12 @@ fn place_image(
             PermClass::None => {
                 // PROT_NONE: VMA exists, pages non-present. Map then
                 // drop the present bit, like mprotect(PROT_NONE).
-                for i in 0..pages {
-                    let va = cursor.wrapping_add(i * 4096);
-                    space
-                        .map(va, PageSize::Size4K, PteFlags::user_ro())
-                        .expect("PROT_NONE placement");
-                    space
-                        .protect(va, PageSize::Size4K, PteFlags::none_guard())
-                        .expect("PROT_NONE protect");
-                }
+                space
+                    .map_range(cursor, pages, PageSize::Size4K, PteFlags::user_ro())
+                    .expect("PROT_NONE placement");
+                space
+                    .protect_range(cursor, pages, PageSize::Size4K, PteFlags::none_guard())
+                    .expect("PROT_NONE protect");
             }
             perm => {
                 space
@@ -411,11 +408,9 @@ fn place_image(
                     // the program: their dirty bits are set. (A clean
                     // writable page times like a kernel page under the
                     // masked store — Fig. 3 vs §IV-B.)
-                    for i in 0..pages {
-                        space
-                            .mark_accessed(cursor.wrapping_add(i * 4096), true)
-                            .expect("dirty rw section");
-                    }
+                    space
+                        .mark_accessed_range(cursor, pages, PageSize::Size4K, true)
+                        .expect("dirty rw section");
                 }
             }
         }
@@ -437,11 +432,9 @@ fn place_image(
                 PteFlags::user_rw(),
             )
             .expect("hidden allocator pages");
-        for i in 0..image.hidden_rw_bytes / 4096 {
-            space
-                .mark_accessed(cursor.wrapping_add(i * 4096), true)
-                .expect("dirty hidden page");
-        }
+        space
+            .mark_accessed_range(cursor, image.hidden_rw_bytes / 4096, PageSize::Size4K, true)
+            .expect("dirty hidden page");
     }
 }
 
