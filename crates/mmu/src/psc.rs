@@ -176,6 +176,15 @@ impl PscResume {
     pub(crate) fn tags(&self, va: VirtAddr) -> bool {
         PagingStructureCache::tag_for(va, self.level) == self.tag
     }
+
+    /// The first and last address carrying this slot's tag.
+    pub(crate) fn span(&self) -> (u64, u64) {
+        let shift = PagingStructureCache::shift_of(self.level);
+        (
+            self.tag << shift,
+            (self.tag << shift) | ((1u64 << shift) - 1),
+        )
+    }
 }
 
 /// The three-level paging-structure cache.
@@ -304,8 +313,8 @@ impl PagingStructureCache {
         self.pde.clear();
     }
 
-    /// The mutation counter the fast path's PSC-resume proofs are keyed on
-    /// (see [`crate::ResumeMemo`]).
+    /// The mutation counter the run server's PSC-resume proofs are
+    /// keyed on (see [`crate::ResumeMemo`]).
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -357,30 +366,47 @@ impl PagingStructureCache {
         [(&self.pde, 21), (&self.pdpte, 30), (&self.pml4e, 39)]
     }
 
-    /// Applies exactly the state changes of a `lookup_deepest` call that
-    /// `proof` covers: the hit array's clock tick, stamp and MRU slot,
-    /// and the hit count (the deeper arrays' misses change nothing).
-    /// The caller must have checked that [`Self::generation`] still
-    /// equals the generation the proof was made at.
-    pub(crate) fn replay_hit(&mut self, proof: &PscResume) -> PscEntry {
+    /// The entry `proof` names (pure). The caller must have checked that
+    /// [`Self::generation`] still equals the generation the proof was
+    /// made at.
+    pub(crate) fn resume_entry(&self, proof: &PscResume) -> PscEntry {
         let array = match proof.level {
-            Level::Pml4 => &mut self.pml4e,
-            Level::Pdpt => &mut self.pdpte,
-            Level::Pd => &mut self.pde,
+            Level::Pml4 => &self.pml4e,
+            Level::Pdpt => &self.pdpte,
+            Level::Pd => &self.pde,
             Level::Pt => unreachable!("PSC never caches PT entries"),
         };
         debug_assert_eq!(array.tags[proof.slot], proof.tag, "stale PSC proof");
-        array.clock += 1;
-        array.stamps[proof.slot] = array.clock;
-        array.mru = proof.slot;
-        self.hits += 1;
         array.entries[proof.slot]
     }
 
-    /// Applies the state change of a `lookup_deepest` call proven to
+    /// Applies exactly the state changes of `n` `lookup_deepest` calls
+    /// that `proof` covers: the hit array's clock advances by `n`, the
+    /// slot takes the last stamp and becomes the MRU slot, and the hit
+    /// count grows by `n` (the deeper arrays' misses change nothing).
+    /// Stamps only order slots, so one jump of `n` leaves every later
+    /// lookup and eviction as `n` single hits would (invariant 3). `n = 0`
+    /// changes nothing. The caller must have checked that
+    /// [`Self::generation`] still equals the generation the proof was
+    /// made at.
+    pub(crate) fn replay_hits(&mut self, proof: &PscResume, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let array = self
+            .array_for(proof.level)
+            .expect("PSC never caches PT entries");
+        debug_assert_eq!(array.tags[proof.slot], proof.tag, "stale PSC proof");
+        array.clock += n;
+        array.stamps[proof.slot] = array.clock;
+        array.mru = proof.slot;
+        self.hits += n;
+    }
+
+    /// Applies the state change of `n` `lookup_deepest` calls proven to
     /// miss by [`Self::proves_miss`]: the miss count alone.
-    pub(crate) fn replay_miss(&mut self) {
-        self.misses += 1;
+    pub(crate) fn replay_misses(&mut self, n: u64) {
+        self.misses += n;
     }
 
     /// Total number of live entries across the three arrays.
@@ -507,6 +533,67 @@ mod tests {
         assert!(psc.lookup_deepest(b).is_none(), "b should be evicted");
         assert!(psc.lookup_deepest(a).is_some());
         assert!(psc.lookup_deepest(c).is_some());
+    }
+
+    /// One `replay_hits(n)` leaves the PSC as `n` single replays and as
+    /// the `n` `lookup_deepest` calls it stands for (invariant 3): the
+    /// clock, the slot's stamp, the MRU slot and the hit count, and so
+    /// the next eviction's victim (invariant 4). `replay_misses(n)` is
+    /// `n` proven misses, and `n = 0` changes nothing.
+    #[test]
+    fn replay_hits_of_n_equal_n_hits() {
+        let small = PscConfig {
+            pml4e_entries: 2,
+            pdpte_entries: 3,
+            pde_entries: 3,
+        };
+        let mut psc = PagingStructureCache::new(small);
+        let [a, b, c] = [0x20_0000, 0x40_0000, 0x4000_0000].map(va);
+        psc.insert(Level::Pd, b, entry(2));
+        psc.insert(Level::Pd, a, entry(1));
+        psc.insert(Level::Pd, c, entry(3));
+        psc.insert(Level::Pdpt, c, entry(4));
+        // `b` is the LRU PDE, `a` next; a resume proof for `b`'s slot.
+        let (proof, resumed) = psc.prove_resume(Level::Pd, b, 0, u64::MAX).unwrap();
+        assert_eq!(resumed, entry(2));
+        for n in [0u64, 1, 2, 7] {
+            let (mut batched, mut single, mut looked_up) = (psc.clone(), psc.clone(), psc.clone());
+            batched.replay_hits(&proof, n);
+            for _ in 0..n {
+                single.replay_hits(&proof, 1);
+                assert_eq!(looked_up.lookup_deepest(b).unwrap(), (Level::Pd, entry(2)));
+            }
+            let state = format!("{batched:?}");
+            assert_eq!(state, format!("{single:?}"), "n = {n}: n single replays");
+            assert_eq!(state, format!("{looked_up:?}"), "n = {n}: n lookups");
+            assert_eq!(batched.hits(), psc.hits() + n);
+            assert_eq!(
+                batched.generation(),
+                psc.generation(),
+                "replays change no slot"
+            );
+            // The next insert evicts the same victim in all three.
+            let d = va(0x60_0000);
+            for p in [&mut batched, &mut single, &mut looked_up] {
+                p.insert(Level::Pd, d, entry(5));
+            }
+            let state = format!("{batched:?}");
+            assert_eq!(state, format!("{single:?}"), "n = {n}: eviction");
+            assert_eq!(state, format!("{looked_up:?}"), "n = {n}: eviction");
+            // Any hit makes `b` the most recent, so `a` goes instead.
+            let (evicted, kept) = if n == 0 { (b, a) } else { (a, b) };
+            assert!(batched.lookup_deepest(evicted).is_none(), "n = {n}");
+            assert!(batched.lookup_deepest(kept).is_some(), "n = {n}");
+        }
+        // Proven misses: the miss count alone.
+        let (mut batched, mut looked_up) = (psc.clone(), psc.clone());
+        let far = va(0x7f00_0000_0000);
+        assert!(psc.proves_miss(far.as_u64(), far.as_u64()));
+        batched.replay_misses(3);
+        for _ in 0..3 {
+            assert!(looked_up.lookup_deepest(far).is_none());
+        }
+        assert_eq!(format!("{batched:?}"), format!("{looked_up:?}"));
     }
 
     #[test]

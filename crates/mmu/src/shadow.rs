@@ -57,7 +57,7 @@
 use crate::addr::VirtAddr;
 use crate::psc::{PagingStructureCache, PscEntry, PscResume};
 use crate::space::{AddressSpace, MappedRegion, PageSize};
-use crate::table::{FrameId, Level, ENTRIES_PER_TABLE};
+use crate::table::{FrameId, Level, PageTable, ENTRIES_PER_TABLE};
 use crate::walk::{EffectivePerms, WalkAccessList, WalkOutcome, Walker};
 
 /// One interval of the index: a maximal canonical address range whose
@@ -128,7 +128,7 @@ pub struct ShadowWalk {
 /// resolves to one known slot (or misses every array), and the walk
 /// resumes right above the terminal entry. Built by
 /// [`ShadowIndex::resume_memo`], consumed by
-/// [`ShadowIndex::replay_nonpresent`]; it holds while the space's
+/// [`ShadowIndex::open_run`]; it holds while the space's
 /// [`AddressSpace::shape_epoch`], the PSC's
 /// [`PagingStructureCache::generation`], the interval and (for a
 /// resumed walk) the PSC tag all match.
@@ -140,6 +140,72 @@ pub struct ResumeMemo {
     /// The deepest intermediate's PSC slot; `None` for a walk that
     /// terminates at the PML4 and misses all three arrays.
     resume: Option<PscResume>,
+}
+
+/// A run of O(1) non-present walks, opened by [`ShadowIndex::open_run`]
+/// once its [`ResumeMemo`]'s epoch and generation proof holds.
+///
+/// Each walk then needs only its own two checks ([`NonpresentRun::serves`]):
+/// the address lies in the memo's interval and carries its PSC tag, and
+/// the terminal entry, read live, is not present. Such a walk is
+/// [`ShadowIndex::walk_costed`] reduced to its effects: one access to
+/// the terminal entry, the PSC lookup the memo proved, and the verdict
+/// [`NonpresentRun::walk`]. The caller touches the terminal entry's line
+/// per walk; [`NonpresentRun::close`] applies the lookups and the hint
+/// once for the whole run. Serving walks changes nothing the proof
+/// rests on (no PSC insert, no space write), so it holds for the whole
+/// run.
+#[derive(Clone, Copy, Debug)]
+pub struct NonpresentRun<'a> {
+    /// The interval ∩ the PSC tag's span, inclusive.
+    lo: u64,
+    hi: u64,
+    /// The terminal table and its live entries.
+    table: FrameId,
+    entries: &'a PageTable,
+    interval: usize,
+    resume: Option<PscResume>,
+    walk: ShadowWalk,
+}
+
+impl NonpresentRun<'_> {
+    /// The (table, entry index) slot `va`'s walk reads when the run
+    /// serves it: `va` inside the interval, carrying the PSC tag, and
+    /// its terminal entry not present. `None` otherwise. Pure and O(1).
+    #[inline]
+    #[must_use]
+    pub fn serves(&self, va: VirtAddr) -> Option<(FrameId, usize)> {
+        if va.as_u64() < self.lo || self.hi < va.as_u64() {
+            return None;
+        }
+        let idx = va.index_for(self.walk.terminal_level);
+        (!self.entries.entry(idx).is_present()).then_some((self.table, idx))
+    }
+
+    /// `true` when the run's addresses lie in the kernel half (an
+    /// interval never straddles the canonical hole, so all of them do
+    /// or none).
+    #[must_use]
+    pub fn kernel_half(&self) -> bool {
+        VirtAddr::new_truncate(self.lo).is_kernel_half()
+    }
+
+    /// The verdict every served walk returns.
+    #[must_use]
+    pub fn walk(&self) -> ShadowWalk {
+        self.walk
+    }
+
+    /// Applies the state changes of `n` served walks beyond their line
+    /// touches: `n` replays of the proven PSC lookup (a hit on the
+    /// memo's slot, or a miss of every array) and the interval hint.
+    pub fn close(&self, n: u64, psc: &mut PagingStructureCache, hint: &mut usize) {
+        match &self.resume {
+            Some(proof) => psc.replay_hits(proof, n),
+            None => psc.replay_misses(n),
+        }
+        *hint = self.interval;
+    }
 }
 
 /// Outcome of the O(log n) point query ([`ShadowIndex::lookup`]).
@@ -432,50 +498,55 @@ impl ShadowIndex {
             && memo.resume.is_none_or(|r| r.tags(va))
     }
 
-    /// The O(1) walk of a non-present terminal entry: when `memo`
-    /// applies to `va` and the terminal entry (read live) is not
-    /// present, applies exactly the state changes of
-    /// [`ShadowIndex::walk_costed`] — the replayed PSC lookup, the hint,
-    /// and one `on_access` for the terminal entry — and returns the
-    /// same verdict. Otherwise `None`, with no state touched.
-    pub fn replay_nonpresent<F: FnMut(FrameId, usize)>(
+    /// Opens a run of O(1) non-present walks under `memo`: checks once
+    /// that the shape epoch and the PSC generation still match, which
+    /// every walk of the run then shares. `None` when either moved.
+    /// Pure and O(1); see [`NonpresentRun`] for the per-walk checks.
+    #[must_use]
+    pub fn open_run<'a>(
         &self,
-        space: &AddressSpace,
-        va: VirtAddr,
-        psc: &mut PagingStructureCache,
         memo: &ResumeMemo,
-        hint: &mut usize,
-        on_access: &mut F,
-    ) -> Option<ShadowWalk> {
-        if !self.memo_applies(memo, space, psc, va) {
+        space: &'a AddressSpace,
+        psc: &PagingStructureCache,
+    ) -> Option<NonpresentRun<'a>> {
+        let proven = memo.shape_epoch == space.shape_epoch()
+            && memo.shape_epoch == self.shape_epoch
+            && memo.psc_generation == psc.generation();
+        if !proven {
             return None;
         }
         let iv = &self.intervals[memo.interval];
         let depth = iv.depth as usize;
-        let level = Level::WALK_ORDER[depth - 1];
-        let table = iv.tables[depth - 1];
-        let idx = va.index_for(level);
-        if space.table(table).entry(idx).is_present() {
-            return None;
-        }
+        let (mut lo, mut hi) = (iv.start, iv.last);
         let perms = match &memo.resume {
-            Some(proof) => psc.replay_hit(proof).perms,
-            None => {
-                psc.replay_miss();
-                EffectivePerms::most_permissive()
+            Some(proof) => {
+                // A terminal table lies inside its parent entry's tag
+                // span, so this leaves the interval as it is; it keeps
+                // the tag proof in the range all the same.
+                let (tag_lo, tag_hi) = proof.span();
+                (lo, hi) = (lo.max(tag_lo), hi.min(tag_hi));
+                psc.resume_entry(proof).perms
             }
+            None => EffectivePerms::most_permissive(),
         };
-        *hint = memo.interval;
-        on_access(table, idx);
-        Some(ShadowWalk {
-            terminal_level: level,
-            structures_accessed: 1,
-            resumed: memo.resume.is_some(),
-            present_leaf: false,
-            perms,
-            page_size: PageSize::Size4K,
-            frame_number: 0,
-            clean_replay: true,
+        let table = iv.tables[depth - 1];
+        Some(NonpresentRun {
+            lo,
+            hi,
+            table,
+            entries: space.table(table),
+            interval: memo.interval,
+            resume: memo.resume,
+            walk: ShadowWalk {
+                terminal_level: Level::WALK_ORDER[depth - 1],
+                structures_accessed: 1,
+                resumed: memo.resume.is_some(),
+                present_leaf: false,
+                perms,
+                page_size: PageSize::Size4K,
+                frame_number: 0,
+                clean_replay: true,
+            },
         })
     }
 

@@ -549,10 +549,10 @@ impl Tlb {
         self.span.0 <= va.as_u64() && va.as_u64() <= self.span.1
     }
 
-    /// Books a miss the caller proved with [`Tlb::may_cover`]: the only
-    /// state change a missing [`Tlb::lookup`] makes is its counter.
-    pub fn record_miss(&mut self) {
-        self.misses += 1;
+    /// Books `n` misses the caller proved with [`Tlb::may_cover`]: the
+    /// only state change a missing [`Tlb::lookup`] makes is its counter.
+    pub fn record_misses(&mut self, n: u64) {
+        self.misses += n;
     }
 
     fn promote(&mut self, entry: TlbEntry) {

@@ -107,6 +107,8 @@ struct BatchProbe {
     retired_event: Event,
     walk_event: Event,
     base: f64,
+    /// The fault-suppression assist of a probe that touched a bad page.
+    assist: f64,
     /// Extra cycles of a probe that touched a non-present user page
     /// (loads only).
     nonpresent_extra: f64,
@@ -120,6 +122,7 @@ impl BatchProbe {
                 retired_event: Event::MaskedLoadRetired,
                 walk_event: Event::DtlbLoadWalkCompleted,
                 base: t.base_load,
+                assist: t.assist_load,
                 nonpresent_extra: t.user_nonpresent_load_extra,
             },
             OpKind::Store => Self {
@@ -127,6 +130,7 @@ impl BatchProbe {
                 retired_event: Event::MaskedStoreRetired,
                 walk_event: Event::DtlbStoreWalkCompleted,
                 base: t.base_store,
+                assist: t.assist_store,
                 nonpresent_extra: 0.0,
             },
         }
@@ -172,9 +176,9 @@ pub struct Machine {
     /// suites compare the two paths). Starts `true` unless the crate is
     /// built with the test-only `reference-walk` feature.
     shadow_enabled: bool,
-    /// The PSC-resume proof of the batch paths' non-present fast path
-    /// ([`Machine::translate_nonpresent_fast`]), rebuilt after a
-    /// full-path probe it does not cover.
+    /// The PSC-resume proof of the batch paths' non-present run server
+    /// ([`Machine::serve_nonpresent_run`]), rebuilt after a full-path
+    /// probe it does not cover.
     resume_memo: Option<ResumeMemo>,
     pmc: PmcBank,
     mem: SparseMemory,
@@ -554,7 +558,7 @@ impl Machine {
 
     /// Disables (or re-enables) the shadow translation index, forcing
     /// every walk through the reference [`Walker`]. Disabling it also
-    /// turns off the batch paths' O(1) non-present fast path — on every
+    /// turns off the batch paths' non-present run server — on every
     /// machine, scheduled and defended ones included — so the disabled
     /// machine is the full reference. The paths are observably
     /// identical — this switch exists so the property suites can
@@ -659,12 +663,23 @@ impl Machine {
     /// bumps are aggregated per tile — batch callers have no mid-batch
     /// observation point, so the post-batch counter values are
     /// unchanged.
+    ///
+    /// Built with the test-only `scalar-probes` feature, it runs every
+    /// address through [`Machine::probe`] instead: the end-to-end oracle
+    /// of the batch paths.
     pub fn execute_batch_into(&mut self, kind: OpKind, addrs: &[VirtAddr], out: &mut Vec<u64>) {
-        let probe = BatchProbe::new(kind, &self.profile.timing);
         out.reserve(addrs.len());
-        // The fast path's one batch-wide precondition: the shadow index
+        if cfg!(feature = "scalar-probes") {
+            for &addr in addrs {
+                let measured = self.probe(kind, addr);
+                out.push(measured);
+            }
+            return;
+        }
+        let probe = BatchProbe::new(kind, &self.profile.timing);
+        // The run server's one batch-wide precondition: the shadow index
         // is on. Schedule events and defense firings run in the
-        // per-probe ticks, before the fast path's proofs, which see
+        // per-probe ticks, before the run server's proofs, which see
         // every effect they can have (invariant 15).
         match (self.observables, self.shadow_enabled) {
             (ObservablesVersion::V1, true) => self.execute_tiles_v1::<true>(&probe, addrs, out),
@@ -674,11 +689,13 @@ impl Machine {
         }
     }
 
-    /// The v1 batched hot path. Each tile first translates its probes
-    /// and takes their noise draws in the per-probe order of the scalar
-    /// path — the model from [`Machine::next_noise`] right after the
-    /// probe's translation, so drift ramps, victim-schedule noise swaps
-    /// and defense ticks land on the same probe — then evaluates the
+    /// The v1 batched hot path. Each tile passes its probes through
+    /// three steps: translation ([`Machine::translate_run`], a run of
+    /// probes at a time), the noise draws in the per-probe order of the
+    /// scalar path — the model from [`Machine::next_noise`] after the
+    /// run's translation, so drift ramps, victim-schedule noise swaps
+    /// and defense ticks land on the same probe (runs are one probe
+    /// long under a schedule or a defense) — and the evaluation of the
     /// tile's Box–Muller transcendentals together ([`V1Tile`]). Every
     /// measurement and the RNG state are bit-identical to the same
     /// probes run through the scalar path (asserted by
@@ -689,12 +706,18 @@ impl Machine {
         addrs: &[VirtAddr],
         out: &mut Vec<u64>,
     ) {
+        let mut cycles = [0.0f64; NOISE_BLOCK];
         for chunk in addrs.chunks(NOISE_BLOCK) {
             self.pmc.add(probe.retired_event, chunk.len() as u64);
-            for &addr in chunk {
-                let cycles = self.translate_probe::<FAST>(probe, addr);
-                let model = self.next_noise();
-                self.v1_tile.push(&model, &mut self.rng, cycles);
+            let mut done = 0;
+            while done < chunk.len() {
+                let run = &mut cycles[done..chunk.len()];
+                let n = self.translate_run::<FAST>(probe, &chunk[done..], run);
+                for &c in &run[..n] {
+                    let model = self.next_noise();
+                    self.v1_tile.push(&model, &mut self.rng, c);
+                }
+                done += n;
             }
             for &measured in self.v1_tile.flush() {
                 self.tsc += measured;
@@ -705,15 +728,16 @@ impl Machine {
 
     /// The v2 batched hot path: each tile's noise is pre-drawn into one
     /// stack block by the ziggurat kernel ([`NoiseModel::fill_block`])
-    /// before the translation loop consumes it. Translation never
-    /// touches the RNG, so pre-drawing preserves the per-sample stream:
-    /// a v2 batch is bit-identical to the same probes run through the
-    /// v2 scalar path (`v2_batch_matches_v2_scalar_*`) — unless a
-    /// scheduled noise-shaped event (noise swap, tenant arrival or
-    /// departure) fires inside a block. The block was drawn from the
-    /// model in force at its first probe, while the scalar path draws
-    /// each later probe from the swapped model. Space-only schedules
-    /// and drift ramps (resolved per probe index) keep the identity.
+    /// before its probes are translated, a run at a time
+    /// ([`Machine::translate_run`]). Translation never touches the RNG,
+    /// so pre-drawing preserves the per-sample stream: a v2 batch is
+    /// bit-identical to the same probes run through the v2 scalar path
+    /// (`v2_batch_matches_v2_scalar_*`) — unless a scheduled
+    /// noise-shaped event (noise swap, tenant arrival or departure)
+    /// fires inside a block. The block was drawn from the model in
+    /// force at its first probe, while the scalar path draws each later
+    /// probe from the swapped model. Space-only schedules and drift
+    /// ramps (resolved per probe index) keep the identity.
     fn execute_tiles_v2<const FAST: bool>(
         &mut self,
         probe: &BatchProbe,
@@ -721,112 +745,167 @@ impl Machine {
         out: &mut Vec<u64>,
     ) {
         let mut block = [0.0f64; NOISE_BLOCK];
+        let mut cycles = [0.0f64; NOISE_BLOCK];
         for chunk in addrs.chunks(NOISE_BLOCK) {
             let noise = &mut block[..chunk.len()];
             self.fill_noise_block(noise);
             self.pmc.add(probe.retired_event, chunk.len() as u64);
-            for (&addr, &n) in chunk.iter().zip(noise.iter()) {
-                let cycles = self.translate_probe::<FAST>(probe, addr);
-                let measured = (cycles + n).round().max(1.0) as u64;
+            let mut done = 0;
+            while done < chunk.len() {
+                done += self.translate_run::<FAST>(
+                    probe,
+                    &chunk[done..],
+                    &mut cycles[done..chunk.len()],
+                );
+            }
+            for (&c, &n) in cycles.iter().zip(noise.iter()) {
+                let measured = (c + n).round().max(1.0) as u64;
                 self.tsc += measured;
                 out.push(measured);
             }
         }
     }
 
-    /// One all-zero-mask probe up to its noise — the per-probe body of
-    /// both batch paths: ticks the victim schedule and defenses,
-    /// translates the footprint's pages and returns the deterministic
-    /// cycle cost. Never touches the RNG. `FAST` (shadow index on) lets
-    /// a single-page probe take [`Machine::translate_nonpresent_fast`].
-    /// The ticks run first, so whatever an event or a firing changed is
-    /// already visible to the fast path's proofs.
+    /// Translates a run of all-zero-mask probes from the front of
+    /// `addrs` up to their noise, writing each one's deterministic cycle
+    /// cost to `cycles`, and returns how many it took (at least one) —
+    /// the translation step of both batch paths. Never touches the RNG.
+    ///
+    /// It ticks the victim schedule and defenses, then lets the run
+    /// server ([`Machine::serve_nonpresent_run`]) serve what it can
+    /// prove when `FAST` (the shadow index is on). When it serves
+    /// nothing, the first probe takes the full path. The ticks run
+    /// first, so whatever an event or a firing changed is already
+    /// visible to the run server's proofs; under a schedule or a
+    /// defense a run is one probe long, so the ticks still run before
+    /// every probe.
     #[inline]
-    fn translate_probe<const FAST: bool>(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
+    fn translate_run<const FAST: bool>(
+        &mut self,
+        probe: &BatchProbe,
+        addrs: &[VirtAddr],
+        cycles: &mut [f64],
+    ) -> usize {
         self.sched_tick();
         self.defense_tick();
+        if FAST {
+            let served = self.serve_nonpresent_run(probe, addrs, cycles);
+            if served > 0 {
+                return served;
+            }
+        }
+        let addr = addrs[0];
         let mut acc = OpAccounting::new(probe.base);
         // The zero mask means no lane is unmasked, so no page can ever
         // report a fault on this path.
         let first_page = addr.align_down(4096);
         let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
-        if FAST && last_page == first_page {
-            // The page `visit_page` would translate: the defense's view.
-            let page = self.defended_page(first_page);
-            if let Some(verdict) = self.translate_nonpresent_fast(page) {
-                let _ = self.account_page(probe.kind, page, &verdict, false, &mut acc, None);
-                return self.finish_probe(probe, acc);
-            }
-        }
         let _ = self.visit_page(probe.kind, first_page, false, &mut acc, None);
         if last_page != first_page {
             let _ = self.visit_page(probe.kind, last_page, false, &mut acc, None);
         } else if FAST {
             self.refresh_resume_memo(self.defended_page(first_page));
         }
-        self.finish_probe(probe, acc)
-    }
-
-    /// The per-probe tail of both batch paths: the user-half extra of a
-    /// non-present load and the probe's walk PMC event.
-    #[inline]
-    fn finish_probe(&mut self, probe: &BatchProbe, mut acc: OpAccounting) -> f64 {
         if acc.user_nonpresent {
             acc.cycles += probe.nonpresent_extra;
         }
         self.pmc.add(probe.walk_event, u64::from(acc.walks_total));
-        acc.cycles
+        cycles[0] = acc.cycles;
+        1
     }
 
     /// Whether `page` walks uncached: AMD's kernel-half walks bypass the
-    /// TLB and the PSC. The full path, the fast path and the memo
-    /// builder must agree on this, so they all ask here.
+    /// TLB and the PSC. The full path and the memo builder must agree
+    /// on this, so they both ask here (the run server never sees such
+    /// a page: its memo's interval lies in one half).
     fn walks_uncached(&self, page: VirtAddr) -> bool {
         self.profile.kernel_walks_uncached() && page.is_kernel_half()
     }
 
-    /// The O(1) translation of a page whose walk ends at a non-present
-    /// entry. It serves the page only when three proofs hold, checked
-    /// before any state changes:
+    /// The run server: the O(1) translation of the longest prefix of
+    /// `addrs` whose walks end at a non-present entry, with each served
+    /// probe's cost written to `cycles`; returns how many it served.
     ///
-    /// * **TLB miss:** `page` lies outside [`Tlb::may_cover`]'s span, so
-    ///   a lookup would miss without touching replacement state;
-    /// * **PSC resume:** the [`ResumeMemo`] still applies, so the PSC
-    ///   lookup hits its proven slot (or misses every array) and the
-    ///   walk resumes right above the terminal entry;
-    /// * **non-present terminal:** the terminal entry, read live, is not
-    ///   present.
+    /// The [`ResumeMemo`]'s epoch and generation proof is checked once
+    /// ([`ShadowIndex::open_run`]). Each probe then needs its own
+    /// proofs, checked before any state changes: a single-page
+    /// footprint; its page (the defense's view) outside
+    /// [`Tlb::may_cover`]'s span, so a lookup would miss without
+    /// touching replacement state; inside the memo's interval and
+    /// carrying its PSC tag, so the PSC lookup hits the proven slot (or
+    /// misses every array) and the walk resumes right above the
+    /// terminal entry; and a terminal entry, read live, that is not
+    /// present ([`avx_mmu::NonpresentRun::serves`]). The first probe
+    /// that fails one ends the run. Under a victim schedule or a
+    /// defense the run is at most one probe long, since their ticks must
+    /// run before every probe.
     ///
-    /// It then applies exactly the full path's state changes — the TLB
-    /// miss count and event, the replayed PSC lookup, the shadow hint
-    /// and the terminal line touch — and charges the walk through the
-    /// same cost helpers as [`Machine::translate_page`].
-    fn translate_nonpresent_fast(&mut self, page: VirtAddr) -> Option<PageVerdict> {
-        if self.walks_uncached(page) {
-            return None;
+    /// A served probe touches its terminal entry's line, and costs one
+    /// of two values fixed per run — a cold or a warm line — each built
+    /// once, through the full path's cost terms in its `f64` order
+    /// ([`served_probe_cycles`]). The run's other state changes are
+    /// applied once for all of its probes: the PSC lookups and the
+    /// shadow hint ([`avx_mmu::NonpresentRun::close`]), the TLB misses,
+    /// and the `TlbMiss`, `AssistsAny`, `SuppressedFault` and walk
+    /// events — the same totals the full path books one probe at a time.
+    fn serve_nonpresent_run(
+        &mut self,
+        probe: &BatchProbe,
+        addrs: &[VirtAddr],
+        cycles: &mut [f64],
+    ) -> usize {
+        let (Some(memo), Some(shadow)) = (self.resume_memo.as_ref(), self.shadow.as_ref()) else {
+            return 0;
+        };
+        let Some(run) = shadow.open_run(memo, &self.space, &self.psc) else {
+            return 0;
+        };
+        // Borrowed, not copied: a copy of the timing block is a memcpy
+        // per run, which one-probe runs measurably pay.
+        let t = &self.profile.timing;
+        let walk = run.walk();
+        let max = if self.sched.is_some() || self.defense.is_some() {
+            1
+        } else {
+            addrs.len()
+        };
+        let user = !run.kernel_half();
+        // The cold and the warm cost, each built when a probe first
+        // needs it: a one-probe run builds one.
+        let mut cost = [None; 2];
+        let mut served = 0;
+        for (&addr, slot) in addrs[..max].iter().zip(cycles.iter_mut()) {
+            let first_page = addr.align_down(4096);
+            if addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096) != first_page {
+                break;
+            }
+            let page = self.defended_page(first_page);
+            if self.tlb.may_cover(page) {
+                break;
+            }
+            let Some((table, idx)) = run.serves(page) else {
+                break;
+            };
+            debug_assert!(!self.walks_uncached(page) && page.is_kernel_half() != user);
+            let warm = self.lines.touch(table, idx);
+            *slot = *cost[usize::from(warm)]
+                .get_or_insert_with(|| served_probe_cycles(t, probe, &walk, warm, user));
+            served += 1;
         }
-        if self.tlb.may_cover(page) {
-            return None;
+        if served > 0 {
+            let n = served as u64;
+            run.close(n, &mut self.psc, &mut self.shadow_hint);
+            self.tlb.record_misses(n);
+            self.pmc.add(Event::TlbMiss, n);
+            self.pmc.add(Event::AssistsAny, n);
+            self.pmc.add(Event::SuppressedFault, n);
+            let walks = u64::from(t.nonpresent_retries.max(1));
+            self.pmc.add(probe.walk_event, walks * n);
         }
-        let (memo, shadow) = (self.resume_memo.as_ref()?, self.shadow.as_ref()?);
-        let t = self.profile.timing;
-        let lines = &mut self.lines;
-        let mut cycles = 0.0;
-        let walk = shadow.replay_nonpresent(
-            &self.space,
-            page,
-            &mut self.psc,
-            memo,
-            &mut self.shadow_hint,
-            &mut |table, idx| cycles += step_cycles(&t, lines.touch(table, idx)),
-        )?;
-        self.tlb.record_miss();
-        self.pmc.bump(Event::TlbMiss);
-        add_root_walk_extra(&t, &walk, false, &mut cycles);
-        Some(self.nonpresent_verdict(page, false, &walk, cycles))
+        served
     }
 
-    /// Rebuilds the fast path's [`ResumeMemo`] after a full-path probe
+    /// Rebuilds the run server's [`ResumeMemo`] after a full-path probe
     /// of `page`, unless the current memo already covers it.
     fn refresh_resume_memo(&mut self, page: VirtAddr) {
         if self.walks_uncached(page) {
@@ -885,22 +964,9 @@ impl Machine {
         // accesses (`touch_as_kernel`) keep the unmasked view.
         let page = self.defended_page(page);
         let verdict = self.translate_page(page);
-        self.account_page(kind, page, &verdict, has_unmasked, acc, ok_pages)
-    }
-
-    /// Accounts one translated page of a masked op: its cycles and
-    /// walks, the dirty-bit assist or A/D maintenance of an accessible
-    /// page, and the fault or the suppression assist of a bad one.
-    /// Shared by [`Machine::visit_page`] and the batch paths' fast path.
-    fn account_page(
-        &mut self,
-        kind: OpKind,
-        page: VirtAddr,
-        verdict: &PageVerdict,
-        has_unmasked: bool,
-        acc: &mut OpAccounting,
-        ok_pages: Option<&mut Vec<(VirtAddr, u64)>>,
-    ) -> Option<Fault> {
+        // Account the page: its cycles and walks, the dirty-bit assist
+        // or A/D maintenance of an accessible page, and the fault or the
+        // suppression assist of a bad one.
         let t = self.profile.timing;
         acc.cycles += verdict.cycles;
         acc.walks_total += verdict.walks;
@@ -1092,9 +1158,9 @@ impl Machine {
     }
 
     /// The verdict of a walk that ended at a non-present entry, `cycles`
-    /// being the first walk's cost — the one copy of the non-present
-    /// retry accounting, shared by [`Machine::translate_page`] and
-    /// [`Machine::translate_nonpresent_fast`].
+    /// being the first walk's cost: the non-present retry accounting of
+    /// [`Machine::translate_page`], whose clean-retry term the run
+    /// server's [`served_probe_cycles`] shares.
     fn nonpresent_verdict(
         &mut self,
         page: VirtAddr,
@@ -1110,21 +1176,7 @@ impl Machine {
         if !bypass {
             for _ in 1..t.nonpresent_retries.max(1) {
                 if walk.clean_replay {
-                    // The first walk ran through the clean shadow
-                    // replay, so the retry is fully determined (see
-                    // `ShadowWalk::clean_replay`): it resumes from the
-                    // deepest intermediate the first walk left in the
-                    // PSC and re-reads only the terminal entry, whose
-                    // line the first walk just made warm. A
-                    // PML4-terminated walk has no resume point, so it
-                    // alone pays the level extras. PSC/line replacement
-                    // *order* is untouched — the retry would only
-                    // refresh the entry that is already the most recent
-                    // of its array.
-                    cycles += step_cycles(&t, true);
-                    if walk.terminal_level == Level::Pml4 {
-                        cycles += level_extra(&t, Level::Pml4);
-                    }
+                    add_clean_retry(&t, walk, &mut cycles);
                 } else {
                     let retry = self.perform_walk(page, bypass);
                     cycles += retry.1;
@@ -1152,7 +1204,8 @@ impl Machine {
     /// materialization); the reference path produces the full outcome
     /// and charges the identical costs from its access list.
     fn perform_walk(&mut self, page: VirtAddr, bypass_psc: bool) -> (ShadowWalk, f64) {
-        let t = self.profile.timing;
+        // Borrowed, not copied: the copy compiled to a `memcpy` per walk.
+        let t = &self.profile.timing;
         let mut cycles = 0.0;
 
         let walk: ShadowWalk = if self.shadow_enabled {
@@ -1169,7 +1222,7 @@ impl Machine {
                 } else {
                     lines.touch(table, idx)
                 };
-                cycles += step_cycles(&t, warm);
+                cycles += step_cycles(t, warm);
             };
             let psc = if bypass_psc {
                 None
@@ -1195,12 +1248,12 @@ impl Machine {
                 } else {
                     self.lines.touch(table, idx)
                 };
-                cycles += step_cycles(&t, warm);
+                cycles += step_cycles(t, warm);
             }
             ShadowWalk::from(&outcome)
         };
 
-        add_root_walk_extra(&t, &walk, bypass_psc, &mut cycles);
+        add_root_walk_extra(t, &walk, bypass_psc, &mut cycles);
         (walk, cycles)
     }
 
@@ -1303,6 +1356,50 @@ fn add_root_walk_extra(t: &TimingParams, walk: &ShadowWalk, bypass_psc: bool, cy
     if !walk.resumed || bypass_psc {
         *cycles += level_extra(t, walk.terminal_level);
     }
+}
+
+/// Adds the cost of one retry of a clean shadow replay (see
+/// `ShadowWalk::clean_replay`) to `cycles`. The retry is fully
+/// determined: it resumes from the deepest intermediate the first walk
+/// left in the PSC and re-reads only the terminal entry, whose line the
+/// first walk just made warm. A PML4-terminated walk has no resume
+/// point, so it alone pays the level extras. PSC/line replacement
+/// *order* is untouched — the retry would only refresh the entry that
+/// is already the most recent of its array.
+fn add_clean_retry(t: &TimingParams, walk: &ShadowWalk, cycles: &mut f64) {
+    *cycles += step_cycles(t, true);
+    if walk.terminal_level == Level::Pml4 {
+        *cycles += level_extra(t, Level::Pml4);
+    }
+}
+
+/// The cycles of one batch probe the run server serves, its terminal
+/// line `warm` or cold, on a `user`-half page: the full path's terms in
+/// its `f64` order — the first walk's terminal access and root extra
+/// ([`Machine::perform_walk`]), the clean retries
+/// ([`Machine::nonpresent_verdict`]), then the probe base plus that
+/// walk, the suppression assist ([`Machine::visit_page`]) and the
+/// user-half extra ([`Machine::translate_run`]).
+fn served_probe_cycles(
+    t: &TimingParams,
+    probe: &BatchProbe,
+    walk: &ShadowWalk,
+    warm: bool,
+    user: bool,
+) -> f64 {
+    let mut walk_cycles = 0.0;
+    walk_cycles += step_cycles(t, warm);
+    add_root_walk_extra(t, walk, false, &mut walk_cycles);
+    for _ in 1..t.nonpresent_retries.max(1) {
+        add_clean_retry(t, walk, &mut walk_cycles);
+    }
+    let mut cycles = probe.base;
+    cycles += walk_cycles;
+    cycles += probe.assist;
+    if user {
+        cycles += probe.nonpresent_extra;
+    }
+    cycles
 }
 
 /// AMD kernel walks bypass cached structures; still record the touch so

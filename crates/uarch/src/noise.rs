@@ -378,22 +378,32 @@ impl V1Tile {
 
     /// Measures every pending probe and empties the tile; the
     /// measurements come back in push order.
+    ///
+    /// The kernel passes run over all [`NOISE_BLOCK`] lanes, a fixed trip
+    /// count that LLVM vectorizes whole: the fast values, then their
+    /// nearest integers and the tie mask. Lanes past the pending probes
+    /// still hold an earlier tile's draws (or the empty tile's
+    /// no-Gaussian draws), always valid kernel inputs; their results are
+    /// never read. Only the pending lanes the mask flags are recomputed
+    /// through the exact expression and counted as fallbacks.
     pub fn flush(&mut self) -> &[u64] {
         let n = core::mem::take(&mut self.len);
-        // One branch-free pass that LLVM vectorizes: the fast value,
-        // its nearest integer, and whether the tie filter trusts it.
+        let mut fast = [0.0f64; NOISE_BLOCK];
+        for (i, fast) in fast.iter_mut().enumerate() {
+            *fast = self.cycles[i]
+                + (box_muller_fast(self.u1[i], self.u2[i]) * self.sigma[i] + self.spike[i]);
+        }
         let mut exact = [false; NOISE_BLOCK];
-        let lanes = self.measured[..n].iter_mut().zip(&mut exact);
-        for (i, (measured, exact)) in lanes.enumerate() {
-            let (sigma, spike) = (self.sigma[i], self.spike[i]);
-            let fast = self.cycles[i] + (box_muller_fast(self.u1[i], self.u2[i]) * sigma + spike);
+        for (i, (measured, exact)) in self.measured.iter_mut().zip(&mut exact).enumerate() {
+            let (fast, sigma, spike) = (fast[i], self.sigma[i], self.spike[i]);
             let nearest = fast.round();
             *exact = !(sigma <= FAST_SIGMA_MAX
                 && spike.abs() < FAST_MAGNITUDE_MAX
                 && fast.abs() < FAST_MAGNITUDE_MAX
                 && (fast - nearest).abs() < 0.5 - TIE_MARGIN);
             // `as u64` through the 2⁵² bias, exact for trusted lanes
-            // (0 < nearest < 2¹⁷); the others are overwritten below.
+            // (0 < nearest < 2¹⁷); the others are overwritten below or
+            // never read.
             *measured = (nearest.max(1.0) + TWO_52).to_bits() - TWO_52.to_bits();
         }
         for i in (0..n).filter(|&i| exact[i]) {
@@ -1125,6 +1135,51 @@ mod tests {
         assert_eq!(fallbacks, 20);
         let negative = vec![-5.0; 20];
         assert_tile_matches_perturb(&NoiseModel::new(1.0, 0.0, (0.0, 0.0)), &negative, 5);
+    }
+
+    /// A short tile after a full one: lanes past the pending probes
+    /// still hold the full tile's draws, all rounding ties here, and the
+    /// fixed-width kernel evaluates them too. Only the pending lanes
+    /// count as fallbacks, and every measurement is `perturb`'s.
+    #[test]
+    fn short_tile_after_ties_counts_live_lanes_only() {
+        use rand::RngCore;
+        let spiked = NoiseModel::new(0.0, 1.0, (300.0, 300.0));
+        let quiet = NoiseModel::new(1.5, 0.0, (0.0, 0.0));
+        let (mut tiled, mut scalar) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        let mut tile = V1Tile::new();
+        let ties: Vec<f64> = (0..NOISE_BLOCK).map(|i| i as f64 + 0.5).collect();
+        for &c in &ties {
+            tile.push(&spiked, &mut tiled, c);
+        }
+        for (&m, &c) in tile.flush().to_vec().iter().zip(&ties) {
+            assert_eq!(m, spiked.perturb(&mut scalar, c));
+        }
+        assert_eq!(tile.fallbacks(), NOISE_BLOCK as u64, "every tie falls back");
+        for n in [1, 5, NOISE_BLOCK - 1] {
+            let before = tile.fallbacks();
+            let cycles: Vec<f64> = (0..n).map(|i| 40.0 + i as f64).collect();
+            for &c in &cycles {
+                tile.push(&quiet, &mut tiled, c);
+            }
+            let measured = tile.flush().to_vec();
+            assert_eq!(measured.len(), n);
+            let mut ties = 0;
+            for (&m, &c) in measured.iter().zip(&cycles) {
+                let exact = quiet.perturb(&mut scalar.clone(), c);
+                let fast = c + box_muller_fast_of(&quiet, &mut scalar);
+                ties += u64::from((fast - fast.round()).abs() >= 0.5 - TIE_MARGIN);
+                assert_eq!(m, exact, "n = {n}");
+            }
+            assert_eq!(tile.fallbacks() - before, ties, "n = {n}: live lanes only");
+        }
+        assert_eq!(tiled.next_u64(), scalar.next_u64(), "RNG streams diverged");
+    }
+
+    /// The tile kernel's noise for `model`'s next v1 draw from `rng`.
+    fn box_muller_fast_of(model: &NoiseModel, rng: &mut StdRng) -> f64 {
+        let d = model.draw_v1(rng);
+        box_muller_fast(d.u1, d.u2) * d.sigma + d.spike.unwrap_or(0.0)
     }
 
     #[test]

@@ -419,6 +419,101 @@ fn nonpresent_fast_path_tracks_psc_eviction_and_stale_tlb_entries() {
     }
 }
 
+/// The run server ends a run mid-tile, and the probe that ended it
+/// takes the full path, once for each stop reason, as fixed scripts of
+/// 16-probe tiles checked by the three-machine oracle:
+///
+/// * a present terminal entry (`USER_M` after eight unmapped pages);
+/// * the end of the interval (a 4 KiB run leaving `USER_M`'s page
+///   table);
+/// * a PSC tag change under a resumed walk (a 2 MiB run from one
+///   page directory into the next GiB's; a terminal table lies in its
+///   parent entry's tag, so the tag changes where the interval ends);
+/// * a page mapped earlier in the tile, whose TLB fill widens the
+///   span over the unmapped pages after it;
+/// * a page-crossing offset (0xfe1–0xfff) inside a run;
+/// * the user/kernel half boundary (a 4 KiB run across the canonical
+///   hole).
+///
+/// Each script runs with loads and with stores, on bare machines and on
+/// every scheduled and defended victim of `fast_path::victims` (whose
+/// runs are one probe long), under v1 and v2 observables — v2 without
+/// noise swaps and tenants, whose mid-block events are the v2 block
+/// path's known departure from the scalar stream. Charging a warm
+/// line the cold cost, or replaying the PSC for a whole tile instead of
+/// the served run, fails this test.
+#[test]
+fn run_server_ends_runs_mid_tile_for_every_reason() {
+    use avx_uarch::ObservablesVersion;
+    use fast_path::{run_of, Step};
+    let va = VirtAddr::new_truncate;
+    let user_pt_end = 0x5555_5560_0000u64;
+    let (gib_a, gib_b) = (0x20_0000_0000u64, 0x20_4000_0000u64);
+    let widen = USER_M + 0x7_8000;
+    let cached = USER_M + 0x8_0000;
+    let mut crossing = run_of(USER_M - 0x10_0000, 0x1000, 16);
+    crossing[7] = va(USER_M - 0x10_0000 + 0x6ff0);
+    let script = |kind: OpKind| {
+        vec![
+            // A present terminal entry: eight unmapped pages, USER_M,
+            // its mapped neighbours, and the guard page after them.
+            Step::Probe(kind, run_of(USER_M - 0x8000, 0x1000, 16)),
+            // The end of the interval: the run leaves the page table.
+            Step::Probe(kind, run_of(user_pt_end - 0x8000, 0x1000, 16)),
+            // A tag change: slot 100 of two adjacent page directories is
+            // mapped, so slots 504–511 of the first and 0–7 of the second
+            // are two PD-terminated intervals under two PDPTE tags.
+            Step::Map(va(gib_a + 100 * 0x20_0000)),
+            Step::Map(va(gib_b + 100 * 0x20_0000)),
+            Step::Probe(kind, run_of(gib_b - 8 * 0x20_0000, 0x20_0000, 16)),
+            // A TLB span widened mid-tile: with only `cached` in the
+            // TLB, the run below `widen` is served; the fill of `widen`
+            // covers the unmapped pages between the two.
+            Step::Map(va(widen)),
+            Step::Map(va(cached)),
+            Step::FlushTlb(false),
+            Step::Probe(kind, run_of(cached, 0x1000, 1)),
+            Step::Probe(kind, run_of(widen - 0x8000, 0x1000, 16)),
+            // A page-crossing offset in the middle of a run.
+            Step::FlushTlb(false),
+            Step::Probe(kind, crossing.clone()),
+            // The canonical hole: the top of the user half, then the
+            // bottom of the kernel half.
+            Step::Probe(kind, run_of(0x7fff_ffff_8000, 0x1000, 16)),
+        ]
+    };
+    let modules = (0xffff_ffff_c013_0000, 0xffff_ffff_c017_0000);
+    let image = (0xffff_ffff_8000_0000, 0xffff_ffff_c000_0000);
+    let space = fast_path_space();
+    for (name, profile) in fast_path::profiles() {
+        for seed in [0, 7] {
+            let mut victims: Vec<(String, fast_path::Victim)> =
+                vec![("bare".into(), Box::new(|_: &mut Machine| {}))];
+            victims.extend(fast_path::victims(modules, image, seed));
+            for (victim_name, victim) in &victims {
+                for observables in [ObservablesVersion::V1, ObservablesVersion::V2] {
+                    if observables == ObservablesVersion::V2 && victim_name.starts_with("noise") {
+                        continue;
+                    }
+                    let install = |m: &mut Machine| {
+                        victim(m);
+                        m.set_observables(observables);
+                    };
+                    for kind in [OpKind::Load, OpKind::Store] {
+                        let mut oracle = fast_path::Oracle::new(&profile, &space, seed, &install);
+                        oracle.run(
+                            &format!(
+                                "{name}, {victim_name}, {observables:?}, {kind:?}, seed {seed}"
+                            ),
+                            &script(kind),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A space with leaves of every size in both halves, a guard page, and
 /// 2 MiB pages spread over several GiB so small PSC arrays thrash.
 fn fast_path_space() -> AddressSpace {
