@@ -1,6 +1,6 @@
 //! Two-component Gaussian mixture re-fit (EM), deterministic.
 
-use crate::stats::Welford;
+use crate::stats::{SampleRuns, Welford};
 
 use super::{CalibrationFit, Calibrator, Threshold, Trimmed};
 
@@ -85,42 +85,48 @@ impl GaussianMixFit {
 /// # Run-length evaluation
 ///
 /// Cycle counts repeat heavily (a 128-sample window holds a few dozen
-/// distinct values), so each E-step evaluates the responsibility and
-/// the three per-sample sufficient-statistic terms once per *run* of
-/// equal sorted values, then adds them once per sample, in sample
-/// order. The terms are pure functions of the sample value, and the
-/// sums see the same addends in the same order as a per-sample loop, so
-/// every iterate — and with it the convergence test and the iteration
-/// count — is bit-identical to it. The two `ln(weight)` terms are
-/// hoisted out of the loop, and the larger of the two log-densities
-/// skips its `exp`: shifted by itself it is exactly `exp(0.0) = 1.0`.
+/// distinct values), so the samples are sorted once into `(value,
+/// count)` runs (`stats::SampleRuns`) and each E-step evaluates the
+/// responsibility and the three per-sample sufficient-statistic terms
+/// once per *run*, then adds them once per sample, in sample order. The
+/// terms are pure functions of the sample value, and the sums see the
+/// same addends in the same order as a per-sample loop, so every
+/// iterate — and with it the convergence test and the iteration count —
+/// is bit-identical to it. The two `ln(weight)` terms are hoisted out
+/// of the loop, and the larger of the two log-densities skips its
+/// `exp`: shifted by itself it is exactly `exp(0.0) = 1.0`.
 #[must_use]
 pub fn fit_two_gaussians(samples: &[u64]) -> Option<GaussianMixFit> {
-    if samples.len() < 4 {
-        return None;
+    fit_runs(SampleRuns::from_unsorted(samples.iter().copied()).runs())
+}
+
+/// [`fit_two_gaussians`] over samples already sorted into runs (a
+/// [`SampleRuns`]): the drift window hands its runs over as they are.
+pub(crate) fn fit_runs(runs: &[(u64, usize)]) -> Option<GaussianMixFit> {
+    let count: usize = runs.iter().map(|&(_, count)| count).sum();
+    if count < 4 || runs.len() < 2 {
+        return None; // too few samples, or zero variance: nothing to split
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    if sorted.first() == sorted.last() {
-        return None; // zero variance: nothing to split
+    // The sorted samples, one addend per sample, as the Welford
+    // accumulations below see them.
+    let sorted = || {
+        runs.iter()
+            .flat_map(|&(x, count)| std::iter::repeat_n(x as f64, count))
+    };
+
+    fn welford(part: impl Iterator<Item = f64>) -> Welford {
+        let mut w = Welford::new();
+        w.extend(part);
+        w
     }
-    let runs: Vec<(f64, usize)> = sorted
-        .chunk_by(|a, b| a == b)
-        .map(|run| (run[0] as f64, run.len()))
-        .collect();
 
     // Deterministic initialization: median split.
-    let mid = sorted.len() / 2;
-    let mean_of = |part: &[u64]| {
-        let mut w = Welford::new();
-        w.extend(part.iter().map(|&x| x as f64));
-        w
-    };
-    let mut lo = mean_of(&sorted[..mid]).mean();
-    let mut hi = mean_of(&sorted[mid..]).mean();
-    let mut sigma = (mean_of(&sorted).stddev() / 2.0).max(EM_SIGMA_FLOOR);
+    let mid = count / 2;
+    let mut lo = welford(sorted().take(mid)).mean();
+    let mut hi = welford(sorted().skip(mid)).mean();
+    let mut sigma = (welford(sorted()).stddev() / 2.0).max(EM_SIGMA_FLOOR);
     let mut lo_weight = 0.5f64;
-    let n = sorted.len() as f64;
+    let n = count as f64;
 
     for iteration in 1..=EM_MAX_ITERATIONS {
         // E-step: responsibility of the *high* component per sample,
@@ -129,7 +135,8 @@ pub fn fit_two_gaussians(samples: &[u64]) -> Option<GaussianMixFit> {
         let ln_lo = lo_weight.max(1e-12).ln();
         let ln_hi = (1.0 - lo_weight).max(1e-12).ln();
         let (mut sum_r, mut sum_x_lo, mut sum_x_hi, mut sum_sq) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for &(x, count) in &runs {
+        for &(x, count) in runs {
+            let x = x as f64;
             let log_lo = ln_lo - (x - lo) * (x - lo) * inv_two_var;
             let log_hi = ln_hi - (x - hi) * (x - hi) * inv_two_var;
             let (p_lo, p_hi) = if log_lo >= log_hi {
@@ -170,17 +177,10 @@ pub fn fit_two_gaussians(samples: &[u64]) -> Option<GaussianMixFit> {
         sigma = new_sigma;
         lo_weight = w_lo;
         if shift < EM_TOLERANCE {
-            return Some(finish(lo, hi, sigma, lo_weight, sorted.len(), iteration));
+            return Some(finish(lo, hi, sigma, lo_weight, count, iteration));
         }
     }
-    Some(finish(
-        lo,
-        hi,
-        sigma,
-        lo_weight,
-        sorted.len(),
-        EM_MAX_ITERATIONS,
-    ))
+    Some(finish(lo, hi, sigma, lo_weight, count, EM_MAX_ITERATIONS))
 }
 
 /// Orders the components and packages the fit.
@@ -229,11 +229,9 @@ impl Calibrator for Bimodal {
     }
 
     fn fit(&self, samples: &[u64]) -> CalibrationFit {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let keep = (sorted.len() * 97).div_ceil(100).max(1).min(sorted.len());
-        let despiked = &sorted[..keep];
-        if let Some(mix) = fit_two_gaussians(despiked) {
+        let mut despiked = SampleRuns::from_unsorted(samples.iter().copied());
+        despiked.truncate((samples.len() * 97).div_ceil(100));
+        if let Some(mix) = fit_runs(despiked.runs()) {
             if mix.is_separated() {
                 return CalibrationFit {
                     threshold: Threshold::new(mix.lo_mean, mix.gap() / 2.0),

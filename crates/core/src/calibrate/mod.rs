@@ -69,7 +69,7 @@ use avx_mmu::VirtAddr;
 use avx_uarch::OpKind;
 
 use crate::prober::Prober;
-use crate::stats::{mad_sigma, two_means_threshold};
+use crate::stats::{mad_sigma, two_means_threshold, SampleRuns};
 
 mod em;
 mod legacy;
@@ -382,7 +382,13 @@ impl Threshold {
     /// ```
     #[must_use]
     pub fn refit_bimodal(samples: &[u64]) -> Option<CalibrationFit> {
-        let mix = fit_two_gaussians(samples)?;
+        Self::refit_bimodal_runs(SampleRuns::from_unsorted(samples.iter().copied()).runs())
+    }
+
+    /// [`Threshold::refit_bimodal`] over samples already sorted into
+    /// runs (a [`SampleRuns`]).
+    pub(crate) fn refit_bimodal_runs(runs: &[(u64, usize)]) -> Option<CalibrationFit> {
+        let mix = em::fit_runs(runs)?;
         mix.is_separated().then(|| CalibrationFit {
             threshold: Threshold::new(mix.lo_mean, (mix.hi_mean - mix.lo_mean) / 2.0),
             sigma: mix.sigma,

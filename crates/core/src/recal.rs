@@ -79,7 +79,7 @@ use crate::calibrate::{CalibrationFit, Threshold};
 use crate::primitives::page_table::TileScratch;
 use crate::primitives::{PageTableAttack, SweepClassification};
 use crate::prober::{ProbeStrategy, Prober};
-use crate::stats::{mad_sigma_runs, mad_sigma_scratch, SampleRuns};
+use crate::stats::{mad_sigma_runs, SampleRuns};
 use crate::sweep::TileSource;
 
 /// Tuning knobs of the closed loop. The defaults are the pinned
@@ -180,17 +180,18 @@ struct WindowEntry {
 /// `NoiseModel::none()` it is exactly zero, so the trigger can never
 /// fire on a noiseless scan (property-pinned).
 ///
-/// The window is kept twice: in arrival order (what the re-fit, the
-/// rescan and eviction need) and as a run-length multiset sorted by
-/// sample value, with a running count of forced decisions. A 128-sample
-/// window holds a dozen to a few dozen distinct cycle counts, so
-/// [`DriftMonitor::observe`] is a binary search plus an increment (and
-/// the decrement of the evicted sample), and [`DriftMonitor::check`]
+/// The window is kept twice: in arrival order (what the rescan,
+/// eviction and the freshest-half σ refresh need) and as a run-length
+/// multiset sorted by sample value, with a running count of forced
+/// decisions. A 128-sample window holds a dozen to a few dozen distinct
+/// cycle counts, so [`DriftMonitor::observe`] is a binary search plus
+/// an increment (and the decrement of the evicted sample), the EM
+/// re-fit reads the runs as they are, and [`DriftMonitor::check`]
 /// splits the runs at the boundary and reads each band's doubled
 /// median and doubled deviation-median by walking them — the exact
-/// integer order statistics [`crate::stats::mad_sigma_scratch`]
-/// selects, so every trigger decision and [`DriftSignal`] payload is
-/// bit-identical to selecting over the window. Samples must lie below
+/// integer order statistics of [`crate::stats::mad_sigma`], so every
+/// trigger decision and [`DriftSignal`] payload is bit-identical to
+/// selecting over the window. Samples must lie below
 /// [`crate::stats::MAD_EXACT_LIMIT`] (debug-asserted); a verbatim copy
 /// of the selection-based monitor is the oracle of
 /// `crates/core/tests/recal_props.rs`.
@@ -206,8 +207,6 @@ pub struct DriftMonitor {
     /// Entries whose decision was forced at the probe budget.
     forced: usize,
     since_refit: usize,
-    /// Reused MAD buffer of the refit-time σ refresh.
-    scratch: Vec<u64>,
 }
 
 /// Band entries below this count are too thin for a MAD estimate.
@@ -230,6 +229,13 @@ fn band_sigma(runs: &[(u64, usize)]) -> f64 {
     mad_sigma_runs(runs).unwrap_or(0.0)
 }
 
+/// The larger MAD-σ of the two bands `boundary` splits sorted `runs`
+/// into (each read by [`band_sigma`]).
+fn per_band_sigma(runs: &[(u64, usize)], boundary: f64) -> f64 {
+    let split = runs.partition_point(|&(sample, _)| in_fast_band(sample, boundary));
+    band_sigma(&runs[..split]).max(band_sigma(&runs[split..]))
+}
+
 impl DriftMonitor {
     /// A monitor against the σ of the calibration currently in effect.
     #[must_use]
@@ -243,7 +249,6 @@ impl DriftMonitor {
             // The initial fit needs no cooldown: trigger as soon as the
             // window has evidence.
             since_refit: config.cooldown,
-            scratch: Vec::with_capacity(config.window.max(1)),
         }
     }
 
@@ -272,9 +277,7 @@ impl DriftMonitor {
     /// sample values).
     #[must_use]
     pub fn band_dispersion(&self, boundary: f64) -> f64 {
-        let runs = self.sorted.runs();
-        let split = runs.partition_point(|&(sample, _)| in_fast_band(sample, boundary));
-        band_sigma(&runs[..split]).max(band_sigma(&runs[split..]))
+        per_band_sigma(self.sorted.runs(), boundary)
     }
 
     /// Fraction of window entries whose decision was forced at the
@@ -312,35 +315,31 @@ impl DriftMonitor {
         self.entries.iter().map(|e| e.sample)
     }
 
+    /// The EM re-fit of the window, [`Threshold::refit_bimodal`] of
+    /// [`DriftMonitor::samples`], read from the window's sorted runs
+    /// instead of a sorted copy of its samples.
+    pub(crate) fn refit_bimodal(&self) -> Option<CalibrationFit> {
+        Threshold::refit_bimodal_runs(self.sorted.runs())
+    }
+
     /// Per-band MAD-σ of the *freshest half* of the window. While a
     /// ramp is still in progress the window mixes noise levels, so a
     /// full-window estimate lags the live σ; the freshest half tracks
     /// it, and a continuing ramp simply re-trips the (re-based) trigger
     /// and walks the estimate up step by step. Runs once per refit, so
-    /// it selects over the half instead of keeping a second sorted
-    /// window, with the band rule of [`DriftMonitor::check`].
+    /// it sorts the half into runs once instead of keeping a second
+    /// sorted window, with the band rule of [`DriftMonitor::check`].
     #[must_use]
-    pub fn fresh_sigma(&mut self, boundary: f64) -> f64 {
-        let half = self.entries.len().div_ceil(2);
-        let skip = self.entries.len() - half;
-        let Self {
-            entries, scratch, ..
-        } = self;
-        let fresh = || entries.iter().skip(skip).map(|e| e.sample);
-        let mut band = |fast: bool| {
-            let samples = fresh().filter(|&s| in_fast_band(s, boundary) == fast);
-            match mad_sigma_scratch(samples, scratch) {
-                Some(mad) if scratch.len() >= MIN_BAND_SAMPLES => mad,
-                _ => 0.0,
-            }
-        };
-        let per_band = band(true).max(band(false));
+    pub fn fresh_sigma(&self, boundary: f64) -> f64 {
+        let skip = self.entries.len() / 2;
+        let fresh = SampleRuns::from_unsorted(self.entries.iter().skip(skip).map(|e| e.sample));
+        let per_band = per_band_sigma(fresh.runs(), boundary);
         if per_band > 0.0 {
             per_band
         } else {
             // Both bands too thin to split: fall back to the half's
             // overall MAD (still spike-robust).
-            mad_sigma_scratch(fresh(), scratch).unwrap_or(0.0)
+            mad_sigma_runs(fresh.runs()).unwrap_or(0.0)
         }
     }
 
@@ -388,10 +387,7 @@ struct ClosedLoop {
     /// artifacts cannot random-walk the boundary into a band tail.
     reference: Threshold,
     events: Vec<RecalEvent>,
-    /// Reused refit inputs: the window's samples in arrival order and
-    /// the rescanned candidates' addresses (the driver allocates
-    /// nothing per refit; the EM fit sorts its own copy).
-    refit_window: Vec<u64>,
+    /// Reused buffer of the rescanned candidates' addresses.
     rescan_addrs: Vec<VirtAddr>,
 }
 
@@ -419,7 +415,6 @@ impl Recalibrating {
                 monitor: DriftMonitor::new(config, baseline_sigma),
                 reference: attack.threshold,
                 events: Vec::new(),
-                refit_window: Vec::with_capacity(config.window.max(1)),
                 rescan_addrs: Vec::with_capacity(config.window.max(1)),
             }
         });
@@ -514,8 +509,6 @@ impl Recalibrating {
         else {
             return;
         };
-        closed.refit_window.clear();
-        closed.refit_window.extend(closed.monitor.samples());
         // The EM re-fit recovers both band means and the live σ when
         // the window genuinely straddles both populations. Mid-ramp,
         // though, EM can "discover" two modes *inside* one noise band
@@ -532,7 +525,9 @@ impl Recalibrating {
         // window so a still-running ramp is tracked rather than
         // averaged away.
         let tolerance = (closed.reference.margin / 2.0).max(2.0);
-        let fit = Threshold::refit_bimodal(&closed.refit_window)
+        let fit = closed
+            .monitor
+            .refit_bimodal()
             .filter(|f| (f.threshold.value - closed.reference.value).abs() <= tolerance)
             .unwrap_or(CalibrationFit {
                 threshold: attack.threshold,
@@ -813,6 +808,50 @@ mod tests {
             monitor.observe(i, addr(i as u64), 107 + (i as u64 % 13), true);
             assert_eq!(monitor.check(100.0), None, "index {i}");
         }
+    }
+
+    /// Every field of a calibration fit, its floats as raw bits.
+    fn fit_bits(fit: Option<CalibrationFit>) -> Option<([u64; 3], &'static str)> {
+        fit.map(|f| {
+            let bits = [f.threshold.value, f.threshold.margin, f.sigma].map(f64::to_bits);
+            (bits, f.estimator)
+        })
+    }
+
+    #[test]
+    fn window_refit_from_runs_equals_the_refit_of_its_samples() {
+        let config = RecalConfig::default();
+        let mut monitor = DriftMonitor::new(config, 1.0);
+        let mut state = 0x0e_f17_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(1);
+            crate::fleet::splitmix64(state) % bound
+        };
+        let mut fits = 0;
+        // Past the window's capacity (evicting), through a reset, then
+        // past the capacity again.
+        for i in 0..5 * config.window {
+            if i == 2 * config.window + 17 {
+                monitor.note_refit(3.0);
+            }
+            // A sweep window: 1 in 8 mapped, jitter, rare spikes.
+            let band = if next(8) == 0 { 93 } else { 107 };
+            let spike = if next(64) == 0 { 400 + next(4000) } else { 0 };
+            monitor.observe(i, addr(i as u64), band + next(5) + spike, true);
+            let samples: Vec<u64> = monitor.samples().collect();
+            let want = Threshold::refit_bimodal(&samples);
+            assert_eq!(
+                fit_bits(monitor.refit_bimodal()),
+                fit_bits(want),
+                "index {i}: {samples:?}"
+            );
+            fits += usize::from(want.is_some());
+        }
+        // Both outcomes were compared: separated fits and refusals.
+        assert!(
+            (config.window..4 * config.window).contains(&fits),
+            "{fits} windows separated"
+        );
     }
 
     #[test]

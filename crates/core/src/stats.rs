@@ -134,16 +134,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Median of an `f64` slice that is already sorted ascending; averages
-/// the two mid elements for even counts. `None` when empty.
-fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
-    match sorted.len() {
-        0 => None,
-        n if n % 2 == 1 => Some(sorted[n / 2]),
-        n => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0),
-    }
-}
-
 /// Median of a sample set (mean of the two mid elements for even n —
 /// note [`Summary::of`] reports the *lower* mid instead, a deliberately
 /// cheaper convention for display purposes). `None` when empty.
@@ -155,9 +145,12 @@ fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
 /// ```
 #[must_use]
 pub fn median(samples: &[u64]) -> Option<f64> {
-    let mut sorted: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-    sorted.sort_unstable_by(f64::total_cmp);
-    median_of_sorted(&sorted)
+    let runs = SampleRuns::from_unsorted(samples.iter().copied());
+    let (lower, upper) = middle_of_runs(runs.runs().iter().copied(), samples.len())?;
+    // Each mid element converts exactly as a sorted `f64` copy would
+    // hold it (the conversion is monotone); an odd count averages the
+    // middle element with itself, which is exact.
+    Some((lower as f64 + upper as f64) / 2.0)
 }
 
 /// Consistency factor making the MAD an unbiased σ estimator under a
@@ -174,11 +167,11 @@ pub const MAD_CONSISTENCY: f64 = 1.4826;
 /// `None` when empty. Samples must lie below [`MAD_EXACT_LIMIT`].
 #[must_use]
 pub fn mad_sigma(samples: &[u64]) -> Option<f64> {
-    mad_sigma_scratch(samples.iter().copied(), &mut Vec::new())
+    mad_sigma_runs(SampleRuns::from_unsorted(samples.iter().copied()).runs())
 }
 
 /// Exclusive upper bound of the sample domain on which
-/// [`mad_sigma_scratch`] is exact: 2⁵².
+/// [`mad_sigma`] is exact: 2⁵².
 ///
 /// Below it, the textbook `f64` evaluation (median, then deviations,
 /// then their median) makes no rounding error at all: the median is a
@@ -189,65 +182,33 @@ pub fn mad_sigma(samples: &[u64]) -> Option<f64> {
 /// counts are many orders of magnitude below the limit.
 pub const MAD_EXACT_LIMIT: u64 = 1 << 52;
 
-/// Twice the median of `v` (the sum of the two middle order statistics
-/// for even lengths), reordering `v` by selection. `None` when empty.
-fn doubled_median(v: &mut [u64]) -> Option<u64> {
-    let n = v.len();
-    if n == 0 {
-        return None;
-    }
-    let (lower, &mut upper, _) = v.select_nth_unstable(n / 2);
-    let below = if n.is_multiple_of(2) {
-        *lower.iter().max().expect("even n ≥ 2 leaves a lower half")
-    } else {
-        upper
-    };
-    Some(below + upper)
-}
-
-/// Allocation-free variant of [`mad_sigma`] for repeated estimates
-/// (the σ refresh of [`crate::recal::DriftMonitor::fresh_sigma`]; the
-/// per-tile drift check walks a sorted run-length window instead):
-/// identical result, with all intermediate values kept in the caller's
-/// reused `scratch` buffer. On return only the length of `scratch` is
-/// meaningful — the sample count, which callers use for minimum-band-
-/// size checks; its contents are in no particular order.
-///
-/// Works in doubled integer units with two O(n) selections instead of
-/// two `f64` sorts: `center2 = 2·median(x)`, each deviation is
-/// `|2x − center2|`, and the result is
-/// `MAD_CONSISTENCY × (2·median(|2x − center2|)) / 4`. The result is
-/// exact, and bit-identical to the sort-based `f64` evaluation, for
-/// samples below [`MAD_EXACT_LIMIT`] (debug-asserted).
-pub fn mad_sigma_scratch(
-    samples: impl Iterator<Item = u64>,
-    scratch: &mut Vec<u64>,
-) -> Option<f64> {
-    scratch.clear();
-    scratch.extend(samples);
-    debug_assert!(
-        scratch.iter().all(|&x| x < MAD_EXACT_LIMIT),
-        "mad_sigma_scratch: sample outside the exact domain (< 2^52)"
-    );
-    let center2 = doubled_median(scratch)?;
-    for v in scratch.iter_mut() {
-        *v = (2 * *v).abs_diff(center2);
-    }
-    let dev4 = doubled_median(scratch)?;
-    Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
-}
-
-/// A multiset of samples kept as `(value, count)` runs sorted by value.
-/// The sliding windows of [`crate::recal`] hold a dozen to a few dozen
-/// distinct cycle counts among 128 samples: they update it with one
-/// binary search per sample (plus a shift when a run appears or
-/// empties) and read its MAD in O(runs) with [`mad_sigma_runs`].
+/// A multiset of samples kept as `(value, count)` runs sorted by value:
+/// the one sorted-sample form every order statistic here reads
+/// ([`median`], [`mad_sigma`], the EM of
+/// [`crate::calibrate::fit_two_gaussians`]). The sliding windows of
+/// [`crate::recal`] hold a dozen to a few dozen distinct cycle counts
+/// among 128 samples: they update it with one binary search per sample
+/// (plus a shift when a run appears or empties) and read its MAD in
+/// O(runs) with [`mad_sigma_runs`]; one-shot estimates sort their
+/// samples into it once ([`SampleRuns::from_unsorted`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SampleRuns {
     runs: Vec<(u64, usize)>,
 }
 
 impl SampleRuns {
+    /// The multiset of `samples`, sorted once.
+    pub(crate) fn from_unsorted(samples: impl IntoIterator<Item = u64>) -> Self {
+        let mut sorted: Vec<u64> = samples.into_iter().collect();
+        sorted.sort_unstable();
+        Self {
+            runs: sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len()))
+                .collect(),
+        }
+    }
+
     /// Adds one sample. Samples must lie below [`MAD_EXACT_LIMIT`]
     /// (debug-asserted), the domain where [`mad_sigma_runs`] is exact.
     pub(crate) fn insert(&mut self, x: u64) {
@@ -277,16 +238,26 @@ impl SampleRuns {
         self.runs.clear();
     }
 
+    /// Keeps the `n` smallest samples (all of them when there are
+    /// fewer).
+    pub(crate) fn truncate(&mut self, mut n: usize) {
+        self.runs.retain_mut(|(_, count)| {
+            *count = (*count).min(n);
+            n -= *count;
+            *count > 0
+        });
+    }
+
     /// The runs, sorted by value, every count ≥ 1.
     pub(crate) fn runs(&self) -> &[(u64, usize)] {
         &self.runs
     }
 }
 
-/// Twice the median of the multiset whose `n` values arrive as
-/// `(value, count)` runs in ascending order: the same sum of middle
-/// order statistics as [`doubled_median`]. `None` when `n` is 0.
-fn doubled_median_of_runs(sorted: impl Iterator<Item = (u64, usize)>, n: usize) -> Option<u64> {
+/// The two middle order statistics (ranks `⌊(n−1)/2⌋` and `⌊n/2⌋`,
+/// equal for odd `n`) of the multiset whose `n` values arrive as
+/// `(value, count)` runs in ascending order. `None` when `n` is 0.
+fn middle_of_runs(sorted: impl Iterator<Item = (u64, usize)>, n: usize) -> Option<(u64, u64)> {
     let (lower_rank, upper_rank) = (n.checked_sub(1)? / 2, n / 2);
     let mut seen = 0;
     let mut lower = None;
@@ -295,25 +266,32 @@ fn doubled_median_of_runs(sorted: impl Iterator<Item = (u64, usize)>, n: usize) 
         if seen > lower_rank {
             let lower = *lower.get_or_insert(x);
             if seen > upper_rank {
-                return Some(lower + x);
+                return Some((lower, x));
             }
         }
     }
     None
 }
 
-/// [`mad_sigma_scratch`] over a sorted run-length multiset (a
-/// [`SampleRuns`] or a slice of one): the same doubled-unit order
-/// statistics, read by walking the runs instead of selecting, so the
-/// result is bit-identical for values below [`MAD_EXACT_LIMIT`].
+/// [`mad_sigma`] over a sorted run-length multiset (a [`SampleRuns`]
+/// or a slice of one), in doubled integer units: `center2 =
+/// 2·median(x)`, each deviation is `|2x − center2|`, and the result is
+/// `MAD_CONSISTENCY × (2·median(|2x − center2|)) / 4`. The result is
+/// exact, and bit-identical to the sort-based `f64` evaluation, for
+/// samples below [`MAD_EXACT_LIMIT`] (debug-asserted).
 ///
 /// The doubled center comes from one ascending walk; the deviations
 /// `|2x − center2|` of the runs below and above the center each rise
 /// away from it, so merging the two outward walks yields them in
 /// ascending order for the second. O(d) in the number of runs.
 pub(crate) fn mad_sigma_runs(runs: &[(u64, usize)]) -> Option<f64> {
+    debug_assert!(
+        runs.last().is_none_or(|&(x, _)| x < MAD_EXACT_LIMIT),
+        "mad_sigma_runs: sample outside the exact domain (< 2^52)"
+    );
     let n = runs.iter().map(|&(_, count)| count).sum();
-    let center2 = doubled_median_of_runs(runs.iter().copied(), n)?;
+    let (lower, upper) = middle_of_runs(runs.iter().copied(), n)?;
+    let center2 = lower + upper;
     let split = runs.partition_point(|&(x, _)| 2 * x < center2);
     let mut below = runs[..split].iter().rev().peekable();
     let mut above = runs[split..].iter().peekable();
@@ -326,7 +304,8 @@ pub(crate) fn mad_sigma_runs(runs: &[(u64, usize)]) -> Option<f64> {
             _ => above.next().and(high),
         }
     });
-    let dev4 = doubled_median_of_runs(deviations, n)?;
+    let (lower, upper) = middle_of_runs(deviations, n)?;
+    let dev4 = lower + upper;
     Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
 }
 
@@ -654,8 +633,18 @@ mod tests {
         assert_eq!(mad_sigma(&[]), None);
     }
 
+    /// Median of an `f64` slice that is already sorted ascending;
+    /// averages the two mid elements for even counts. `None` when empty.
+    fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
+        match sorted.len() {
+            0 => None,
+            n if n % 2 == 1 => Some(sorted[n / 2]),
+            n => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0),
+        }
+    }
+
     /// The textbook sort-based `f64` MAD (median, deviations, their
-    /// median): the oracle of the differential test below.
+    /// median): the oracle of the two differential tests below.
     fn sorted_f64_mad(samples: impl Iterator<Item = f64>, scratch: &mut Vec<f64>) -> Option<f64> {
         scratch.clear();
         scratch.extend(samples);
@@ -676,12 +665,26 @@ mod tests {
             crate::fleet::splitmix64(state) % bound
         };
         let top = MAD_EXACT_LIMIT - 1;
-        let (mut scratch, mut oracle) = (Vec::new(), Vec::new());
+        let mut oracle = Vec::new();
         let mut check = |samples: &[u64]| {
-            let new = mad_sigma_scratch(samples.iter().copied(), &mut scratch);
+            let runs = SampleRuns::from_unsorted(samples.iter().copied());
+            let new = mad_sigma(samples);
             let old = sorted_f64_mad(samples.iter().map(|&x| x as f64), &mut oracle);
             assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits), "{samples:?}");
-            assert_eq!(scratch.len(), samples.len(), "count reported via scratch");
+            let count: usize = runs.runs().iter().map(|&(_, count)| count).sum();
+            assert_eq!(count, samples.len(), "count reported via the runs");
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            let keep = (samples.len() * 97).div_ceil(100);
+            let mut truncated = runs.clone();
+            truncated.truncate(keep);
+            let prefix = SampleRuns::from_unsorted(sorted[..keep].iter().copied());
+            assert_eq!(truncated.runs(), prefix.runs(), "{samples:?}");
+            oracle.clear();
+            oracle.extend(samples.iter().map(|&x| x as f64));
+            oracle.sort_unstable_by(f64::total_cmp);
+            let (new, old) = (median(samples), median_of_sorted(&oracle));
+            assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits), "{samples:?}");
         };
         for samples in [
             vec![],
@@ -728,7 +731,7 @@ mod tests {
             crate::fleet::splitmix64(state) % bound
         };
         let top = MAD_EXACT_LIMIT - 1;
-        let mut scratch = Vec::new();
+        let mut oracle = Vec::new();
         for case in 0..1_500u64 {
             // A sliding window over a stream: every removal and
             // insertion keeps the runs equal to the window's multiset.
@@ -748,11 +751,11 @@ mod tests {
                 fifo.push_back(x);
                 runs.insert(x);
                 assert!(runs.runs().windows(2).all(|w| w[0].0 < w[1].0));
-                let selected = mad_sigma_scratch(fifo.iter().copied(), &mut scratch);
+                let textbook = sorted_f64_mad(fifo.iter().map(|&x| x as f64), &mut oracle);
                 let walked = mad_sigma_runs(runs.runs());
                 assert_eq!(
                     walked.map(f64::to_bits),
-                    selected.map(f64::to_bits),
+                    textbook.map(f64::to_bits),
                     "{fifo:?}"
                 );
             }

@@ -1,17 +1,68 @@
 //! A verbatim copy of the selection-based `DriftMonitor` that re-read
 //! the whole window on every check (two passes per band, four
 //! `select_nth_unstable`s per check), kept as the oracle of the
-//! run-length window in `avx_channel::recal`. Only two things differ
-//! from the original: the private `rescan_targets` is left out (the
-//! driver's rescan is pinned by the output and event equalities of
-//! `recal_props.rs`), and `MIN_BAND_SAMPLES` is imported instead of
-//! defined. `crates/core/tests/recal_props.rs` includes this file.
+//! run-length window in `avx_channel::recal`, together with its own
+//! verbatim copy of the selection MAD it read the window with
+//! (`mad_sigma_scratch` and `doubled_median`, once in
+//! `avx_channel::stats`, whose MAD now reads sorted runs only). Only
+//! three things differ from the originals: the private
+//! `rescan_targets` is left out (the driver's rescan is pinned by the
+//! output and event equalities of `recal_props.rs`),
+//! `MIN_BAND_SAMPLES`, `MAD_CONSISTENCY` and `MAD_EXACT_LIMIT` are
+//! imported instead of defined, and the MAD's docs are trimmed to what
+//! this copy is. `crates/core/tests/recal_props.rs` includes this
+//! file.
 
 use std::collections::VecDeque;
 
 use avx_channel::recal::{DriftSignal, RecalConfig, MIN_BAND_SAMPLES};
-use avx_channel::stats::mad_sigma_scratch;
+use avx_channel::stats::{MAD_CONSISTENCY, MAD_EXACT_LIMIT};
 use avx_mmu::VirtAddr;
+
+/// Twice the median of `v` (the sum of the two middle order statistics
+/// for even lengths), reordering `v` by selection. `None` when empty.
+fn doubled_median(v: &mut [u64]) -> Option<u64> {
+    let n = v.len();
+    if n == 0 {
+        return None;
+    }
+    let (lower, &mut upper, _) = v.select_nth_unstable(n / 2);
+    let below = if n.is_multiple_of(2) {
+        *lower.iter().max().expect("even n ≥ 2 leaves a lower half")
+    } else {
+        upper
+    };
+    Some(below + upper)
+}
+
+/// The selection MAD-σ with all intermediate values kept in the
+/// caller's reused `scratch` buffer. On return only the length of
+/// `scratch` is meaningful — the sample count, which callers use for
+/// minimum-band-size checks; its contents are in no particular order.
+///
+/// Works in doubled integer units with two O(n) selections instead of
+/// two `f64` sorts: `center2 = 2·median(x)`, each deviation is
+/// `|2x − center2|`, and the result is
+/// `MAD_CONSISTENCY × (2·median(|2x − center2|)) / 4`. The result is
+/// exact, and bit-identical to the sort-based `f64` evaluation, for
+/// samples below [`MAD_EXACT_LIMIT`] (debug-asserted).
+pub fn mad_sigma_scratch(
+    samples: impl Iterator<Item = u64>,
+    scratch: &mut Vec<u64>,
+) -> Option<f64> {
+    scratch.clear();
+    scratch.extend(samples);
+    debug_assert!(
+        scratch.iter().all(|&x| x < MAD_EXACT_LIMIT),
+        "mad_sigma_scratch: sample outside the exact domain (< 2^52)"
+    );
+    let center2 = doubled_median(scratch)?;
+    for v in scratch.iter_mut() {
+        *v = (2 * *v).abs_diff(center2);
+    }
+    let dev4 = doubled_median(scratch)?;
+    Some(MAD_CONSISTENCY * (dev4 as f64 / 4.0))
+}
 
 /// One window entry: a candidate's representative sample plus how its
 /// decision was reached.

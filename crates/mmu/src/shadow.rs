@@ -22,12 +22,14 @@
 //!
 //! # Bit-exactness contract
 //!
-//! [`ShadowIndex::walk_hinted`] must be observably identical to
+//! [`ShadowIndex::walk_costed`] — the one shadow walk, which every
+//! probe and kernel touch runs — must be observably identical to
 //! [`Walker::walk_with_psc`] / [`Walker::walk`] in every respect the
-//! timing engine can see: the returned [`WalkOutcome`] (terminal level,
-//! access list, access count, resume level, entry, mapping, perms) and
-//! the PSC lookup/insert sequence, including LRU clock advancement on
-//! misses. Two details make this subtle:
+//! timing engine can see: the returned [`ShadowWalk`] (terminal level,
+//! access count, resumed, leaf, perms, page size, frame; all but the
+//! analytic `clean_replay`), the access list it streams to
+//! `on_access`, and the PSC lookup/insert sequence, including LRU clock
+//! advancement on misses. Two details make this subtle:
 //!
 //! * The PSC is consulted **exactly once** per walk — its replacement
 //!   clocks advance on lookup, so the index may not "peek and retry".
@@ -39,7 +41,8 @@
 //!   already obtained*, which is precisely what the slow walker does.
 //!
 //! The property suite in `tests/shadow_props.rs` pins this equivalence
-//! under randomized map/unmap/protect/A-D-bit/probe interleavings.
+//! at every step of randomized map/unmap/protect/A-D-bit/probe
+//! interleavings.
 //!
 //! # Build cost
 //!
@@ -58,7 +61,7 @@ use crate::addr::VirtAddr;
 use crate::psc::{PagingStructureCache, PscEntry, PscResume};
 use crate::space::{AddressSpace, MappedRegion, PageSize};
 use crate::table::{FrameId, Level, PageTable, ENTRIES_PER_TABLE};
-use crate::walk::{EffectivePerms, WalkAccessList, WalkOutcome, Walker};
+use crate::walk::{EffectivePerms, WalkOutcome, Walker};
 
 /// One interval of the index: a maximal canonical address range whose
 /// walk shape (table chain + terminal level) is constant.
@@ -282,7 +285,11 @@ impl ShadowIndex {
     }
 
     /// Bit-exact replacement for [`Walker::walk`] /
-    /// [`Walker::walk_with_psc`].
+    /// [`Walker::walk_with_psc`] for the timing engine: identical
+    /// translation semantics and PSC evolution, but structure accesses
+    /// are streamed to `on_access` (in walk order — the engine charges
+    /// line-cache costs there) and the result is the lean
+    /// [`ShadowWalk`] instead of a full [`WalkOutcome`].
     ///
     /// `hint` is a caller-held cursor into the interval list; sequential
     /// sweeps hit the same or the next interval almost every time, which
@@ -292,70 +299,6 @@ impl ShadowIndex {
     ///
     /// Debug-asserts that the index is current for `space`; a stale
     /// index would silently replay outdated translations.
-    #[must_use]
-    pub fn walk_hinted(
-        &self,
-        space: &AddressSpace,
-        va: VirtAddr,
-        mut psc: Option<&mut PagingStructureCache>,
-        hint: &mut usize,
-    ) -> WalkOutcome {
-        debug_assert!(self.is_current(space), "stale shadow index");
-        let iv = &self.intervals[self.find(va.as_u64(), hint)];
-        let depth = iv.depth as usize;
-
-        let (start_idx, mut perms, psc_resume_level) =
-            match resume_from_psc(iv, space, va, psc.as_deref_mut()) {
-                Ok(resume) => resume,
-                Err(fallback) => return fallback,
-            };
-
-        let mut accesses = WalkAccessList::default();
-        for i in start_idx..depth {
-            accesses.push(iv.tables[i], va.index_for(Level::WALK_ORDER[i]));
-        }
-
-        // Intermediate levels: accumulate perms and refill the PSC with
-        // the same entries the slow walker would insert. Entry values
-        // are read live — only the *shape* is cached.
-        for i in start_idx..depth - 1 {
-            let entry = space
-                .table(iv.tables[i])
-                .entry(va.index_for(Level::WALK_ORDER[i]));
-            perms = perms.and_level(entry.flags());
-            if let Some(psc) = psc.as_deref_mut() {
-                psc.insert(
-                    Level::WALK_ORDER[i],
-                    va,
-                    PscEntry {
-                        next_table: iv.tables[i + 1],
-                        perms,
-                    },
-                );
-            }
-        }
-
-        let terminal = space
-            .table(iv.tables[depth - 1])
-            .entry(va.index_for(Level::WALK_ORDER[depth - 1]));
-        let (mapping, perms) = resolve_terminal(space, iv, va, perms);
-        WalkOutcome {
-            va,
-            terminal_level: Level::WALK_ORDER[depth - 1],
-            structures_accessed: (depth - start_idx) as u8,
-            accesses,
-            psc_resume_level,
-            entry: terminal,
-            mapping,
-            perms,
-        }
-    }
-
-    /// Fused variant of [`ShadowIndex::walk_hinted`] for the timing
-    /// engine: identical translation semantics and PSC evolution, but
-    /// structure accesses are streamed to `on_access` (in walk order —
-    /// the engine charges line-cache costs there) and the result is the
-    /// lean [`ShadowWalk`] instead of a full [`WalkOutcome`].
     pub fn walk_costed<F: FnMut(FrameId, usize)>(
         &self,
         space: &AddressSpace,
@@ -444,7 +387,7 @@ impl ShadowIndex {
     /// `None` when no such proof holds (the deepest intermediate is not
     /// cached, a deeper PSC array holds a tag inside the range, or the
     /// cached entry is stale). `hint` as in
-    /// [`ShadowIndex::walk_hinted`], taken by value.
+    /// [`ShadowIndex::walk_costed`], taken by value.
     #[must_use]
     pub fn resume_memo(
         &self,
@@ -552,7 +495,7 @@ impl ShadowIndex {
 
     /// The (table, entry index) slot whose entry terminates the walk
     /// for `va` — the leaf slot when `va` is mapped. Pure; `hint` as in
-    /// [`ShadowIndex::walk_hinted`]. The engine uses this to test
+    /// [`ShadowIndex::walk_costed`]. The engine uses this to test
     /// Accessed/Dirty bits without re-walking.
     #[must_use]
     pub fn terminal_slot(&self, va: VirtAddr, hint: &mut usize) -> (FrameId, usize) {
@@ -808,17 +751,31 @@ mod tests {
         s
     }
 
-    fn assert_same_outcome(a: &WalkOutcome, b: &WalkOutcome) {
-        assert_eq!(a.va, b.va);
-        assert_eq!(a.terminal_level, b.terminal_level);
-        assert_eq!(a.structures_accessed, b.structures_accessed);
-        assert_eq!(a.psc_resume_level, b.psc_resume_level);
-        assert_eq!(a.entry.raw(), b.entry.raw());
-        assert_eq!(a.mapping, b.mapping);
-        assert_eq!(a.perms, b.perms);
-        let al: Vec<_> = a.accesses.iter().collect();
-        let bl: Vec<_> = b.accesses.iter().collect();
-        assert_eq!(al, bl);
+    /// Runs [`ShadowIndex::walk_costed`], collecting the accesses it
+    /// streams, and asserts it matches the walker's `slow` outcome on
+    /// every [`ShadowWalk`] field but `clean_replay` and on the access
+    /// list.
+    fn assert_costed_matches(
+        index: &ShadowIndex,
+        space: &AddressSpace,
+        addr: VirtAddr,
+        psc: Option<&mut PagingStructureCache>,
+        hint: &mut usize,
+        slow: &WalkOutcome,
+    ) {
+        let mut accesses = Vec::new();
+        let fast = index.walk_costed(space, addr, psc, hint, &mut |table, idx| {
+            accesses.push((table, idx));
+        });
+        let want = ShadowWalk::from(slow);
+        assert_eq!(fast.terminal_level, want.terminal_level, "{addr}");
+        assert_eq!(fast.structures_accessed, want.structures_accessed, "{addr}");
+        assert_eq!(fast.resumed, want.resumed, "{addr}");
+        assert_eq!(fast.present_leaf, want.present_leaf, "{addr}");
+        assert_eq!(fast.perms, want.perms, "{addr}");
+        assert_eq!(fast.page_size, want.page_size, "{addr}");
+        assert_eq!(fast.frame_number, want.frame_number, "{addr}");
+        assert_eq!(accesses, slow.accesses.iter().collect::<Vec<_>>(), "{addr}");
     }
 
     #[test]
@@ -853,8 +810,7 @@ mod tests {
             u64::MAX,
         ] {
             let slow = walker.walk(&space, va(addr));
-            let fast = index.walk_hinted(&space, va(addr), None, &mut hint);
-            assert_same_outcome(&fast, &slow);
+            assert_costed_matches(&index, &space, va(addr), None, &mut hint, &slow);
         }
     }
 
@@ -876,8 +832,8 @@ mod tests {
         ];
         for addr in addrs {
             let slow = walker.walk_with_psc(&space, va(addr), &mut psc_slow);
-            let fast = index.walk_hinted(&space, va(addr), Some(&mut psc_fast), &mut hint);
-            assert_same_outcome(&fast, &slow);
+            let psc = Some(&mut psc_fast);
+            assert_costed_matches(&index, &space, va(addr), psc, &mut hint, &slow);
             assert_eq!(psc_fast.len(), psc_slow.len());
             assert_eq!(psc_fast.hits(), psc_slow.hits());
             assert_eq!(psc_fast.misses(), psc_slow.misses());
@@ -895,12 +851,18 @@ mod tests {
         // cached PDE now points at a pruned table, like hardware without
         // INVLPG.
         let _ = walker.walk_with_psc(&space, target, &mut psc_slow);
-        let _ = ShadowIndex::build(&space).walk_hinted(&space, target, Some(&mut psc_fast), &mut 0);
+        let _ = ShadowIndex::build(&space).walk_costed(
+            &space,
+            target,
+            Some(&mut psc_fast),
+            &mut 0,
+            &mut |_, _| {},
+        );
         space.unmap(target, PageSize::Size4K).unwrap();
         let index = ShadowIndex::build(&space);
         let slow = walker.walk_with_psc(&space, target, &mut psc_slow);
-        let fast = index.walk_hinted(&space, target, Some(&mut psc_fast), &mut 0);
-        assert_same_outcome(&fast, &slow);
+        let psc = Some(&mut psc_fast);
+        assert_costed_matches(&index, &space, target, psc, &mut 0, &slow);
     }
 
     #[test]
@@ -964,8 +926,7 @@ mod tests {
         for slot in 0..512u64 {
             let addr = va(0xffff_ffff_8000_0000 + slot * 0x20_0000);
             let slow = walker.walk(&space, addr);
-            let fast = index.walk_hinted(&space, addr, None, &mut hint);
-            assert_same_outcome(&fast, &slow);
+            assert_costed_matches(&index, &space, addr, None, &mut hint, &slow);
         }
     }
 

@@ -1,21 +1,25 @@
 //! Property suite pinning the shadow translation index to the reference
 //! walker, and the copy-on-write snapshot isolation contract.
 //!
-//! The shadow index is only allowed to exist because it is observably
-//! identical to [`Walker`]: same [`WalkOutcome`] (termination level,
-//! access list, access count, PSC resume level, terminal entry, mapping,
-//! perms) and same PSC evolution (contents, hit/miss counters), under
-//! *any* interleaving of structural mutations, flags-only mutations and
-//! probes — including the stale-PSC resumes that arise when the tables
-//! mutate without `INVLPG`, exactly as on hardware.
+//! The shadow index is only allowed to exist because its one walk,
+//! [`ShadowIndex::walk_costed`] (the walk every probe runs), is
+//! observably identical to [`Walker`]: the same [`ShadowWalk`] as the
+//! walker's [`WalkOutcome`] reduces to (termination level, access
+//! count, PSC resume, leaf, perms, page size, frame; all but the
+//! analytic `clean_replay`), the same access list streamed through
+//! `on_access`, and the same PSC evolution (length, hit/miss counters),
+//! at every step of *any* interleaving of structural mutations,
+//! flags-only mutations and probes — including the stale-PSC resumes
+//! that arise when the tables mutate without `INVLPG`, exactly as on
+//! hardware.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use avx_mmu::{
-    AddressSpace, PageSize, PagingStructureCache, PscConfig, PteFlags, ShadowIndex, VirtAddr,
-    WalkOutcome, Walker,
+    AddressSpace, FrameId, PageSize, PagingStructureCache, PscConfig, PteFlags, ShadowIndex,
+    ShadowWalk, VirtAddr, WalkOutcome, Walker,
 };
 
 #[path = "support/shadow_reference.rs"]
@@ -43,17 +47,28 @@ const HOLE_SITES: [u64; 4] = [
     0xffff_8000_0000_0000,
 ];
 
-fn assert_same_outcome(a: &WalkOutcome, b: &WalkOutcome, step: usize) {
-    assert_eq!(a.va, b.va, "step {step}");
-    assert_eq!(a.terminal_level, b.terminal_level, "step {step}");
-    assert_eq!(a.structures_accessed, b.structures_accessed, "step {step}");
-    assert_eq!(a.psc_resume_level, b.psc_resume_level, "step {step}");
-    assert_eq!(a.entry.raw(), b.entry.raw(), "step {step}");
-    assert_eq!(a.mapping, b.mapping, "step {step}");
-    assert_eq!(a.perms, b.perms, "step {step}");
-    let al: Vec<_> = a.accesses.iter().collect();
-    let bl: Vec<_> = b.accesses.iter().collect();
-    assert_eq!(al, bl, "step {step}");
+/// Asserts the shadow walk `fast`, which streamed `accesses`, matches
+/// the walker's `slow` outcome on every [`ShadowWalk`] field but
+/// `clean_replay` and on the access list.
+fn assert_same_walk(
+    fast: &ShadowWalk,
+    accesses: &[(FrameId, usize)],
+    slow: &WalkOutcome,
+    step: usize,
+) {
+    let want = ShadowWalk::from(slow);
+    assert_eq!(fast.terminal_level, want.terminal_level, "step {step}");
+    assert_eq!(
+        fast.structures_accessed, want.structures_accessed,
+        "step {step}"
+    );
+    assert_eq!(fast.resumed, want.resumed, "step {step}");
+    assert_eq!(fast.present_leaf, want.present_leaf, "step {step}");
+    assert_eq!(fast.perms, want.perms, "step {step}");
+    assert_eq!(fast.page_size, want.page_size, "step {step}");
+    assert_eq!(fast.frame_number, want.frame_number, "step {step}");
+    let slow_accesses: Vec<_> = slow.accesses.iter().collect();
+    assert_eq!(accesses, slow_accesses, "step {step}");
 }
 
 /// Applies one random mutation or probe step; probes compare the shadow
@@ -130,18 +145,26 @@ fn drive(seed: u64, steps: usize) {
                 if !shadow.is_current(&space) {
                     shadow = ShadowIndex::build(&space);
                 }
+                let mut accesses = Vec::new();
+                let mut on_access = |table, idx| accesses.push((table, idx));
                 let (slow, fast) = if rng.gen_range(0u32..4) == 0 {
                     (
                         walker.walk(&space, va),
-                        shadow.walk_hinted(&space, va, None, &mut hint),
+                        shadow.walk_costed(&space, va, None, &mut hint, &mut on_access),
                     )
                 } else {
                     (
                         walker.walk_with_psc(&space, va, &mut psc_slow),
-                        shadow.walk_hinted(&space, va, Some(&mut psc_fast), &mut hint),
+                        shadow.walk_costed(
+                            &space,
+                            va,
+                            Some(&mut psc_fast),
+                            &mut hint,
+                            &mut on_access,
+                        ),
                     )
                 };
-                assert_same_outcome(&fast, &slow, step);
+                assert_same_walk(&fast, &accesses, &slow, step);
                 assert_eq!(psc_fast.len(), psc_slow.len(), "step {step}");
                 assert_eq!(psc_fast.hits(), psc_slow.hits(), "step {step}");
                 assert_eq!(psc_fast.misses(), psc_slow.misses(), "step {step}");
@@ -153,7 +176,7 @@ fn drive(seed: u64, steps: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Shadow index ≡ reference walker — outcome, access list and PSC
+    /// Shadow walk ≡ reference walker — verdict, access list and PSC
     /// evolution — under randomized map/unmap/protect/A-D/probe
     /// interleavings with hardware-style stale PSC state.
     #[test]

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 use avx_mmu::{
     AddressSpace, Level, PagingStructureCache, ResumeMemo, ShadowIndex, ShadowWalk, Tlb, TlbEntry,
-    TlbLookup, VirtAddr, WalkOutcome, Walker,
+    TlbLookup, VirtAddr, Walker,
 };
 
 use crate::defense::VictimDefense;
@@ -372,11 +372,7 @@ impl Machine {
         match self.observables {
             ObservablesVersion::V1 => self.next_noise().perturb(&mut self.rng, cycles),
             ObservablesVersion::V2 => {
-                let model = match &self.schedule {
-                    Some(s) => s.model_at(self.probe_seq),
-                    None => self.noise,
-                };
-                self.probe_seq += 1;
+                let model = self.next_noise();
                 (cycles + model.sample_v2(&mut self.rng)).round().max(1.0) as u64
             }
         }
@@ -506,7 +502,9 @@ impl Machine {
         if !due {
             return;
         }
-        let mut sched = self.sched.take().expect("checked due above");
+        // Borrowed in place, not moved out and back: the move compiled
+        // to two `memcpy` calls of the whole schedule per due event.
+        let sched = self.sched.as_mut().expect("checked due above");
         let mut noise_dirty = false;
         let mut space_dirty = false;
         while let Some(event) = sched.pop_due() {
@@ -521,7 +519,6 @@ impl Machine {
             self.tlb.flush(false);
             self.psc.flush_all();
         }
-        self.sched = Some(sched);
     }
 
     /// Flushes the whole TLB (CR3 reload). Global entries survive when
@@ -570,24 +567,6 @@ impl Machine {
         self.shadow_enabled = enabled;
     }
 
-    /// One page-table walk through the shadow fast path (rebuilding the
-    /// index if the space mutated) or the reference walker.
-    fn walk_shadowed(&mut self, va: VirtAddr, use_psc: bool) -> WalkOutcome {
-        if self.shadow_enabled {
-            let current = matches!(&self.shadow, Some(s) if s.is_current(&self.space));
-            if !current {
-                self.shadow = Some(ShadowIndex::build(&self.space));
-            }
-            let shadow = self.shadow.as_ref().expect("just built");
-            let psc = if use_psc { Some(&mut self.psc) } else { None };
-            shadow.walk_hinted(&self.space, va, psc, &mut self.shadow_hint)
-        } else if use_psc {
-            self.walker.walk_with_psc(&self.space, va, &mut self.psc)
-        } else {
-            self.walker.walk(&self.space, va)
-        }
-    }
-
     /// Accessed/Dirty maintenance after a successful translation. The
     /// slow path re-walks to the leaf on every probe; in steady state
     /// the bits are already set, so consult the shadow index's terminal
@@ -613,16 +592,15 @@ impl Machine {
     /// interrupt handler, driver code): the translation is walked and
     /// cached in the shared TLB with its true (supervisor) permissions.
     /// Drives the Fig. 6 user-behaviour signal and the FLARE bypass.
+    /// The walk is the probes' own (`Machine::perform_walk`); its
+    /// cycles are discarded, since nothing times the kernel's access.
     pub fn touch_as_kernel(&mut self, va: VirtAddr) {
-        let walk = self.walk_shadowed(va, true);
-        for (table, idx) in walk.accesses.iter() {
-            let _ = self.lines.touch(table, idx);
-        }
-        if let Some(mapping) = walk.mapping {
+        let (walk, _) = self.perform_walk(va, false);
+        if walk.present_leaf {
             self.tlb.insert(TlbEntry {
-                vpn: va.as_u64() >> mapping.size.shift(),
-                size: mapping.size,
-                pfn: mapping.phys.frame_number(),
+                vpn: va.as_u64() >> walk.page_size.shift(),
+                size: walk.page_size,
+                pfn: walk.frame_number,
                 perms: walk.perms,
             });
         }
@@ -1200,7 +1178,7 @@ impl Machine {
     /// One page-table walk with cycle accounting.
     ///
     /// The shadow path streams structure accesses straight into the
-    /// line-cache cost model (no access-list or [`WalkOutcome`]
+    /// line-cache cost model (no access-list or [`avx_mmu::WalkOutcome`]
     /// materialization); the reference path produces the full outcome
     /// and charges the identical costs from its access list.
     fn perform_walk(&mut self, page: VirtAddr, bypass_psc: bool) -> (ShadowWalk, f64) {
