@@ -248,6 +248,22 @@ impl Rerandomizer {
         true
     }
 
+    /// The ops, the current one included, before the next firing: the
+    /// next `quiet_ops() - 1` calls of [`Rerandomizer::tick`] report
+    /// nothing.
+    #[must_use]
+    pub fn quiet_ops(&self) -> u64 {
+        self.period - self.ops_seen % self.period
+    }
+
+    /// Counts `n` ops at once, exactly as `n` calls of
+    /// [`Rerandomizer::tick`] that all report nothing. `n` must stay
+    /// below [`Rerandomizer::quiet_ops`].
+    pub fn skip_ops(&mut self, n: u64) {
+        debug_assert!(n < self.quiet_ops(), "a skipped op would fire");
+        self.ops_seen += n;
+    }
+
     /// Unmaps the image at its current base and maps it at `new_base`.
     fn slide(&self, space: &mut AddressSpace, new_base: u64) -> Result<(), avx_mmu::MmuError> {
         for page in &self.layout {
@@ -480,6 +496,34 @@ mod tests {
         assert_eq!(trajectory(5), trajectory(5), "same seed, same walk");
         assert_ne!(trajectory(5), trajectory(6), "different seed diverges");
         assert_eq!(trajectory(5).len(), 10, "every period boundary fires");
+    }
+
+    /// The quiet count read after each tick is 1 plus the number of
+    /// following ticks that do not fire, and skipping all but one of
+    /// them leaves the re-randomizer and its space as ticking them.
+    #[test]
+    fn quiet_ops_counts_the_ops_before_the_next_firing() {
+        for period in [1, 2, 3, 7, 16, 37, 100] {
+            let mut space = image_space(8, 2);
+            let mut r =
+                Rerandomizer::capture(&space, REGION_START, REGION_END, ALIGN, period, period)
+                    .unwrap();
+            for op in 0..3 * period + 5 {
+                let _ = r.tick(&mut space);
+                let quiet = r.quiet_ops();
+                let (mut ahead, mut ahead_space) = (r.clone(), space.clone());
+                let silent = (0..).take_while(|_| !ahead.tick(&mut ahead_space)).count() as u64;
+                assert_eq!(quiet, 1 + silent, "period {period}, op {op}");
+                let mut skipped = r.clone();
+                skipped.skip_ops(quiet - 1);
+                let (mut stepped, mut stepped_space) = (r.clone(), space.clone());
+                for _ in 1..quiet {
+                    assert!(!stepped.tick(&mut stepped_space));
+                }
+                assert_eq!(format!("{skipped:?}"), format!("{stepped:?}"));
+                assert_eq!(stepped_space.epoch(), space.epoch(), "nothing was written");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use avx_mmu::{
     TlbLookup, VirtAddr, Walker,
 };
 
-use crate::defense::VictimDefense;
+use crate::defense::{Rerandomizer, VictimDefense};
 use crate::lines::PteLineCache;
 use crate::masked::{ElemWidth, Fault, MaskedOp, OpKind};
 use crate::memory::SparseMemory;
@@ -521,6 +521,35 @@ impl Machine {
         }
     }
 
+    /// The ops, the current (already ticked) one included, before a
+    /// schedule event or a re-randomization can fall due: the minimum of
+    /// the schedule's and every re-randomizer's bound, unbounded
+    /// (`u64::MAX`) with neither.
+    #[inline]
+    fn quiet_ops(&self) -> u64 {
+        let sched = self
+            .sched
+            .as_ref()
+            .map_or(u64::MAX, VictimSchedule::quiet_ops);
+        let rerandomizers = self.defense.iter().flat_map(|d| &d.rerandomizers);
+        rerandomizers
+            .map(Rerandomizer::quiet_ops)
+            .fold(sched, u64::min)
+    }
+
+    /// Counts `n` ops on the schedule and every re-randomizer without
+    /// ticking them; `n` stays below [`Machine::quiet_ops`], so no tick
+    /// it stands for would have fired.
+    #[inline]
+    fn skip_ops(&mut self, n: u64) {
+        if let Some(sched) = &mut self.sched {
+            sched.skip_ops(n);
+        }
+        for r in self.defense.iter_mut().flat_map(|d| &mut d.rerandomizers) {
+            r.skip_ops(n);
+        }
+    }
+
     /// Flushes the whole TLB (CR3 reload). Global entries survive when
     /// `keep_global`.
     pub fn flush_tlb(&mut self, keep_global: bool) {
@@ -656,9 +685,10 @@ impl Machine {
         }
         let probe = BatchProbe::new(kind, &self.profile.timing);
         // The run server's one batch-wide precondition: the shadow index
-        // is on. Schedule events and defense firings run in the
-        // per-probe ticks, before the run server's proofs, which see
-        // every effect they can have (invariant 15).
+        // is on. Schedule events and defense firings run in the ticks
+        // before the run server's proofs, which see every effect they
+        // can have, and no run crosses an op at which one falls due
+        // (invariant 15).
         match (self.observables, self.shadow_enabled) {
             (ObservablesVersion::V1, true) => self.execute_tiles_v1::<true>(&probe, addrs, out),
             (ObservablesVersion::V1, false) => self.execute_tiles_v1::<false>(&probe, addrs, out),
@@ -672,8 +702,8 @@ impl Machine {
     /// probes at a time), the noise draws in the per-probe order of the
     /// scalar path — the model from [`Machine::next_noise`] after the
     /// run's translation, so drift ramps, victim-schedule noise swaps
-    /// and defense ticks land on the same probe (runs are one probe
-    /// long under a schedule or a defense) — and the evaluation of the
+    /// and defense ticks land on the same probe (a run never crosses an
+    /// op at which one falls due) — and the evaluation of the
     /// tile's Box–Muller transcendentals together ([`V1Tile`]). Every
     /// measurement and the RNG state are bit-identical to the same
     /// probes run through the scalar path (asserted by
@@ -754,9 +784,11 @@ impl Machine {
     /// prove when `FAST` (the shadow index is on). When it serves
     /// nothing, the first probe takes the full path. The ticks run
     /// first, so whatever an event or a firing changed is already
-    /// visible to the run server's proofs; under a schedule or a
-    /// defense a run is one probe long, so the ticks still run before
-    /// every probe.
+    /// visible to the run server's proofs. A run never crosses an op at
+    /// which a schedule event or a re-randomization falls due, so the
+    /// ticks of its later probes would report nothing; the run server
+    /// counts them on the clocks instead, and the due probe opens a new
+    /// run with its own tick.
     #[inline]
     fn translate_run<const FAST: bool>(
         &mut self,
@@ -814,9 +846,11 @@ impl Machine {
     /// misses every array) and the walk resumes right above the
     /// terminal entry; and a terminal entry, read live, that is not
     /// present ([`avx_mmu::NonpresentRun::serves`]). The first probe
-    /// that fails one ends the run. Under a victim schedule or a
-    /// defense the run is at most one probe long, since their ticks must
-    /// run before every probe.
+    /// that fails one ends the run, and so does the op at which a
+    /// victim schedule event or a re-randomization falls due
+    /// ([`Machine::quiet_ops`]): the run is at most that many probes
+    /// long, and the ticks of its later probes, which would report
+    /// nothing, are counted at once ([`Machine::skip_ops`]).
     ///
     /// A served probe touches its terminal entry's line, and costs one
     /// of two values fixed per run — a cold or a warm line — each built
@@ -839,17 +873,15 @@ impl Machine {
             return 0;
         };
         // Borrowed, not copied: a copy of the timing block is a memcpy
-        // per run, which one-probe runs measurably pay.
+        // per run, which short runs measurably pay.
         let t = &self.profile.timing;
         let walk = run.walk();
-        let max = if self.sched.is_some() || self.defense.is_some() {
-            1
-        } else {
-            addrs.len()
-        };
+        // No event or firing falls on an op strictly inside the run, so
+        // every proof below holds for all of its probes.
+        let max = usize::try_from(self.quiet_ops()).map_or(addrs.len(), |q| q.min(addrs.len()));
         let user = !run.kernel_half();
         // The cold and the warm cost, each built when a probe first
-        // needs it: a one-probe run builds one.
+        // needs it: a run that ends at its first probe builds one.
         let mut cost = [None; 2];
         let mut served = 0;
         for (&addr, slot) in addrs[..max].iter().zip(cycles.iter_mut()) {
@@ -879,6 +911,7 @@ impl Machine {
             self.pmc.add(Event::SuppressedFault, n);
             let walks = u64::from(t.nonpresent_retries.max(1));
             self.pmc.add(probe.walk_event, walks * n);
+            self.skip_ops(n - 1);
         }
         served
     }
@@ -1390,7 +1423,9 @@ fn false_warm_for_amd(lines: &mut PteLineCache, table: avx_mmu::FrameId, idx: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::AddressMask;
     use crate::masked::{ElemWidth, Mask};
+    use crate::sched::SchedEvent;
     use avx_mmu::{PageSize, PteFlags};
 
     fn va(raw: u64) -> VirtAddr {
@@ -2214,5 +2249,59 @@ mod tests {
             default.execute_batch(OpKind::Load, &addrs),
             explicit.execute_batch(OpKind::Load, &addrs)
         );
+    }
+
+    /// How many of a tile of 16 non-present user pages the run server
+    /// serves on its first tick after `victim` is installed and a
+    /// one-probe warm-up batch built the resume memo (the tick is op 2).
+    fn served_run(victim: impl FnOnce(&mut Machine)) -> (usize, Machine) {
+        let mut m = fig2_machine();
+        victim(&mut m);
+        let addrs: Vec<_> = (1..=16).map(|i| va(USER_U + i * 0x1000)).collect();
+        let _ = m.execute_batch(OpKind::Load, &addrs[..1]);
+        let probe = BatchProbe::new(OpKind::Load, &m.profile.timing);
+        let mut cycles = [0.0; 16];
+        m.sched_tick();
+        m.defense_tick();
+        let served = m.serve_nonpresent_run(&probe, &addrs, &mut cycles);
+        (served, m)
+    }
+
+    #[test]
+    fn a_run_ends_where_a_victim_event_falls_due() {
+        let swap = SchedEvent::NoiseSwap(crate::NoiseProfile::Quiet);
+        let (served, _) = served_run(|_| {});
+        assert_eq!(served, 16, "a bare machine serves the whole tile");
+
+        // Due at op 7: ops 2–6 are quiet, and the run counts them.
+        let (served, m) = served_run(|m| {
+            m.set_victim_schedule(Some(VictimSchedule::new(1, 0).at(7, swap)));
+        });
+        assert_eq!(served, 5, "the event 5 ops away ends the run");
+        let sched = m.victim_schedule().unwrap();
+        assert_eq!((sched.ops_seen(), sched.fired()), (6, 0));
+
+        // Fires at op 5: ops 2–4 are quiet.
+        let (served, m) = served_run(|m| {
+            let r =
+                Rerandomizer::capture(m.space(), KERNEL_M, KERNEL_M + 0x2000_0000, 0x20_0000, 5, 0)
+                    .unwrap();
+            m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
+        });
+        assert_eq!(served, 3, "the firing 3 ops away ends the run");
+        assert_eq!(m.defense().unwrap().rerandomizers[0].quiet_ops(), 1);
+
+        let (served, _) = served_run(|m| {
+            let mask = AddressMask::new(KERNEL_M, KERNEL_M + 0x2000_0000, 0x20_0000, 0);
+            m.set_defense(Some(VictimDefense::new().with_mask(mask)));
+        });
+        assert_eq!(served, 16, "masks never fall due");
+
+        // The one event fires at op 1, the warm-up: the queue is empty.
+        let (served, m) = served_run(|m| {
+            m.set_victim_schedule(Some(VictimSchedule::new(1, 0).at(1, swap)));
+        });
+        assert_eq!(served, 16, "an empty queue never falls due");
+        assert_eq!(m.victim_schedule().unwrap().ops_seen(), 17);
     }
 }

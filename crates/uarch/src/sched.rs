@@ -405,6 +405,25 @@ impl VictimSchedule {
         self.head_due()
     }
 
+    /// The ops, the current one included, before the next event can
+    /// fall due: once the current op's events are popped, the next
+    /// `quiet_ops() - 1` calls of [`VictimSchedule::advance_op`] report
+    /// nothing. Unbounded (`u64::MAX`) when no event can ever fall due
+    /// (an empty queue).
+    #[must_use]
+    pub fn quiet_ops(&self) -> u64 {
+        self.due_at.map_or(u64::MAX, |due| due - self.ops_seen)
+    }
+
+    /// Counts `n` ops at once, exactly as `n` calls of
+    /// [`VictimSchedule::advance_op`] that all report nothing. The
+    /// caller proves that with [`VictimSchedule::quiet_ops`]: `n` must
+    /// stay below it.
+    pub fn skip_ops(&mut self, n: u64) {
+        debug_assert!(n < self.quiet_ops(), "a skipped op would be due");
+        self.ops_seen += n;
+    }
+
     /// Pops the next due event in `(tick, insertion-seq)` order,
     /// re-queueing recurrences. `None` once the current tick is drained.
     pub fn pop_due(&mut self) -> Option<SchedEvent> {
@@ -678,6 +697,63 @@ mod tests {
             out.push(e);
         }
         out
+    }
+
+    /// On seeded random queues — one-shots, recurrences, same-tick ties
+    /// and recurrences that re-enter behind a same-tick one-shot — the
+    /// quiet count read after each drained op is 1 plus the number of
+    /// following `advance_op` calls that report nothing, and skipping
+    /// all but one of those ops leaves the schedule as stepping them.
+    #[test]
+    fn quiet_ops_counts_the_ops_before_the_next_due_one() {
+        const LOOKAHEAD: u64 = 1024;
+        for seed in 0..64u64 {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = splitmix64(state);
+                state % n
+            };
+            let mut s = VictimSchedule::new([1, 3, 16, 64][draw(4) as usize], seed);
+            for _ in 0..=draw(6) {
+                let tick = draw(12);
+                s = match draw(3) {
+                    0 => s.at(tick, SchedEvent::TenantArrive),
+                    1 => s.every(tick, 1 + draw(8), SchedEvent::TenantDepart),
+                    _ => s.at(tick, SchedEvent::TenantArrive).every(
+                        tick,
+                        1 + draw(4),
+                        SchedEvent::TenantDepart,
+                    ),
+                };
+            }
+            for op in 0..300 {
+                let _ = s.advance_op();
+                drain_tick(&mut s);
+                let quiet = s.quiet_ops();
+                let mut ahead = s.clone();
+                let silent = (0..LOOKAHEAD).take_while(|_| !ahead.advance_op()).count() as u64;
+                if quiet == u64::MAX {
+                    assert_eq!(
+                        (silent, s.pending()),
+                        (LOOKAHEAD, 0),
+                        "seed {seed}, op {op}"
+                    );
+                } else {
+                    assert_eq!(quiet, 1 + silent, "seed {seed}, op {op}");
+                }
+                let n = (quiet - 1).min(LOOKAHEAD);
+                let (mut skipped, mut stepped) = (s.clone(), s.clone());
+                skipped.skip_ops(n);
+                for _ in 0..n {
+                    assert!(!stepped.advance_op());
+                }
+                assert_eq!(
+                    format!("{skipped:?}"),
+                    format!("{stepped:?}"),
+                    "seed {seed}, op {op}"
+                );
+            }
+        }
     }
 
     #[test]

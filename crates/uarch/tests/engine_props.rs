@@ -340,14 +340,15 @@ proptest! {
     /// The same oracle on scheduled and defended victims, whose batch
     /// machines take the fast path too: module loads and unloads among
     /// the probed 4 KiB kernel pages, noise swaps and tenant churn (at
-    /// 1 and 16 ops per tick), masked translation and a re-randomizer
-    /// of the kernel image firing every 37 ops. Every tick lands
-    /// between probes of one batch, before the fast path's proofs.
+    /// 1, 16 and 64 ops per tick), masked translation and
+    /// re-randomizers of the kernel image firing every 37 and 100 ops.
+    /// Every event or firing falls due between the runs of one batch,
+    /// before the fast path's proofs.
     #[test]
     fn nonpresent_fast_path_matches_under_schedules_and_defenses(
         seed in any::<u64>(),
         profile_idx in 0usize..4,
-        victim_idx in 0usize..6,
+        victim_idx in 0usize..9,
     ) {
         let (name, profile) = fast_path::profiles().swap_remove(profile_idx);
         // Modules load into 4 KiB slots just above the mapped pages at
@@ -433,15 +434,20 @@ fn nonpresent_fast_path_tracks_psc_eviction_and_stale_tlb_entries() {
 ///   span over the unmapped pages after it;
 /// * a page-crossing offset (0xfe1–0xfff) inside a run;
 /// * the user/kernel half boundary (a 4 KiB run across the canonical
-///   hole).
+///   hole);
+/// * a victim event or a re-randomization falling due (112 unmapped
+///   pages, ops 98–209: the 64-ops/tick schedules fall due at ops 128
+///   and 192, the period-100 re-randomizer at ops 100 and 200, each
+///   inside a run and mid-tile).
 ///
 /// Each script runs with loads and with stores, on bare machines and on
 /// every scheduled and defended victim of `fast_path::victims` (whose
-/// runs are one probe long), under v1 and v2 observables — v2 without
-/// noise swaps and tenants, whose mid-block events are the v2 block
-/// path's known departure from the scalar stream. Charging a warm
-/// line the cold cost, or replaying the PSC for a whole tile instead of
-/// the served run, fails this test.
+/// runs end where an event or a firing falls due), under v1 and v2
+/// observables — v2 without noise swaps and tenants, whose mid-block
+/// events are the v2 block path's known departure from the scalar
+/// stream. Charging a warm line the cold cost, replaying the PSC for a
+/// whole tile instead of the served run, or letting a run cross an op
+/// at which an event falls due fails this test.
 #[test]
 fn run_server_ends_runs_mid_tile_for_every_reason() {
     use avx_uarch::ObservablesVersion;
@@ -480,6 +486,10 @@ fn run_server_ends_runs_mid_tile_for_every_reason() {
             // The canonical hole: the top of the user half, then the
             // bottom of the kernel half.
             Step::Probe(kind, run_of(0x7fff_ffff_8000, 0x1000, 16)),
+            // Seven tiles of unmapped pages right below USER_M, one page
+            // table: the victims' events fall due inside their runs.
+            Step::FlushTlb(false),
+            Step::Probe(kind, run_of(USER_M - 0x7_0000, 0x1000, 112)),
         ]
     };
     let modules = (0xffff_ffff_c013_0000, 0xffff_ffff_c017_0000);

@@ -68,9 +68,14 @@ pub type Victim = Box<dyn Fn(&mut Machine)>;
 
 /// The scheduled and defended victims of the oracle, seeded by `seed`:
 /// module loads and unloads in `modules` (4 KiB slots), noise swaps,
-/// and tenant arrivals and departures, each at 1 and 16 ops per tick;
-/// masked translation of `image` (2 MiB slots), and a re-randomizer of
-/// the image mapped there, firing every 37 ops.
+/// and tenant arrivals and departures, each at 1 and 16 ops per tick,
+/// where events fall due every few ops; the same two at the
+/// closed-loop cadence of `avx_core::schedule` (64 ops per tick, its
+/// event intervals, first events at ticks 2 and 3 — ops 128 and 192),
+/// where long runs form between events; masked translation of `image`
+/// (2 MiB slots), and re-randomizers of the image mapped there, firing
+/// every 37 and every 100 ops (the second period not a multiple of a
+/// 16-probe tile).
 pub fn victims(modules: (u64, u64), image: (u64, u64), seed: u64) -> Vec<(String, Victim)> {
     let mut out: Vec<(String, Victim)> = Vec::new();
     for ops_per_tick in [1, 16] {
@@ -101,20 +106,46 @@ pub fn victims(modules: (u64, u64), image: (u64, u64), seed: u64) -> Vec<(String
         ));
     }
     out.push((
+        "module churn, 64 ops/tick".into(),
+        Box::new(move |m| {
+            m.set_victim_schedule(Some(
+                VictimSchedule::new(64, seed)
+                    .with_module_region(SchedRegion::new(modules.0, modules.1, 0x1000))
+                    .every(2, 8, SchedEvent::ModuleLoad { pages: 16 })
+                    .every(3, 8, SchedEvent::ModuleUnload),
+            ));
+        }),
+    ));
+    out.push((
+        "noise swaps and tenants, 64 ops/tick".into(),
+        Box::new(move |m| {
+            m.set_victim_schedule(Some(
+                VictimSchedule::new(64, seed)
+                    .with_base(NoiseProfile::Quiet)
+                    .every(2, 12, SchedEvent::NoiseSwap(NoiseProfile::LaptopDvfs))
+                    .every(3, 12, SchedEvent::NoiseSwap(NoiseProfile::Quiet))
+                    .every(2, 16, SchedEvent::TenantArrive)
+                    .every(3, 16, SchedEvent::TenantDepart),
+            ));
+        }),
+    ));
+    out.push((
         "masked translation".into(),
         Box::new(move |m| {
             let mask = AddressMask::new(image.0, image.1, 0x20_0000, seed);
             m.set_defense(Some(VictimDefense::new().with_mask(mask)));
         }),
     ));
-    out.push((
-        "re-randomizer, period 37".into(),
-        Box::new(move |m| {
-            let r = Rerandomizer::capture(m.space(), image.0, image.1, 0x20_0000, 37, seed)
-                .expect("an image is mapped in the region");
-            m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
-        }),
-    ));
+    for period in [37, 100] {
+        out.push((
+            format!("re-randomizer, period {period}"),
+            Box::new(move |m| {
+                let r = Rerandomizer::capture(m.space(), image.0, image.1, 0x20_0000, period, seed)
+                    .expect("an image is mapped in the region");
+                m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
+            }),
+        ));
+    }
     out
 }
 
