@@ -1,13 +1,14 @@
 //! The four-level page-table address space.
 
 use core::fmt;
+use core::ops::Range;
 use std::sync::Arc;
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::error::MmuError;
 use crate::flags::PteFlags;
 use crate::pte::Pte;
-use crate::table::{FrameId, Level, PageTable};
+use crate::table::{FrameId, Level, PageTable, ENTRIES_PER_TABLE};
 
 /// Supported architectural page sizes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -131,10 +132,11 @@ impl MappedRegion {
 /// Every *effective* PTE change (map, unmap, protect, A/D-bit update
 /// that actually flips bits) bumps [`AddressSpace::epoch`]. The range
 /// operations ([`AddressSpace::map_range`],
-/// [`AddressSpace::protect_range`],
-/// [`AddressSpace::mark_accessed_range`]) descend once per leaf table
-/// but still write every slot through the same single write path, so
-/// they count exactly like their per-page loops. Derived
+/// [`AddressSpace::unmap_range`], [`AddressSpace::protect_range`],
+/// [`AddressSpace::mark_accessed_range`]) write a leaf table's span of
+/// slots at a time — one descent, one copy-on-write, one run write —
+/// and count one epoch bump per changed slot, exactly like their
+/// per-page loops. Derived
 /// structures — notably the shadow translation index the execution
 /// engine keeps — use the epoch to invalidate themselves; rewriting an
 /// entry with its current value is a no-op and leaves the epoch alone.
@@ -216,13 +218,33 @@ impl AddressSpace {
             return;
         }
         self.epoch += 1;
-        if (old.raw() == 0) != (pte.raw() == 0)
-            || old.is_present() != pte.is_present()
-            || old.is_huge_leaf() != pte.is_huge_leaf()
-        {
+        if changes_shape(old, pte) {
             self.shape_epoch += 1;
         }
         Arc::make_mut(&mut self.tables[id.index()]).set_entry(idx, pte);
+    }
+
+    /// The span writer: rewrites each slot `i` of `run` in table `id`
+    /// to `f(i, old)`, bumping both epochs as one [`AddressSpace::write_entry`]
+    /// per slot would, and copying the table (copy-on-write) only when
+    /// some slot changes.
+    fn write_run(&mut self, id: FrameId, run: Range<usize>, f: impl Fn(usize, Pte) -> Pte) {
+        let table = &self.tables[id.index()];
+        let mut changed = 0;
+        for i in run.clone() {
+            let old = table.entry(i);
+            let new = f(i, old);
+            if old.raw() != new.raw() {
+                changed += 1;
+                if changes_shape(old, new) {
+                    self.shape_epoch += 1;
+                }
+            }
+        }
+        if changed > 0 {
+            self.epoch += changed;
+            Arc::make_mut(&mut self.tables[id.index()]).update_run(run, f);
+        }
     }
 
     /// The root (PML4) table id.
@@ -396,8 +418,8 @@ impl AddressSpace {
     /// Maps `count` consecutive pages of `size` starting at `va`.
     ///
     /// Exactly the per-page [`AddressSpace::map`] loop — same entries,
-    /// backing frames, epochs and first error — but it descends once
-    /// per leaf table and then writes its consecutive slots.
+    /// backing frames, epochs and first error — written a leaf-table
+    /// span at a time.
     ///
     /// # Errors
     ///
@@ -411,26 +433,17 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let leaf_level = size.leaf_level();
-        let mut cursor = LeafCursor::default();
-        for i in 0..count {
-            let page = va.wrapping_add(i * size.bytes());
-            let pa = self.alloc_data_frame(size);
-            check_alignment(page, pa, size)?;
-            let table_id = match cursor.get(page, leaf_level) {
-                Some(id) => id,
-                None => {
-                    let id = self.descend_for_map(page, leaf_level, flags)?;
-                    cursor.set(page, leaf_level, id);
-                    id
-                }
-            };
-            self.map_leaf(table_id, page, pa, size, flags)?;
-        }
-        Ok(())
+        self.by_spans(
+            (va, count, size),
+            |s, first, n| s.map_span(first, n, size, flags),
+            |s, page| s.map(page, size, flags).map(drop),
+        )
     }
 
     /// Unmaps `count` consecutive pages of `size` starting at `va`.
+    ///
+    /// Exactly the per-page [`AddressSpace::unmap`] loop, prunes
+    /// included, written a leaf-table span at a time.
     ///
     /// # Errors
     ///
@@ -442,17 +455,18 @@ impl AddressSpace {
         count: u64,
         size: PageSize,
     ) -> Result<(), MmuError> {
-        for i in 0..count {
-            self.unmap(va.wrapping_add(i * size.bytes()), size)?;
-        }
-        Ok(())
+        self.by_spans(
+            (va, count, size),
+            |s, first, n| s.unmap_span(first, n, size),
+            |s, page| s.unmap(page, size),
+        )
     }
 
     /// Re-protects `count` consecutive pages of `size` starting at `va`
     /// (an `mprotect` over a whole VMA).
     ///
-    /// Exactly the per-page [`AddressSpace::protect`] loop, descending
-    /// once per leaf table.
+    /// Exactly the per-page [`AddressSpace::protect`] loop, written a
+    /// leaf-table span at a time.
     ///
     /// # Errors
     ///
@@ -464,20 +478,140 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let mut cursor = LeafCursor::default();
-        for i in 0..count {
-            let page = va.wrapping_add(i * size.bytes());
-            let new_span = cursor.get(page, size.leaf_level()).is_none();
-            let found = self.locate_cached(page, size.leaf_level(), &mut cursor);
-            let slot = check_leaf_size(page, size, found)?;
-            self.protect_slot(slot, size, flags);
-            // The intermediates above a leaf table are shared by its
-            // whole span: one upgrade covers them.
-            if new_span && flags.is_user() {
-                self.upgrade_intermediates_to_user(page);
+        self.by_spans(
+            (va, count, size),
+            |s, first, n| s.protect_span(first, n, size, flags),
+            |s, page| s.protect(page, size, flags),
+        )
+    }
+
+    /// Runs a range operation over `count` consecutive pages of `size`
+    /// from `va`, one leaf-table span at a time. `span(self, first, n)`
+    /// writes the longest prefix of the span's `n` pages that it proves
+    /// the per-page operation would write, and returns its length; the
+    /// page after that prefix goes through the per-page operation
+    /// `page`, which writes it or returns the error the per-page loop
+    /// would.
+    fn by_spans(
+        &mut self,
+        (va, count, size): (VirtAddr, u64, PageSize),
+        mut span: impl FnMut(&mut Self, VirtAddr, usize) -> usize,
+        mut page: impl FnMut(&mut Self, VirtAddr) -> Result<(), MmuError>,
+    ) -> Result<(), MmuError> {
+        let mut i = 0;
+        while i < count {
+            let first = va.wrapping_add(i * size.bytes());
+            let room = ENTRIES_PER_TABLE - first.index_for(size.leaf_level());
+            let n = usize::try_from(count - i).map_or(room, |left| left.min(room));
+            let done = span(self, first, n);
+            i += done as u64;
+            if done < n {
+                page(self, va.wrapping_add(i * size.bytes()))?;
+                i += 1;
             }
         }
         Ok(())
+    }
+
+    /// The span step of [`AddressSpace::map_range`]: maps the free slots
+    /// at the start of the `n`-page span from `first`, their frames
+    /// handed out in one step.
+    fn map_span(&mut self, first: VirtAddr, n: usize, size: PageSize, flags: PteFlags) -> usize {
+        let leaf_flags = match size {
+            // Refused after the descent: the per-page path reports it.
+            PageSize::Size4K if flags.is_huge() => return 0,
+            PageSize::Size4K => flags,
+            _ => flags | PteFlags::HUGE,
+        };
+        if !first.is_aligned(size.bytes()) {
+            return 0;
+        }
+        let Ok(id) = self.descend_for_map(first, size.leaf_level(), flags) else {
+            return 0;
+        };
+        let start = first.index_for(size.leaf_level());
+        let free = self.tables[id.index()].run_len(start, n, false);
+        if free == 0 {
+            return 0;
+        }
+        let frames = size.bytes() >> 12;
+        let base = self.alloc_data_frame(size).frame_number();
+        self.next_data_frame += (free as u64 - 1) * frames;
+        self.mapped_pages += free;
+        self.write_run(id, start..start + free, |i, _| {
+            let frame = base + (i - start) as u64 * frames;
+            Pte::new(PhysAddr::from_frame_number(frame), leaf_flags)
+        });
+        free
+    }
+
+    /// The span step of [`AddressSpace::unmap_range`]: unmaps the leaves
+    /// at the start of the `n`-page span from `first`, then prunes once,
+    /// where the per-page loop's prune after the span's last page would.
+    fn unmap_span(&mut self, first: VirtAddr, n: usize, size: PageSize) -> usize {
+        if !first.is_aligned(size.bytes()) {
+            return 0;
+        }
+        let Some((id, start, run)) = self.leaf_span(first, n, size, false) else {
+            return 0;
+        };
+        self.mapped_pages -= run;
+        self.write_run(id, start..start + run, |_, _| Pte::zero());
+        // Only the span's last page can leave its leaf table empty, and
+        // every page of the span shares the walk path above it.
+        self.prune_empty_tables(first);
+        run
+    }
+
+    /// The span step of [`AddressSpace::protect_range`].
+    fn protect_span(
+        &mut self,
+        first: VirtAddr,
+        n: usize,
+        size: PageSize,
+        flags: PteFlags,
+    ) -> usize {
+        let Some((id, start, run)) = self.leaf_span(first, n, size, false) else {
+            return 0;
+        };
+        let new_flags = leaf_flags(size, flags);
+        self.write_run(id, start..start + run, |_, old| old.with_flags(new_flags));
+        // The intermediates above a leaf table are shared by its whole
+        // span: one upgrade covers them.
+        if flags.is_user() {
+            self.upgrade_intermediates_to_user(first);
+        }
+        run
+    }
+
+    /// The leaf table a walk for `first` ends in, if it is the table of
+    /// `size` leaves, with `first`'s slot there and the number of slots
+    /// from it on, at most `n`, that each hold a leaf the walk of their
+    /// page ends at (a present one if `present`). `None` if that number
+    /// is 0.
+    fn leaf_span(
+        &self,
+        first: VirtAddr,
+        n: usize,
+        size: PageSize,
+        present: bool,
+    ) -> Option<(FrameId, usize, usize)> {
+        let (id, start, level) = self.locate_any_leaf(first)?;
+        if level != size.leaf_level() {
+            return None;
+        }
+        let table = &self.tables[id.index()];
+        // Leaves are non-zero; a non-zero PT entry is a leaf.
+        let mut run = table.run_len(start, n, true);
+        if present || level != Level::Pt {
+            run = (start..start + run)
+                .take_while(|&i| {
+                    let entry = table.entry(i);
+                    entry.is_present() && (level == Level::Pt || entry.is_huge_leaf())
+                })
+                .count();
+        }
+        (run > 0).then_some((id, start, run))
     }
 
     /// Removes the leaf mapping of `size` at `va`.
@@ -508,7 +642,9 @@ impl AddressSpace {
     /// `va`, bottom-up. (Arena slots are not recycled; correctness only
     /// needs the links gone.)
     fn prune_empty_tables(&mut self, va: VirtAddr) {
-        let mut path: Vec<(FrameId, usize)> = Vec::with_capacity(3);
+        // At most the PML4, PDPT and PD links sit above a leaf.
+        let mut path = [(self.root, 0); 3];
+        let mut depth = 0;
         let mut table_id = self.root;
         for level in Level::WALK_ORDER {
             let idx = va.index_for(level);
@@ -520,10 +656,11 @@ impl AddressSpace {
             {
                 break;
             }
-            path.push((table_id, idx));
+            path[depth] = (table_id, idx);
+            depth += 1;
             table_id = table_frame(entry).expect("table frame id");
         }
-        for (parent, idx) in path.into_iter().rev() {
+        for &(parent, idx) in path[..depth].iter().rev() {
             let entry = self.tables[parent.index()].entry(idx);
             let child = table_frame(entry).expect("table frame id");
             if self.tables[child.index()].is_empty() {
@@ -550,22 +687,13 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let slot = self.locate_leaf_slot(va, size)?;
-        self.protect_slot(slot, size, flags);
+        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
+        let entry = self.tables[table_id.index()].entry(idx);
+        self.write_entry(table_id, idx, entry.with_flags(leaf_flags(size, flags)));
         if flags.is_user() {
             self.upgrade_intermediates_to_user(va);
         }
         Ok(())
-    }
-
-    /// Replaces the flags of the leaf in `slot`, keeping its target.
-    fn protect_slot(&mut self, (table_id, idx): (FrameId, usize), size: PageSize, flags: PteFlags) {
-        let entry = self.tables[table_id.index()].entry(idx);
-        let mut new_flags = flags;
-        if size != PageSize::Size4K {
-            new_flags |= PteFlags::HUGE;
-        }
-        self.write_entry(table_id, idx, entry.with_flags(new_flags));
     }
 
     /// Sets `USER` on every present intermediate entry on the walk path
@@ -595,8 +723,16 @@ impl AddressSpace {
     ///
     /// [`MmuError::NotMapped`] if no present leaf covers `va`.
     pub fn mark_accessed(&mut self, va: VirtAddr, write: bool) -> Result<PteFlags, MmuError> {
-        let slot = self.locate_any_leaf(va);
-        self.mark_slot(va, slot, write)
+        let not_mapped = MmuError::NotMapped { addr: va.as_u64() };
+        let (table_id, idx, _) = self.locate_any_leaf(va).ok_or(not_mapped)?;
+        let entry = self.tables[table_id.index()].entry(idx);
+        if !entry.is_present() {
+            return Err(not_mapped);
+        }
+        // Steady-state probes re-set already-set bits; `write_entry`
+        // recognizes the no-op and leaves the epoch untouched.
+        self.write_entry(table_id, idx, entry.with_flags_set(accessed_flags(write)));
+        Ok(entry.flags())
     }
 
     /// [`AddressSpace::mark_accessed`] on `count` consecutive pages of
@@ -613,37 +749,18 @@ impl AddressSpace {
         size: PageSize,
         write: bool,
     ) -> Result<(), MmuError> {
-        let mut cursor = LeafCursor::default();
-        for i in 0..count {
-            let page = va.wrapping_add(i * size.bytes());
-            let slot = self.locate_cached(page, size.leaf_level(), &mut cursor);
-            self.mark_slot(page, slot, write)?;
-        }
-        Ok(())
-    }
-
-    /// Sets Accessed (and Dirty on `write`) on the present leaf in
-    /// `slot`, returning its previous flags.
-    fn mark_slot(
-        &mut self,
-        va: VirtAddr,
-        slot: Option<(FrameId, usize, Level)>,
-        write: bool,
-    ) -> Result<PteFlags, MmuError> {
-        let (table_id, idx, _) = slot.ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let entry = self.tables[table_id.index()].entry(idx);
-        if !entry.is_present() {
-            return Err(MmuError::NotMapped { addr: va.as_u64() });
-        }
-        let old = entry.flags();
-        let mut set = PteFlags::ACCESSED;
-        if write {
-            set |= PteFlags::DIRTY;
-        }
-        // Steady-state probes re-set already-set bits; `write_entry`
-        // recognizes the no-op and leaves the epoch untouched.
-        self.write_entry(table_id, idx, entry.with_flags_set(set));
-        Ok(old)
+        let set = accessed_flags(write);
+        self.by_spans(
+            (va, count, size),
+            |s, first, n| {
+                let Some((id, start, run)) = s.leaf_span(first, n, size, true) else {
+                    return 0;
+                };
+                s.write_run(id, start..start + run, |_, old| old.with_flags_set(set));
+                run
+            },
+            |s, page| s.mark_accessed(page, write).map(drop),
+        )
     }
 
     /// Clears Accessed/Dirty on the leaf covering `va` (used by tests and
@@ -735,27 +852,6 @@ impl AddressSpace {
         self.locate_from(self.root, Level::Pml4, va)
     }
 
-    /// [`AddressSpace::locate_any_leaf`] for the pages of a range
-    /// operation over `leaf_level` leaves: once a page's walk ends in a
-    /// `leaf_level` table, the rest of its `cursor` span starts there.
-    fn locate_cached(
-        &self,
-        va: VirtAddr,
-        leaf_level: Level,
-        cursor: &mut LeafCursor,
-    ) -> Option<(FrameId, usize, Level)> {
-        let found = match cursor.get(va, leaf_level) {
-            Some(id) => self.locate_from(id, leaf_level, va),
-            None => self.locate_any_leaf(va),
-        };
-        if let Some((id, _, level)) = found {
-            if level == leaf_level {
-                cursor.set(va, leaf_level, id);
-            }
-        }
-        found
-    }
-
     /// [`AddressSpace::locate_any_leaf`] from table `table_id` at `level`
     /// on the walk path of `va`.
     fn locate_from(
@@ -782,26 +878,30 @@ impl AddressSpace {
     }
 }
 
-/// The leaf-level table a range operation last descended to, keyed by
-/// the address bits above that level's index: every page with the same
-/// key shares the entries above the leaf table, so the descent is
-/// reused until the key changes.
-#[derive(Default)]
-struct LeafCursor(Option<(u64, FrameId)>);
+/// `true` if rewriting `old` as `new` can change where a walk goes or
+/// terminates (see [`AddressSpace::shape_epoch`]).
+fn changes_shape(old: Pte, new: Pte) -> bool {
+    (old.raw() == 0) != (new.raw() == 0)
+        || old.is_present() != new.is_present()
+        || old.is_huge_leaf() != new.is_huge_leaf()
+}
 
-impl LeafCursor {
-    fn key(va: VirtAddr, leaf_level: Level) -> u64 {
-        va.as_u64() >> (level_shift(leaf_level) + 9)
+/// The flags a protection to `flags` leaves on a leaf of `size`.
+fn leaf_flags(size: PageSize, flags: PteFlags) -> PteFlags {
+    if size == PageSize::Size4K {
+        flags
+    } else {
+        flags | PteFlags::HUGE
     }
+}
 
-    fn get(&self, va: VirtAddr, leaf_level: Level) -> Option<FrameId> {
-        self.0
-            .filter(|&(key, _)| key == Self::key(va, leaf_level))
-            .map(|(_, id)| id)
-    }
-
-    fn set(&mut self, va: VirtAddr, leaf_level: Level, id: FrameId) {
-        self.0 = Some((Self::key(va, leaf_level), id));
+/// The bits a translation sets on its leaf: Accessed, and Dirty on a
+/// write.
+fn accessed_flags(write: bool) -> PteFlags {
+    if write {
+        PteFlags::ACCESSED | PteFlags::DIRTY
+    } else {
+        PteFlags::ACCESSED
     }
 }
 

@@ -1,7 +1,7 @@
 //! Paging-structure tables and levels.
 
 use core::fmt;
-use core::ops::Index;
+use core::ops::{Index, Range};
 
 use crate::pte::Pte;
 
@@ -220,13 +220,126 @@ impl PageTable {
                     (false, false) => {}
                 }
                 if packed.len() >= DENSE_AT {
-                    let mut entries = Box::new([Pte::zero(); ENTRIES_PER_TABLE]);
-                    for (idx, &e) in set_bits(self.present).zip(packed.iter()) {
-                        entries[idx] = e;
-                    }
-                    self.slots = Slots::Dense(entries);
+                    self.densify();
                 }
             }
+        }
+    }
+
+    /// Rewrites slots `run` in one pass, slot `i` becoming `f(i, old)`.
+    ///
+    /// Reads afterwards exactly as [`PageTable::set_entry`] on each slot
+    /// in turn would leave them. A sparse table the run leaves with 64
+    /// or more live entries turns dense; for a run that only fills or
+    /// only clears slots, that is also the representation the per-slot
+    /// writes would leave. `f` may be called more than once per slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` reaches past slot 511.
+    pub fn update_run(&mut self, run: Range<usize>, f: impl Fn(usize, Pte) -> Pte) {
+        assert!(run.end <= ENTRIES_PER_TABLE, "run past the table");
+        if run.is_empty() {
+            return;
+        }
+        if let Slots::Sparse { rank, packed } = &mut self.slots {
+            let old = self.present;
+            let (word, bit) = (run.start / 64, run.start % 64);
+            let pos =
+                usize::from(rank[word]) + (old[word] & ((1u64 << bit) - 1)).count_ones() as usize;
+            let mut taken = 0;
+            let mut present = old;
+            // The run's new live entries, while they still fit a sparse
+            // table: `DENSE_AT` of them already turn it dense.
+            let mut live = [Pte::zero(); DENSE_AT];
+            let mut fresh = 0;
+            for i in run.clone() {
+                let (word, bit) = (i / 64, 1u64 << (i % 64));
+                let before = if old[word] & bit != 0 {
+                    taken += 1;
+                    packed[pos + taken - 1]
+                } else {
+                    Pte::zero()
+                };
+                let pte = f(i, before);
+                if pte.raw() == 0 {
+                    present[word] &= !bit;
+                    continue;
+                }
+                present[word] |= bit;
+                if fresh == DENSE_AT {
+                    break;
+                }
+                live[fresh] = pte;
+                fresh += 1;
+            }
+            let len = packed.len() - taken + fresh;
+            if len < DENSE_AT {
+                // Grow the storage as one insert at a time would. The
+                // same capacities keep allocation sizes to a few
+                // classes: exact ones measured 1–1.5 MiB more peak RSS
+                // on perfbench fleet-base, with the same live bytes.
+                let mut cap = packed.capacity();
+                while cap < len {
+                    cap = (cap * 2).max(4);
+                }
+                packed.reserve_exact(cap - packed.len());
+                packed.splice(pos..pos + taken, live[..fresh].iter().copied());
+                self.present = present;
+                let mut below = 0;
+                for (word, r) in rank.iter_mut().enumerate() {
+                    *r = below;
+                    // At most 63 live entries: the sum fits a `u8`.
+                    below += present[word].count_ones() as u8;
+                }
+                return;
+            }
+            self.densify();
+        }
+        let Slots::Dense(entries) = &mut self.slots else {
+            unreachable!("densified above");
+        };
+        for i in run {
+            let pte = f(i, entries[i]);
+            entries[i] = pte;
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            if pte.raw() == 0 {
+                self.present[word] &= !bit;
+            } else {
+                self.present[word] |= bit;
+            }
+        }
+    }
+
+    /// Number of consecutive slots from `start` on, at most `max`, that
+    /// are all live (`live`) or all zero (`!live`): one bitmap test per
+    /// 64 slots.
+    #[must_use]
+    pub(crate) fn run_len(&self, start: usize, max: usize, live: bool) -> usize {
+        let mut len = 0;
+        while len < max && start + len < ENTRIES_PER_TABLE {
+            let i = start + len;
+            // The bits that end the run, from slot `i` on.
+            let word = self.present[i / 64];
+            let stops = if live { !word } else { word } >> (i % 64);
+            let room = 64 - i % 64;
+            let run = (stops.trailing_zeros() as usize).min(room);
+            len += run;
+            if run < room {
+                break;
+            }
+        }
+        len.min(max)
+    }
+
+    /// Turns a sparse table dense.
+    fn densify(&mut self) {
+        if let Slots::Sparse { packed, .. } = &self.slots {
+            let mut entries = Box::new([Pte::zero(); ENTRIES_PER_TABLE]);
+            for (idx, &e) in set_bits(self.present).zip(packed.iter()) {
+                entries[idx] = e;
+            }
+            self.slots = Slots::Dense(entries);
         }
     }
 

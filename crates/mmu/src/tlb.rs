@@ -266,17 +266,23 @@ impl SetAssoc {
     }
 
     fn flush(&mut self, keep_global: bool) {
-        for slot in 0..self.stamps.len() {
-            let keep = keep_global && self.stamps[slot] != 0 && self.entries[slot].perms.global;
-            if !keep {
-                if self.stamps[slot] != 0 {
-                    self.live[slot / self.ways] -= 1;
+        for set in 0..self.sets {
+            // Every path that empties a set rebuilds its signature, so
+            // an empty set's is already 0: only live sets are visited.
+            if self.live[set] == 0 {
+                debug_assert_eq!(self.sig[set], 0, "empty set {set} keeps signature bits");
+                continue;
+            }
+            let base = set * self.ways;
+            for slot in base..base + self.ways {
+                let stale =
+                    self.stamps[slot] != 0 && !(keep_global && self.entries[slot].perms.global);
+                if stale {
+                    self.stamps[slot] = 0;
+                    self.live[set] -= 1;
                     self.live_by_size[(self.keys[slot] & 3) as usize] -= 1;
                 }
-                self.stamps[slot] = 0;
             }
-        }
-        for set in 0..self.sets {
             self.rebuild_sig(set);
         }
     }
@@ -725,6 +731,151 @@ mod tests {
 
     fn va_of_4k(vpn: u64) -> VirtAddr {
         VirtAddr::new_truncate(vpn << 12)
+    }
+
+    /// A set-associative array with no shortcuts (no per-set counts,
+    /// signatures or per-size counts): the reference for [`SetAssoc`].
+    struct RefSetAssoc {
+        sets: usize,
+        /// Per set, its ways: `(stamp, entry)` or free.
+        ways: Vec<Vec<Option<(u64, TlbEntry)>>>,
+        clock: u64,
+    }
+
+    impl RefSetAssoc {
+        fn new(sets: usize, ways: usize) -> Self {
+            Self {
+                sets,
+                ways: vec![vec![None; ways]; sets],
+                clock: 0,
+            }
+        }
+
+        fn set_of(&self, vpn: u64) -> usize {
+            (vpn as usize) & (self.sets - 1)
+        }
+
+        fn lookup(&mut self, va: VirtAddr, size: PageSize) -> Option<TlbEntry> {
+            let vpn = va.as_u64() >> size.shift();
+            let set = self.set_of(vpn);
+            let way = self.ways[set]
+                .iter_mut()
+                .flatten()
+                .find(|(_, e)| e.size == size && e.vpn == vpn)?;
+            self.clock += 1;
+            way.0 = self.clock;
+            Some(way.1)
+        }
+
+        fn insert(&mut self, entry: TlbEntry) {
+            self.clock += 1;
+            let clock = self.clock;
+            let set = self.set_of(entry.vpn);
+            let set = &mut self.ways[set];
+            let same = |(_, e): &(u64, TlbEntry)| e.size == entry.size && e.vpn == entry.vpn;
+            let way = match set.iter().position(|w| w.as_ref().is_some_and(same)) {
+                Some(way) => way,
+                None => match set.iter().position(Option::is_none) {
+                    Some(free) => free,
+                    None => (0..set.len())
+                        .min_by_key(|&w| set[w].map(|(stamp, _)| stamp))
+                        .expect("ways > 0"),
+                },
+            };
+            set[way] = Some((clock, entry));
+        }
+
+        fn invalidate(&mut self, va: VirtAddr) {
+            for way in self.ways.iter_mut().flatten() {
+                if way.is_some_and(|(_, e)| e.covers(va)) {
+                    *way = None;
+                }
+            }
+        }
+
+        fn flush(&mut self, keep_global: bool) {
+            for way in self.ways.iter_mut().flatten() {
+                if way.is_some_and(|(_, e)| !(keep_global && e.perms.global)) {
+                    *way = None;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_assoc_flush_keeps_signatures_and_matches_a_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (sets, ways) = (8, 3);
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tlb = SetAssoc::new(sets, ways);
+            let mut reference = RefSetAssoc::new(sets, ways);
+            let random_entry = |rng: &mut StdRng| {
+                let vpn = rng.gen_range(0u64..48);
+                if rng.gen_range(0u32..3) == 0 {
+                    entry_2m(vpn, rng.gen_range(0u32..2) == 0)
+                } else {
+                    let mut e = entry_4k(vpn);
+                    e.perms.global = rng.gen_range(0u32..4) == 0;
+                    e
+                }
+            };
+            for step in 0..400 {
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let e = random_entry(&mut rng);
+                        let _ = tlb.insert(e);
+                        reference.insert(e);
+                    }
+                    5 | 6 => {
+                        let e = random_entry(&mut rng);
+                        let va = VirtAddr::new_truncate(e.vpn << e.size.shift());
+                        tlb.invalidate(va);
+                        reference.invalidate(va);
+                    }
+                    7 => {
+                        let keep_global = rng.gen_range(0u32..2) == 0;
+                        tlb.flush(keep_global);
+                        reference.flush(keep_global);
+                    }
+                    _ => {
+                        let e = random_entry(&mut rng);
+                        let va = VirtAddr::new_truncate(e.vpn << e.size.shift());
+                        assert_eq!(
+                            tlb.lookup(va, e.size.shift()),
+                            reference.lookup(va, e.size),
+                            "seed {seed}, step {step}: lookup of {va:?}"
+                        );
+                    }
+                }
+                for set in 0..sets {
+                    let sig = tlb.sig[set];
+                    tlb.rebuild_sig(set);
+                    assert_eq!(
+                        sig, tlb.sig[set],
+                        "seed {seed}, step {step}: set {set} signature"
+                    );
+                    let live = reference.ways[set].iter().flatten().count();
+                    assert_eq!(
+                        usize::from(tlb.live[set]),
+                        live,
+                        "seed {seed}, step {step}: set {set}"
+                    );
+                }
+                let by_size = |size| {
+                    reference
+                        .ways
+                        .iter()
+                        .flatten()
+                        .flatten()
+                        .filter(|(_, e)| e.size == size)
+                        .count()
+                };
+                assert_eq!(tlb.live_by_size[0], by_size(PageSize::Size4K) as u32);
+                assert_eq!(tlb.live_by_size[1], by_size(PageSize::Size2M) as u32);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Differential suite for the live-entry storage of paging structures
-//! and the one-descent range operations.
+//! and the span-at-a-time range operations.
 //!
 //! A [`PageTable`] stores a sparse table by its live entries and turns
 //! dense at 64; it must read exactly like a flat 512-entry array after
-//! any sequence of writes. The range operations of [`AddressSpace`]
-//! descend once per leaf table; they must leave exactly what the
-//! per-page loops leave: the same tables, epochs, mapped-page count,
-//! next data frame and first error.
+//! any sequence of single and run writes. The range operations of
+//! [`AddressSpace`] write a leaf table's span of slots at a time; they
+//! must leave exactly what the per-page loops leave: the same tables,
+//! epochs, mapped-page count, next data frame and first error.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -208,6 +208,122 @@ proptest! {
             };
             prop_assert_eq!(got, want);
             assert_same_space(&ranged, &looped, step);
+        }
+    }
+
+    /// Run writes (`update_run`) mixed with single writes read exactly
+    /// like a flat 512-entry array at every step: runs that fill a
+    /// partly filled sparse table past 64 live entries (sparse → dense),
+    /// runs that clear, overwrite or mix both, in sparse and dense
+    /// tables alike.
+    #[test]
+    fn page_table_run_writes_read_like_a_dense_array(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2a11);
+        let mut table = PageTable::new();
+        let mut model = [0u64; ENTRIES_PER_TABLE];
+        let span = [96, ENTRIES_PER_TABLE][rng.gen_range(0usize..2)];
+        let random_pte = |rng: &mut StdRng| {
+            Pte::new(
+                PhysAddr::from_frame_number(rng.gen_range(1u64..1 << 20)),
+                PteFlags::user_rw(),
+            )
+            .raw()
+        };
+        for step in 0..64 {
+            if rng.gen_range(0u32..3) == 0 {
+                // A few single writes partly fill the table first.
+                let idx = rng.gen_range(0..span);
+                let raw = random_pte(&mut rng);
+                table.set_entry(idx, Pte::from_raw(raw));
+                model[idx] = raw;
+            } else {
+                let start = rng.gen_range(0..span);
+                let end = rng.gen_range(start..=span.min(start + 80));
+                // 0: fill, 1: clear, 2: overwrite live slots, 3: mixed.
+                let kind = rng.gen_range(0u32..4);
+                let salt = rng.gen_range(1u64..1 << 20);
+                let new = |i: usize, old: Pte| match kind {
+                    0 => Pte::new(PhysAddr::from_frame_number(salt + i as u64), PteFlags::kernel_rx()),
+                    1 => Pte::zero(),
+                    2 if old.raw() != 0 => old.with_flags_set(PteFlags::DIRTY),
+                    2 => old,
+                    _ if (salt + i as u64).is_multiple_of(3) => Pte::zero(),
+                    _ => Pte::new(PhysAddr::from_frame_number(salt ^ i as u64), PteFlags::user_ro()),
+                };
+                table.update_run(start..end, new);
+                for (i, raw) in model.iter_mut().enumerate().take(end).skip(start) {
+                    *raw = new(i, Pte::from_raw(*raw)).raw();
+                }
+            }
+            assert_reads_like(&table, &model, step);
+        }
+    }
+
+    /// All four range operations — `unmap_range` included, with the
+    /// prunes of the leaf tables it empties — leave exactly what their
+    /// per-page loops leave: every table and its storage, both epochs,
+    /// `mapped_pages`, the next data frame and the returned error.
+    #[test]
+    fn range_operations_with_unmap_match_per_page_loops(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd5);
+        let scattered: Vec<VirtAddr> = (0..3)
+            .map(|_| {
+                let site = SITES[rng.gen_range(0..SITES.len())];
+                VirtAddr::new_truncate(site.wrapping_add(rng.gen_range(0u64..600) * 4096))
+            })
+            .collect();
+        // Two spaces built alike, not a snapshot and its source: the
+        // first write to a shared table copies it at its live size, so
+        // only unshared spaces can agree on storage capacity.
+        let build = || {
+            let mut space = AddressSpace::new();
+            for &va in &scattered {
+                let _ = space.map(va, PageSize::Size4K, PteFlags::user_rw());
+            }
+            space
+        };
+        let (mut ranged, mut looped) = (build(), build());
+        let mut range = random_range(&mut rng);
+        for step in 0..24 {
+            if rng.gen_range(0u32..2) == 0 {
+                range = random_range(&mut rng);
+            }
+            let (va, count, size) = range;
+            let (got, want) = match rng.gen_range(0u32..6) {
+                // Unmapping half the time empties the tables the maps
+                // filled, so the prunes run.
+                0..=2 => (
+                    ranged.unmap_range(va, count, size),
+                    per_page(&mut looped, range, |s, page| s.unmap(page, size)),
+                ),
+                3 => {
+                    let flags = if rng.gen_range(0u32..4) == 0 {
+                        random_flags(&mut rng)
+                    } else {
+                        PteFlags::user_rw()
+                    };
+                    (
+                        ranged.map_range(va, count, size, flags),
+                        per_page(&mut looped, range, |s, page| s.map(page, size, flags).map(drop)),
+                    )
+                }
+                4 => {
+                    let flags = random_flags(&mut rng);
+                    (
+                        ranged.protect_range(va, count, size, flags),
+                        per_page(&mut looped, range, |s, page| s.protect(page, size, flags)),
+                    )
+                }
+                _ => (
+                    ranged.mark_accessed_range(va, count, size, true),
+                    per_page(&mut looped, range, |s, page| s.mark_accessed(page, true).map(drop)),
+                ),
+            };
+            prop_assert_eq!(got, want);
+            assert_same_space(&ranged, &looped, step);
+            // The same representation too: sparse or dense, and the
+            // same storage capacity.
+            assert_eq!(ranged.table_bytes(), looped.table_bytes(), "step {step}");
         }
     }
 }

@@ -22,9 +22,9 @@
 //! * **module churn** — [`SchedEvent::ModuleLoad`] /
 //!   [`SchedEvent::ModuleUnload`] / [`SchedEvent::ProcessSpawn`]
 //!   mutate the trial's own machine clone through
-//!   [`avx_mmu::AddressSpace::map`] / `unmap` (i.e. through
-//!   `write_entry`, bumping the shape epoch like any OS mutation and
-//!   feeding the re-randomizing-defense machinery).
+//!   [`avx_mmu::AddressSpace::map_range`] / `unmap_range` (bumping the
+//!   shape epoch like any OS mutation and feeding the
+//!   re-randomizing-defense machinery).
 //!
 //! Like the [`crate::defense`] layer, the scheduler draws randomness
 //! from its own SplitMix64 stream seeded at install time — never from
@@ -487,9 +487,11 @@ impl VictimSchedule {
     }
 
     /// Applies a space-shaped event to `space`, routing every mutation
-    /// through [`AddressSpace::map`] / [`AddressSpace::unmap`] (i.e.
-    /// `write_entry`). Returns `true` when the space mutated — the
-    /// caller performs the TLB shootdown an OS would.
+    /// through [`AddressSpace::map_range`] /
+    /// [`AddressSpace::unmap_range`] (which leave exactly what their
+    /// per-page `map` / `unmap` loops leave). Returns `true` when the
+    /// space mutated — the caller performs the TLB shootdown an OS
+    /// would.
     pub fn apply_space_event(&mut self, event: SchedEvent, space: &mut AddressSpace) -> bool {
         match event {
             SchedEvent::ModuleLoad { pages } => {
@@ -504,12 +506,9 @@ impl VictimSchedule {
                 let Some((base, pages)) = self.loaded.pop() else {
                     return false;
                 };
-                for i in 0..pages {
-                    let va = VirtAddr::new_truncate(base + i * 4096);
-                    space
-                        .unmap(va, PageSize::Size4K)
-                        .expect("schedule-loaded page mapped");
-                }
+                space
+                    .unmap_range(VirtAddr::new_truncate(base), pages, PageSize::Size4K)
+                    .expect("schedule-loaded pages mapped");
                 true
             }
             SchedEvent::ProcessSpawn { pages } => {
@@ -524,14 +523,29 @@ impl VictimSchedule {
     }
 
     /// Draws a free slot of `region` and maps `pages` 4 KiB pages
-    /// there. Up to 8 draws are tried before the event is skipped
-    /// (a full region is a full region — real `insmod` fails too).
+    /// there.
     fn map_image(
         &mut self,
         space: &mut AddressSpace,
         region: SchedRegion,
         pages: u64,
         flags: PteFlags,
+    ) -> Option<u64> {
+        let base = self.draw_free_slot(space, region, pages)?;
+        space
+            .map_range(VirtAddr::new_truncate(base), pages, PageSize::Size4K, flags)
+            .expect("checked free");
+        Some(base)
+    }
+
+    /// Draws a slot of `region` with `pages` free 4 KiB pages. Up to 8
+    /// draws are tried before the event is skipped (a full region is a
+    /// full region — real `insmod` fails too).
+    fn draw_free_slot(
+        &mut self,
+        space: &AddressSpace,
+        region: SchedRegion,
+        pages: u64,
     ) -> Option<u64> {
         let slots = (region.end - region.start) / region.slot_align;
         let bytes = pages * 4096;
@@ -546,19 +560,9 @@ impl VictimSchedule {
                     .lookup(VirtAddr::new_truncate(base + i * 4096))
                     .is_none()
             });
-            if !free {
-                continue;
+            if free {
+                return Some(base);
             }
-            for i in 0..pages {
-                space
-                    .map(
-                        VirtAddr::new_truncate(base + i * 4096),
-                        PageSize::Size4K,
-                        flags,
-                    )
-                    .expect("checked free above");
-            }
-            return Some(base);
         }
         None
     }
@@ -879,6 +883,125 @@ mod tests {
             !s.apply_space_event(SchedEvent::ModuleUnload, &mut space),
             "nothing left to unload"
         );
+    }
+
+    /// [`VictimSchedule::apply_space_event`] with the per-page `map` /
+    /// `unmap` loops its range calls replace.
+    fn apply_per_page(s: &mut VictimSchedule, event: SchedEvent, space: &mut AddressSpace) -> bool {
+        let page = |base: u64, i: u64| VirtAddr::new_truncate(base + i * 4096);
+        let (region, pages, flags) = match event {
+            SchedEvent::ModuleUnload => {
+                let Some((base, pages)) = s.loaded.pop() else {
+                    return false;
+                };
+                for i in 0..pages {
+                    space.unmap(page(base, i), PageSize::Size4K).unwrap();
+                }
+                return true;
+            }
+            SchedEvent::ModuleLoad { pages } => (s.module_region, pages, PteFlags::kernel_rx()),
+            SchedEvent::ProcessSpawn { pages } => (s.spawn_region, pages, PteFlags::user_ro()),
+            _ => return false,
+        };
+        let Some(base) = region.and_then(|r| s.draw_free_slot(space, r, pages)) else {
+            return false;
+        };
+        for i in 0..pages {
+            space.map(page(base, i), PageSize::Size4K, flags).unwrap();
+        }
+        if matches!(event, SchedEvent::ModuleLoad { .. }) {
+            s.loaded.push((base, pages));
+        }
+        true
+    }
+
+    #[test]
+    fn module_churn_through_range_calls_matches_the_per_page_loop() {
+        // A Linux-shaped layout: 2 MiB kernel text with one 4 KiB-split
+        // slot, 4 KiB modules packed at page granularity, a user image.
+        // Built twice rather than snapshotted, so that no table is shared
+        // and the two spaces can agree on storage capacity too.
+        let modules = 0xffff_ffff_c000_0000u64;
+        let layout = || {
+            let mut space = AddressSpace::new();
+            let kernel = 0xffff_ffff_a000_0000u64;
+            for slot in 0..8u64 {
+                let base = VirtAddr::new_truncate(kernel + slot * 0x20_0000);
+                if slot == 3 {
+                    space
+                        .map_range(base, 512, PageSize::Size4K, PteFlags::kernel_rw())
+                        .unwrap();
+                } else {
+                    space
+                        .map(base, PageSize::Size2M, PteFlags::kernel_rx())
+                        .unwrap();
+                }
+            }
+            let mut cursor = modules + 0x7_3000;
+            for pages in [3u64, 40, 17, 600, 9] {
+                let base = VirtAddr::new_truncate(cursor);
+                space
+                    .map_range(base, pages, PageSize::Size4K, PteFlags::kernel_rx())
+                    .unwrap();
+                cursor += (pages + 1) * 4096;
+            }
+            let user = VirtAddr::new_truncate(0x5555_5555_4000);
+            space
+                .map_range(user, 12, PageSize::Size4K, PteFlags::user_rx())
+                .unwrap();
+            space
+        };
+        let (mut ranged, mut looped) = (layout(), layout());
+
+        // Module-aligned slots one page apart, so images straddle leaf
+        // tables and land beside the fixture's own modules.
+        let schedule = || {
+            VictimSchedule::new(1, 5)
+                .with_module_region(SchedRegion::new(modules, modules + 0x100_0000, 0x1000))
+                .with_spawn_region(SchedRegion::new(0x7f00_0000_0000, 0x7f00_0040_0000, 0x1000))
+        };
+        let (mut s_ranged, mut s_looped) = (schedule(), schedule());
+        let mut mutated = 0;
+        for step in 0..96u64 {
+            let event = match step % 5 {
+                0 | 3 => SchedEvent::ModuleLoad {
+                    pages: [16, 1, 130, 513][(step % 4) as usize],
+                },
+                1 => SchedEvent::ProcessSpawn { pages: 4 + step },
+                _ => SchedEvent::ModuleUnload,
+            };
+            let got = s_ranged.apply_space_event(event, &mut ranged);
+            assert_eq!(
+                got,
+                apply_per_page(&mut s_looped, event, &mut looped),
+                "step {step}"
+            );
+            mutated += usize::from(got);
+            assert_eq!(ranged.table_count(), looped.table_count(), "step {step}");
+            for t in 0..ranged.table_count() {
+                let id = avx_mmu::FrameId::new(u32::try_from(t).unwrap());
+                for idx in 0..avx_mmu::ENTRIES_PER_TABLE {
+                    assert_eq!(
+                        ranged.table(id).entry(idx).raw(),
+                        looped.table(id).entry(idx).raw(),
+                        "step {step}, {id} entry {idx}"
+                    );
+                }
+            }
+            assert_eq!(ranged.epoch(), looped.epoch(), "step {step}");
+            assert_eq!(ranged.shape_epoch(), looped.shape_epoch(), "step {step}");
+            assert_eq!(ranged.mapped_pages(), looped.mapped_pages(), "step {step}");
+            assert_eq!(ranged.table_bytes(), looped.table_bytes(), "step {step}");
+            let probe = VirtAddr::new_truncate(0x1000_0000_0000);
+            let next_frame =
+                |s: &AddressSpace| s.clone().map(probe, PageSize::Size4K, PteFlags::user_rw());
+            assert_eq!(
+                next_frame(&ranged),
+                next_frame(&looped),
+                "step {step}: next data frame"
+            );
+        }
+        assert!(mutated > 48, "the churn mutates ({mutated} events)");
     }
 
     #[test]
