@@ -14,10 +14,20 @@
 //! behaviour is identical to the reference linear-scan/min-stamp LRU —
 //! stamps were strictly increasing, so the minimum-stamp victim *is* the
 //! least-recently-touched entry, i.e. the tail of the recency list.
+//!
+//! The cache also keeps the key at the head of that list. A touch of the
+//! head's line is a warm hit that changes nothing, so it returns at
+//! once. The run server's consecutive probes share a line eight slots at
+//! a time, so in a served run every touch after a line's first is such a
+//! hit.
 
 use avx_mmu::FrameId;
 
 const NIL: u32 = u32::MAX;
+
+/// The `head_key` of an empty list: real keys are a 32-bit table index
+/// shifted left by 6, so none is `u64::MAX`.
+const NO_KEY: u64 = u64::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct LruNode {
@@ -34,6 +44,9 @@ pub struct PteLineCache {
     nodes: Vec<LruNode>,
     /// Most-recently-touched node.
     head: u32,
+    /// The key of `head`, or [`NO_KEY`] when the list is empty (always,
+    /// at capacity 0).
+    head_key: u64,
     /// Least-recently-touched node (the eviction victim).
     tail: u32,
     /// Dense key → node-index+1 map (0 = absent). Keys combine a table
@@ -53,6 +66,7 @@ impl PteLineCache {
             capacity,
             nodes: Vec::with_capacity(capacity.min(1024)),
             head: NIL,
+            head_key: NO_KEY,
             tail: NIL,
             index: Vec::new(),
         }
@@ -99,20 +113,23 @@ impl PteLineCache {
     /// Records an access to `entry_index` of `table`; returns `true` if
     /// the line was already cached (a *warm* access).
     pub fn touch(&mut self, table: FrameId, entry_index: usize) -> bool {
+        let key = Self::key(table, entry_index);
+        if key == self.head_key {
+            return true;
+        }
         if self.capacity == 0 {
             // A disabled cache caches nothing: every access is cold
             // (the reference min-stamp implementation degraded the same
             // way).
             return false;
         }
-        let key = Self::key(table, entry_index);
         let mapped = *self.slot(key);
         if mapped != 0 {
+            // Not the head: that key returned above.
             let node = mapped - 1;
-            if self.head != node {
-                self.unlink(node);
-                self.push_front(node);
-            }
+            self.unlink(node);
+            self.push_front(node);
+            self.head_key = key;
             return true;
         }
         let node = if self.nodes.len() < self.capacity {
@@ -132,6 +149,7 @@ impl PteLineCache {
             victim
         };
         self.push_front(node);
+        self.head_key = key;
         *self.slot(key) = node + 1;
         false
     }
@@ -151,6 +169,7 @@ impl PteLineCache {
         }
         self.nodes.clear();
         self.head = NIL;
+        self.head_key = NO_KEY;
         self.tail = NIL;
     }
 
@@ -176,6 +195,33 @@ impl Default for PteLineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A straightforward stamp-based LRU (the previous implementation).
+    struct Reference {
+        capacity: usize,
+        slots: Vec<(u64, u64)>,
+        clock: u64,
+    }
+
+    impl Reference {
+        fn touch(&mut self, key: u64) -> bool {
+            self.clock += 1;
+            if let Some(slot) = self.slots.iter_mut().find(|(k, _)| *k == key) {
+                slot.1 = self.clock;
+                return true;
+            }
+            if self.slots.len() < self.capacity {
+                self.slots.push((key, self.clock));
+            } else if let Some(victim) = self.slots.iter_mut().min_by_key(|(_, s)| *s) {
+                *victim = (key, self.clock);
+            }
+            false
+        }
+
+        fn contains(&self, key: u64) -> bool {
+            self.slots.iter().any(|&(k, _)| k == key)
+        }
+    }
 
     #[test]
     fn first_touch_is_cold_second_is_warm() {
@@ -236,26 +282,6 @@ mod tests {
     fn eviction_order_matches_reference_lru_under_churn() {
         // Cross-check against a straightforward stamp-based LRU (the
         // previous implementation) over a deterministic churn pattern.
-        struct Reference {
-            capacity: usize,
-            slots: Vec<(u64, u64)>,
-            clock: u64,
-        }
-        impl Reference {
-            fn touch(&mut self, key: u64) -> bool {
-                self.clock += 1;
-                if let Some(slot) = self.slots.iter_mut().find(|(k, _)| *k == key) {
-                    slot.1 = self.clock;
-                    return true;
-                }
-                if self.slots.len() < self.capacity {
-                    self.slots.push((key, self.clock));
-                } else if let Some(victim) = self.slots.iter_mut().min_by_key(|(_, s)| *s) {
-                    *victim = (key, self.clock);
-                }
-                false
-            }
-        }
         let mut fast = PteLineCache::new(8);
         let mut reference = Reference {
             capacity: 8,
@@ -269,6 +295,50 @@ mod tests {
             let entry = ((state >> 13) % 512) as usize;
             let key = ((table.index() as u64) << 6) | (entry as u64 >> 3);
             assert_eq!(fast.touch(table, entry), reference.touch(key));
+        }
+    }
+
+    #[test]
+    fn head_shortcut_matches_reference_lru_under_repeats_and_flushes() {
+        // Mostly touches of the next slot, on the line just touched
+        // seven times in eight, as a served run makes them; then jumps to
+        // other lines and an occasional flush.
+        for capacity in [0, 1, 2, 256] {
+            let mut fast = PteLineCache::new(capacity);
+            let mut reference = Reference {
+                capacity,
+                slots: Vec::new(),
+                clock: 0,
+            };
+            let mut state = 0x2545_f491_4f6c_dd1du64 ^ capacity as u64;
+            let (mut table, mut entry) = (FrameId::new(0), 0usize);
+            for step in 0..8192 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                match (state >> 40) % 16 {
+                    0 => {
+                        fast.flush();
+                        reference.slots.clear();
+                    }
+                    1..=4 => {
+                        table = FrameId::new(((state >> 33) % 4) as u32);
+                        entry = ((state >> 13) % 64) as usize;
+                    }
+                    _ => entry = (entry + 1) % 64,
+                }
+                let key = ((table.index() as u64) << 6) | (entry as u64 >> 3);
+                let at = format!("capacity {capacity}, step {step}");
+                assert_eq!(fast.touch(table, entry), reference.touch(key), "{at}");
+                assert_eq!(fast.len(), reference.slots.len(), "{at}");
+                for probe in 0..4 {
+                    for line in 0..8 {
+                        assert_eq!(
+                            fast.contains(FrameId::new(probe), line * 8),
+                            reference.contains((u64::from(probe) << 6) | line as u64),
+                            "{at}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

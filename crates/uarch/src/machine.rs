@@ -700,10 +700,12 @@ impl Machine {
     /// The v1 batched hot path. Each tile passes its probes through
     /// three steps: translation ([`Machine::translate_run`], a run of
     /// probes at a time), the noise draws in the per-probe order of the
-    /// scalar path — the model from [`Machine::next_noise`] after the
-    /// run's translation, so drift ramps, victim-schedule noise swaps
-    /// and defense ticks land on the same probe (a run never crosses an
-    /// op at which one falls due) — and the evaluation of the
+    /// scalar path — taken after the run's translation, so drift ramps,
+    /// victim-schedule noise swaps and defense ticks land on the same
+    /// probe (a run never crosses an op at which one falls due): a
+    /// drift ramp resolves each probe's model ([`Machine::next_noise`]),
+    /// and otherwise the whole run draws from the live model
+    /// ([`V1Tile::push_run`]) — and the evaluation of the
     /// tile's Box–Muller transcendentals together ([`V1Tile`]). Every
     /// measurement and the RNG state are bit-identical to the same
     /// probes run through the scalar path (asserted by
@@ -721,16 +723,22 @@ impl Machine {
             while done < chunk.len() {
                 let run = &mut cycles[done..chunk.len()];
                 let n = self.translate_run::<FAST>(probe, &chunk[done..], run);
-                for &c in &run[..n] {
-                    let model = self.next_noise();
-                    self.v1_tile.push(&model, &mut self.rng, c);
+                if self.schedule.is_some() {
+                    for &c in &run[..n] {
+                        let model = self.next_noise();
+                        self.v1_tile.push(&model, &mut self.rng, c);
+                    }
+                } else {
+                    // No event falls due inside a run, so its probes all
+                    // draw from the model its first tick left in force.
+                    self.v1_tile.push_run(&self.noise, &mut self.rng, &run[..n]);
+                    self.probe_seq += n as u64;
                 }
                 done += n;
             }
-            for &measured in self.v1_tile.flush() {
-                self.tsc += measured;
-                out.push(measured);
-            }
+            let measured = self.v1_tile.flush();
+            self.tsc += measured.iter().sum::<u64>();
+            out.extend_from_slice(measured);
         }
     }
 

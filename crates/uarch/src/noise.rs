@@ -249,41 +249,49 @@ impl V1Draws {
 /// `AddrRange::tiles()` and every sweep engine fills whole tiles.
 pub const NOISE_BLOCK: usize = 16;
 
-/// Documented bound of the tile kernel:
-/// `|box_muller_fast(u1, u2) − box_muller(u1, u2)| ≤ BOX_MULLER_ERR`
-/// for every `u1 ∈ [f64::MIN_POSITIVE, 1)` and `u2 ∈ [0, 1)`.
+/// Documented bound of the tile kernel, per unit of radius:
+/// `|box_muller_fast(u1, u2) − box_muller(u1, u2)| ≤ r · BOX_MULLER_ERR`
+/// with `r = √(−2·ln u1)`, for every `u1 ∈ [f64::MIN_POSITIVE, 1)` and
+/// `u2 ∈ [0, 1)`.
 ///
-/// Derivation: both sides evaluate the same rounded angle `TAU·u2`.
-/// The kernel's `ln` is relative-accurate to a few ulp (exact
-/// `m − 1` and the atanh series truncated below 2⁻⁵⁵), its `cos` is
-/// absolute-accurate to a few ulp of 1 (exact Cody–Waite reduction,
-/// Taylor series truncated below 2⁻⁵⁵), and glibc's `ln`/`cos` are
-/// within 1 ulp. With the radius at most `√(−2·ln MIN_POSITIVE) ≈ 37.7`
-/// the difference is below `37.7 · 16 · 2⁻⁵³ ≈ 2⁻⁴⁴`; the constant
-/// keeps 4× headroom over that. The largest difference seen over
-/// 2·10⁷ random draws and the edge inputs is 2⁻⁴⁷.
-pub const BOX_MULLER_ERR: f64 = 1.0 / (1u64 << 42) as f64;
+/// Derivation: both sides evaluate the same rounded angle `TAU·u2`, and
+/// every error term scales with the radius. The kernel's `ln` keeps 5
+/// terms of the atanh series; for `z = s² ≤ 0.0295` the dropped tail is
+/// `z⁶/13 ≈ 2⁻³⁴·²` relative (exact `m − 1`, a few ulp of rounding), so
+/// its radius is `r·(1 ± 2⁻³⁵·²)`. Its `cos` keeps the Taylor terms
+/// through `r¹⁶/16!` after an exact Cody–Waite reduction to `|r| ≤ π/2`;
+/// the dropped tail is below `(π/2)¹⁸/18! ≈ 2⁻⁴⁰·⁸` absolute. glibc's
+/// `ln`, `sqrt`, `cos` and the final product are within an ulp or two,
+/// each relative to the radius. The total is below `r · 2⁻³⁵`; the
+/// constant keeps 4× headroom over that. The largest error seen over
+/// the edge inputs and 2·10⁵ random draws in the tests is about
+/// `2⁻³⁵·² · r`.
+pub const BOX_MULLER_ERR: f64 = 1.0 / (1u64 << 33) as f64;
 
-/// Half-width of the band around a rounding tie (`n + ½`) in which a
-/// fast measurement is recomputed through the exact libm expression.
-pub const TIE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
-
-/// Largest σ the fast path serves; larger models always fall back.
-const FAST_SIGMA_MAX: f64 = 256.0;
-
-/// Bound on `|cycles + noise|` and on the spike magnitude inside the
-/// fast path, in cycles; larger values always fall back.
+/// Bound on `|cycles + noise|`, on the spike magnitude and on `σ·r`
+/// inside the fast path, in cycles; larger values always fall back.
 const FAST_MAGNITUDE_MAX: f64 = 65_536.0;
 
-/// Worst-case distance between a fast measurement `cycles + noise` and
-/// the exact one, for inputs the fast path serves: the kernel bound
-/// scaled by σ, plus one ulp at `2 · FAST_MAGNITUDE_MAX` for each of
-/// the three roundings (`·σ`, `+ spike`, `cycles +`) whose input moved.
-/// [`TIE_MARGIN`] is more than 1000× this (asserted at compile time).
-pub const FAST_MEASUREMENT_ERR: f64 =
-    FAST_SIGMA_MAX * BOX_MULLER_ERR + 3.0 * (2.0 * FAST_MAGNITUDE_MAX) * f64::EPSILON;
+/// One ulp at `2 · FAST_MAGNITUDE_MAX` for each of the three roundings
+/// (`·σ`, `+ spike`, `cycles +`) whose input moved between a fast and an
+/// exact measurement: every rounded value the fast path keeps is below
+/// that magnitude.
+const ROUNDING_ERR: f64 = 3.0 * (2.0 * FAST_MAGNITUDE_MAX) * f64::EPSILON;
 
-const _: () = assert!(TIE_MARGIN >= 1000.0 * FAST_MEASUREMENT_ERR);
+/// How many times the worst fast-vs-exact distance of a lane its tie
+/// margin is.
+const TIE_FACTOR: f64 = 1000.0;
+
+const _: () = assert!(TIE_FACTOR >= 1000.0);
+
+/// The tie margin of a lane whose `σ · r` is `sigma_radius`:
+/// [`TIE_FACTOR`] times the lane's worst distance between a fast
+/// measurement `cycles + noise` and the exact one, the kernel bound
+/// scaled by `σ · r` plus [`ROUNDING_ERR`].
+#[inline(always)]
+fn tie_margin(sigma_radius: f64) -> f64 {
+    sigma_radius * (TIE_FACTOR * BOX_MULLER_ERR) + TIE_FACTOR * ROUNDING_ERR
+}
 
 /// A tile of up to [`NOISE_BLOCK`] v1 measurements whose Box–Muller
 /// transcendentals are evaluated together.
@@ -292,8 +300,9 @@ const _: () = assert!(TIE_MARGIN >= 1000.0 * FAST_MEASUREMENT_ERR);
 /// [`NoiseModel::perturb`]; [`V1Tile::flush`] then evaluates the whole
 /// tile with a branch-free polynomial kernel that LLVM vectorizes, and
 /// recomputes through the exact libm expression every probe whose fast
-/// value lands within [`TIE_MARGIN`] of a rounding tie. Since the fast
-/// value is within [`FAST_MEASUREMENT_ERR`] of the exact one, the
+/// value lands within its lane's tie margin of a rounding tie. The
+/// margin is 1000 times the lane's worst fast-vs-exact distance,
+/// `σ · r ·` [`BOX_MULLER_ERR`] plus three roundings, so the
 /// nearest integer is the same for every probe kept on the fast path:
 /// each measurement equals the [`NoiseModel::perturb`] result
 /// bit-for-bit, and the RNG ends in the same state.
@@ -366,6 +375,28 @@ impl V1Tile {
     /// Panics if the tile already holds [`NOISE_BLOCK`] probes.
     pub fn push<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R, cycles: f64) {
         assert!(self.len < NOISE_BLOCK, "tile full: flush first");
+        self.push_unchecked(model, rng, cycles);
+    }
+
+    /// Queues one measurement per cost in `cycles`, all under `model`:
+    /// the draws of [`V1Tile::push`] once per cost, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile cannot hold `cycles.len()` more probes.
+    pub fn push_run<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R, cycles: &[f64]) {
+        assert!(
+            self.len + cycles.len() <= NOISE_BLOCK,
+            "tile full: flush first"
+        );
+        for &c in cycles {
+            self.push_unchecked(model, rng, c);
+        }
+    }
+
+    /// [`V1Tile::push`] after its capacity check.
+    #[inline(always)]
+    fn push_unchecked<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R, cycles: f64) {
         let i = self.len;
         let d = model.draw_v1(rng);
         self.cycles[i] = cycles;
@@ -380,33 +411,42 @@ impl V1Tile {
     /// measurements come back in push order.
     ///
     /// The kernel passes run over all [`NOISE_BLOCK`] lanes, a fixed trip
-    /// count that LLVM vectorizes whole: the fast values, then their
-    /// nearest integers and the tie mask. Lanes past the pending probes
-    /// still hold an earlier tile's draws (or the empty tile's
-    /// no-Gaussian draws), always valid kernel inputs; their results are
-    /// never read. Only the pending lanes the mask flags are recomputed
-    /// through the exact expression and counted as fallbacks.
+    /// count that LLVM vectorizes whole: the fast values and the lanes'
+    /// `σ · r`, then their nearest integers and the fallback mask, one
+    /// bit per lane. Lanes past the pending probes still hold an earlier
+    /// tile's draws (or the empty tile's no-Gaussian draws), always valid
+    /// kernel inputs; their results are never read. Only the pending
+    /// lanes the mask flags are recomputed through the exact expression
+    /// and counted as fallbacks.
     pub fn flush(&mut self) -> &[u64] {
         let n = core::mem::take(&mut self.len);
         let mut fast = [0.0f64; NOISE_BLOCK];
-        for (i, fast) in fast.iter_mut().enumerate() {
-            *fast = self.cycles[i]
-                + (box_muller_fast(self.u1[i], self.u2[i]) * self.sigma[i] + self.spike[i]);
+        let mut sigma_radius = [0.0f64; NOISE_BLOCK];
+        for i in 0..NOISE_BLOCK {
+            let radius = radius_fast(self.u1[i]);
+            let cos = cos_fast(core::f64::consts::TAU * self.u2[i]);
+            fast[i] = self.cycles[i] + (radius * cos * self.sigma[i] + self.spike[i]);
+            sigma_radius[i] = self.sigma[i] * radius;
         }
-        let mut exact = [false; NOISE_BLOCK];
-        for (i, (measured, exact)) in self.measured.iter_mut().zip(&mut exact).enumerate() {
-            let (fast, sigma, spike) = (fast[i], self.sigma[i], self.spike[i]);
+        let mut fallback = [0u32; NOISE_BLOCK];
+        for (i, (measured, bit)) in self.measured.iter_mut().zip(&mut fallback).enumerate() {
+            let (fast, sigma_radius, spike) = (fast[i], sigma_radius[i], self.spike[i]);
             let nearest = fast.round();
-            *exact = !(sigma <= FAST_SIGMA_MAX
-                && spike.abs() < FAST_MAGNITUDE_MAX
-                && fast.abs() < FAST_MAGNITUDE_MAX
-                && (fast - nearest).abs() < 0.5 - TIE_MARGIN);
+            // `&`, not `&&`: the whole test stays branch-free.
+            let trusted = (sigma_radius < FAST_MAGNITUDE_MAX)
+                & (spike.abs() < FAST_MAGNITUDE_MAX)
+                & (fast.abs() < FAST_MAGNITUDE_MAX)
+                & ((fast - nearest).abs() < 0.5 - tie_margin(sigma_radius));
+            *bit = u32::from(!trusted) << i;
             // `as u64` through the 2⁵² bias, exact for trusted lanes
             // (0 < nearest < 2¹⁷); the others are overwritten below or
             // never read.
             *measured = (nearest.max(1.0) + TWO_52).to_bits() - TWO_52.to_bits();
         }
-        for i in (0..n).filter(|&i| exact[i]) {
+        let mut pending = fallback.iter().fold(0, |mask, &bit| mask | bit) & ((1 << n) - 1);
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
             self.fallbacks += 1;
             // A spike that did not fire is stored as +0, and adding +0
             // moves no rounded measurement.
@@ -442,23 +482,13 @@ const PI_HI: f64 = f64::from_bits(0x4009_21fb_5440_0000);
 const PI_LO: f64 = f64::from_bits(0x3de0_b461_1a62_6331);
 
 /// `ln((1+s)/(1−s)) = 2s + s·R(s²)` with `R(z) = Σ 2z^j/(2j+1)`,
-/// `j = 1..=9`; for `|s| ≤ 0.1716` the dropped tail is below 2⁻⁵⁵
-/// relative.
-const LN_SERIES: [f64; 9] = [
-    2.0 / 3.0,
-    2.0 / 5.0,
-    2.0 / 7.0,
-    2.0 / 9.0,
-    2.0 / 11.0,
-    2.0 / 13.0,
-    2.0 / 15.0,
-    2.0 / 17.0,
-    2.0 / 19.0,
-];
+/// `j = 1..=5`; for `|s| ≤ 0.1716` the dropped tail is below `z⁶/13 ≈
+/// 2⁻³⁴·²` relative ([`BOX_MULLER_ERR`]).
+const LN_SERIES: [f64; 5] = [2.0 / 3.0, 2.0 / 5.0, 2.0 / 7.0, 2.0 / 9.0, 2.0 / 11.0];
 
-/// `cos r = 1 + z·P(z)`, `z = r²`, Taylor terms through `r²⁰/20!`;
-/// for `|r| ≤ π/2` the dropped tail is below 2⁻⁵⁵.
-const COS_SERIES: [f64; 10] = [
+/// `cos r = 1 + z·P(z)`, `z = r²`, Taylor terms through `r¹⁶/16!`;
+/// for `|r| ≤ π/2` the dropped tail is below `(π/2)¹⁸/18! ≈ 2⁻⁴⁰·⁸`.
+const COS_SERIES: [f64; 8] = [
     -1.0 / 2.0,
     1.0 / 24.0,
     -1.0 / 720.0,
@@ -467,8 +497,6 @@ const COS_SERIES: [f64; 10] = [
     1.0 / 479_001_600.0,
     -1.0 / 87_178_291_200.0,
     1.0 / 20_922_789_888_000.0,
-    -1.0 / 6_402_373_705_728_000.0,
-    1.0 / 2_432_902_008_176_640_000.0,
 ];
 
 /// `Σ coeffs[j]·x^j`, evaluated as Horner's rule in `x²` over the pairs
@@ -477,13 +505,13 @@ const COS_SERIES: [f64; 10] = [
 #[inline(always)]
 fn poly(x: f64, coeffs: &[f64]) -> f64 {
     let x2 = x * x;
-    coeffs.chunks(2).rev().fold(0.0, |acc, pair| {
-        let term = match pair {
-            [c0, c1] => c0 + c1 * x,
-            _ => pair[0],
-        };
-        acc * x2 + term
-    })
+    let term = |pair: &[f64]| match pair {
+        [c0, c1] => c0 + c1 * x,
+        _ => pair[0],
+    };
+    let mut pairs = coeffs.chunks(2).rev();
+    let top = term(pairs.next().expect("a polynomial has a coefficient"));
+    pairs.fold(top, |acc, pair| acc * x2 + term(pair))
 }
 
 /// Branch-free `ln x` for `x ∈ [f64::MIN_POSITIVE, 1]` (normal inputs
@@ -522,12 +550,18 @@ fn cos_fast(x: f64) -> f64 {
     f64::from_bits(cos_r.to_bits() ^ (parity << 63))
 }
 
+/// The tile kernel's Box–Muller radius `√(−2·ln u1)`.
+#[inline(always)]
+fn radius_fast(u1: f64) -> f64 {
+    (-2.0 * ln_fast(u1)).sqrt()
+}
+
 /// The tile kernel's Box–Muller transform: the exact expression's
 /// shape with [`ln_fast`] and [`cos_fast`] in place of libm, within
-/// [`BOX_MULLER_ERR`] of [`box_muller`].
-#[inline(always)]
+/// `r ·` [`BOX_MULLER_ERR`] of [`box_muller`].
+#[cfg(test)]
 fn box_muller_fast(u1: f64, u2: f64) -> f64 {
-    (-2.0 * ln_fast(u1)).sqrt() * cos_fast(core::f64::consts::TAU * u2)
+    radius_fast(u1) * cos_fast(core::f64::consts::TAU * u2)
 }
 
 /// A named noise environment: fixed multipliers applied on top of a CPU
@@ -1010,13 +1044,18 @@ mod tests {
     }
 
     #[test]
-    fn ln_fast_is_relative_accurate_to_a_few_ulp() {
+    fn ln_fast_stays_within_its_truncation_bound() {
+        // The dropped tail at the largest `z = s²`, `Σ_{j≥6} z^j/(2j+1)
+        // ≤ z⁶/(13·(1 − z))` relative, plus a few ulp of rounding.
+        let z = ((2f64.sqrt() - 1.0) / (2f64.sqrt() + 1.0)).powi(2);
+        assert!(z <= 0.0295);
+        let bound = z.powi(6) / (13.0 * (1.0 - z)) + 4.0 * f64::EPSILON;
         let mut rng = StdRng::seed_from_u64(43);
         let random = (0..200_000).map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0));
         for u1 in u1_edges().into_iter().chain(random) {
             let (fast, exact) = (ln_fast(u1), u1.ln());
             assert!(
-                (fast - exact).abs() <= 4.0 * f64::EPSILON * exact.abs(),
+                (fast - exact).abs() <= bound * exact.abs(),
                 "ln({u1:e}): {fast:e} vs {exact:e}"
             );
         }
@@ -1024,14 +1063,19 @@ mod tests {
     }
 
     #[test]
-    fn cos_fast_is_absolute_accurate_to_a_few_ulp() {
+    fn cos_fast_stays_within_its_truncation_bound() {
+        // The dropped tail, `(π/2)¹⁸/18!` absolute, plus a few ulp.
+        let tail = (1..=18).fold(1.0, |acc, k| {
+            acc * core::f64::consts::FRAC_PI_2 / f64::from(k)
+        });
+        let bound = tail + 4.0 * f64::EPSILON;
         let mut rng = StdRng::seed_from_u64(47);
         let random = (0..200_000).map(|_| rng.gen::<f64>());
         for u2 in u2_edges().into_iter().chain(random) {
             let x = core::f64::consts::TAU * u2;
             let (fast, exact) = (cos_fast(x), x.cos());
             assert!(
-                (fast - exact).abs() <= 4.0 * f64::EPSILON,
+                (fast - exact).abs() <= bound,
                 "cos({x:e}): {fast:e} vs {exact:e}"
             );
         }
@@ -1039,11 +1083,16 @@ mod tests {
 
     #[test]
     fn box_muller_fast_stays_within_the_documented_bound() {
+        // The error per unit of radius, `|fast − exact| / r`.
         let mut worst = 0.0f64;
         let mut check = |u1: f64, u2: f64| {
+            let r = (-2.0 * u1.ln()).sqrt();
             let err = (box_muller_fast(u1, u2) - box_muller(u1, u2)).abs();
-            assert!(err <= BOX_MULLER_ERR, "({u1:e}, {u2:e}): error {err:e}");
-            worst = worst.max(err);
+            assert!(
+                err <= r * BOX_MULLER_ERR,
+                "({u1:e}, {u2:e}): error {err:e} at r = {r}"
+            );
+            worst = worst.max(err / r);
         };
         for u1 in u1_edges() {
             for u2 in u2_edges() {
@@ -1056,7 +1105,7 @@ mod tests {
             check(u1, u2);
         }
         // The constant keeps ≥ 4× headroom over what the kernel shows.
-        assert!(worst * 4.0 <= BOX_MULLER_ERR, "worst error {worst:e}");
+        assert!(worst * 4.0 <= BOX_MULLER_ERR, "worst error {worst:e} · r");
         // A lane that drew no Gaussian transforms to a finite zero.
         let (_, u1, u2) = V1Draws::NO_GAUSSIAN;
         assert_eq!(box_muller_fast(u1, u2), 0.0);
@@ -1125,9 +1174,9 @@ mod tests {
             assert_tile_matches_perturb(&NoiseModel::none(), &ties, 2),
             40
         );
-        // Far beyond the fast path's σ and magnitude ranges, and with
+        // Far beyond the fast path's magnitude range, and with
         // measurements that clamp at 1 cycle.
-        let huge_sigma = NoiseModel::new(1.0e4, 0.0, (0.0, 0.0));
+        let huge_sigma = NoiseModel::new(1.0e9, 0.0, (0.0, 0.0));
         assert_eq!(assert_tile_matches_perturb(&huge_sigma, &ties, 3), 40);
         let huge_cost = vec![1.0e9; 20];
         let fallbacks =
@@ -1135,6 +1184,57 @@ mod tests {
         assert_eq!(fallbacks, 20);
         let negative = vec![-5.0; 20];
         assert_tile_matches_perturb(&NoiseModel::new(1.0, 0.0, (0.0, 0.0)), &negative, 5);
+    }
+
+    /// Each lane is placed at 0.9× or 1.1× its own tie margin from a
+    /// rounding tie: exactly the lanes inside their margin fall back.
+    #[test]
+    fn lanes_fall_back_inside_their_own_tie_margin_only() {
+        for (seed, model) in [
+            NoiseModel::new(1.5, 0.0, (0.0, 0.0)),
+            NoiseModel::new(12.0, 0.0, (0.0, 0.0)),
+            NoiseModel::new(0.3, 0.5, (200.0, 900.0)),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let seed = 6 + seed as u64;
+            let mut peek = StdRng::seed_from_u64(seed);
+            let cycles: Vec<f64> = (0..64)
+                .map(|i| {
+                    let (noise, margin) = fast_noise_and_margin(model, &mut peek);
+                    let offset = if i % 2 == 0 { 0.9 } else { 1.1 } * margin;
+                    (100.5 + f64::from(i)) - offset - noise
+                })
+                .collect();
+            assert_eq!(
+                assert_tile_matches_perturb(model, &cycles, seed),
+                32,
+                "{model:?}"
+            );
+        }
+    }
+
+    /// Every static preset on every CPU profile (σ up to 2.0 × 6 = 12)
+    /// keeps its probes on the fast path: the tiles equal `perturb`, and
+    /// fewer than 10⁻⁴ of the probes fall back.
+    #[test]
+    fn every_preset_stays_on_the_fast_path() {
+        let mut cpus = crate::CpuProfile::all_evaluated();
+        cpus.push(crate::CpuProfile::generic_desktop());
+        let per_cpu = 200_000 / cpus.len() + NOISE_BLOCK;
+        let cycles: Vec<f64> = (0..per_cpu)
+            .map(|i| 13.0 + (i % 997) as f64 * 0.25)
+            .collect();
+        for (p, profile) in NoiseProfile::ALL.into_iter().enumerate() {
+            let mut fallbacks = 0;
+            for (c, cpu) in cpus.iter().enumerate() {
+                let model = profile.model_for(&cpu.timing);
+                fallbacks += assert_tile_matches_perturb(&model, &cycles, (p * 100 + c) as u64);
+            }
+            let rate = fallbacks as f64 / (per_cpu * cpus.len()) as f64;
+            assert!(rate < 1e-4, "{profile}: fallback rate {rate:.2e}");
+        }
     }
 
     /// A short tile after a full one: lanes past the pending probes
@@ -1167,8 +1267,9 @@ mod tests {
             let mut ties = 0;
             for (&m, &c) in measured.iter().zip(&cycles) {
                 let exact = quiet.perturb(&mut scalar.clone(), c);
-                let fast = c + box_muller_fast_of(&quiet, &mut scalar);
-                ties += u64::from((fast - fast.round()).abs() >= 0.5 - TIE_MARGIN);
+                let (noise, margin) = fast_noise_and_margin(&quiet, &mut scalar);
+                let fast = c + noise;
+                ties += u64::from((fast - fast.round()).abs() >= 0.5 - margin);
                 assert_eq!(m, exact, "n = {n}");
             }
             assert_eq!(tile.fallbacks() - before, ties, "n = {n}: live lanes only");
@@ -1176,10 +1277,14 @@ mod tests {
         assert_eq!(tiled.next_u64(), scalar.next_u64(), "RNG streams diverged");
     }
 
-    /// The tile kernel's noise for `model`'s next v1 draw from `rng`.
-    fn box_muller_fast_of(model: &NoiseModel, rng: &mut StdRng) -> f64 {
+    /// The tile kernel's noise for `model`'s next v1 draw from `rng`,
+    /// and that lane's tie margin, `TIE_FACTOR · (σ·r·ERR + ROUNDING_ERR)`.
+    fn fast_noise_and_margin(model: &NoiseModel, rng: &mut StdRng) -> (f64, f64) {
         let d = model.draw_v1(rng);
-        box_muller_fast(d.u1, d.u2) * d.sigma + d.spike.unwrap_or(0.0)
+        let noise = box_muller_fast(d.u1, d.u2) * d.sigma + d.spike.unwrap_or(0.0);
+        let radius = (-2.0 * d.u1.ln()).sqrt();
+        let margin = TIE_FACTOR * (d.sigma * radius * BOX_MULLER_ERR + ROUNDING_ERR);
+        (noise, margin)
     }
 
     #[test]
