@@ -31,6 +31,7 @@ use core::fmt;
 use rand::Rng;
 
 use crate::profile::TimingParams;
+use width::KernelWidth;
 
 /// Gaussian + spike noise generator.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,20 +133,9 @@ impl NoiseModel {
     /// fixed-point spike decision. Distribution-equivalent to
     /// [`NoiseModel::sample`]; bit-identical only to itself.
     pub fn sample_v2<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_v2_with(crate::ziggurat::tables(), self.spike_threshold(), rng)
-    }
-
-    /// The shared v2 draw: `tables` and `threshold` are hoisted by the
-    /// block path so the per-sample work is the draw alone.
-    #[inline]
-    fn sample_v2_with<R: Rng + ?Sized>(
-        &self,
-        tables: &crate::ziggurat::Tables,
-        threshold: u128,
-        rng: &mut R,
-    ) -> f64 {
+        let threshold = self.spike_threshold();
         let mut noise = if self.sigma > 0.0 {
-            tables.sample(rng) * self.sigma
+            crate::ziggurat::tables().sample(rng) * self.sigma
         } else {
             0.0
         };
@@ -161,13 +151,50 @@ impl NoiseModel {
     /// [`NoiseModel::sample_v2`] calls (the scalar/batch bit-equality
     /// the engine property tests assert); the ziggurat tables and the
     /// spike threshold are resolved once per block.
-    pub fn fill_block<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+    ///
+    /// The block draws from a local copy of `rng`, written back once,
+    /// so the generator state stays in registers. Per sample the loop
+    /// inlines the ziggurat's in-layer test on the raw word and the
+    /// spike decision; the rare rest (wedge, tail, retry) and the spike
+    /// magnitude run out of line on a temporary copy (`drawn_on_copy`),
+    /// so the local copy never has its address taken.
+    pub fn fill_block<R: Rng + Clone>(&self, rng: &mut R, out: &mut [f64]) {
         let tables = crate::ziggurat::tables();
         let threshold = self.spike_threshold();
+        let mut local = rng.clone();
         for slot in out.iter_mut() {
-            *slot = self.sample_v2_with(tables, threshold, rng);
+            let mut noise = 0.0;
+            if self.sigma > 0.0 {
+                let bits = local.next_u64();
+                let z = match tables.in_layer(bits) {
+                    Some(z) => z,
+                    None => {
+                        let (z, advanced) =
+                            drawn_on_copy(local, |r| tables.sample_rejected(bits, r));
+                        local = advanced;
+                        z
+                    }
+                };
+                noise = z * self.sigma;
+            }
+            if threshold != 0 && u128::from(local.next_u64()) < threshold {
+                let (magnitude, advanced) = drawn_on_copy(local, |r| self.spike_magnitude(r));
+                local = advanced;
+                noise += magnitude;
+            }
+            *slot = noise;
         }
+        *rng = local;
     }
+}
+
+/// Runs a rare draw out of line on `rng`, a copy of the caller's
+/// generator, and hands back the value with the advanced copy.
+#[cold]
+#[inline(never)]
+fn drawn_on_copy<R: Rng, T>(mut rng: R, draw: impl FnOnce(&mut R) -> T) -> (T, R) {
+    let value = draw(&mut rng);
+    (value, rng)
 }
 
 /// The two uniforms of one Box–Muller standard-normal sample — the v1
@@ -298,7 +325,8 @@ fn tie_margin(sigma_radius: f64) -> f64 {
 ///
 /// [`V1Tile::push`] takes each probe's RNG draws in the exact order of
 /// [`NoiseModel::perturb`]; [`V1Tile::flush`] then evaluates the whole
-/// tile with a branch-free polynomial kernel that LLVM vectorizes, and
+/// tile with a branch-free polynomial kernel that LLVM vectorizes, at
+/// the widest vector width the host supports (`KernelWidth`), and
 /// recomputes through the exact libm expression every probe whose fast
 /// value lands within its lane's tie margin of a rounding tie. The
 /// margin is 1000 times the lane's worst fast-vs-exact distance,
@@ -325,16 +353,23 @@ fn tie_margin(sigma_radius: f64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct V1Tile {
     len: usize,
-    // The pending probes' costs and draws, one array per field so the
-    // kernel loop loads whole vectors.
+    lanes: V1Lanes,
+    measured: [u64; NOISE_BLOCK],
+    fallbacks: u64,
+    /// The kernel instantiation [`V1Tile::flush`] runs.
+    width: KernelWidth,
+}
+
+/// The pending probes' costs and draws, one array per field so the
+/// kernel loop loads whole vectors.
+#[derive(Clone, Debug)]
+struct V1Lanes {
     cycles: [f64; NOISE_BLOCK],
     sigma: [f64; NOISE_BLOCK],
     u1: [f64; NOISE_BLOCK],
     u2: [f64; NOISE_BLOCK],
     /// Spike magnitude, 0 when the spike decision did not fire.
     spike: [f64; NOISE_BLOCK],
-    measured: [u64; NOISE_BLOCK],
-    fallbacks: u64,
 }
 
 impl Default for V1Tile {
@@ -347,16 +382,24 @@ impl V1Tile {
     /// An empty tile.
     #[must_use]
     pub fn new() -> Self {
+        Self::at_width(KernelWidth::host())
+    }
+
+    /// An empty tile whose flushes run the `width` instantiation.
+    fn at_width(width: KernelWidth) -> Self {
         let (sigma, u1, u2) = V1Draws::NO_GAUSSIAN;
         Self {
             len: 0,
-            cycles: [0.0; NOISE_BLOCK],
-            sigma: [sigma; NOISE_BLOCK],
-            u1: [u1; NOISE_BLOCK],
-            u2: [u2; NOISE_BLOCK],
-            spike: [0.0; NOISE_BLOCK],
+            lanes: V1Lanes {
+                cycles: [0.0; NOISE_BLOCK],
+                sigma: [sigma; NOISE_BLOCK],
+                u1: [u1; NOISE_BLOCK],
+                u2: [u2; NOISE_BLOCK],
+                spike: [0.0; NOISE_BLOCK],
+            },
             measured: [0; NOISE_BLOCK],
             fallbacks: 0,
+            width,
         }
     }
 
@@ -397,53 +440,33 @@ impl V1Tile {
     /// [`V1Tile::push`] after its capacity check.
     #[inline(always)]
     fn push_unchecked<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R, cycles: f64) {
-        let i = self.len;
+        let (i, lanes) = (self.len, &mut self.lanes);
         let d = model.draw_v1(rng);
-        self.cycles[i] = cycles;
-        self.sigma[i] = d.sigma;
-        self.u1[i] = d.u1;
-        self.u2[i] = d.u2;
-        self.spike[i] = d.spike.unwrap_or(0.0);
+        lanes.cycles[i] = cycles;
+        lanes.sigma[i] = d.sigma;
+        lanes.u1[i] = d.u1;
+        lanes.u2[i] = d.u2;
+        lanes.spike[i] = d.spike.unwrap_or(0.0);
         self.len += 1;
     }
 
     /// Measures every pending probe and empties the tile; the
     /// measurements come back in push order.
     ///
-    /// The kernel passes run over all [`NOISE_BLOCK`] lanes, a fixed trip
-    /// count that LLVM vectorizes whole: the fast values and the lanes'
-    /// `σ · r`, then their nearest integers and the fallback mask, one
-    /// bit per lane. Lanes past the pending probes still hold an earlier
-    /// tile's draws (or the empty tile's no-Gaussian draws), always valid
-    /// kernel inputs; their results are never read. Only the pending
-    /// lanes the mask flags are recomputed through the exact expression
-    /// and counted as fallbacks.
+    /// The kernel (`v1_kernel`) runs over all [`NOISE_BLOCK`] lanes.
+    /// Lanes past the pending probes still hold an earlier tile's draws
+    /// (or the empty tile's no-Gaussian draws), always valid kernel
+    /// inputs; their results are never read. Only the pending lanes the
+    /// kernel's fallback mask flags are recomputed through the exact
+    /// expression and counted as fallbacks.
     pub fn flush(&mut self) -> &[u64] {
         let n = core::mem::take(&mut self.len);
+        // Only the width-equivalence test reads the fast values.
         let mut fast = [0.0f64; NOISE_BLOCK];
-        let mut sigma_radius = [0.0f64; NOISE_BLOCK];
-        for i in 0..NOISE_BLOCK {
-            let radius = radius_fast(self.u1[i]);
-            let cos = cos_fast(core::f64::consts::TAU * self.u2[i]);
-            fast[i] = self.cycles[i] + (radius * cos * self.sigma[i] + self.spike[i]);
-            sigma_radius[i] = self.sigma[i] * radius;
-        }
-        let mut fallback = [0u32; NOISE_BLOCK];
-        for (i, (measured, bit)) in self.measured.iter_mut().zip(&mut fallback).enumerate() {
-            let (fast, sigma_radius, spike) = (fast[i], sigma_radius[i], self.spike[i]);
-            let nearest = fast.round();
-            // `&`, not `&&`: the whole test stays branch-free.
-            let trusted = (sigma_radius < FAST_MAGNITUDE_MAX)
-                & (spike.abs() < FAST_MAGNITUDE_MAX)
-                & (fast.abs() < FAST_MAGNITUDE_MAX)
-                & ((fast - nearest).abs() < 0.5 - tie_margin(sigma_radius));
-            *bit = u32::from(!trusted) << i;
-            // `as u64` through the 2⁵² bias, exact for trusted lanes
-            // (0 < nearest < 2¹⁷); the others are overwritten below or
-            // never read.
-            *measured = (nearest.max(1.0) + TWO_52).to_bits() - TWO_52.to_bits();
-        }
-        let mut pending = fallback.iter().fold(0, |mask, &bit| mask | bit) & ((1 << n) - 1);
+        let mask = self
+            .width
+            .evaluate(&self.lanes, &mut fast, &mut self.measured);
+        let mut pending = mask & ((1 << n) - 1);
         while pending != 0 {
             let i = pending.trailing_zeros() as usize;
             pending &= pending - 1;
@@ -451,14 +474,167 @@ impl V1Tile {
             // A spike that did not fire is stored as +0, and adding +0
             // moves no rounded measurement.
             let draws = V1Draws {
-                sigma: self.sigma[i],
-                u1: self.u1[i],
-                u2: self.u2[i],
-                spike: Some(self.spike[i]),
+                sigma: self.lanes.sigma[i],
+                u1: self.lanes.u1[i],
+                u2: self.lanes.u2[i],
+                spike: Some(self.lanes.spike[i]),
             };
-            self.measured[i] = draws.perturb(self.cycles[i]);
+            self.measured[i] = draws.perturb(self.lanes.cycles[i]);
         }
         &self.measured[..n]
+    }
+}
+
+/// The tile kernel over all [`NOISE_BLOCK`] lanes: each lane's fast
+/// value `cycles + noise` into `fast`, its nearest integer clamped at 1
+/// into `measured`, and the returned fallback mask, one bit per lane,
+/// set where the fast path cannot be trusted.
+///
+/// Its passes have a fixed trip count that LLVM vectorizes whole: the
+/// fast values and the lanes' `σ · r`, then their nearest integers and
+/// the mask. This one body is compiled at every [`KernelWidth`], and
+/// every width computes the same bits: IEEE-754 add, sub, mul, div and
+/// sqrt are correctly rounded in every vector width, Rust never
+/// contracts `a * b + c` into a fused multiply-add, and `round`, `max`
+/// and the 2⁵² integer conversion are exact.
+#[inline(always)]
+fn v1_kernel(
+    lanes: &V1Lanes,
+    fast: &mut [f64; NOISE_BLOCK],
+    measured: &mut [u64; NOISE_BLOCK],
+) -> u32 {
+    let mut sigma_radius = [0.0f64; NOISE_BLOCK];
+    for i in 0..NOISE_BLOCK {
+        let radius = radius_fast(lanes.u1[i]);
+        let cos = cos_fast(core::f64::consts::TAU * lanes.u2[i]);
+        fast[i] = lanes.cycles[i] + (radius * cos * lanes.sigma[i] + lanes.spike[i]);
+        sigma_radius[i] = lanes.sigma[i] * radius;
+    }
+    let mut fallback = [0u32; NOISE_BLOCK];
+    for (i, (measured, bit)) in measured.iter_mut().zip(&mut fallback).enumerate() {
+        let (fast, sigma_radius, spike) = (fast[i], sigma_radius[i], lanes.spike[i]);
+        let nearest = fast.round();
+        // `&`, not `&&`: the whole test stays branch-free.
+        let trusted = (sigma_radius < FAST_MAGNITUDE_MAX)
+            & (spike.abs() < FAST_MAGNITUDE_MAX)
+            & (fast.abs() < FAST_MAGNITUDE_MAX)
+            & ((fast - nearest).abs() < 0.5 - tie_margin(sigma_radius));
+        *bit = u32::from(!trusted) << i;
+        // `as u64` through the 2⁵² bias, exact for trusted lanes
+        // (0 < nearest < 2¹⁷); the others are overwritten by the
+        // fallback or never read.
+        *measured = (nearest.max(1.0) + TWO_52).to_bits() - TWO_52.to_bits();
+    }
+    fallback.iter().fold(0, |mask, &bit| mask | bit)
+}
+
+/// The instantiations of [`v1_kernel`] and the choice between them: the
+/// one `unsafe` call of the crate and every line its argument rests on.
+mod width {
+    use super::{v1_kernel, V1Lanes, NOISE_BLOCK};
+
+    /// A vector width [`v1_kernel`] is compiled for, and that this CPU
+    /// runs. The build's baseline stays the portable one (SSE4.2 on
+    /// x86-64); a wider one is chosen at run time, from what the CPU
+    /// reports. Only [`KernelWidth::supported`] makes a value, so a
+    /// wide one exists only on a CPU with its target features.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct KernelWidth(Width);
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Width {
+        /// The build's own target features.
+        Portable,
+        /// [`v1_kernel_avx2`].
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        /// [`v1_kernel_avx512`].
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl KernelWidth {
+        /// The build's own width, which every host runs.
+        #[cfg(test)]
+        pub(super) const PORTABLE: Self = Self(Width::Portable);
+
+        /// Every width this host runs, narrowest first: the portable
+        /// one, then each wider one whose target features
+        /// `is_x86_feature_detected!` finds. `avx512f` implies `avx2`,
+        /// `fma` and `f16c` in Rust's feature model, so AVX-512 needs
+        /// all four.
+        pub(super) fn supported() -> Vec<Self> {
+            let mut widths = vec![Self(Width::Portable)];
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx2") {
+                    widths.push(Self(Width::Avx2));
+                    if has!("avx512f") && has!("fma") && has!("f16c") {
+                        widths.push(Self(Width::Avx512));
+                    }
+                }
+            }
+            widths
+        }
+
+        /// The widest of [`KernelWidth::supported`], detected once.
+        pub(super) fn host() -> Self {
+            static HOST: std::sync::OnceLock<KernelWidth> = std::sync::OnceLock::new();
+            *HOST.get_or_init(|| {
+                Self::supported()
+                    .pop()
+                    .expect("the portable width is always supported")
+            })
+        }
+
+        /// Runs [`v1_kernel`] compiled at this width.
+        #[inline(always)]
+        pub(super) fn evaluate(
+            self,
+            lanes: &V1Lanes,
+            fast: &mut [f64; NOISE_BLOCK],
+            measured: &mut [u64; NOISE_BLOCK],
+        ) -> u32 {
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: only `KernelWidth::supported` makes a
+            // `KernelWidth`, and it makes `Avx2` only when
+            // `is_x86_feature_detected!` finds `avx2`, and `Avx512` only
+            // when it also finds `avx512f`, `fma` and `f16c`. So the CPU
+            // running this call has every target feature of the
+            // instantiation it enters.
+            unsafe {
+                match self.0 {
+                    Width::Avx512 => return v1_kernel_avx512(lanes, fast, measured),
+                    Width::Avx2 => return v1_kernel_avx2(lanes, fast, measured),
+                    Width::Portable => {}
+                }
+            }
+            v1_kernel(lanes, fast, measured)
+        }
+    }
+
+    /// [`v1_kernel`] compiled for 256-bit AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn v1_kernel_avx2(
+        lanes: &V1Lanes,
+        fast: &mut [f64; NOISE_BLOCK],
+        measured: &mut [u64; NOISE_BLOCK],
+    ) -> u32 {
+        v1_kernel(lanes, fast, measured)
+    }
+
+    /// [`v1_kernel`] compiled for 512-bit AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn v1_kernel_avx512(
+        lanes: &V1Lanes,
+        fast: &mut [f64; NOISE_BLOCK],
+        measured: &mut [u64; NOISE_BLOCK],
+    ) -> u32 {
+        v1_kernel(lanes, fast, measured)
     }
 }
 
@@ -1000,6 +1176,44 @@ mod tests {
                 assert_eq!(b, m.sample_v2(&mut scalar_rng));
             }
         }
+        // The out-of-line paths, in blocks of 1 to 16 samples: no
+        // Gaussian word (σ = 0), a spike magnitude on every sample, and
+        // a stream long enough for wedge and tail draws. The generators
+        // end in the same state.
+        use rand::RngCore;
+        let tables = crate::ziggurat::tables();
+        for (seed, m, samples) in [
+            (43, NoiseModel::new(0.0, 0.05, (200.0, 900.0)), 2_000),
+            (47, NoiseModel::new(1.3, 1.0, (200.0, 900.0)), 2_000),
+            (53, NoiseModel::new(1.3, 0.0, (0.0, 0.0)), 40_000),
+        ] {
+            let mut block_rng = StdRng::seed_from_u64(seed);
+            let mut scalar_rng = StdRng::seed_from_u64(seed);
+            let (mut drawn, mut rejected, mut tails) = (0, 0, 0);
+            for len in (1..=NOISE_BLOCK).cycle() {
+                if drawn >= samples {
+                    break;
+                }
+                let block = &mut [0.0; NOISE_BLOCK][..len];
+                m.fill_block(&mut block_rng, block);
+                for &b in block.iter() {
+                    // The first word of a Gaussian sample: the rare path
+                    // takes it when it fails the in-layer test, as a tail
+                    // draw in layer 0 and a wedge draw elsewhere.
+                    let bits = scalar_rng.clone().next_u64();
+                    if m.sigma > 0.0 && tables.in_layer(bits).is_none() {
+                        rejected += 1;
+                        tails += usize::from(bits & 0xff == 0);
+                    }
+                    assert_eq!(b, m.sample_v2(&mut scalar_rng), "{m:?}");
+                }
+                drawn += len;
+            }
+            assert_eq!(block_rng.next_u64(), scalar_rng.next_u64(), "{m:?}");
+            if samples > 10_000 {
+                assert!(tails > 0 && rejected > tails, "{tails} tails of {rejected}");
+            }
+        }
     }
 
     #[test]
@@ -1186,32 +1400,117 @@ mod tests {
         assert_tile_matches_perturb(&NoiseModel::new(1.0, 0.0, (0.0, 0.0)), &negative, 5);
     }
 
+    /// Models for lanes at their tie margins: two σ and a spiking one.
+    const MARGIN_MODELS: [NoiseModel; 3] = [
+        NoiseModel {
+            sigma: 1.5,
+            spike_prob: 0.0,
+            spike_range: (0.0, 0.0),
+        },
+        NoiseModel {
+            sigma: 12.0,
+            spike_prob: 0.0,
+            spike_range: (0.0, 0.0),
+        },
+        NoiseModel {
+            sigma: 0.3,
+            spike_prob: 0.5,
+            spike_range: (200.0, 900.0),
+        },
+    ];
+
+    /// 64 costs whose `model` measurements from `seed` lie alternately
+    /// at 0.9× and 1.1× their lane's tie margin from a rounding tie.
+    fn cycles_at_tie_margins(model: &NoiseModel, seed: u64) -> Vec<f64> {
+        let mut peek = StdRng::seed_from_u64(seed);
+        (0..64)
+            .map(|i| {
+                let (noise, margin) = fast_noise_and_margin(model, &mut peek);
+                let offset = if i % 2 == 0 { 0.9 } else { 1.1 } * margin;
+                (100.5 + f64::from(i)) - offset - noise
+            })
+            .collect()
+    }
+
     /// Each lane is placed at 0.9× or 1.1× its own tie margin from a
     /// rounding tie: exactly the lanes inside their margin fall back.
     #[test]
     fn lanes_fall_back_inside_their_own_tie_margin_only() {
-        for (seed, model) in [
-            NoiseModel::new(1.5, 0.0, (0.0, 0.0)),
-            NoiseModel::new(12.0, 0.0, (0.0, 0.0)),
-            NoiseModel::new(0.3, 0.5, (200.0, 900.0)),
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (seed, model) in MARGIN_MODELS.iter().enumerate() {
             let seed = 6 + seed as u64;
-            let mut peek = StdRng::seed_from_u64(seed);
-            let cycles: Vec<f64> = (0..64)
-                .map(|i| {
-                    let (noise, margin) = fast_noise_and_margin(model, &mut peek);
-                    let offset = if i % 2 == 0 { 0.9 } else { 1.1 } * margin;
-                    (100.5 + f64::from(i)) - offset - noise
-                })
-                .collect();
+            let cycles = cycles_at_tie_margins(model, seed);
             assert_eq!(
                 assert_tile_matches_perturb(model, &cycles, seed),
                 32,
                 "{model:?}"
             );
+        }
+    }
+
+    /// Runs `cycles` from `seed` through a portable tile and a `width`
+    /// tile in tiles of 1, 2, …, 16 probes. Before each flush the two
+    /// kernels' outputs over all lanes are bit-identical, fast values
+    /// included; the flushed measurements and the fallback counts are
+    /// equal.
+    fn assert_width_matches_portable(
+        width: KernelWidth,
+        model: &NoiseModel,
+        cycles: &[f64],
+        seed: u64,
+    ) {
+        let mut tiles = [
+            V1Tile::at_width(KernelWidth::PORTABLE),
+            V1Tile::at_width(width),
+        ];
+        let mut rngs = [StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed)];
+        let mut rest = cycles;
+        for len in (1..=NOISE_BLOCK).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            rest = tail;
+            let mut kernels = Vec::new();
+            for (tile, rng) in tiles.iter_mut().zip(&mut rngs) {
+                tile.push_run(model, rng, chunk);
+                let (mut fast, mut measured) = ([0.0; NOISE_BLOCK], [0; NOISE_BLOCK]);
+                let mask = tile.width.evaluate(&tile.lanes, &mut fast, &mut measured);
+                kernels.push((fast.map(f64::to_bits), measured, mask));
+            }
+            assert_eq!(kernels[0], kernels[1], "{width:?} kernel, {model:?}");
+            let [portable, wide] = tiles.each_mut().map(|tile| tile.flush().to_vec());
+            assert_eq!(portable, wide, "{width:?} measurements, {model:?}");
+        }
+        assert_eq!(tiles[0].fallbacks(), tiles[1].fallbacks(), "{width:?}");
+    }
+
+    /// Every wider kernel instantiation the host runs equals the
+    /// portable one: every static preset on the nine CPU profiles and
+    /// lanes at 0.9× and 1.1× their tie margin, in tiles of 1 to 16
+    /// probes.
+    #[test]
+    fn every_kernel_width_measures_what_the_portable_one_does() {
+        let widths = KernelWidth::supported();
+        println!("v1 tile kernel widths on this host: {widths:?}");
+        assert_eq!(widths[0], KernelWidth::PORTABLE);
+        assert_eq!(widths.last(), Some(&KernelWidth::host()));
+        let mut cpus = crate::CpuProfile::all_evaluated();
+        cpus.push(crate::CpuProfile::generic_desktop());
+        let cycles: Vec<f64> = (0..2_000)
+            .map(|i| 13.0 + f64::from(i % 997) * 0.25)
+            .collect();
+        for &width in &widths[1..] {
+            for (p, profile) in NoiseProfile::ALL.into_iter().enumerate() {
+                for (c, cpu) in cpus.iter().enumerate() {
+                    let model = profile.model_for(&cpu.timing);
+                    assert_width_matches_portable(width, &model, &cycles, (p * 100 + c) as u64);
+                }
+            }
+            for (seed, model) in MARGIN_MODELS.iter().enumerate() {
+                let seed = 6 + seed as u64;
+                let cycles = cycles_at_tie_margins(model, seed);
+                assert_width_matches_portable(width, model, &cycles, seed);
+            }
         }
     }
 

@@ -85,22 +85,57 @@ impl Tables {
     pub fn sample<R2: Rng + ?Sized>(&self, rng: &mut R2) -> f64 {
         loop {
             let bits = rng.next_u64();
-            let i = (bits & 0xff) as usize;
-            // Uniform in [0, 1) from the top 53 bits, then (-1, 1).
-            let u = 2.0 * ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0;
-            let x = u * self.x[i];
+            let (i, x) = self.position(bits);
             if x.abs() < self.x[i + 1] {
                 return x; // strictly inside the layer: accept
             }
             if i == 0 {
                 return self.tail(rng, x.is_sign_negative());
             }
-            // Wedge: accept against the true density.
-            let y: f64 = rng.gen();
-            if self.f[i + 1] + (self.f[i] - self.f[i + 1]) * y < pdf(x) {
+            if self.wedge_accepts(i, x, rng) {
                 return x;
             }
         }
+    }
+
+    /// The layer a raw word picks and its position `x` in that layer.
+    #[inline(always)]
+    fn position(&self, bits: u64) -> (usize, f64) {
+        let i = (bits & 0xff) as usize;
+        // Uniform in [0, 1) from the top 53 bits, then (-1, 1).
+        let u = 2.0 * ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0;
+        (i, u * self.x[i])
+    }
+
+    /// The sample of a raw word that lies strictly inside its layer:
+    /// [`Tables::sample`]'s first test, which takes no further draw.
+    #[inline(always)]
+    pub(crate) fn in_layer(&self, bits: u64) -> Option<f64> {
+        let (i, x) = self.position(bits);
+        (x.abs() < self.x[i + 1]).then_some(x)
+    }
+
+    /// The rest of [`Tables::sample`] after its first word `bits`
+    /// failed [`Tables::in_layer`]: that word's tail or wedge draw, and
+    /// on a wedge rejection a fresh [`Tables::sample`]. The RNG stream
+    /// is the one `sample` takes.
+    pub(crate) fn sample_rejected<R2: Rng + ?Sized>(&self, bits: u64, rng: &mut R2) -> f64 {
+        let (i, x) = self.position(bits);
+        if i == 0 {
+            return self.tail(rng, x.is_sign_negative());
+        }
+        if self.wedge_accepts(i, x, rng) {
+            return x;
+        }
+        self.sample(rng)
+    }
+
+    /// Wedge test of layer `i` at `x`: one uniform draw accepted
+    /// against the true density.
+    #[inline(always)]
+    fn wedge_accepts<R2: Rng + ?Sized>(&self, i: usize, x: f64, rng: &mut R2) -> bool {
+        let y: f64 = rng.gen();
+        self.f[i + 1] + (self.f[i] - self.f[i + 1]) * y < pdf(x)
     }
 
     /// Exact samples from the normal tail beyond `R` (Marsaglia's
