@@ -8,10 +8,12 @@
 use core::fmt;
 
 use crate::error::MmuError;
-use crate::table::Level;
+use crate::table::{Level, ENTRIES_PER_TABLE};
 
 /// Mask of the bits that participate in 4-level translation.
 const VADDR_BITS: u64 = 48;
+/// log2 of the 4 KiB page and frame size: the last level's shift.
+const PAGE_SHIFT: u32 = Level::Pt.shift();
 /// Bits 63..47 of a canonical address are all equal.
 const CANONICAL_MASK: u64 = !((1u64 << (VADDR_BITS - 1)) - 1);
 
@@ -24,7 +26,7 @@ const CANONICAL_MASK: u64 = !((1u64 << (VADDR_BITS - 1)) - 1);
 /// use avx_mmu::VirtAddr;
 /// let va = VirtAddr::new(0xffff_ffff_8000_0000).unwrap();
 /// assert!(va.is_kernel_half());
-/// assert_eq!(va.pml4_index(), 511);
+/// assert_eq!(va.index_for(avx_mmu::Level::Pml4), 511);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
@@ -50,7 +52,8 @@ impl VirtAddr {
     #[must_use]
     pub const fn new_truncate(raw: u64) -> Self {
         // Shift left then arithmetic-shift right to sign-extend bit 47.
-        Self(((raw << 16) as i64 >> 16) as u64)
+        const SIGN: u64 = 64 - VADDR_BITS;
+        Self(((raw << SIGN) as i64 >> SIGN) as u64)
     }
 
     /// Creates a virtual address from a value already known canonical.
@@ -82,51 +85,23 @@ impl VirtAddr {
         self.0 & CANONICAL_MASK == CANONICAL_MASK
     }
 
-    /// Index into the PML4 (bits 47..39).
-    #[must_use]
-    pub const fn pml4_index(self) -> usize {
-        ((self.0 >> 39) & 0x1ff) as usize
-    }
-
-    /// Index into the page-directory-pointer table (bits 38..30).
-    #[must_use]
-    pub const fn pdpt_index(self) -> usize {
-        ((self.0 >> 30) & 0x1ff) as usize
-    }
-
-    /// Index into the page directory (bits 29..21).
-    #[must_use]
-    pub const fn pd_index(self) -> usize {
-        ((self.0 >> 21) & 0x1ff) as usize
-    }
-
-    /// Index into the page table (bits 20..12).
-    #[must_use]
-    pub const fn pt_index(self) -> usize {
-        ((self.0 >> 12) & 0x1ff) as usize
-    }
-
-    /// Paging-structure index for `level`.
+    /// Paging-structure index for `level`: the 9 address bits from
+    /// [`Level::shift`] up.
     #[must_use]
     pub const fn index_for(self, level: Level) -> usize {
-        match level {
-            Level::Pml4 => self.pml4_index(),
-            Level::Pdpt => self.pdpt_index(),
-            Level::Pd => self.pd_index(),
-            Level::Pt => self.pt_index(),
-        }
+        ((self.0 >> level.shift()) & (ENTRIES_PER_TABLE as u64 - 1)) as usize
     }
 
     /// Offset within a 4 KiB page (bits 11..0).
     #[must_use]
     pub const fn page_offset(self) -> u64 {
-        self.0 & 0xfff
+        self.0 & ((1 << PAGE_SHIFT) - 1)
     }
 
     /// The 4 KiB virtual page number (address >> 12).
     #[must_use]
     pub const fn vpn(self) -> u64 {
-        self.0 >> 12
+        self.0 >> PAGE_SHIFT
     }
 
     /// Rounds down to the given power-of-two alignment.
@@ -233,13 +208,13 @@ impl PhysAddr {
     /// The 4 KiB physical frame number.
     #[must_use]
     pub const fn frame_number(self) -> u64 {
-        self.0 >> 12
+        self.0 >> PAGE_SHIFT
     }
 
     /// Physical address of the given 4 KiB frame.
     #[must_use]
     pub const fn from_frame_number(frame: u64) -> Self {
-        Self::new(frame << 12)
+        Self::new(frame << PAGE_SHIFT)
     }
 
     /// Adds a byte offset.
@@ -315,20 +290,11 @@ mod tests {
         // 0xffff_ffff_8000_0000 is the canonical Linux kernel text start:
         // PML4 511, PDPT 510, PD 0, PT 0.
         let va = VirtAddr::new_truncate(0xffff_ffff_8000_0000);
-        assert_eq!(va.pml4_index(), 511);
-        assert_eq!(va.pdpt_index(), 510);
-        assert_eq!(va.pd_index(), 0);
-        assert_eq!(va.pt_index(), 0);
+        assert_eq!(va.index_for(Level::Pml4), 511);
+        assert_eq!(va.index_for(Level::Pdpt), 510);
+        assert_eq!(va.index_for(Level::Pd), 0);
+        assert_eq!(va.index_for(Level::Pt), 0);
         assert_eq!(va.page_offset(), 0);
-    }
-
-    #[test]
-    fn index_for_matches_specific_accessors() {
-        let va = VirtAddr::new_truncate(0xffff_ffff_c123_4567);
-        assert_eq!(va.index_for(Level::Pml4), va.pml4_index());
-        assert_eq!(va.index_for(Level::Pdpt), va.pdpt_index());
-        assert_eq!(va.index_for(Level::Pd), va.pd_index());
-        assert_eq!(va.index_for(Level::Pt), va.pt_index());
     }
 
     #[test]

@@ -57,6 +57,8 @@
 //! pin it to a verbatim copy of the per-entry build
 //! (`tests/support/shadow_reference.rs`).
 
+use core::fmt;
+
 use crate::addr::VirtAddr;
 use crate::psc::{PagingStructureCache, PscEntry, PscResume};
 use crate::space::{AddressSpace, MappedRegion, PageSize};
@@ -65,24 +67,42 @@ use crate::walk::{EffectivePerms, WalkOutcome, Walker};
 
 /// One interval of the index: a maximal canonical address range whose
 /// walk shape (table chain + terminal level) is constant.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 struct ShadowInterval {
     /// First covered address.
     start: u64,
     /// Last covered address (inclusive; avoids overflow at the top of
     /// the kernel half).
     last: u64,
-    /// Paging structures visited, walk order; `tables[0]` is the root.
+    /// Paging structures visited, indexed by level down to `terminal`;
+    /// `tables[Level::Pml4]` is the root.
     tables: [FrameId; 4],
-    /// Number of levels visited (1..=4). The entry the walk reads at
-    /// `WALK_ORDER[depth - 1]` terminates it: a leaf, a non-present
+    /// The level whose entry terminates the walk: a leaf, a non-present
     /// guard, or zero.
-    depth: u8,
+    terminal: Level,
 }
 
 impl ShadowInterval {
     fn covers(&self, va: u64) -> bool {
         self.start <= va && va <= self.last
+    }
+
+    /// The table holding the terminal entry.
+    fn terminal_table(&self) -> FrameId {
+        self.tables[self.terminal]
+    }
+}
+
+impl fmt::Debug for ShadowInterval {
+    /// Prints the number of levels visited as `depth`, the form the
+    /// per-entry reference build in the tests prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShadowInterval")
+            .field("start", &self.start)
+            .field("last", &self.last)
+            .field("tables", &self.tables)
+            .field("depth", &(self.terminal as u8 + 1))
+            .finish()
     }
 }
 
@@ -229,7 +249,14 @@ impl ShadowIndex {
     pub fn build(space: &AddressSpace) -> Self {
         let mut intervals = Vec::with_capacity(64);
         let mut chain = [FrameId::default(); 4];
-        build_table(space, space.root(), 0, 0, &mut chain, &mut intervals);
+        build_table(
+            space,
+            space.root(),
+            Level::Pml4,
+            0,
+            &mut chain,
+            &mut intervals,
+        );
         debug_assert!(intervals.windows(2).all(|w| w[0].last < w[1].start));
         Self {
             shape_epoch: space.shape_epoch(),
@@ -268,17 +295,17 @@ impl ShadowIndex {
     #[must_use]
     pub fn lookup(&self, space: &AddressSpace, va: VirtAddr) -> ShadowLookup {
         let iv = &self.intervals[self.find(va.as_u64(), &mut 0)];
-        let depth = iv.depth as usize;
         let mut perms = EffectivePerms::most_permissive();
-        for i in 0..depth - 1 {
-            let entry = space
-                .table(iv.tables[i])
-                .entry(va.index_for(Level::WALK_ORDER[i]));
+        for level in Level::WALK_ORDER
+            .into_iter()
+            .take_while(|&l| l < iv.terminal)
+        {
+            let entry = space.table(iv.tables[level]).entry(va.index_for(level));
             perms = perms.and_level(entry.flags());
         }
         let (mapping, perms) = resolve_terminal(space, iv, va, perms);
         ShadowLookup {
-            terminal_level: Level::WALK_ORDER[depth - 1],
+            terminal_level: iv.terminal,
             mapping,
             perms,
         }
@@ -309,53 +336,47 @@ impl ShadowIndex {
     ) -> ShadowWalk {
         debug_assert!(self.is_current(space), "stale shadow index");
         let iv = &self.intervals[self.find(va.as_u64(), hint)];
-        let depth = iv.depth as usize;
+        let level = iv.terminal;
 
-        let (start_idx, mut perms, resume_level) =
-            match resume_from_psc(iv, space, va, psc.as_deref_mut()) {
-                Ok(resume) => resume,
-                Err(fallback) => {
-                    for (table, idx) in fallback.accesses.iter() {
-                        on_access(table, idx);
-                    }
-                    return ShadowWalk::from(&fallback);
+        let (start, mut perms, resumed) = match resume_from_psc(iv, space, va, psc.as_deref_mut()) {
+            Ok(resume) => resume,
+            Err(fallback) => {
+                for (table, idx) in fallback.accesses.iter() {
+                    on_access(table, idx);
                 }
-            };
-        let resumed = resume_level.is_some();
+                return ShadowWalk::from(&fallback);
+            }
+        };
 
-        for i in start_idx..depth - 1 {
-            let idx = va.index_for(Level::WALK_ORDER[i]);
-            on_access(iv.tables[i], idx);
-            let entry = space.table(iv.tables[i]).entry(idx);
+        let mut at = start;
+        while at < level {
+            let next = at.next().expect("the terminal level lies below");
+            let idx = va.index_for(at);
+            on_access(iv.tables[at], idx);
+            let entry = space.table(iv.tables[at]).entry(idx);
             perms = perms.and_level(entry.flags());
             if let Some(psc) = psc.as_deref_mut() {
-                psc.insert(
-                    Level::WALK_ORDER[i],
-                    va,
-                    PscEntry {
-                        next_table: iv.tables[i + 1],
-                        perms,
-                    },
-                );
+                let next_table = iv.tables[next];
+                psc.insert(at, va, PscEntry { next_table, perms });
             }
+            at = next;
         }
 
-        let level = Level::WALK_ORDER[depth - 1];
         let terminal_idx = va.index_for(level);
-        on_access(iv.tables[depth - 1], terminal_idx);
-        let terminal = space.table(iv.tables[depth - 1]).entry(terminal_idx);
+        on_access(iv.terminal_table(), terminal_idx);
+        let terminal = space.table(iv.terminal_table()).entry(terminal_idx);
 
         // An immediate re-walk is analytically determined only when the
         // deepest intermediate of this walk is guaranteed to sit in the
         // PSC afterwards: either there is no intermediate (PML4
         // termination) or its level is actually cacheable.
         let clean_replay = match &psc {
-            Some(psc) => depth == 1 || psc.can_cache(Level::WALK_ORDER[depth - 2]),
+            Some(psc) => level.parent().is_none_or(|p| psc.can_cache(p)),
             None => false,
         };
         let mut walk = ShadowWalk {
             terminal_level: level,
-            structures_accessed: (depth - start_idx) as u8,
+            structures_accessed: (level as u8 - start as u8) + 1,
             resumed,
             present_leaf: false,
             perms,
@@ -363,19 +384,12 @@ impl ShadowIndex {
             frame_number: 0,
             clean_replay,
         };
-        if terminal.is_present() {
-            let is_leaf = match level {
-                Level::Pt => true,
-                Level::Pml4 => false,
-                _ => terminal.is_huge_leaf(),
-            };
-            if is_leaf {
-                walk.present_leaf = true;
-                walk.perms = perms.and_level(terminal.flags());
-                walk.page_size =
-                    PageSize::from_leaf_level(level).expect("leaf levels map to a page size");
-                walk.frame_number = terminal.addr().frame_number();
-            }
+        if terminal.is_present() && level.is_leaf(terminal) {
+            walk.present_leaf = true;
+            walk.perms = perms.and_level(terminal.flags());
+            walk.page_size =
+                PageSize::from_leaf_level(level).expect("leaf levels map to a page size");
+            walk.frame_number = terminal.addr().frame_number();
         }
         walk
     }
@@ -401,19 +415,16 @@ impl ShadowIndex {
         }
         let interval = self.find(va.as_u64(), &mut hint);
         let iv = &self.intervals[interval];
-        let depth = iv.depth as usize;
-        let resume = if depth == 1 {
-            if !psc.proves_miss(iv.start, iv.last) {
-                return None;
+        let resume = match iv.terminal.parent() {
+            None if !psc.proves_miss(iv.start, iv.last) => return None,
+            None => None,
+            Some(level) => {
+                let (proof, entry) = psc.prove_resume(level, va, iv.start, iv.last)?;
+                if entry.next_table != iv.terminal_table() {
+                    return None;
+                }
+                Some(proof)
             }
-            None
-        } else {
-            let level = Level::WALK_ORDER[depth - 2];
-            let (proof, entry) = psc.prove_resume(level, va, iv.start, iv.last)?;
-            if entry.next_table != iv.tables[depth - 1] {
-                return None;
-            }
-            Some(proof)
         };
         Some(ResumeMemo {
             interval,
@@ -459,7 +470,6 @@ impl ShadowIndex {
             return None;
         }
         let iv = &self.intervals[memo.interval];
-        let depth = iv.depth as usize;
         let (mut lo, mut hi) = (iv.start, iv.last);
         let perms = match &memo.resume {
             Some(proof) => {
@@ -472,7 +482,7 @@ impl ShadowIndex {
             }
             None => EffectivePerms::most_permissive(),
         };
-        let table = iv.tables[depth - 1];
+        let table = iv.terminal_table();
         Some(NonpresentRun {
             lo,
             hi,
@@ -481,7 +491,7 @@ impl ShadowIndex {
             interval: memo.interval,
             resume: memo.resume,
             walk: ShadowWalk {
-                terminal_level: Level::WALK_ORDER[depth - 1],
+                terminal_level: iv.terminal,
                 structures_accessed: 1,
                 resumed: memo.resume.is_some(),
                 present_leaf: false,
@@ -500,8 +510,7 @@ impl ShadowIndex {
     #[must_use]
     pub fn terminal_slot(&self, va: VirtAddr, hint: &mut usize) -> (FrameId, usize) {
         let iv = &self.intervals[self.find(va.as_u64(), hint)];
-        let level = Level::WALK_ORDER[iv.depth as usize - 1];
-        (iv.tables[iv.depth as usize - 1], va.index_for(level))
+        (iv.terminal_table(), va.index_for(iv.terminal))
     }
 
     /// Locates the interval covering `va`, preferring the hint and its
@@ -553,8 +562,8 @@ impl From<&WalkOutcome> for ShadowWalk {
 /// lookup advances replacement clocks even on a miss) — and validates
 /// the resume point against the interval's chain.
 ///
-/// `Ok((start_idx, perms, resume_level))` resumes the replay at
-/// `start_idx` with the cached perms; a stale resume point (mutation
+/// `Ok((start, perms, resumed))` resumes the replay at level `start`
+/// with the cached perms; a stale resume point (mutation
 /// since the entry was cached, never `INVLPG`ed — exactly like
 /// hardware) yields `Err` with the completed live walk, continued from
 /// the already-obtained PSC state via `Walker::walk_from`.
@@ -563,28 +572,29 @@ fn resume_from_psc(
     space: &AddressSpace,
     va: VirtAddr,
     psc: Option<&mut PagingStructureCache>,
-) -> Result<(usize, EffectivePerms, Option<Level>), WalkOutcome> {
+) -> Result<(Level, EffectivePerms, bool), WalkOutcome> {
+    let root = (Level::Pml4, EffectivePerms::most_permissive(), false);
     let Some(psc) = psc else {
-        return Ok((0, EffectivePerms::most_permissive(), None));
+        return Ok(root);
     };
     let Some((cached_level, entry)) = psc.lookup_deepest(va) else {
-        return Ok((0, EffectivePerms::most_permissive(), None));
+        return Ok(root);
     };
-    let resume_idx = cached_level as usize + 1;
-    if resume_idx >= iv.depth as usize || entry.next_table != iv.tables[resume_idx] {
+    let resume = cached_level
+        .next()
+        .expect("PSC never caches PT entries, so next() exists");
+    if resume > iv.terminal || entry.next_table != iv.tables[resume] {
         return Err(Walker::new().walk_from(
             space,
             va,
-            cached_level
-                .next()
-                .expect("PSC never caches PT entries, so next() exists"),
+            resume,
             entry.next_table,
             entry.perms,
             Some(cached_level),
             Some(psc),
         ));
     }
-    Ok((resume_idx, entry.perms, Some(cached_level)))
+    Ok((resume, entry.perms, true))
 }
 
 /// Reads and applies the terminal entry of `iv` for `va`: present leaf →
@@ -595,18 +605,12 @@ fn resolve_terminal(
     va: VirtAddr,
     mut perms: EffectivePerms,
 ) -> (Option<MappedRegion>, EffectivePerms) {
-    let depth = iv.depth as usize;
-    let level = Level::WALK_ORDER[depth - 1];
-    let terminal = space.table(iv.tables[depth - 1]).entry(va.index_for(level));
+    let level = iv.terminal;
+    let terminal = space.table(iv.terminal_table()).entry(va.index_for(level));
     if !terminal.is_present() {
         return (None, perms);
     }
-    let is_leaf = match level {
-        Level::Pt => true,
-        Level::Pml4 => false,
-        _ => terminal.is_huge_leaf(),
-    };
-    if !is_leaf {
+    if !level.is_leaf(terminal) {
         // Unreachable while the index is current (a present intermediate
         // would have recursed at build time, and turning a terminal slot
         // into an intermediate bumps the shape epoch), but mirror the
@@ -626,15 +630,6 @@ fn resolve_terminal(
     )
 }
 
-const fn level_shift(level: Level) -> u32 {
-    match level {
-        Level::Pml4 => 39,
-        Level::Pdpt => 30,
-        Level::Pd => 21,
-        Level::Pt => 12,
-    }
-}
-
 /// Emits the intervals of `table_id`'s slots, recursing into present
 /// intermediates. Consecutive slots that terminate the walk at this
 /// level — zero, guard, or leaf alike — merge into one interval: the
@@ -645,51 +640,34 @@ const fn level_shift(level: Level) -> u32 {
 fn build_table(
     space: &AddressSpace,
     table_id: FrameId,
-    depth_idx: usize,
+    level: Level,
     va_prefix: u64,
     chain: &mut [FrameId; 4],
     out: &mut Vec<ShadowInterval>,
 ) {
-    let level = Level::WALK_ORDER[depth_idx];
-    chain[depth_idx] = table_id;
-    if level == Level::Pt {
-        emit_terminal_slots(0, ENTRIES_PER_TABLE, depth_idx, va_prefix, chain, out);
+    chain[level] = table_id;
+    let Some(next_level) = level.next() else {
+        emit_terminal_slots(0, ENTRIES_PER_TABLE, level, va_prefix, chain, out);
         return;
-    }
+    };
     let mut next_slot = 0;
     for (idx, entry) in space.table(table_id).iter_live() {
-        let descends = entry.is_present() && (level == Level::Pml4 || !entry.is_huge_leaf());
-        if !descends {
+        let Some(next) = level.link(entry) else {
             continue;
-        }
-        emit_terminal_slots(next_slot, idx, depth_idx, va_prefix, chain, out);
-        let next =
-            FrameId::new(u32::try_from(entry.addr().frame_number()).expect("table frame id"));
-        build_table(
-            space,
-            next,
-            depth_idx + 1,
-            slot_va(level, va_prefix, idx),
-            chain,
-            out,
-        );
-        chain[depth_idx] = table_id;
+        };
+        emit_terminal_slots(next_slot, idx, level, va_prefix, chain, out);
+        let prefix = slot_va(level, va_prefix, idx);
+        build_table(space, next, next_level, prefix, chain, out);
+        chain[level] = table_id;
         next_slot = idx + 1;
     }
-    emit_terminal_slots(
-        next_slot,
-        ENTRIES_PER_TABLE,
-        depth_idx,
-        va_prefix,
-        chain,
-        out,
-    );
+    emit_terminal_slots(next_slot, ENTRIES_PER_TABLE, level, va_prefix, chain, out);
 }
 
 /// First address of slot `idx` of a `level` table under `va_prefix`,
 /// canonicalized: at the PML4 level bit 47 sign-extends.
 fn slot_va(level: Level, va_prefix: u64, idx: usize) -> u64 {
-    VirtAddr::new_truncate(va_prefix | (idx as u64) << level_shift(level)).as_u64()
+    VirtAddr::new_truncate(va_prefix | (idx as u64) << level.shift()).as_u64()
 }
 
 /// Emits the terminal run of slots `lo..hi` (nothing when empty) as one
@@ -699,7 +677,7 @@ fn slot_va(level: Level, va_prefix: u64, idx: usize) -> u64 {
 fn emit_terminal_slots(
     lo: usize,
     hi: usize,
-    depth_idx: usize,
+    level: Level,
     va_prefix: u64,
     chain: &[FrameId; 4],
     out: &mut Vec<ShadowInterval>,
@@ -708,17 +686,16 @@ fn emit_terminal_slots(
     if lo >= hi {
         return;
     }
-    let level = Level::WALK_ORDER[depth_idx];
     if level == Level::Pml4 && lo < KERNEL_HALF_SLOT && KERNEL_HALF_SLOT < hi {
-        emit_terminal_slots(lo, KERNEL_HALF_SLOT, depth_idx, va_prefix, chain, out);
-        emit_terminal_slots(KERNEL_HALF_SLOT, hi, depth_idx, va_prefix, chain, out);
+        emit_terminal_slots(lo, KERNEL_HALF_SLOT, level, va_prefix, chain, out);
+        emit_terminal_slots(KERNEL_HALF_SLOT, hi, level, va_prefix, chain, out);
         return;
     }
     out.push(ShadowInterval {
         start: slot_va(level, va_prefix, lo),
         last: slot_va(level, va_prefix, hi - 1) + (level.entry_span() - 1),
         tables: *chain,
-        depth: depth_idx as u8 + 1,
+        terminal: level,
     });
 }
 
@@ -863,6 +840,35 @@ mod tests {
         let slow = walker.walk_with_psc(&space, target, &mut psc_slow);
         let psc = Some(&mut psc_fast);
         assert_costed_matches(&index, &space, target, psc, &mut 0, &slow);
+    }
+
+    /// A PROT_NONE 2 MiB or 1 GiB page ends the walk at its own level,
+    /// unmapped, exactly as in the reference walker, with and without
+    /// the PSC: the build does not follow the guard as a table link.
+    #[test]
+    fn huge_guards_end_the_walk_as_in_the_walker() {
+        let guard = PteFlags::kernel_rx().difference(PteFlags::PRESENT);
+        let walker = Walker::new();
+        for size in [PageSize::Size2M, PageSize::Size1G] {
+            let mut space = sample_space();
+            let a = va(0xffff_c000_0000_0000);
+            space.map(a, size, PteFlags::kernel_rx()).unwrap();
+            space.protect(a, size, guard).unwrap();
+            let index = ShadowIndex::build(&space);
+            let mut psc_slow = PagingStructureCache::default();
+            let mut psc_fast = PagingStructureCache::default();
+            let end = a.wrapping_add(size.bytes() - 1);
+            for addr in [a, end, a, a.wrapping_add(size.bytes())] {
+                let slow = walker.walk(&space, addr);
+                assert_costed_matches(&index, &space, addr, None, &mut 0, &slow);
+                let slow = walker.walk_with_psc(&space, addr, &mut psc_slow);
+                let psc = Some(&mut psc_fast);
+                assert_costed_matches(&index, &space, addr, psc, &mut 0, &slow);
+            }
+            let at_guard = index.lookup(&space, end);
+            assert_eq!(at_guard.terminal_level, size.leaf_level(), "{size}");
+            assert!(at_guard.mapping.is_none(), "{size}");
+        }
     }
 
     #[test]

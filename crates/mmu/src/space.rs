@@ -22,24 +22,16 @@ pub enum PageSize {
 }
 
 impl PageSize {
-    /// Size in bytes.
+    /// Size in bytes: the span of one entry at its leaf level.
     #[must_use]
     pub const fn bytes(self) -> u64 {
-        match self {
-            PageSize::Size4K => 4 * 1024,
-            PageSize::Size2M => 2 * 1024 * 1024,
-            PageSize::Size1G => 1024 * 1024 * 1024,
-        }
+        self.leaf_level().entry_span()
     }
 
     /// log2 of the size in bytes.
     #[must_use]
     pub const fn shift(self) -> u32 {
-        match self {
-            PageSize::Size4K => 12,
-            PageSize::Size2M => 21,
-            PageSize::Size1G => 30,
-        }
+        self.leaf_level().shift()
     }
 
     /// The paging-structure level whose entry maps a leaf of this size.
@@ -284,7 +276,7 @@ impl AddressSpace {
     }
 
     fn alloc_data_frame(&mut self, size: PageSize) -> PhysAddr {
-        let frames = size.bytes() >> 12;
+        let frames = size.bytes() / PageSize::Size4K.bytes();
         // Align the allocation cursor to the page size.
         let align = frames;
         self.next_data_frame = (self.next_data_frame + align - 1) & !(align - 1);
@@ -344,41 +336,27 @@ impl AddressSpace {
         leaf_level: Level,
         flags: PteFlags,
     ) -> Result<FrameId, MmuError> {
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            if level == leaf_level {
-                return Ok(table_id);
-            }
-            let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
-            if entry.is_huge_leaf() || (entry.raw() != 0 && !entry.is_present()) {
-                // A present huge leaf — or a non-present guard left by
-                // mprotect(PROT_NONE) on a huge page, which keeps PS but
-                // clears Present and must not be dereferenced as a
-                // table pointer (its address is a data frame).
+        let path = self.path(va, leaf_level);
+        if flags.is_user() {
+            self.grant_user(&path);
+        }
+        let mut at = path.stop;
+        while at.level < leaf_level {
+            if at.entry.raw() != 0 {
+                // A leaf above the mapping: a present huge page, or a
+                // guard left by mprotect(PROT_NONE) on one.
                 return Err(MmuError::HugePageConflict { addr: va.as_u64() });
             }
-            table_id = if entry.raw() == 0 {
-                let new_id = self.alloc_table()?;
-                let mut inter = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::ACCESSED;
-                if flags.is_user() {
-                    inter |= PteFlags::USER;
-                }
-                self.write_entry(
-                    table_id,
-                    idx,
-                    Pte::new(PhysAddr::from_frame_number(new_id.0 as u64), inter),
-                );
-                new_id
-            } else {
-                // Upgrade intermediate permissions if this mapping needs them.
-                if flags.is_user() && !entry.flags().is_user() {
-                    self.write_entry(table_id, idx, entry.with_flags_set(PteFlags::USER));
-                }
-                table_frame(entry).expect("table frame id")
-            };
+            let new_id = self.alloc_table()?;
+            let mut inter = PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::ACCESSED;
+            if flags.is_user() {
+                inter |= PteFlags::USER;
+            }
+            let link = Pte::new(PhysAddr::from_frame_number(new_id.0.into()), inter);
+            self.write_entry(at.table, at.idx, link);
+            at = self.slot(new_id, at.level.next().expect("above the leaf level"), va);
         }
-        unreachable!("leaf level is always reached in WALK_ORDER");
+        Ok(at.table)
     }
 
     /// Writes the leaf `va` → `pa` into its slot of the leaf-level table
@@ -534,7 +512,7 @@ impl AddressSpace {
         if free == 0 {
             return 0;
         }
-        let frames = size.bytes() >> 12;
+        let frames = size.bytes() / PageSize::Size4K.bytes();
         let base = self.alloc_data_frame(size).frame_number();
         self.next_data_frame += (free as u64 - 1) * frames;
         self.mapped_pages += free;
@@ -586,9 +564,8 @@ impl AddressSpace {
 
     /// The leaf table a walk for `first` ends in, if it is the table of
     /// `size` leaves, with `first`'s slot there and the number of slots
-    /// from it on, at most `n`, that each hold a leaf the walk of their
-    /// page ends at (a present one if `present`). `None` if that number
-    /// is 0.
+    /// from it on, at most `n`, that each hold a leaf (a present one if
+    /// `present`). `None` if that number is 0.
     fn leaf_span(
         &self,
         first: VirtAddr,
@@ -596,18 +573,19 @@ impl AddressSpace {
         size: PageSize,
         present: bool,
     ) -> Option<(FrameId, usize, usize)> {
-        let (id, start, level) = self.locate_any_leaf(first)?;
+        let leaf = self.locate_any_leaf(first)?;
+        let (id, start, level) = (leaf.table, leaf.idx, leaf.level);
         if level != size.leaf_level() {
             return None;
         }
         let table = &self.tables[id.index()];
-        // Leaves are non-zero; a non-zero PT entry is a leaf.
+        // Leaves are non-zero; in the last level every live entry is one.
         let mut run = table.run_len(start, n, true);
-        if present || level != Level::Pt {
+        if present || level.next().is_some() {
             run = (start..start + run)
                 .take_while(|&i| {
                     let entry = table.entry(i);
-                    entry.is_present() && (level == Level::Pt || entry.is_huge_leaf())
+                    level.is_leaf(entry) && (entry.is_present() || !present)
                 })
                 .count();
         }
@@ -628,8 +606,8 @@ impl AddressSpace {
                 size,
             });
         }
-        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
-        self.write_entry(table_id, idx, Pte::zero());
+        let leaf = self.locate_leaf_slot(va, size)?;
+        self.write_entry(leaf.table, leaf.idx, Pte::zero());
         self.mapped_pages -= 1;
         // Free empty paging structures, as OS kernels do on munmap —
         // otherwise a stale empty PT/PD would block a later huge-page
@@ -642,32 +620,13 @@ impl AddressSpace {
     /// `va`, bottom-up. (Arena slots are not recycled; correctness only
     /// needs the links gone.)
     fn prune_empty_tables(&mut self, va: VirtAddr) {
-        // At most the PML4, PDPT and PD links sit above a leaf.
-        let mut path = [(self.root, 0); 3];
-        let mut depth = 0;
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
-            // Stop at anything that is not a present intermediate — a
-            // non-present guard leaf carries a data-frame address that
-            // must not be followed as a table link.
-            if entry.raw() == 0 || !entry.is_present() || entry.is_huge_leaf() || level == Level::Pt
-            {
+        let path = self.path(va, Level::Pt);
+        for link in path.links().rev() {
+            let child = link.level.link(link.entry).expect("a followed link");
+            if !self.tables[child.index()].is_empty() {
                 break;
             }
-            path[depth] = (table_id, idx);
-            depth += 1;
-            table_id = table_frame(entry).expect("table frame id");
-        }
-        for &(parent, idx) in path[..depth].iter().rev() {
-            let entry = self.tables[parent.index()].entry(idx);
-            let child = table_frame(entry).expect("table frame id");
-            if self.tables[child.index()].is_empty() {
-                self.write_entry(parent, idx, Pte::zero());
-            } else {
-                break;
-            }
+            self.write_entry(link.table, link.idx, Pte::zero());
         }
     }
 
@@ -687,29 +646,28 @@ impl AddressSpace {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MmuError> {
-        let (table_id, idx) = self.locate_leaf_slot(va, size)?;
-        let entry = self.tables[table_id.index()].entry(idx);
-        self.write_entry(table_id, idx, entry.with_flags(leaf_flags(size, flags)));
+        let leaf = self.locate_leaf_slot(va, size)?;
+        let new = leaf.entry.with_flags(leaf_flags(size, flags));
+        self.write_entry(leaf.table, leaf.idx, new);
         if flags.is_user() {
             self.upgrade_intermediates_to_user(va);
         }
         Ok(())
     }
 
-    /// Sets `USER` on every present intermediate entry on the walk path
-    /// of `va` (leaf excluded).
+    /// Sets `USER` on every table link on the walk path of `va`.
     fn upgrade_intermediates_to_user(&mut self, va: VirtAddr) {
-        let mut table_id = self.root;
-        for level in Level::WALK_ORDER {
-            let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
-            if level == Level::Pt || entry.is_huge_leaf() || !entry.is_present() {
-                return;
+        let path = self.path(va, Level::Pt);
+        self.grant_user(&path);
+    }
+
+    /// Sets `USER` on each link of `path` that lacks it.
+    fn grant_user(&mut self, path: &Path) {
+        for link in path.links() {
+            if !link.entry.flags().is_user() {
+                let upgraded = link.entry.with_flags_set(PteFlags::USER);
+                self.write_entry(link.table, link.idx, upgraded);
             }
-            if !entry.flags().is_user() {
-                self.write_entry(table_id, idx, entry.with_flags_set(PteFlags::USER));
-            }
-            table_id = table_frame(entry).expect("table frame id");
         }
     }
 
@@ -723,16 +681,15 @@ impl AddressSpace {
     ///
     /// [`MmuError::NotMapped`] if no present leaf covers `va`.
     pub fn mark_accessed(&mut self, va: VirtAddr, write: bool) -> Result<PteFlags, MmuError> {
-        let not_mapped = MmuError::NotMapped { addr: va.as_u64() };
-        let (table_id, idx, _) = self.locate_any_leaf(va).ok_or(not_mapped)?;
-        let entry = self.tables[table_id.index()].entry(idx);
-        if !entry.is_present() {
-            return Err(not_mapped);
-        }
+        let leaf = self
+            .locate_any_leaf(va)
+            .filter(|leaf| leaf.entry.is_present())
+            .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
         // Steady-state probes re-set already-set bits; `write_entry`
         // recognizes the no-op and leaves the epoch untouched.
-        self.write_entry(table_id, idx, entry.with_flags_set(accessed_flags(write)));
-        Ok(entry.flags())
+        let marked = leaf.entry.with_flags_set(accessed_flags(write));
+        self.write_entry(leaf.table, leaf.idx, marked);
+        Ok(leaf.entry.flags())
     }
 
     /// [`AddressSpace::mark_accessed`] on `count` consecutive pages of
@@ -770,32 +727,29 @@ impl AddressSpace {
     ///
     /// [`MmuError::NotMapped`] if no leaf covers `va`.
     pub fn clear_accessed_dirty(&mut self, va: VirtAddr) -> Result<(), MmuError> {
-        let (table_id, idx, _) = self
+        let leaf = self
             .locate_any_leaf(va)
             .ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-        let entry = self.tables[table_id.index()].entry(idx);
-        self.write_entry(
-            table_id,
-            idx,
-            entry.with_flags_cleared(PteFlags::ACCESSED | PteFlags::DIRTY),
-        );
+        let cleared = leaf
+            .entry
+            .with_flags_cleared(PteFlags::ACCESSED | PteFlags::DIRTY);
+        self.write_entry(leaf.table, leaf.idx, cleared);
         Ok(())
     }
 
     /// Returns the leaf mapping covering `va`, if one is present.
     #[must_use]
     pub fn lookup(&self, va: VirtAddr) -> Option<MappedRegion> {
-        let (table_id, idx, level) = self.locate_any_leaf(va)?;
-        let entry = self.tables[table_id.index()].entry(idx);
-        if !entry.is_present() {
+        let leaf = self.locate_any_leaf(va)?;
+        if !leaf.entry.is_present() {
             return None;
         }
-        let size = PageSize::from_leaf_level(level)?;
+        let size = PageSize::from_leaf_level(leaf.level)?;
         Some(MappedRegion {
             start: va.align_down(size.bytes()),
             size,
-            flags: entry.flags(),
-            phys: entry.addr(),
+            flags: leaf.entry.flags(),
+            phys: leaf.entry.addr(),
         })
     }
 
@@ -807,6 +761,8 @@ impl AddressSpace {
         out
     }
 
+    /// Appends the present leaves under `table_id`, a `level` table
+    /// whose first slot maps `va_prefix`, following table links only.
     fn collect_regions(
         &self,
         table_id: FrameId,
@@ -815,66 +771,106 @@ impl AddressSpace {
         out: &mut Vec<MappedRegion>,
     ) {
         for (idx, entry) in self.tables[table_id.index()].iter_live() {
-            let va = VirtAddr::new_truncate(va_prefix | ((idx as u64) << level_shift(level)));
-            let is_leaf = match level {
-                Level::Pt => true,
-                Level::Pml4 => false,
-                _ => entry.is_huge_leaf(),
+            let va = VirtAddr::new_truncate(va_prefix | (idx as u64) << level.shift());
+            if let Some(child) = level.link(entry) {
+                let next = level.next().expect("a link's level has a next");
+                self.collect_regions(child, next, va.as_u64(), out);
+            } else if entry.is_present() {
+                let size = PageSize::from_leaf_level(level).expect("a present non-link is a leaf");
+                out.push(MappedRegion {
+                    start: va,
+                    size,
+                    flags: entry.flags(),
+                    phys: entry.addr(),
+                });
+            }
+        }
+    }
+
+    /// Finds the leaf slot for (`va`, `size`), verifying the mapping
+    /// exists with exactly that size.
+    fn locate_leaf_slot(&self, va: VirtAddr, size: PageSize) -> Result<Slot, MmuError> {
+        let not_mapped = MmuError::NotMapped { addr: va.as_u64() };
+        let leaf = self.locate_any_leaf(va).ok_or(not_mapped)?;
+        let found = PageSize::from_leaf_level(leaf.level).ok_or(not_mapped)?;
+        if found != size {
+            return Err(MmuError::SizeMismatch {
+                addr: va.as_u64(),
+                found,
+                expected: size,
+            });
+        }
+        Ok(leaf)
+    }
+
+    /// The leaf slot (possibly non-present) that terminates the walk for
+    /// `va`; `None` when the walk ends at a zero entry.
+    fn locate_any_leaf(&self, va: VirtAddr) -> Option<Slot> {
+        let stop = self.descend(va, Level::Pt, |_| {});
+        (stop.entry.raw() != 0 && stop.level.is_leaf(stop.entry)).then_some(stop)
+    }
+
+    /// `va`'s slot in table `table` at `level`.
+    fn slot(&self, table: FrameId, level: Level, va: VirtAddr) -> Slot {
+        let idx = va.index_for(level);
+        Slot {
+            table,
+            level,
+            idx,
+            entry: self.tables[table.index()].entry(idx),
+        }
+    }
+
+    /// The cursor: follows `va`'s walk path from the root through table
+    /// links ([`Level::link`]: present, not a leaf), handing each link it
+    /// follows to `on_link`, root first, and returns the first slot that
+    /// is no link, or the slot at the `until` level.
+    fn descend(&self, va: VirtAddr, until: Level, mut on_link: impl FnMut(Slot)) -> Slot {
+        let mut at = self.slot(self.root, Level::Pml4, va);
+        while at.level < until {
+            let Some(child) = at.level.link(at.entry) else {
+                break;
             };
-            if is_leaf {
-                if entry.is_present() {
-                    if let Some(size) = PageSize::from_leaf_level(level) {
-                        out.push(MappedRegion {
-                            start: va,
-                            size,
-                            flags: entry.flags(),
-                            phys: entry.addr(),
-                        });
-                    }
-                }
-            } else if let Some(next) = level.next() {
-                let next_id = table_frame(entry).expect("table frame id");
-                self.collect_regions(next_id, next, va.as_u64(), out);
-            }
+            on_link(at);
+            let next = at.level.next().expect("a link's level has a next");
+            at = self.slot(child, next, va);
         }
+        at
     }
 
-    /// Finds the table and index of the leaf slot for (`va`, `size`),
-    /// verifying the mapping exists with exactly that size.
-    fn locate_leaf_slot(&self, va: VirtAddr, size: PageSize) -> Result<(FrameId, usize), MmuError> {
-        check_leaf_size(va, size, self.locate_any_leaf(va))
+    /// [`AddressSpace::descend`] with the links it followed.
+    fn path(&self, va: VirtAddr, until: Level) -> Path {
+        let mut links = [None; MAX_LINKS];
+        let stop = self.descend(va, until, |link| links[link.level] = Some(link));
+        Path { links, stop }
     }
+}
 
-    /// Descends to the slot that terminates the walk for `va`: either a
-    /// leaf entry (possibly non-present) with its level, or `None` when
-    /// an intermediate entry is missing entirely.
-    fn locate_any_leaf(&self, va: VirtAddr) -> Option<(FrameId, usize, Level)> {
-        self.locate_from(self.root, Level::Pml4, va)
-    }
+/// One slot on an address's walk path: the table, its level, the
+/// address's index there and the entry it held when read.
+#[derive(Clone, Copy)]
+struct Slot {
+    table: FrameId,
+    level: Level,
+    idx: usize,
+    entry: Pte,
+}
 
-    /// [`AddressSpace::locate_any_leaf`] from table `table_id` at `level`
-    /// on the walk path of `va`.
-    fn locate_from(
-        &self,
-        mut table_id: FrameId,
-        mut level: Level,
-        va: VirtAddr,
-    ) -> Option<(FrameId, usize, Level)> {
-        loop {
-            let idx = va.index_for(level);
-            let entry = self.tables[table_id.index()].entry(idx);
-            if level == Level::Pt {
-                return (entry.raw() != 0).then_some((table_id, idx, level));
-            }
-            if entry.is_huge_leaf() {
-                return Some((table_id, idx, level));
-            }
-            if entry.raw() == 0 || !entry.is_present() {
-                return None;
-            }
-            table_id = table_frame(entry)?;
-            level = level.next()?;
-        }
+/// At most one link per level above the last.
+const MAX_LINKS: usize = Level::WALK_ORDER.len() - 1;
+
+/// A walk path as [`AddressSpace::path`] followed it.
+struct Path {
+    /// The table links followed, indexed by level.
+    links: [Option<Slot>; MAX_LINKS],
+    /// The slot the descent stopped at.
+    stop: Slot,
+}
+
+impl Path {
+    /// The links followed, root first.
+    fn links(&self) -> impl DoubleEndedIterator<Item = &Slot> {
+        self.links.iter().flatten()
     }
 }
 
@@ -905,11 +901,6 @@ fn accessed_flags(write: bool) -> PteFlags {
     }
 }
 
-/// The table a present intermediate entry points to.
-fn table_frame(entry: Pte) -> Option<FrameId> {
-    u32::try_from(entry.addr().frame_number()).ok().map(FrameId)
-}
-
 /// Checks that `va` and `pa` are both aligned to `size`.
 fn check_alignment(va: VirtAddr, pa: PhysAddr, size: PageSize) -> Result<(), MmuError> {
     for addr in [va.as_u64(), pa.as_u64()] {
@@ -918,25 +909,6 @@ fn check_alignment(va: VirtAddr, pa: PhysAddr, size: PageSize) -> Result<(), Mmu
         }
     }
     Ok(())
-}
-
-/// The leaf slot of a located walk end, if it maps a page of `size`.
-fn check_leaf_size(
-    va: VirtAddr,
-    size: PageSize,
-    found: Option<(FrameId, usize, Level)>,
-) -> Result<(FrameId, usize), MmuError> {
-    let (table_id, idx, level) = found.ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-    let found =
-        PageSize::from_leaf_level(level).ok_or(MmuError::NotMapped { addr: va.as_u64() })?;
-    if found != size {
-        return Err(MmuError::SizeMismatch {
-            addr: va.as_u64(),
-            found,
-            expected: size,
-        });
-    }
-    Ok((table_id, idx))
 }
 
 impl Default for AddressSpace {
@@ -953,15 +925,6 @@ impl fmt::Debug for AddressSpace {
             self.mapped_pages,
             self.tables.len()
         )
-    }
-}
-
-const fn level_shift(level: Level) -> u32 {
-    match level {
-        Level::Pml4 => 39,
-        Level::Pdpt => 30,
-        Level::Pd => 21,
-        Level::Pt => 12,
     }
 }
 
@@ -1219,6 +1182,38 @@ mod tests {
             .unwrap();
         s.unmap(sibling, PageSize::Size2M).unwrap();
         assert!(s.lookup(big).is_none(), "guard stays non-present");
+    }
+
+    /// A 2 MiB or 1 GiB page mprotected to PROT_NONE keeps PS and
+    /// loses Present: it maps nothing, yet it is still the page's leaf,
+    /// so it can be re-protected, unmapped and mapped again, and
+    /// `mapped_pages` counts it until it is unmapped.
+    #[test]
+    fn huge_guards_can_be_reprotected_unmapped_and_remapped() {
+        let guard = PteFlags::kernel_rx().difference(PteFlags::PRESENT);
+        for size in [PageSize::Size2M, PageSize::Size1G] {
+            let mut s = AddressSpace::new();
+            let a = va(0xffff_ffff_c000_0000);
+            s.map(a, size, PteFlags::kernel_rx()).unwrap();
+            s.protect(a, size, guard).unwrap();
+            assert!(s.lookup(a).is_none(), "{size}: a guard maps nothing");
+            assert!(s.iter_regions().is_empty(), "{size}: regions omit a guard");
+            assert_eq!(s.mapped_pages(), 1, "{size}: the guard is still a page");
+            s.protect(a, size, PteFlags::kernel_rx()).unwrap();
+            assert_eq!(s.lookup(a).map(|m| m.size), Some(size), "{size}");
+            assert_eq!(s.iter_regions().len(), 1, "{size}");
+            s.protect(a, size, guard).unwrap();
+            s.unmap(a, size).unwrap();
+            assert_eq!(s.mapped_pages(), 0, "{size}: unmapping frees the guard");
+            s.map(a, size, PteFlags::kernel_rx()).unwrap();
+            assert_eq!(s.mapped_pages(), 1, "{size}");
+            assert_eq!(s.lookup(a).map(|m| m.size), Some(size), "{size}");
+            // The range forms take the same leaf-slot rule.
+            s.protect_range(a, 1, size, guard).unwrap();
+            s.unmap_range(a, 1, size).unwrap();
+            assert_eq!(s.mapped_pages(), 0, "{size}");
+            assert!(s.iter_regions().is_empty(), "{size}");
+        }
     }
 
     #[test]

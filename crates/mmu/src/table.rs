@@ -1,7 +1,7 @@
 //! Paging-structure tables and levels.
 
 use core::fmt;
-use core::ops::{Index, Range};
+use core::ops::{Index, IndexMut, Range};
 
 use crate::pte::Pte;
 
@@ -35,8 +35,10 @@ impl fmt::Display for FrameId {
 
 /// The four levels of 4-level paging, ordered from root to leaf.
 ///
-/// The numeric value equals the conventional level number used in the
-/// paper and in Intel documentation (PML4 = 4 … PT = 1).
+/// A level's position in walk order (root = 0) indexes per-level arrays
+/// (`chain[level]`). One geometry table in this module writes each
+/// level's shift and whether it may hold a leaf; every other property
+/// derives from it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Level {
     /// Page-map level 4 (root), bits 47..39.
@@ -49,19 +51,33 @@ pub enum Level {
     Pt,
 }
 
+/// One level's row of the paging geometry.
+struct Geometry {
+    /// The lowest address bit of the level's 9-bit index.
+    shift: u32,
+    /// Whether an entry at the level may map a page.
+    leaf: bool,
+}
+
 impl Level {
     /// All levels in walk order (root → leaf).
     pub const WALK_ORDER: [Level; 4] = [Level::Pml4, Level::Pdpt, Level::Pd, Level::Pt];
 
-    /// Conventional numeric level (PML4 = 4, PDPT = 3, PD = 2, PT = 1).
-    #[must_use]
-    pub const fn number(self) -> u8 {
+    /// The paging geometry, one row per level: the one place each
+    /// level's shift and leaf permission are written.
+    #[rustfmt::skip]
+    const fn geometry(self) -> Geometry {
         match self {
-            Level::Pml4 => 4,
-            Level::Pdpt => 3,
-            Level::Pd => 2,
-            Level::Pt => 1,
+            Level::Pml4 => Geometry { shift: 39, leaf: false },
+            Level::Pdpt => Geometry { shift: 30, leaf: true }, // 1 GiB pages
+            Level::Pd => Geometry { shift: 21, leaf: true },   // 2 MiB pages
+            Level::Pt => Geometry { shift: 12, leaf: true },   // 4 KiB pages
         }
+    }
+
+    /// Position in walk order: 0 for the root.
+    const fn depth(self) -> usize {
+        self as usize
     }
 
     /// The next level towards the leaf, if any.
@@ -75,28 +91,74 @@ impl Level {
         }
     }
 
-    /// Number of paging-structure accesses a full walk down to (and
-    /// including) this level performs: PML4 → 1 … PT → 4.
+    /// The level above, towards the root, if any.
     #[must_use]
-    pub const fn accesses_from_root(self) -> u8 {
-        5 - self.number()
+    pub const fn parent(self) -> Option<Level> {
+        match self {
+            Level::Pml4 => None,
+            Level::Pdpt => Some(Level::Pml4),
+            Level::Pd => Some(Level::Pdpt),
+            Level::Pt => Some(Level::Pd),
+        }
+    }
+
+    /// The lowest address bit of this level's 9-bit table index, and
+    /// log2 of [`Level::entry_span`].
+    #[must_use]
+    pub const fn shift(self) -> u32 {
+        self.geometry().shift
     }
 
     /// Size of the region one entry at this level spans.
     #[must_use]
     pub const fn entry_span(self) -> u64 {
-        match self {
-            Level::Pml4 => 1 << 39,
-            Level::Pdpt => 1 << 30,
-            Level::Pd => 1 << 21,
-            Level::Pt => 1 << 12,
-        }
+        1 << self.shift()
     }
 
     /// `true` if a leaf mapping may terminate at this level.
     #[must_use]
     pub const fn supports_leaf(self) -> bool {
-        !matches!(self, Level::Pml4)
+        self.geometry().leaf
+    }
+
+    /// `true` if the paging-structure cache holds entries of this
+    /// level: every level whose entries may link a table, so all but
+    /// the last (PTEs go to the TLB only).
+    #[must_use]
+    pub const fn psc_cached(self) -> bool {
+        self.next().is_some()
+    }
+
+    /// The leaf-slot rule: `true` if `entry`, read at this level, maps
+    /// a page rather than linking a table, present or not. Every entry
+    /// of the last level does; above it, an entry with PS where a leaf
+    /// may sit. The reference walker keeps its own copy of this rule.
+    #[must_use]
+    pub(crate) const fn is_leaf(self, entry: Pte) -> bool {
+        self.next().is_none() || (self.supports_leaf() && entry.flags().is_huge())
+    }
+
+    /// The descent rule: the table `entry`, read at this level, links
+    /// to — `Some` exactly when the entry is present and no leaf. A
+    /// non-present leaf (a guard) carries a data frame, never a table.
+    #[must_use]
+    pub(crate) fn link(self, entry: Pte) -> Option<FrameId> {
+        (entry.is_present() && !self.is_leaf(entry)).then(|| {
+            FrameId(u32::try_from(entry.addr().frame_number()).expect("table frame id fits u32"))
+        })
+    }
+}
+
+impl<T, const N: usize> Index<Level> for [T; N] {
+    type Output = T;
+    fn index(&self, level: Level) -> &T {
+        &self[level.depth()]
+    }
+}
+
+impl<T, const N: usize> IndexMut<Level> for [T; N] {
+    fn index_mut(&mut self, level: Level) -> &mut T {
+        &mut self[level.depth()]
     }
 }
 
@@ -417,15 +479,27 @@ impl fmt::Debug for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PhysAddr;
+    use crate::addr::{PhysAddr, VirtAddr};
     use crate::flags::PteFlags;
 
+    /// The geometry table against the architecture, in literals: a
+    /// wrong shift would move the shadow index and the reference walker
+    /// together, so only values not derived from the table catch it.
     #[test]
-    fn level_numbers_match_convention() {
-        assert_eq!(Level::Pml4.number(), 4);
-        assert_eq!(Level::Pdpt.number(), 3);
-        assert_eq!(Level::Pd.number(), 2);
-        assert_eq!(Level::Pt.number(), 1);
+    fn level_table_pins_architectural_geometry() {
+        let shifts = Level::WALK_ORDER.map(Level::shift);
+        assert_eq!(shifts, [39, 30, 21, 12]);
+        let spans = Level::WALK_ORDER.map(Level::entry_span);
+        assert_eq!(spans, [512 << 30, 1 << 30, 2 << 20, 4 << 10]);
+        // 0xffff_ffff_8000_0000, the canonical Linux kernel text start:
+        // PML4 511, PDPT 510, PD 0, PT 0.
+        let va = VirtAddr::new_truncate(0xffff_ffff_8000_0000);
+        assert_eq!(Level::WALK_ORDER.map(|l| va.index_for(l)), [511, 510, 0, 0]);
+        let va = VirtAddr::new_truncate(0xffff_ffff_c123_4567);
+        assert_eq!(
+            Level::WALK_ORDER.map(|l| va.index_for(l)),
+            [511, 511, 9, 52]
+        );
     }
 
     #[test]
@@ -436,22 +510,10 @@ mod tests {
         );
         assert_eq!(Level::Pml4.next(), Some(Level::Pdpt));
         assert_eq!(Level::Pt.next(), None);
-    }
-
-    #[test]
-    fn accesses_from_root_counts_structures() {
-        assert_eq!(Level::Pml4.accesses_from_root(), 1);
-        assert_eq!(Level::Pdpt.accesses_from_root(), 2);
-        assert_eq!(Level::Pd.accesses_from_root(), 3);
-        assert_eq!(Level::Pt.accesses_from_root(), 4);
-    }
-
-    #[test]
-    fn entry_spans() {
-        assert_eq!(Level::Pt.entry_span(), 4096);
-        assert_eq!(Level::Pd.entry_span(), 2 * 1024 * 1024);
-        assert_eq!(Level::Pdpt.entry_span(), 1024 * 1024 * 1024);
-        assert_eq!(Level::Pml4.entry_span(), 512u64 << 30);
+        assert_eq!(Level::Pml4.parent(), None);
+        assert_eq!(Level::Pt.parent(), Some(Level::Pd));
+        let chain = [10, 11, 12, 13];
+        assert_eq!(Level::WALK_ORDER.map(|l| chain[l]), chain);
     }
 
     #[test]
@@ -460,6 +522,32 @@ mod tests {
         assert!(Level::Pdpt.supports_leaf());
         assert!(Level::Pd.supports_leaf());
         assert!(Level::Pt.supports_leaf());
+    }
+
+    /// The leaf-slot and descent rules at every level: PT entries are
+    /// leaves, PS makes a PDPT/PD entry a leaf whether present or not,
+    /// and PS means nothing at the PML4; only a present non-leaf links.
+    #[test]
+    fn leaf_and_link_rules_by_level() {
+        let at = PhysAddr::new(7 << 12);
+        let table = Pte::new(at, PteFlags::PRESENT | PteFlags::WRITABLE);
+        let huge = Pte::new(at, PteFlags::PRESENT | PteFlags::HUGE);
+        let guard = Pte::new(at, PteFlags::HUGE);
+        for level in Level::WALK_ORDER {
+            let (table_leaf, huge_leaf) = match level {
+                Level::Pml4 => (false, false),
+                Level::Pdpt | Level::Pd => (false, true),
+                Level::Pt => (true, true),
+            };
+            assert_eq!(level.is_leaf(table), table_leaf, "{level}");
+            assert_eq!(level.is_leaf(huge), huge_leaf, "{level}");
+            assert_eq!(level.is_leaf(guard), huge_leaf, "{level}: presence ignored");
+            let linked = (!table_leaf).then_some(FrameId(7));
+            assert_eq!(level.link(table), linked, "{level}");
+            let linked = (!huge_leaf).then_some(FrameId(7));
+            assert_eq!(level.link(huge), linked, "{level}");
+            assert_eq!(level.link(guard), None, "{level}: a guard never links");
+        }
     }
 
     #[test]

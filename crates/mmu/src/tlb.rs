@@ -461,7 +461,7 @@ impl FullyAssoc {
 /// let mut tlb = Tlb::new(TlbConfig::default());
 /// let va = VirtAddr::new_truncate(0xffff_ffff_a1e0_0000);
 /// tlb.insert(TlbEntry {
-///     vpn: va.as_u64() >> 21,
+///     vpn: va.as_u64() >> PageSize::Size2M.shift(),
 ///     size: PageSize::Size2M,
 ///     pfn: 0x1000,
 ///     perms: EffectivePerms::kernel_default(),

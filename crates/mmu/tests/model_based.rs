@@ -59,6 +59,7 @@ enum Op {
         slot: u64,
         size: PageSize,
         writable: bool,
+        present: bool,
     },
     Lookup {
         slot: u64,
@@ -99,17 +100,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
             }
         ),
         (any::<u64>(), arb_size()).prop_map(|(slot, size)| Op::Unmap { slot, size }),
-        (any::<u64>(), arb_size(), any::<bool>()).prop_map(|(slot, size, writable)| Op::Protect {
-            slot,
-            size,
-            writable
-        }),
+        (any::<u64>(), arb_size(), any::<bool>(), any::<bool>()).prop_map(
+            |(slot, size, writable, present)| Op::Protect {
+                slot,
+                size,
+                writable,
+                present
+            }
+        ),
         (any::<u64>(), arb_size()).prop_map(|(slot, size)| Op::Lookup { slot, size }),
     ]
 }
 
-fn flags_for(user: bool, writable: bool) -> PteFlags {
-    let mut f = PteFlags::PRESENT;
+/// Leaf flags; without `present` the leaf is a PROT_NONE guard.
+fn flags_for(user: bool, writable: bool, present: bool) -> PteFlags {
+    let mut f = PteFlags::empty();
+    if present {
+        f |= PteFlags::PRESENT;
+    }
     if user {
         f |= PteFlags::USER;
     }
@@ -133,7 +141,7 @@ proptest! {
                 Op::Map { slot, size, user, writable } => {
                     let base = addr_of(slot, size);
                     let va = VirtAddr::new_truncate(base);
-                    let result = space.map(va, size, flags_for(user, writable));
+                    let result = space.map(va, size, flags_for(user, writable, true));
                     if model.overlaps(base, size) {
                         prop_assert!(
                             matches!(
@@ -147,7 +155,7 @@ proptest! {
                         prop_assert!(result.is_ok(), "free slot must map: {result:?}");
                         model.entries.insert(base, RefEntry {
                             size,
-                            flags: flags_for(user, writable),
+                            flags: flags_for(user, writable, true),
                         });
                     }
                 }
@@ -175,10 +183,10 @@ proptest! {
                         }
                     }
                 }
-                Op::Protect { slot, size, writable } => {
+                Op::Protect { slot, size, writable, present } => {
                     let base = addr_of(slot, size);
                     let va = VirtAddr::new_truncate(base);
-                    let new_flags = flags_for(true, writable);
+                    let new_flags = flags_for(true, writable, present);
                     let result = space.protect(va, size, new_flags);
                     match model.entries.get_mut(&base) {
                         Some(e) if e.size == size => {
@@ -194,7 +202,7 @@ proptest! {
                     for probe in [base, base + size.bytes() / 2] {
                         let va = VirtAddr::new_truncate(probe);
                         let walk = walker.walk(&space, va);
-                        match model.lookup(probe) {
+                        match model.lookup(probe).filter(|(_, e)| e.flags.is_present()) {
                             Some((mbase, e)) => {
                                 prop_assert!(walk.is_mapped(), "model has {mbase:#x}");
                                 let mapping = walk.mapping.unwrap();
@@ -215,16 +223,19 @@ proptest! {
                 }
             }
 
-            // Global invariant: live mapping count agrees.
+            // Global invariant: live mapping count agrees, guards
+            // included.
             prop_assert_eq!(space.mapped_pages(), model.entries.len());
         }
 
-        // Final invariant: region enumeration equals the model exactly.
+        // Final invariant: region enumeration equals the model's
+        // present entries exactly.
         let regions = space.iter_regions();
-        prop_assert_eq!(regions.len(), model.entries.len());
+        let present = model.entries.values().filter(|e| e.flags.is_present()).count();
+        prop_assert_eq!(regions.len(), present);
         for r in regions {
             let e = model.entries.get(&r.start.as_u64()).copied();
-            prop_assert!(e.is_some(), "extra region at {}", r.start);
+            prop_assert!(e.is_some_and(|e| e.flags.is_present()), "extra region at {}", r.start);
             prop_assert_eq!(e.unwrap().size, r.size);
         }
     }
