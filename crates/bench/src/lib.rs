@@ -436,7 +436,7 @@ pub fn trace_demo_scan(
     };
     config.install(
         p.machine_mut(),
-        &Scenario::KernelBase.defense_regions(),
+        Scenario::KernelBase.defense_regions(),
         seed,
     );
     p.machine_mut().set_victim_schedule(Some(schedule));

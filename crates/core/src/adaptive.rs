@@ -357,7 +357,10 @@ impl AdaptiveSampler {
 
     /// One warm-up + SPRT measurement rounds over a single tile,
     /// appending the per-address calls to `out`. All intermediate state
-    /// lives in `scratch`, so the sweep loop allocates nothing.
+    /// lives in `scratch`, so a tile allocates nothing once the buffers
+    /// have grown; a sweep call that builds its own scratch still
+    /// allocates them once per call (a trial's sweeps and re-visits
+    /// share one through [`crate::primitives::TileScratch`]).
     pub(crate) fn classify_tile<P: Prober + ?Sized>(
         &self,
         p: &mut P,
@@ -421,7 +424,9 @@ impl AdaptiveSampler {
 
 /// Reusable per-tile state of [`AdaptiveSampler::classify_tile`]. Every
 /// buffer is cleared before use, so one instance can serve any number
-/// of tiles, samplers and calls.
+/// of tiles, samplers and calls. Its eight buffers are allocated by the
+/// first tiles that grow them: per tile the loop is allocation-free,
+/// per sweep call only when the caller keeps the scratch.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AdaptiveScratch {
     warm: Vec<u64>,

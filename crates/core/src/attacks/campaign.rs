@@ -31,7 +31,9 @@ use rayon::prelude::*;
 use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
 use avx_os::activity::{apply_activity, ActivityTimeline, Behaviour};
 use avx_os::cloud::CloudScenario;
-use avx_os::linux::{LinuxConfig, LinuxSystem, KERNEL_SLOTS, KPTI_TRAMPOLINE_OFFSET, MODULE_SLOTS};
+use avx_os::linux::{
+    LinuxConfig, LinuxSystem, LinuxTruth, KERNEL_SLOTS, KPTI_TRAMPOLINE_OFFSET, MODULE_SLOTS,
+};
 use avx_os::process::{build_process, ImageSignature};
 use avx_os::windows::{WindowsConfig, WindowsSystem};
 use avx_uarch::{CpuProfile, Machine, NoiseProfile, ObservablesVersion, Vendor};
@@ -41,7 +43,7 @@ use crate::calibrate::{CalibrationFit, CalibratorKind, Threshold};
 use crate::decision::ConfirmConfig;
 use crate::defense::{DefenseKind, DefenseRegion};
 use crate::fleet::{legacy_trial_seed, machine_seed};
-use crate::primitives::{PermissionAttack, TlbAttack};
+use crate::primitives::{PermissionAttack, TileScratch, TlbAttack};
 use crate::prober::{Prober, SimProber};
 use crate::recal::RecalConfig;
 use crate::report::fmt_seconds;
@@ -369,6 +371,47 @@ pub enum TrialFixture {
     Inline,
 }
 
+/// The reusable state one worker runs trial after trial on: a
+/// [`Machine`] that each trial builder resets in place onto its
+/// victim's snapshot ([`LinuxSystem::snapshot_into`],
+/// [`Machine::reset`]), and the attacker's tile buffers, which every
+/// sweep and confirmation re-visit of a trial runs on. Each fleet
+/// shard and each [`Campaign::run`] worker keeps one, so a victim costs
+/// no machine or sweep set-up.
+///
+/// Reuse is unobservable (invariant 16): a machine reset onto a
+/// snapshot is in exactly the state a new one would be, and the tile
+/// buffers carry nothing from one tile to the next, so
+/// [`Scenario::run_trial_in`] returns the same [`TrialOutcome`] on any
+/// state, in any order, as [`Scenario::run_trial_with`] on a fresh one.
+#[derive(Debug, Default)]
+pub struct TrialState {
+    /// The prober over the machine the trials reuse; built by the
+    /// first trial.
+    prober: Option<SimProber>,
+    /// The attacker's tile buffers.
+    tiles: TileScratch,
+}
+
+impl TrialState {
+    /// An empty state: the first trial builds its machine.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The prober for one trial, its accounting restarted, over the
+    /// machine the caller resets onto its victim (a new one on
+    /// `profile` at first use), and the tile buffers.
+    fn parts(&mut self, profile: &CpuProfile) -> (&mut SimProber, &mut TileScratch) {
+        let p = self.prober.get_or_insert_with(|| {
+            SimProber::new(Machine::new(profile.clone(), AddressSpace::new(), 0))
+        });
+        p.restart();
+        (p, &mut self.tiles)
+    }
+}
+
 /// The eight end-to-end attacks of §IV as campaign scenarios.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Scenario {
@@ -478,18 +521,20 @@ impl Scenario {
     /// defended rows honestly equal its undefended ones. Cloud guests
     /// install their own regions inside [`super::cloud::run_scenario`].
     #[must_use]
-    pub fn defense_regions(self) -> Vec<DefenseRegion> {
+    pub fn defense_regions(self) -> &'static [DefenseRegion] {
+        const LINUX: [DefenseRegion; 2] = [
+            DefenseRegion::linux_kernel_text(),
+            DefenseRegion::linux_modules(),
+        ];
+        const WINDOWS: [DefenseRegion; 1] = [DefenseRegion::windows_kernel()];
         match self {
             Scenario::KernelBase
             | Scenario::AmdKernelBase
             | Scenario::Modules
             | Scenario::Kpti
-            | Scenario::Behaviour => vec![
-                DefenseRegion::linux_kernel_text(),
-                DefenseRegion::linux_modules(),
-            ],
-            Scenario::WindowsKaslr => vec![DefenseRegion::windows_kernel()],
-            Scenario::UserSpace | Scenario::Cloud => Vec::new(),
+            | Scenario::Behaviour => &LINUX,
+            Scenario::WindowsKaslr => &WINDOWS,
+            Scenario::UserSpace | Scenario::Cloud => &[],
         }
     }
 
@@ -564,25 +609,45 @@ impl Scenario {
         seed: u64,
         config: CampaignConfig,
     ) -> TrialOutcome {
+        self.run_trial_in(&mut TrialState::new(), profile, fixture, seed, config)
+    }
+
+    /// [`Scenario::run_trial_with`] on a reused [`TrialState`]: the
+    /// same outcome, without the machine and sweep set-up a fresh
+    /// state pays.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fixture kind does not match the scenario.
+    pub fn run_trial_in(
+        self,
+        state: &mut TrialState,
+        profile: &CpuProfile,
+        fixture: &TrialFixture,
+        seed: u64,
+        config: CampaignConfig,
+    ) -> TrialOutcome {
         match (self, fixture) {
             (Scenario::KernelBase, TrialFixture::Linux(sys)) => {
-                kernel_base_trial(profile, sys, seed, config)
+                kernel_base_trial(state, profile, sys, seed, config)
             }
             (Scenario::AmdKernelBase, TrialFixture::Linux(sys)) => {
-                amd_base_trial(profile, sys, seed, config)
+                amd_base_trial(state, profile, sys, seed, config)
             }
             (Scenario::Modules, TrialFixture::Linux(sys)) => {
-                modules_trial(profile, sys, seed, config)
+                modules_trial(state, profile, sys, seed, config)
             }
-            (Scenario::Kpti, TrialFixture::Linux(sys)) => kpti_trial(profile, sys, seed, config),
+            (Scenario::Kpti, TrialFixture::Linux(sys)) => {
+                kpti_trial(state, profile, sys, seed, config)
+            }
             (Scenario::Behaviour, TrialFixture::Linux(sys)) => {
-                behaviour_trial(profile, sys, seed, config)
+                behaviour_trial(state, profile, sys, seed, config)
             }
             (Scenario::UserSpace, TrialFixture::Process { space, truth }) => {
-                userspace_trial(profile, space, truth, seed, config)
+                userspace_trial(state, profile, space, truth, seed, config)
             }
             (Scenario::WindowsKaslr, TrialFixture::Windows(sys)) => {
-                windows_trial(profile, sys, seed, config)
+                windows_trial(state, profile, sys, seed, config)
             }
             (Scenario::Cloud, TrialFixture::Inline) => cloud_trial(seed, config),
             (scenario, _) => panic!("fixture kind does not match scenario {scenario}"),
@@ -818,7 +883,9 @@ impl Campaign {
             .collect();
         let mut outcomes = units
             .into_par_iter()
-            .map(|(c, i)| cells[c].run_trial(i))
+            .map_init(TrialState::new, |state, (c, i)| {
+                cells[c].run_trial(state, i)
+            })
             .collect::<Vec<TrialOutcome>>()
             .into_iter();
         cells
@@ -914,10 +981,10 @@ struct Cell<'a> {
 }
 
 impl Cell<'_> {
-    fn run_trial(&self, i: usize) -> TrialOutcome {
+    fn run_trial(&self, state: &mut TrialState, i: usize) -> TrialOutcome {
         let seed = legacy_trial_seed(self.config.seed0, self.scenario.seed_salt(), i as u64);
         self.scenario
-            .run_trial_with(self.profile, &self.pool[i], seed, self.config)
+            .run_trial_in(state, self.profile, &self.pool[i], seed, self.config)
     }
 
     /// Folds the cell's outcomes, in trial order, into its row.
@@ -931,36 +998,39 @@ impl Cell<'_> {
 // ---------------------------------------------------------------------
 // Per-scenario trial implementations.
 
-/// Machine over a copy-on-write snapshot of a prebuilt Linux system,
-/// with the campaign's victim environment installed over the regions
-/// every Linux scenario defends ([`Scenario::defense_regions`]). The
+/// The state's machine reset onto a copy-on-write snapshot of a
+/// prebuilt Linux system, with the campaign's victim environment
+/// installed over the regions every Linux scenario defends
+/// ([`Scenario::defense_regions`]), and the system's ground truth. The
 /// defense and schedule go onto the snapshot machine, so a
 /// re-randomizing victim or churning schedule only ever mutates its
-/// clone.
-fn linux_machine(
+/// own copy.
+fn linux_machine<'a>(
+    p: &mut SimProber,
     profile: &CpuProfile,
-    sys: &LinuxSystem,
+    sys: &'a LinuxSystem,
     seed: u64,
     config: CampaignConfig,
-) -> (Machine, avx_os::LinuxTruth) {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    config.install(&mut machine, &Scenario::KernelBase.defense_regions(), seed);
-    (machine, truth)
+) -> &'a LinuxTruth {
+    let machine = p.machine_mut();
+    let truth = sys.snapshot_into(machine, profile, machine_seed(seed));
+    config.install(machine, Scenario::KernelBase.defense_regions(), seed);
+    truth
 }
 
 /// [`linux_machine`] plus a prober calibrated with the campaign's
 /// estimator — against the defended, event-driven victim, like on real
 /// silicon.
-fn linux_prober(
+fn linux_prober<'a>(
+    p: &mut SimProber,
     profile: &CpuProfile,
-    sys: &LinuxSystem,
+    sys: &'a LinuxSystem,
     seed: u64,
     config: CampaignConfig,
-) -> (SimProber, avx_os::LinuxTruth, CalibrationFit) {
-    let (machine, truth) = linux_machine(profile, sys, seed, config);
-    let mut p = SimProber::new(machine);
-    let fit = Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
-    (p, truth, fit)
+) -> (&'a LinuxTruth, CalibrationFit) {
+    let truth = linux_machine(p, profile, sys, seed, config);
+    let fit = Threshold::calibrate_with(p, truth.user.calibration, 16, config.calibrator);
+    (truth, fit)
 }
 
 /// Host seconds of `cycles` at `profile_ghz`.
@@ -969,17 +1039,19 @@ pub(super) fn seconds(profile_ghz: f64, cycles: u64) -> f64 {
 }
 
 fn kernel_base_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
+    let (p, tiles) = state.parts(profile);
+    let (truth, fit) = linux_prober(p, profile, sys, seed, config);
     let finder = config.tune(
         KernelBaseFinder::new(fit.threshold),
         config.sampler_for(profile, &fit),
     );
-    let scan = finder.scan(&mut p);
+    let scan = finder.scan_in(p, tiles);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
     TrialOutcome {
@@ -993,13 +1065,14 @@ fn kernel_base_trial(
 }
 
 fn amd_base_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (machine, truth) = linux_machine(profile, sys, seed, config);
-    let mut p = SimProber::new(machine);
+    let (p, _) = state.parts(profile);
+    let truth = linux_machine(p, profile, sys, seed, config);
     // The level scan turns the sampling policy into its own knobs: an
     // early-stopping min-filter or a fixed repeat count.
     let mut finder = AmdKernelBaseFinder::for_default_kernel();
@@ -1012,7 +1085,7 @@ fn amd_base_trial(
     if let Some(recal) = config.recal {
         finder = finder.with_recalibration(recal);
     }
-    let scan = finder.scan(&mut p);
+    let scan = finder.scan(p);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
     TrialOutcome {
@@ -1026,17 +1099,19 @@ fn amd_base_trial(
 }
 
 fn modules_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
+    let (p, tiles) = state.parts(profile);
+    let (truth, fit) = linux_prober(p, profile, sys, seed, config);
     let scanner = config.tune(
         ModuleScanner::new(fit.threshold),
         config.sampler_for(profile, &fit),
     );
-    let scan = scanner.scan(&mut p);
+    let scan = scanner.scan_in(p, tiles);
     let mut accuracy = Trials::new();
     for m in &truth.modules {
         accuracy.record(
@@ -1056,17 +1131,19 @@ fn modules_trial(
 }
 
 fn kpti_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
+    let (p, tiles) = state.parts(profile);
+    let (truth, fit) = linux_prober(p, profile, sys, seed, config);
     let attack = config.tune(
         KptiAttack::new(fit.threshold, KPTI_TRAMPOLINE_OFFSET),
         config.sampler_for(profile, &fit),
     );
-    let scan = attack.scan(&mut p);
+    let scan = attack.scan_in(p, tiles);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
     TrialOutcome {
@@ -1084,12 +1161,14 @@ fn kpti_trial(
 const BEHAVIOUR_TRIAL_SECONDS: f64 = 30.0;
 
 fn behaviour_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &LinuxSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut p, truth, fit) = linux_prober(profile, sys, seed, config);
+    let (p, _) = state.parts(profile);
+    let (truth, fit) = linux_prober(p, profile, sys, seed, config);
     let th = fit.threshold;
     let timeline =
         ActivityTimeline::random(Behaviour::BluetoothAudio, BEHAVIOUR_TRIAL_SECONDS, 3, seed);
@@ -1107,7 +1186,7 @@ fn behaviour_trial(
     );
     let probing_before = p.probing_cycles();
     let total_before = p.total_cycles();
-    let trace = spy.monitor(&mut p, base, |p, t| {
+    let trace = spy.monitor(p, base, |p, t| {
         apply_activity(p.machine_mut(), &timeline, base, pages, t);
     });
     let probing = p.probing_cycles() - probing_before;
@@ -1131,6 +1210,7 @@ fn behaviour_trial(
 }
 
 fn userspace_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     space: &AddressSpace,
     truth: &avx_os::ProcessTruth,
@@ -1138,16 +1218,18 @@ fn userspace_trial(
     config: CampaignConfig,
 ) -> TrialOutcome {
     // Copy-on-write snapshot of the prebuilt process image; the
-    // attacker's own calibration page is mapped into the snapshot only.
-    let mut space = space.clone();
+    // attacker's own calibration page is mapped into the snapshot only,
+    // before the machine runs anything.
+    let (p, _) = state.parts(profile);
+    let machine = p.machine_mut();
+    machine.reset(profile, space, machine_seed(seed));
     let own = VirtAddr::new_truncate(0x5400_0000_0000);
-    space
+    machine
+        .space_mut()
         .map(own, PageSize::Size4K, PteFlags::user_ro())
         .expect("calibration page free");
-    let mut machine = Machine::new(profile.clone(), space, machine_seed(seed));
-    config.install(&mut machine, &Scenario::UserSpace.defense_regions(), seed);
-    let mut p = SimProber::new(machine);
-    let (perm, fit) = PermissionAttack::calibrate_with(&mut p, own, config.calibrator);
+    config.install(machine, Scenario::UserSpace.defense_regions(), seed);
+    let (perm, fit) = PermissionAttack::calibrate_with(p, own, config.calibrator);
     let mut scanner = UserSpaceScanner::new(perm);
     // The permission scanner centers its own hypotheses on the load
     // boundary; only the σ policy and budgets come from the shared
@@ -1168,7 +1250,7 @@ fn userspace_trial(
 
     let probing_before = p.probing_cycles();
     let total_before = p.total_cycles();
-    let map = scanner.scan(&mut p, first.base, span / 4096);
+    let map = scanner.scan(p, first.base, span / 4096);
     let probing = p.probing_cycles() - probing_before;
     let total = p.total_cycles() - total_before;
 
@@ -1194,24 +1276,22 @@ fn userspace_trial(
 }
 
 fn windows_trial(
+    state: &mut TrialState,
     profile: &CpuProfile,
     sys: &WindowsSystem,
     seed: u64,
     config: CampaignConfig,
 ) -> TrialOutcome {
-    let (mut machine, truth) = sys.machine(profile.clone(), machine_seed(seed));
-    config.install(
-        &mut machine,
-        &Scenario::WindowsKaslr.defense_regions(),
-        seed,
-    );
-    let mut p = SimProber::new(machine);
-    let fit = Threshold::calibrate_with(&mut p, truth.user_scratch, 16, config.calibrator);
+    let (p, tiles) = state.parts(profile);
+    let machine = p.machine_mut();
+    let truth = sys.snapshot_into(machine, profile, machine_seed(seed));
+    config.install(machine, Scenario::WindowsKaslr.defense_regions(), seed);
+    let fit = Threshold::calibrate_with(p, truth.user_scratch, 16, config.calibrator);
     let attack = config.tune(
         WindowsKaslrAttack::new(fit.threshold),
         config.sampler_for(profile, &fit),
     );
-    let scan = attack.find_kernel_region(&mut p);
+    let scan = attack.find_kernel_region_in(p, tiles);
     let mut accuracy = Trials::new();
     accuracy.record(scan.base == Some(truth.kernel_base));
     TrialOutcome {

@@ -92,8 +92,11 @@ pub fn run_scenario(
             let sys = LinuxSystem::build(cfg.clone());
             let (mut machine, truth) = sys.into_machine(scenario.cpu.clone(), machine_seed);
             // A Linux guest defends what every Linux scenario does.
-            let regions = Scenario::KernelBase.defense_regions();
-            config.install(&mut machine, &regions, machine_seed);
+            config.install(
+                &mut machine,
+                Scenario::KernelBase.defense_regions(),
+                machine_seed,
+            );
             let mut p = SimProber::new(machine);
             let fit =
                 Threshold::calibrate_with(&mut p, truth.user.calibration, 16, config.calibrator);
@@ -143,8 +146,11 @@ pub fn run_scenario(
         GuestOs::Windows(cfg) => {
             let sys = WindowsSystem::build(cfg.clone());
             let (mut machine, truth) = sys.into_machine(scenario.cpu.clone(), machine_seed);
-            let regions = Scenario::WindowsKaslr.defense_regions();
-            config.install(&mut machine, &regions, machine_seed);
+            config.install(
+                &mut machine,
+                Scenario::WindowsKaslr.defense_regions(),
+                machine_seed,
+            );
             let mut p = SimProber::new(machine);
             let fit = Threshold::calibrate_with(&mut p, truth.user_scratch, 16, config.calibrator);
             let attack = config.tune(

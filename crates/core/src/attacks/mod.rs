@@ -37,7 +37,9 @@ mod knobs {
 }
 
 pub use behavior::{AppFingerprinter, BehaviourTrace, SpyConfig, TlbSpy};
-pub use campaign::{table1, Campaign, CampaignConfig, CampaignRow, Scenario, TrialOutcome};
+pub use campaign::{
+    table1, Campaign, CampaignConfig, CampaignRow, Scenario, TrialOutcome, TrialState,
+};
 pub use cloud::{run_scenario, CloudBreakReport};
 pub use kaslr::{AmdKaslrScan, AmdKernelBaseFinder, KaslrScan, KernelBaseFinder};
 pub use kpti::{KptiAttack, KptiConfidence, KptiScan};

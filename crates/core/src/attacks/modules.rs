@@ -12,7 +12,7 @@ use avx_os::modules::ModuleSpec;
 use crate::adaptive::AdaptiveSampler;
 use crate::calibrate::Threshold;
 use crate::decision::{ConfirmConfig, Confirmer};
-use crate::primitives::PageTableAttack;
+use crate::primitives::{PageTableAttack, TileScratch};
 use crate::prober::{ProbeStrategy, Prober};
 use crate::recal::RecalConfig;
 use crate::stats::Trials;
@@ -119,18 +119,28 @@ impl ModuleScanner {
 
     /// Scans the whole module area through the batched probe pipeline.
     pub fn scan<P: Prober + ?Sized>(&self, p: &mut P) -> ModuleScan {
+        self.scan_in(p, &mut TileScratch::default())
+    }
+
+    /// [`ModuleScanner::scan`] on caller-kept tile buffers, shared by
+    /// the sweep and the confirmation re-visits.
+    pub(crate) fn scan_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        scratch: &mut TileScratch,
+    ) -> ModuleScan {
         let probing_before = p.probing_cycles();
         let total_before = p.total_cycles();
         let range = Self::candidate_range();
         let start = range.start;
-        let sweep = self.attack.sweep(p, &range);
+        let sweep = self.attack.sweep_in(p, &range, scratch);
         p.spend(MODULE_SLOTS * PER_PAGE_OVERHEAD_CYCLES);
         let mut detected = extract_runs(&sweep.mapped, start);
         let mut confirm_probes = 0u64;
         if let Some(config) = self.confirm {
             let confirmer = Confirmer::new(&self.attack, config);
             detected.retain(|module| {
-                let retest = confirmer.confirm_mapped(p, module.base);
+                let retest = confirmer.confirm_mapped_in(p, module.base, scratch);
                 confirm_probes += retest.probes;
                 retest.confirmed
             });

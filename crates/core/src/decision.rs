@@ -59,7 +59,7 @@
 
 use avx_mmu::VirtAddr;
 
-use crate::primitives::PageTableAttack;
+use crate::primitives::{PageTableAttack, TileScratch};
 use crate::prober::{ProbeStrategy, Prober};
 use crate::stats::{SeqDecision, SequentialLlr};
 
@@ -243,12 +243,25 @@ impl Confirmer {
     /// Runs the confirmation protocol on one candidate: escalated
     /// re-visits until the slot-level test decides.
     pub fn confirm_mapped<P: Prober + ?Sized>(&self, p: &mut P, addr: VirtAddr) -> Confirmation {
+        self.confirm_mapped_in(p, addr, &mut TileScratch::default())
+    }
+
+    /// [`Confirmer::confirm_mapped`] on caller-kept tile buffers. Each
+    /// re-visit is one open-loop sweep of the single address, which is
+    /// one tile of the per-tile classifier, run on `scratch` without
+    /// the sweep's result vectors.
+    pub(crate) fn confirm_mapped_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        addr: VirtAddr,
+        scratch: &mut TileScratch,
+    ) -> Confirmation {
+        debug_assert!(self.attack.recal.is_none(), "re-visits run open-loop");
         let mut sprt = SlotSprt::new(self.config);
         let mut probes = 0u64;
         loop {
-            let sweep = self.attack.sweep(p, &[addr]);
-            probes += sweep.probes;
-            if let Some(confirmed) = sprt.push(sweep.mapped[0]) {
+            probes += self.attack.classify_tile(p, &[addr], scratch);
+            if let Some(confirmed) = sprt.push(scratch.batch.mapped[0]) {
                 return Confirmation {
                     confirmed,
                     visits: sprt.visits(),
@@ -266,6 +279,16 @@ impl Confirmer {
         p: &mut P,
         candidates: impl IntoIterator<Item = (u64, VirtAddr)>,
     ) -> FirstConfirmed {
+        self.first_confirmed_in(p, candidates, &mut TileScratch::default())
+    }
+
+    /// [`Confirmer::first_confirmed`] on caller-kept tile buffers.
+    pub(crate) fn first_confirmed_in<P: Prober + ?Sized>(
+        &self,
+        p: &mut P,
+        candidates: impl IntoIterator<Item = (u64, VirtAddr)>,
+        scratch: &mut TileScratch,
+    ) -> FirstConfirmed {
         let mut out = FirstConfirmed {
             slot: None,
             tested: 0,
@@ -276,7 +299,7 @@ impl Confirmer {
                 break;
             }
             out.tested += 1;
-            let confirmation = self.confirm_mapped(p, addr);
+            let confirmation = self.confirm_mapped_in(p, addr, scratch);
             out.probes += confirmation.probes;
             if confirmation.confirmed {
                 out.slot = Some(slot);

@@ -137,7 +137,7 @@ pub struct DefenseRegion {
 impl DefenseRegion {
     /// The Linux kernel-text randomization range (512 × 2 MiB slots).
     #[must_use]
-    pub fn linux_kernel_text() -> Self {
+    pub const fn linux_kernel_text() -> Self {
         Self {
             start: KERNEL_TEXT_REGION_START,
             end: KERNEL_TEXT_REGION_END,
@@ -147,7 +147,7 @@ impl DefenseRegion {
 
     /// The Linux module area (16384 × 4 KiB slots).
     #[must_use]
-    pub fn linux_modules() -> Self {
+    pub const fn linux_modules() -> Self {
         Self {
             start: MODULE_REGION_START,
             end: MODULE_REGION_END,
@@ -157,7 +157,7 @@ impl DefenseRegion {
 
     /// The Windows kernel randomization range (§IV-G's 18-bit region).
     #[must_use]
-    pub fn windows_kernel() -> Self {
+    pub const fn windows_kernel() -> Self {
         Self {
             start: WIN_KERNEL_REGION_START,
             end: WIN_KERNEL_REGION_END,

@@ -66,7 +66,7 @@ use rayon::prelude::*;
 
 use avx_uarch::CpuProfile;
 
-use crate::attacks::campaign::{CampaignConfig, Scenario, TrialFixture, TrialOutcome};
+use crate::attacks::campaign::{CampaignConfig, Scenario, TrialFixture, TrialOutcome, TrialState};
 use crate::attacks::KptiConfidence;
 use crate::stats::Trials;
 
@@ -603,11 +603,22 @@ impl Fleet {
     /// pool.len()]`.
     #[must_use]
     pub fn run_victim_in(&self, pool: &[TrialFixture], idx: u64) -> TrialOutcome {
+        self.run_victim_on(&mut TrialState::new(), pool, idx)
+    }
+
+    /// [`Fleet::run_victim_in`] on a reused [`TrialState`] — the same
+    /// outcome (invariant 16).
+    fn run_victim_on(
+        &self,
+        state: &mut TrialState,
+        pool: &[TrialFixture],
+        idx: u64,
+    ) -> TrialOutcome {
         let salt = self.scenario.seed_salt();
         let seed = victim_seed(self.config.campaign_seed, salt, idx);
         let fixture = &pool[(idx % pool.len() as u64) as usize];
         self.scenario
-            .run_trial_with(&self.profile, fixture, seed, self.campaign)
+            .run_trial_in(state, &self.profile, fixture, seed, self.campaign)
     }
 
     /// Reruns victim `idx` in complete isolation — rebuilding only its
@@ -637,13 +648,15 @@ impl Fleet {
         )
     }
 
-    /// Streams one shard's victims into a fresh reducer.
+    /// Streams one shard's victims into a fresh reducer, every victim
+    /// on the shard's one [`TrialState`].
     #[must_use]
     pub fn run_shard(&self, pool: &[TrialFixture], shard: u64) -> FleetReducer {
         let (start, end) = self.shard_range(shard);
         let mut reducer = FleetReducer::new();
+        let mut state = TrialState::new();
         for idx in start..end {
-            reducer.push(&self.run_victim_in(pool, idx));
+            reducer.push(&self.run_victim_on(&mut state, pool, idx));
         }
         reducer
     }

@@ -13,6 +13,7 @@ pub mod permission;
 pub mod template;
 pub mod tlb;
 
+pub(crate) use page_table::TileScratch;
 pub use page_table::{LevelAttack, PageTableAttack, SweepClassification};
 pub use permission::{PermissionAttack, ProbedPerm};
 pub use template::TlbTemplateAttack;

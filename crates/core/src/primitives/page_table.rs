@@ -116,7 +116,24 @@ impl PageTableAttack {
         p: &mut P,
         candidates: &C,
     ) -> SweepClassification {
-        Recalibrating::for_attack(*self).sweep(p, candidates)
+        self.sweep_in(p, candidates, &mut TileScratch::default())
+    }
+
+    /// [`PageTableAttack::sweep`] on caller-kept tile buffers: the
+    /// driver borrows `scratch` for the sweep and hands it back, so a
+    /// trial's sweeps and confirmation re-visits grow one set of
+    /// buffers. The scratch carries nothing from one tile to the next,
+    /// so the result is the same for any scratch.
+    pub(crate) fn sweep_in<P: Prober + ?Sized, C: TileSource + ?Sized>(
+        &self,
+        p: &mut P,
+        candidates: &C,
+        scratch: &mut TileScratch,
+    ) -> SweepClassification {
+        let mut driver = Recalibrating::for_attack(*self).with_scratch(core::mem::take(scratch));
+        let sweep = driver.sweep(p, candidates);
+        *scratch = driver.into_scratch();
+        sweep
     }
 
     /// Classifies one tile with the current fit into `s.batch` (cleared
@@ -155,9 +172,13 @@ impl PageTableAttack {
     }
 }
 
-/// The reused buffers of [`PageTableAttack::classify_tile`]. Each tile
+/// The reused buffers of the per-tile classifier behind every
+/// [`PageTableAttack`] sweep and confirmation re-visit. Each tile
 /// clears them first, so they carry no state from one tile or call to
-/// the next.
+/// the next; a caller that keeps one ([`PageTableAttack::sweep_in`],
+/// [`crate::Confirmer::confirm_mapped_in`], a campaign's
+/// [`crate::attacks::campaign::TrialState`]) makes its sweeps
+/// allocation-free once the buffers have grown.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TileScratch {
     /// The last tile's calls, samples, probe counts and settled flags.

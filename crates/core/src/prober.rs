@@ -267,6 +267,16 @@ impl SimProber {
         }
     }
 
+    /// Back to the accounting `SimProber::new` starts with — native
+    /// context, no probes or overhead booked — for a machine that was
+    /// just reset under it ([`Machine::reset`]), whose noise is the
+    /// profile's again.
+    pub(crate) fn restart(&mut self) {
+        self.context = ExecutionContext::native();
+        self.overhead = 0;
+        self.probes = 0;
+    }
+
     /// The execution context the attack runs in.
     #[must_use]
     pub fn context(&self) -> ExecutionContext {

@@ -76,8 +76,7 @@ use avx_mmu::VirtAddr;
 
 use crate::adaptive::{AdaptiveMinFilter, MinFilterBatch, MinFilterScratch, Sampling};
 use crate::calibrate::{CalibrationFit, Threshold};
-use crate::primitives::page_table::TileScratch;
-use crate::primitives::{PageTableAttack, SweepClassification};
+use crate::primitives::{PageTableAttack, SweepClassification, TileScratch};
 use crate::prober::{ProbeStrategy, Prober};
 use crate::stats::{mad_sigma_runs, SampleRuns};
 use crate::sweep::TileSource;
@@ -424,6 +423,26 @@ impl Recalibrating {
             processed: 0,
             tile: TileScratch::default(),
         }
+    }
+
+    /// The driver on `scratch`'s tile buffers instead of its own
+    /// (see [`PageTableAttack::sweep_in`]).
+    #[must_use]
+    pub(crate) fn with_scratch(mut self, scratch: TileScratch) -> Self {
+        self.tile = scratch;
+        self
+    }
+
+    /// Ends the driver, returning its tile buffers for the next one.
+    #[must_use]
+    pub(crate) fn into_scratch(self) -> TileScratch {
+        self.tile
+    }
+
+    /// The driver's tile buffers, idle between sweeps: the streaming
+    /// scans run their confirmation re-visits on them.
+    pub(crate) fn scratch_mut(&mut self) -> &mut TileScratch {
+        &mut self.tile
     }
 
     /// The threshold currently in effect (moves across refits).

@@ -128,7 +128,7 @@ mod sealed {
 ///
 /// [`TileSource::for_each_tile`] is the one tile loop of the sweep
 /// engines: a slice is chunked in place, a range is generated into one
-/// reused tile buffer. Both yield the [`AddrRange::tiles`] shape, so a
+/// tile buffer on the stack. Both yield the [`AddrRange::tiles`] shape, so a
 /// range and its `to_vec()` sweep probe for probe alike. Sealed: the
 /// engines rely on that tile shape.
 pub trait TileSource: sealed::Sealed {
@@ -156,10 +156,13 @@ impl TileSource for AddrRange {
     }
 
     fn for_each_tile(&self, mut f: impl FnMut(&[VirtAddr])) {
-        let mut tile = Vec::with_capacity(ProbeStrategy::BATCH_TILE);
+        let mut tile = [VirtAddr::default(); ProbeStrategy::BATCH_TILE];
         for chunk in self.tiles() {
-            chunk.fill(&mut tile);
-            f(&tile);
+            let tile = &mut tile[..chunk.len()];
+            for (i, slot) in tile.iter_mut().enumerate() {
+                *slot = chunk.addr(i as u64);
+            }
+            f(tile);
         }
     }
 }

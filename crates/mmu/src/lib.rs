@@ -58,7 +58,7 @@ pub use error::MmuError;
 pub use flags::PteFlags;
 pub use psc::{PagingStructureCache, PscConfig};
 pub use pte::Pte;
-pub use shadow::{NonpresentRun, ResumeMemo, ShadowIndex, ShadowLookup, ShadowWalk};
+pub use shadow::{NonpresentRun, ResumeMemo, ShadowIndex, ShadowLookup, ShadowWalk, SharedShadow};
 pub use space::{AddressSpace, MappedRegion, PageSize};
 pub use table::{FrameId, Level, PageTable, ENTRIES_PER_TABLE};
 pub use tlb::{Tlb, TlbConfig, TlbEntry, TlbLookup};

@@ -147,10 +147,18 @@ impl AssocArray {
     }
 
     fn clear(&mut self) {
+        self.index.clear(&self.tags);
         self.tags.clear();
         self.entries.clear();
         self.stamps.clear();
-        self.index.clear();
+    }
+
+    /// Back to the state [`AssocArray::new`] builds, keeping the
+    /// allocations.
+    fn reset(&mut self) {
+        self.clear();
+        self.clock = 0;
+        self.mru = usize::MAX;
     }
 
     fn len(&self) -> usize {
@@ -196,6 +204,7 @@ impl PscResume {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PagingStructureCache {
+    config: PscConfig,
     /// One array per cached level, indexed by [`Level`]: the PML4E,
     /// PDPTE and PDE caches.
     arrays: [AssocArray; CACHED_LEVELS],
@@ -212,6 +221,7 @@ impl PagingStructureCache {
     #[must_use]
     pub fn new(config: PscConfig) -> Self {
         Self {
+            config,
             arrays: [
                 config.pml4e_entries,
                 config.pdpte_entries,
@@ -291,6 +301,24 @@ impl PagingStructureCache {
     pub fn flush_all(&mut self) {
         self.generation += 1;
         self.arrays.iter_mut().for_each(AssocArray::clear);
+    }
+
+    /// Puts the cache back into exactly the state
+    /// [`PagingStructureCache::new`] builds for its geometry: no
+    /// entries, zeroed clocks, counters and generation. Only the
+    /// entries that were filled are cleared, and the allocations are
+    /// kept, so one cache serves a stream of fresh machines.
+    pub fn reset(&mut self) {
+        self.arrays.iter_mut().for_each(AssocArray::reset);
+        self.hits = 0;
+        self.misses = 0;
+        self.generation = 0;
+    }
+
+    /// The geometry this cache was built with.
+    #[must_use]
+    pub fn config(&self) -> PscConfig {
+        self.config
     }
 
     /// The mutation counter the run server's PSC-resume proofs are

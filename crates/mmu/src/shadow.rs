@@ -58,6 +58,7 @@
 //! (`tests/support/shadow_reference.rs`).
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use crate::addr::VirtAddr;
 use crate::psc::{PagingStructureCache, PscEntry, PscResume};
@@ -111,6 +112,66 @@ impl fmt::Debug for ShadowInterval {
 pub struct ShadowIndex {
     shape_epoch: u64,
     intervals: Vec<ShadowInterval>,
+}
+
+/// A shadow index built at most once for one address space and shared
+/// by every copy-on-write snapshot of it.
+///
+/// A fixture that many trial machines snapshot holds one of these: the
+/// first machine whose walk needs the index builds it from its own
+/// snapshot, and every later machine whose space still has the recorded
+/// [`AddressSpace::shape_epoch`] reuses it. A snapshot that has not
+/// changed shape is structurally the source space (shape epochs only
+/// grow), and the index reads entry values live, so the shared index
+/// answers every walk exactly as one the machine built itself. Nothing
+/// is built until a walk asks for it.
+///
+/// Only snapshots of the space the cell was made for may use it: the
+/// epoch alone cannot tell two unrelated spaces apart.
+#[derive(Debug)]
+pub struct SharedShadow {
+    shape_epoch: u64,
+    index: OnceLock<ShadowIndex>,
+}
+
+impl SharedShadow {
+    /// An unbuilt index for `space` at its current walk shape.
+    #[must_use]
+    pub fn new(space: &AddressSpace) -> Self {
+        Self {
+            shape_epoch: space.shape_epoch(),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// `true` while `space` (the source space or a snapshot of it) has
+    /// the walk shape the cell was made at.
+    #[must_use]
+    pub fn is_current(&self, space: &AddressSpace) -> bool {
+        self.shape_epoch == space.shape_epoch()
+    }
+
+    /// The index, if some walk has built it.
+    #[must_use]
+    pub fn get(&self) -> Option<&ShadowIndex> {
+        self.index.get()
+    }
+
+    /// The index, built from `space` by the first caller. `space` must
+    /// be current ([`SharedShadow::is_current`]). The interval list is
+    /// shrunk to its length: a campaign keeps one cell per fixture
+    /// alive for its whole run.
+    pub fn get_or_build(&self, space: &AddressSpace) -> &ShadowIndex {
+        debug_assert!(
+            self.is_current(space),
+            "shared shadow index of another shape"
+        );
+        self.index.get_or_init(|| {
+            let mut index = ShadowIndex::build(space);
+            index.intervals.shrink_to_fit();
+            index
+        })
+    }
 }
 
 /// Lean walk verdict for the execution engine's hot path: everything a

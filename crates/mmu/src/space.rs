@@ -132,7 +132,6 @@ impl MappedRegion {
 /// structures — notably the shadow translation index the execution
 /// engine keeps — use the epoch to invalidate themselves; rewriting an
 /// entry with its current value is a no-op and leaves the epoch alone.
-#[derive(Clone)]
 pub struct AddressSpace {
     tables: Vec<Arc<PageTable>>,
     root: FrameId,
@@ -141,6 +140,31 @@ pub struct AddressSpace {
     mapped_pages: usize,
     epoch: u64,
     shape_epoch: u64,
+}
+
+impl Clone for AddressSpace {
+    fn clone(&self) -> Self {
+        Self {
+            tables: self.tables.clone(),
+            root: self.root,
+            next_data_frame: self.next_data_frame,
+            mapped_pages: self.mapped_pages,
+            epoch: self.epoch,
+            shape_epoch: self.shape_epoch,
+        }
+    }
+
+    /// Snapshots `source` into `self`, reusing the table list's
+    /// allocation: machines that are reset onto one fixture after
+    /// another re-snapshot without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.tables.clone_from(&source.tables);
+        self.root = source.root;
+        self.next_data_frame = source.next_data_frame;
+        self.mapped_pages = source.mapped_pages;
+        self.epoch = source.epoch;
+        self.shape_epoch = source.shape_epoch;
+    }
 }
 
 /// Data-page physical frames are handed out from this base so they never

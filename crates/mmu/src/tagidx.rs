@@ -68,9 +68,21 @@ impl TagIndex {
         }
     }
 
-    /// Drops every key.
-    pub(crate) fn clear(&mut self) {
-        self.buckets.fill((0, EMPTY_BUCKET));
+    /// Drops every key; `keys` must be the owner's live keys. Only the
+    /// buckets they occupy are written: each key's probe run from its
+    /// start bucket up to the first free one. Linear probing without
+    /// tombstones keeps every occupied bucket inside such a run, so
+    /// clearing the runs of all live keys empties the index.
+    pub(crate) fn clear(&mut self, keys: &[u64]) {
+        let mask = self.buckets.len() - 1;
+        for &key in keys {
+            let mut b = self.bucket_start(key);
+            while self.buckets[b].1 != EMPTY_BUCKET {
+                self.buckets[b] = (0, EMPTY_BUCKET);
+                b = (b + 1) & mask;
+            }
+        }
+        debug_assert!(self.buckets.iter().all(|&(_, pos)| pos == EMPTY_BUCKET));
     }
 }
 
@@ -92,7 +104,25 @@ mod tests {
         assert_eq!(idx.find(9), Some(0));
         assert_eq!(idx.find(7), Some(1));
         assert_eq!(idx.find(0), None);
-        idx.clear();
+        idx.clear(&[9, 7]);
         assert_eq!(idx.find(9), None);
+    }
+
+    #[test]
+    fn clearing_the_live_keys_empties_every_bucket() {
+        // Colliding keys: probe runs overlap and wrap around the end of
+        // the bucket array.
+        for n in [1usize, 5, 8, 31, 32] {
+            let mut idx = TagIndex::with_capacity(8);
+            let keys: Vec<u64> = (0..n as u64).map(|k| k << 40 | 3).collect();
+            for (pos, &key) in keys.iter().enumerate() {
+                idx.insert(key, pos);
+            }
+            idx.clear(&keys);
+            assert!(
+                idx.buckets.iter().all(|&(_, pos)| pos == EMPTY_BUCKET),
+                "{n}"
+            );
+        }
     }
 }

@@ -287,6 +287,22 @@ impl SetAssoc {
         }
     }
 
+    /// Back to the state [`SetAssoc::new`] builds: every way dead and
+    /// the clock at zero. Only live sets are written; dead ways' keys
+    /// and entries are never read.
+    fn reset(&mut self) {
+        for set in 0..self.sets {
+            if self.live[set] != 0 {
+                let base = set * self.ways;
+                self.stamps[base..base + self.ways].fill(0);
+                self.live[set] = 0;
+                self.sig[set] = 0;
+            }
+        }
+        self.live_by_size = [0; 3];
+        self.clock = 0;
+    }
+
     fn contains(&self, va: VirtAddr) -> bool {
         (0..self.stamps.len()).any(|s| self.stamps[s] != 0 && self.entries[s].covers(va))
     }
@@ -426,12 +442,18 @@ impl FullyAssoc {
             }
             self.index.rebuild(&self.keys);
         } else {
+            self.index.clear(&self.keys);
             self.keys.clear();
             self.entries.clear();
             self.stamps.clear();
-            self.index.clear();
             self.live_by_size = [0; 3];
         }
+    }
+
+    /// Back to the state [`FullyAssoc::new`] builds.
+    fn reset(&mut self) {
+        self.flush(false);
+        self.clock = 0;
     }
 
     fn contains(&self, va: VirtAddr) -> bool {
@@ -605,6 +627,21 @@ impl Tlb {
         if !keep_global {
             self.span = EMPTY_SPAN;
         }
+    }
+
+    /// Puts the TLB back into exactly the state [`Tlb::new`] builds for
+    /// its geometry: no entries, zeroed replacement clocks and hit/miss
+    /// counters, an empty span. Only the sets and slots that hold
+    /// entries are cleared, and the allocations are kept, so one TLB
+    /// serves a stream of fresh machines.
+    pub fn reset(&mut self) {
+        self.dtlb.reset();
+        self.huge.reset();
+        self.stlb.reset();
+        self.hits_l1 = 0;
+        self.hits_l2 = 0;
+        self.misses = 0;
+        self.span = EMPTY_SPAN;
     }
 
     /// Simulates the user-level eviction pattern of Gras et al.: fills the

@@ -11,19 +11,26 @@
 //! at every step of *any* interleaving of structural mutations,
 //! flags-only mutations and probes — including the stale-PSC resumes
 //! that arise when the tables mutate without `INVLPG`, exactly as on
-//! hardware.
+//! hardware. The reference walker's own PSC is in turn checked, walk by
+//! walk, against an independent model (`support/psc_model.rs`), and a
+//! reset PSC and TLB must replay any trace exactly like fresh ones.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use avx_mmu::psc::PscEntry;
 use avx_mmu::{
-    AddressSpace, FrameId, PageSize, PagingStructureCache, PscConfig, PteFlags, ShadowIndex,
-    ShadowWalk, VirtAddr, WalkOutcome, Walker,
+    AddressSpace, EffectivePerms, FrameId, Level, PageSize, PagingStructureCache, PscConfig,
+    PteFlags, ShadowIndex, ShadowWalk, Tlb, TlbConfig, TlbEntry, VirtAddr, WalkOutcome, Walker,
 };
 
+#[path = "support/psc_model.rs"]
+mod psc_model;
 #[path = "support/shadow_reference.rs"]
 mod shadow_reference;
+
+use psc_model::PscModel;
 
 /// Candidate page bases the mutation driver works over: a mix of user,
 /// kernel-text, module-area and wild addresses, various alignments.
@@ -73,13 +80,15 @@ fn assert_same_walk(
 
 /// Applies one random mutation or probe step; probes compare the shadow
 /// index (rebuilt only on shape-epoch change, like the engine does)
-/// against the reference walker on the same evolving PSC pair.
+/// against the reference walker on the same evolving PSC pair, and the
+/// reference walker's PSC against the independent model.
 fn drive(seed: u64, steps: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut space = AddressSpace::new();
     let walker = Walker::new();
     let mut psc_slow = PagingStructureCache::new(PscConfig::default());
     let mut psc_fast = PagingStructureCache::new(PscConfig::default());
+    let mut model = PscModel::new();
     let mut shadow = ShadowIndex::build(&space);
     let mut hint = 0usize;
 
@@ -137,6 +146,7 @@ fn drive(seed: u64, steps: usize) {
                 let va = VirtAddr::new_truncate(site);
                 psc_slow.invlpg(va);
                 psc_fast.invlpg(va);
+                model.invlpg(va);
             }
             // Probes: walk and compare.
             _ => {
@@ -153,28 +163,133 @@ fn drive(seed: u64, steps: usize) {
                         shadow.walk_costed(&space, va, None, &mut hint, &mut on_access),
                     )
                 } else {
-                    (
-                        walker.walk_with_psc(&space, va, &mut psc_slow),
-                        shadow.walk_costed(
-                            &space,
-                            va,
-                            Some(&mut psc_fast),
-                            &mut hint,
-                            &mut on_access,
-                        ),
-                    )
+                    let slow = walker.walk_with_psc(&space, va, &mut psc_slow);
+                    model.walk(va, &slow, step);
+                    let fast = shadow.walk_costed(
+                        &space,
+                        va,
+                        Some(&mut psc_fast),
+                        &mut hint,
+                        &mut on_access,
+                    );
+                    (slow, fast)
                 };
                 assert_same_walk(&fast, &accesses, &slow, step);
                 assert_eq!(psc_fast.len(), psc_slow.len(), "step {step}");
                 assert_eq!(psc_fast.hits(), psc_slow.hits(), "step {step}");
                 assert_eq!(psc_fast.misses(), psc_slow.misses(), "step {step}");
+                assert_eq!(model.len(), psc_slow.len(), "step {step}");
+                assert_eq!(model.hits(), psc_slow.hits(), "step {step}");
+                assert_eq!(model.misses(), psc_slow.misses(), "step {step}");
             }
         }
     }
 }
 
+/// A random trace step over the translation caches.
+#[derive(Clone, Copy, Debug)]
+enum CacheOp {
+    Lookup(VirtAddr),
+    Insert(VirtAddr, PageSize, bool),
+    Invlpg(VirtAddr),
+    Flush(bool),
+    Evict(VirtAddr),
+}
+
+/// A trace of `len` steps over a small address pool, so lookups hit,
+/// arrays fill and evict, and invalidations find their entries.
+fn cache_trace(rng: &mut StdRng, len: usize) -> Vec<CacheOp> {
+    (0..len)
+        .map(|_| {
+            let site = SITES[rng.gen_range(0..SITES.len())];
+            let va = VirtAddr::new_truncate(site.wrapping_add(rng.gen_range(0u64..24) << 21));
+            match rng.gen_range(0u32..16) {
+                0..=6 => CacheOp::Lookup(va),
+                7..=11 => {
+                    let size = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
+                        [rng.gen_range(0..3usize)];
+                    CacheOp::Insert(va, size, rng.gen_range(0u32..2) == 0)
+                }
+                12 | 13 => CacheOp::Invlpg(va),
+                14 => CacheOp::Evict(va),
+                _ => CacheOp::Flush(rng.gen_range(0u32..2) == 0),
+            }
+        })
+        .collect()
+}
+
+/// Runs `trace` on a TLB and a PSC, recording every observable result.
+fn replay(tlb: &mut Tlb, psc: &mut PagingStructureCache, trace: &[CacheOp]) -> Vec<String> {
+    trace
+        .iter()
+        .map(|&op| {
+            let result = match op {
+                CacheOp::Lookup(va) => format!("{:?} {:?}", tlb.lookup(va), psc.lookup_deepest(va)),
+                CacheOp::Insert(va, size, global) => {
+                    let perms = EffectivePerms {
+                        global,
+                        ..EffectivePerms::kernel_default()
+                    };
+                    tlb.insert(TlbEntry {
+                        vpn: va.as_u64() >> size.shift(),
+                        size,
+                        pfn: va.as_u64() >> 12,
+                        perms,
+                    });
+                    let level =
+                        [Level::Pml4, Level::Pdpt, Level::Pd][(va.as_u64() >> 21) as usize % 3];
+                    let next_table = FrameId::default();
+                    psc.insert(level, va, PscEntry { next_table, perms });
+                    String::new()
+                }
+                CacheOp::Invlpg(va) => {
+                    tlb.invlpg(va);
+                    psc.invlpg(va);
+                    String::new()
+                }
+                CacheOp::Flush(keep_global) => {
+                    tlb.flush(keep_global);
+                    psc.flush_all();
+                    String::new()
+                }
+                CacheOp::Evict(va) => tlb.evict_address(va).to_string(),
+            };
+            format!(
+                "{result} | {:?} {} {} {} {} {}",
+                tlb.stats(),
+                tlb.len(),
+                psc.len(),
+                psc.hits(),
+                psc.misses(),
+                psc.generation(),
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A TLB and a PSC reset after an arbitrary history replay any
+    /// trace exactly like freshly built ones: same lookups, evictions,
+    /// counters, lengths and PSC generation.
+    #[test]
+    fn reset_caches_replay_like_fresh_ones(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7e5e7);
+        let (history, trace) = (cache_trace(&mut rng, 300), cache_trace(&mut rng, 300));
+        let config = TlbConfig::default();
+        let (mut tlb, mut psc) = (Tlb::new(config), PagingStructureCache::new(PscConfig::default()));
+        let _ = replay(&mut tlb, &mut psc, &history);
+        tlb.reset();
+        psc.reset();
+        let reused = replay(&mut tlb, &mut psc, &trace);
+        let fresh = replay(
+            &mut Tlb::new(config),
+            &mut PagingStructureCache::new(PscConfig::default()),
+            &trace,
+        );
+        prop_assert_eq!(reused, fresh);
+    }
 
     /// Shadow walk ≡ reference walker — verdict, access list and PSC
     /// evolution — under randomized map/unmap/protect/A-D/probe

@@ -12,7 +12,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use avx_mmu::{AddressSpace, MmuError, PageSize, PteFlags, VirtAddr};
+use std::sync::Arc;
+
+use avx_mmu::{AddressSpace, MmuError, PageSize, PteFlags, SharedShadow, VirtAddr};
 use avx_uarch::{CpuProfile, Machine};
 
 use crate::modules::{default_module_set, ModuleSpec};
@@ -228,6 +230,9 @@ impl LinuxTruth {
 #[derive(Clone, Debug)]
 pub struct LinuxSystem {
     space: AddressSpace,
+    /// The shadow index every snapshot machine shares, built by the
+    /// first walk that needs it (never by [`LinuxSystem::build`]).
+    shadow_index: Arc<SharedShadow>,
     truth: LinuxTruth,
     config: LinuxConfig,
 }
@@ -363,6 +368,7 @@ impl LinuxSystem {
             user,
         };
         Self {
+            shadow_index: Arc::new(SharedShadow::new(&space)),
             space,
             truth,
             config,
@@ -394,16 +400,31 @@ impl LinuxSystem {
     }
 
     /// Builds a [`Machine`] from a copy-on-write snapshot of this
-    /// system, leaving the system reusable: the paging-structure arena
-    /// is shared until the machine first writes to it (A/D-bit
-    /// settling), so campaign engines construct one layout per seed and
-    /// hand every (CPU, noise) trial its own isolated O(1) copy.
+    /// system, leaving the system reusable: a new machine through
+    /// [`LinuxSystem::snapshot_into`], plus a copy of the ground truth.
     #[must_use]
     pub fn machine(&self, profile: CpuProfile, seed: u64) -> (Machine, LinuxTruth) {
-        (
-            Machine::new(profile, self.space.clone(), seed),
-            self.truth.clone(),
-        )
+        let mut machine = Machine::new(profile.clone(), AddressSpace::new(), seed);
+        let truth = self.snapshot_into(&mut machine, &profile, seed).clone();
+        (machine, truth)
+    }
+
+    /// Resets `machine` ([`Machine::reset`]) onto a copy-on-write
+    /// snapshot of this system and returns the ground truth, borrowed.
+    /// The paging-structure arena is shared until the machine first
+    /// writes to it (A/D-bit settling), and so is the system's shadow
+    /// index until the machine's space changes shape, so campaign
+    /// engines construct one layout per seed and hand every (CPU,
+    /// noise) trial its own isolated O(1) copy on a reused machine.
+    pub fn snapshot_into(
+        &self,
+        machine: &mut Machine,
+        profile: &CpuProfile,
+        seed: u64,
+    ) -> &LinuxTruth {
+        machine.reset(profile, &self.space, seed);
+        machine.share_shadow(&self.shadow_index);
+        &self.truth
     }
 }
 

@@ -12,7 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use avx_mmu::{AddressSpace, PageSize, PteFlags, VirtAddr};
+use std::sync::Arc;
+
+use avx_mmu::{AddressSpace, PageSize, PteFlags, SharedShadow, VirtAddr};
 use avx_uarch::{CpuProfile, Machine};
 
 /// Start of the Windows kernel randomization region.
@@ -84,6 +86,9 @@ pub struct WindowsTruth {
 #[derive(Clone, Debug)]
 pub struct WindowsSystem {
     space: AddressSpace,
+    /// The shadow index every snapshot machine shares, built by the
+    /// first walk that needs it.
+    shadow_index: Arc<SharedShadow>,
     truth: WindowsTruth,
     config: WindowsConfig,
 }
@@ -154,6 +159,7 @@ impl WindowsSystem {
             .expect("user scratch");
 
         Self {
+            shadow_index: Arc::new(SharedShadow::new(&space)),
             space,
             truth: WindowsTruth {
                 kernel_base,
@@ -191,11 +197,27 @@ impl WindowsSystem {
     }
 
     /// Builds a [`Machine`] from a copy-on-write snapshot of this
-    /// system, leaving the system reusable across trials (see
-    /// [`crate::linux::LinuxSystem::machine`]).
+    /// system, leaving the system reusable across trials: a new machine
+    /// through [`WindowsSystem::snapshot_into`].
     #[must_use]
     pub fn machine(&self, profile: CpuProfile, seed: u64) -> (Machine, WindowsTruth) {
-        (Machine::new(profile, self.space.clone(), seed), self.truth)
+        let mut machine = Machine::new(profile.clone(), AddressSpace::new(), seed);
+        let truth = *self.snapshot_into(&mut machine, &profile, seed);
+        (machine, truth)
+    }
+
+    /// Resets `machine` onto a copy-on-write snapshot of this system
+    /// (see [`crate::linux::LinuxSystem::snapshot_into`]) and returns
+    /// the ground truth.
+    pub fn snapshot_into(
+        &self,
+        machine: &mut Machine,
+        profile: &CpuProfile,
+        seed: u64,
+    ) -> &WindowsTruth {
+        machine.reset(profile, &self.space, seed);
+        machine.share_shadow(&self.shadow_index);
+        &self.truth
     }
 }
 

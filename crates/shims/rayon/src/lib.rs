@@ -61,22 +61,44 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    par_map_init(items, || (), |(), item| f(item))
+}
+
+/// [`par_map`] with per-worker state: each worker calls `init` once
+/// and hands the value to `f` for every item it claims (the inline
+/// path of a one-worker run calls it once in all). Which items share a
+/// state depends on the claim order, so `f`'s results must not depend
+/// on the state it is given.
+///
+/// # Panics
+///
+/// Re-raises the first panic of `init` or `f`, after the workers stop.
+pub fn par_map_init<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
     let n = items.len();
     let threads = current_num_threads().min(n);
     if threads <= 1 {
-        return items.into_iter().map(f).collect();
+        let mut state = init();
+        return items.into_iter().map(|item| f(&mut state, item)).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
-    let (queue, f) = (&queue, &f);
+    let (queue, init, f) = (&queue, &init, &f);
     let worker = move || {
         WORKERS.with(|w| w.set(Some(1)));
         let mut done = Vec::new();
+        let mut state = None;
         loop {
             // The lock is held only while taking the next item, never
             // while running `f`, so a panicking item cannot poison it.
             let next = queue.lock().expect("work queue lock").next();
             let Some((i, item)) = next else { break };
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+            let run = || f(state.get_or_insert_with(init), item);
+            match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(r) => done.push((i, r)),
                 Err(payload) => {
                     // Empty the queue so the other workers stop at their
@@ -202,6 +224,21 @@ impl<T: Send> ParIter<T> {
         }
     }
 
+    /// Applies `f` in parallel with per-worker state made by `init`
+    /// (rayon's `map_init`), preserving order.
+    pub fn map_init<S, R, I, F>(self, init: I, f: F) -> ParMapInit<T, I, F>
+    where
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, T) -> R + Sync,
+    {
+        ParMapInit {
+            items: self.items,
+            init,
+            f,
+        }
+    }
+
     /// Runs `f` on every item in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
         par_map(self.items, f);
@@ -244,6 +281,28 @@ where
         Op: Fn(R, R) -> R,
     {
         par_map(self.items, self.f).into_iter().fold(identity(), op)
+    }
+}
+
+/// A parallel map stage with per-worker state, awaiting collection.
+pub struct ParMapInit<T, I, F> {
+    items: Vec<T>,
+    init: I,
+    f: F,
+}
+
+impl<T, S, R, I, F> ParMapInit<T, I, F>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    /// Executes the map and collects the ordered results.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        par_map_init(self.items, self.init, self.f)
+            .into_iter()
+            .collect()
     }
 }
 
@@ -322,6 +381,51 @@ mod tests {
         let squares: Vec<u64> = (0u64..1000).into_par_iter().map(|x| x * x).collect();
         let expected: Vec<u64> = (0u64..1000).map(|x| x * x).collect();
         assert_eq!(squares, expected);
+    }
+
+    #[test]
+    fn map_init_preserves_order_and_builds_one_state_per_worker() {
+        for threads in [1, 2, 5] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let inits = AtomicUsize::new(0);
+            let out: Vec<(u64, usize)> = pool.install(|| {
+                (0u64..200)
+                    .into_par_iter()
+                    .map_init(
+                        || inits.fetch_add(1, Ordering::Relaxed),
+                        |_, x| {
+                            // Long enough that every worker claims work.
+                            std::thread::sleep(Duration::from_micros(50));
+                            (x * 3, 0)
+                        },
+                    )
+                    .collect()
+            });
+            assert_eq!(out, (0u64..200).map(|x| (x * 3, 0)).collect::<Vec<_>>());
+            let inits = inits.load(Ordering::Relaxed);
+            assert!(
+                (1..=threads).contains(&inits),
+                "{threads} workers, {inits} states"
+            );
+        }
+    }
+
+    #[test]
+    fn map_init_state_persists_across_a_workers_items() {
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let seen: Vec<u64> = pool.install(|| {
+            (0u64..5)
+                .into_par_iter()
+                .map_init(Vec::new, |history: &mut Vec<u64>, x| {
+                    history.push(x);
+                    history.iter().sum()
+                })
+                .collect()
+        });
+        assert_eq!(seen, vec![0, 1, 3, 6, 10]);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! * TLB hit vs miss and walk depth modulate latency (P2–P4),
 //! * masked stores run ~16–18 cycles faster than loads under assist (P6).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use avx_mmu::{
-    AddressSpace, Level, PagingStructureCache, ResumeMemo, ShadowIndex, ShadowWalk, Tlb, TlbEntry,
+    AddressSpace, Level, PagingStructureCache, ResumeMemo, ShadowWalk, SharedShadow, Tlb, TlbEntry,
     TlbLookup, VirtAddr, Walker,
 };
 
@@ -167,8 +169,10 @@ pub struct Machine {
     /// the address space's *walk shape* mutates (keyed on
     /// [`AddressSpace::shape_epoch`] — flags-only PTE rewrites such as
     /// A/D-bit settling deliberately do not invalidate it, because the
-    /// index reads entry values live).
-    shadow: Option<ShadowIndex>,
+    /// index reads entry values live). A snapshot machine starts on its
+    /// fixture's shared index ([`Machine::share_shadow`]) and builds
+    /// its own only once its space changes shape.
+    shadow: Option<Arc<SharedShadow>>,
     /// Interval cursor of the last shadow lookup — sweeps touch
     /// consecutive intervals, making the common lookup O(1).
     shadow_hint: usize,
@@ -215,11 +219,7 @@ impl Machine {
     pub fn new(profile: CpuProfile, space: AddressSpace, seed: u64) -> Self {
         let tlb = Tlb::new(profile.tlb);
         let psc = PagingStructureCache::new(profile.psc);
-        let noise = NoiseModel::new(
-            profile.timing.noise_sigma,
-            profile.timing.spike_prob,
-            profile.timing.spike_range,
-        );
+        let noise = profile_noise(&profile.timing);
         Self {
             profile,
             space,
@@ -242,6 +242,81 @@ impl Machine {
             rng: StdRng::seed_from_u64(seed),
             v1_tile: V1Tile::new(),
             tsc: 0,
+        }
+    }
+
+    /// Puts this machine back into exactly the state
+    /// `Machine::new(profile.clone(), space.clone(), seed)` builds, in
+    /// place: a copy-on-write snapshot of `space`, empty TLB, PSC and
+    /// PTE-line cache, zeroed counters, memory and clock, the profile's
+    /// stationary noise under v1 observables, no drift schedule, defense
+    /// or victim schedule, the shadow index on (unless built with
+    /// `reference-walk`) and not yet built, and the RNG seeded from
+    /// `seed`. Only what the previous run filled is cleared, and the
+    /// caches keep their allocations when the geometry is unchanged, so
+    /// a worker that attacks victim after victim on one machine pays no
+    /// set-up a fresh machine would not (invariant 16).
+    pub fn reset(&mut self, profile: &CpuProfile, space: &AddressSpace, seed: u64) {
+        // Destructured so that a new field cannot be left out.
+        let Self {
+            profile: own_profile,
+            space: own_space,
+            tlb,
+            psc,
+            lines,
+            walker: _,
+            shadow,
+            shadow_hint,
+            shadow_enabled,
+            resume_memo,
+            pmc,
+            mem,
+            noise,
+            schedule,
+            probe_seq,
+            observables,
+            defense,
+            sched,
+            rng,
+            v1_tile,
+            tsc,
+        } = self;
+        if tlb.config() == profile.tlb {
+            tlb.reset();
+        } else {
+            *tlb = Tlb::new(profile.tlb);
+        }
+        if psc.config() == profile.psc {
+            psc.reset();
+        } else {
+            *psc = PagingStructureCache::new(profile.psc);
+        }
+        own_profile.clone_from(profile);
+        own_space.clone_from(space);
+        lines.flush();
+        *shadow = None;
+        *shadow_hint = 0;
+        *shadow_enabled = !cfg!(feature = "reference-walk");
+        *resume_memo = None;
+        pmc.reset();
+        mem.clear();
+        *noise = profile_noise(&profile.timing);
+        *schedule = None;
+        *probe_seq = 0;
+        *observables = ObservablesVersion::V1;
+        *defense = None;
+        *sched = None;
+        *rng = StdRng::seed_from_u64(seed);
+        *v1_tile = V1Tile::new();
+        *tsc = 0;
+    }
+
+    /// Starts this machine on `shadow`, the shared index of the space
+    /// it was last reset onto ([`SharedShadow`]), while its space still
+    /// has that shape; a later shape change makes it build its own.
+    pub fn share_shadow(&mut self, shadow: &Arc<SharedShadow>) {
+        if shadow.is_current(&self.space) {
+            self.shadow = Some(Arc::clone(shadow));
         }
     }
 
@@ -602,7 +677,8 @@ impl Machine {
     /// slot first and skip the (no-op) write entirely.
     fn mark_accessed_shadowed(&mut self, page: VirtAddr, write: bool) {
         if self.shadow_enabled {
-            if let Some(shadow) = self.shadow.as_ref().filter(|s| s.is_current(&self.space)) {
+            let current = self.shadow.as_deref().filter(|s| s.is_current(&self.space));
+            if let Some(shadow) = current.and_then(SharedShadow::get) {
                 let (table, idx) = shadow.terminal_slot(page, &mut self.shadow_hint);
                 let entry = self.space.table(table).entry(idx);
                 let mut need = avx_mmu::PteFlags::ACCESSED;
@@ -635,14 +711,25 @@ impl Machine {
         }
     }
 
-    /// Convenience probe: executes an all-zero-mask op and returns the
-    /// measured cycles. This is the attack's innermost loop.
+    /// The attack probe: executes the all-zero-mask op
+    /// [`MaskedOp::probe_load`] or [`MaskedOp::probe_store`] at `addr`
+    /// and returns the measured cycles.
+    ///
+    /// Observably identical to `execute(op).cycles` — same caches,
+    /// counters, clock and noise stream (`probe_matches_execute_*`) —
+    /// but allocation-free: an all-zero mask can neither fault nor move
+    /// data, so no touched-page list, no transfer buffer and no
+    /// [`MaskedOutcome`] are built. Its translation step is the one the
+    /// batch paths take for a probe the run server does not serve.
     pub fn probe(&mut self, kind: OpKind, addr: VirtAddr) -> u64 {
-        let op = match kind {
-            OpKind::Load => MaskedOp::probe_load(addr),
-            OpKind::Store => MaskedOp::probe_store(addr),
-        };
-        self.execute(op).cycles
+        self.sched_tick();
+        self.defense_tick();
+        let probe = BatchProbe::new(kind, &self.profile.timing);
+        self.pmc.bump(probe.retired_event);
+        let cycles = self.zero_mask_cycles(&probe, addr);
+        let measured = self.measure_cycles(cycles);
+        self.tsc += measured;
+        measured
     }
 
     /// Batched probe: executes one all-zero-mask op per address and
@@ -813,23 +900,33 @@ impl Machine {
             }
         }
         let addr = addrs[0];
+        cycles[0] = self.zero_mask_cycles(probe, addr);
+        let first_page = addr.align_down(4096);
+        if FAST && addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096) == first_page {
+            self.refresh_resume_memo(self.defended_page(first_page));
+        }
+        1
+    }
+
+    /// The full path of one all-zero-mask probe after its ticks: visits
+    /// its one or two pages, books its walks and returns its
+    /// deterministic cycle cost (noise not yet drawn). The zero mask
+    /// means no lane is unmasked, so no page can report a fault and no
+    /// data moves. Shared by [`Machine::probe`] and the batch paths'
+    /// [`Machine::translate_run`].
+    fn zero_mask_cycles(&mut self, probe: &BatchProbe, addr: VirtAddr) -> f64 {
         let mut acc = OpAccounting::new(probe.base);
-        // The zero mask means no lane is unmasked, so no page can ever
-        // report a fault on this path.
         let first_page = addr.align_down(4096);
         let last_page = addr.wrapping_add(PROBE_LAST_LANE_OFFSET).align_down(4096);
         let _ = self.visit_page(probe.kind, first_page, false, &mut acc, None);
         if last_page != first_page {
             let _ = self.visit_page(probe.kind, last_page, false, &mut acc, None);
-        } else if FAST {
-            self.refresh_resume_memo(self.defended_page(first_page));
         }
         if acc.user_nonpresent {
             acc.cycles += probe.nonpresent_extra;
         }
         self.pmc.add(probe.walk_event, u64::from(acc.walks_total));
-        cycles[0] = acc.cycles;
-        1
+        acc.cycles
     }
 
     /// Whether `page` walks uncached: AMD's kernel-half walks bypass the
@@ -874,7 +971,8 @@ impl Machine {
         addrs: &[VirtAddr],
         cycles: &mut [f64],
     ) -> usize {
-        let (Some(memo), Some(shadow)) = (self.resume_memo.as_ref(), self.shadow.as_ref()) else {
+        let shadow = self.shadow.as_deref().and_then(SharedShadow::get);
+        let (Some(memo), Some(shadow)) = (self.resume_memo.as_ref(), shadow) else {
             return 0;
         };
         let Some(run) = shadow.open_run(memo, &self.space, &self.psc) else {
@@ -930,7 +1028,7 @@ impl Machine {
         if self.walks_uncached(page) {
             return;
         }
-        let Some(shadow) = self.shadow.as_ref() else {
+        let Some(shadow) = self.shadow.as_deref().and_then(SharedShadow::get) else {
             return;
         };
         if let Some(memo) = &self.resume_memo {
@@ -1230,9 +1328,10 @@ impl Machine {
         let walk: ShadowWalk = if self.shadow_enabled {
             let current = matches!(&self.shadow, Some(s) if s.is_current(&self.space));
             if !current {
-                self.shadow = Some(ShadowIndex::build(&self.space));
+                self.shadow = Some(Arc::new(SharedShadow::new(&self.space)));
             }
-            let shadow = self.shadow.as_ref().expect("just built");
+            let shadow = self.shadow.as_deref().expect("just set");
+            let shadow = shadow.get_or_build(&self.space);
             let lines = &mut self.lines;
             let mut on_access = |table, idx| {
                 let warm = if bypass_psc {
@@ -1346,6 +1445,12 @@ impl Machine {
         let pa = mapping.phys.wrapping_add(offset);
         self.mem.read(pa, buf);
     }
+}
+
+/// The profile's own stationary noise, the model a new machine starts
+/// with.
+fn profile_noise(t: &TimingParams) -> NoiseModel {
+    NoiseModel::new(t.noise_sigma, t.spike_prob, t.spike_range)
 }
 
 /// Cost of one paging-structure access whose line was warm or cold.
@@ -2257,6 +2362,194 @@ mod tests {
             default.execute_batch(OpKind::Load, &addrs),
             explicit.execute_batch(OpKind::Load, &addrs)
         );
+    }
+
+    /// Everything an op can change that the probe oracle compares: the
+    /// counters, the TLB, PSC and line-cache diagnostics, the clock and
+    /// the next RNG draw.
+    fn observed(m: &Machine) -> String {
+        use rand::RngCore;
+        format!(
+            "{:?} tlb {:?}/{} psc {}/{}/{}/{} lines {} tsc {} seq {} next {}",
+            m.pmc,
+            m.tlb.stats(),
+            m.tlb.len(),
+            m.psc.hits(),
+            m.psc.misses(),
+            m.psc.len(),
+            m.psc.generation(),
+            m.lines.len(),
+            m.elapsed_cycles(),
+            m.probe_seq,
+            m.rng.clone().next_u64(),
+        )
+    }
+
+    /// A noisy Fig. 2 machine under `observables`, with `victim`'s
+    /// defense or schedule installed.
+    fn oracle_machine(observables: ObservablesVersion, victim: fn(&mut Machine)) -> Machine {
+        let mut m = fig2_machine_on(CpuProfile::alder_lake_i5_12400f());
+        m.set_noise_profile(crate::NoiseProfile::LaptopDvfs);
+        m.set_observables(observables);
+        victim(&mut m);
+        m
+    }
+
+    /// Runs the oracle's op sequence — user and kernel pages, present
+    /// and not, at page-straddling offsets 4064–4095, loads and stores,
+    /// each twice — through `Machine::probe` on one machine and through
+    /// `execute(MaskedOp::probe_*)` on its twin, comparing after every
+    /// op.
+    fn assert_probe_matches_execute(victim: fn(&mut Machine), what: &str) {
+        const PAGES: [u64; 6] = [
+            USER_M,
+            USER_U,
+            KERNEL_M,
+            KERNEL_U,
+            0x7000_0000_0000,
+            KERNEL_M + 0x1f_f000,
+        ];
+        let offsets = [0u64, 8, 4064, 4067, 4068, 4069, 4072, 4080, 4088, 4095];
+        for observables in [ObservablesVersion::V1, ObservablesVersion::V2] {
+            let mut fast = oracle_machine(observables, victim);
+            let mut full = oracle_machine(observables, victim);
+            let mut step = 0;
+            for round in 0..2 {
+                for &page in &PAGES {
+                    for &offset in &offsets {
+                        for kind in [OpKind::Load, OpKind::Store] {
+                            let addr = va(page + offset);
+                            let op = match kind {
+                                OpKind::Load => MaskedOp::probe_load(addr),
+                                OpKind::Store => MaskedOp::probe_store(addr),
+                            };
+                            let got = fast.probe(kind, addr);
+                            let want = full.execute(op).cycles;
+                            let ctx = format!("{what} {observables} round {round} step {step}");
+                            assert_eq!(got, want, "{ctx}: {kind} {addr}");
+                            assert_eq!(observed(&fast), observed(&full), "{ctx}");
+                            step += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_matches_execute_on_bare_machines() {
+        assert_probe_matches_execute(|_| {}, "bare");
+    }
+
+    #[test]
+    fn probe_matches_execute_under_masked_translation_and_rerandomization() {
+        assert_probe_matches_execute(
+            |m| {
+                let mask = AddressMask::new(KERNEL_M, KERNEL_M + 0x2000_0000, 0x20_0000, 3);
+                m.set_defense(Some(VictimDefense::new().with_mask(mask)));
+            },
+            "masked",
+        );
+        assert_probe_matches_execute(
+            |m| {
+                let r = Rerandomizer::capture(
+                    m.space(),
+                    KERNEL_M,
+                    KERNEL_M + 0x2000_0000,
+                    0x20_0000,
+                    37,
+                    5,
+                )
+                .unwrap();
+                m.set_defense(Some(VictimDefense::new().with_rerandomizer(r)));
+            },
+            "rerandomized",
+        );
+    }
+
+    #[test]
+    fn probe_matches_execute_on_scheduled_victims() {
+        assert_probe_matches_execute(
+            |m| {
+                use crate::sched::SchedRegion;
+                const MODULES: u64 = 0xffff_ffff_c000_0000;
+                m.set_victim_schedule(Some(
+                    VictimSchedule::new(3, 11)
+                        .with_module_region(SchedRegion::new(MODULES, MODULES + 0x2_0000, 0x1000))
+                        .at(4, SchedEvent::NoiseSwap(crate::NoiseProfile::Quiet))
+                        .at(9, SchedEvent::TenantArrive)
+                        .every(2, 5, SchedEvent::ModuleLoad { pages: 2 })
+                        .every(3, 7, SchedEvent::ModuleUnload)
+                        .at(30, SchedEvent::TenantDepart),
+                ));
+            },
+            "scheduled",
+        );
+    }
+
+    /// A machine after an arbitrary history, reset, behaves exactly like
+    /// a new one: scalar probes, both batch paths, a data-moving op and
+    /// the diagnostics, on the same and on another profile.
+    #[test]
+    fn reset_machine_replays_like_a_new_one() {
+        let workload = |m: &mut Machine, observables: ObservablesVersion| {
+            m.set_observables(observables);
+            let addrs: Vec<VirtAddr> = (0..40)
+                .map(|i| va(KERNEL_U - 0x40_0000 + i * 0x20_0000))
+                .chain((0..24).map(|i| va(USER_U + i * 0x1000)))
+                .collect();
+            let mut out = m.execute_batch(OpKind::Load, &addrs);
+            out.extend(m.execute_batch(OpKind::Store, &addrs));
+            out.extend(addrs.iter().map(|&a| m.probe(OpKind::Load, a)));
+            let op = MaskedOp {
+                kind: OpKind::Load,
+                addr: va(USER_M + 0x10),
+                mask: Mask::new(0b1011, 8),
+                width: ElemWidth::Dword,
+            };
+            let data = m.execute(op).data;
+            (out, data, observed(m), m.space().iter_regions())
+        };
+        let source = fig2_machine().space().clone();
+        for profile in [
+            CpuProfile::alder_lake_i5_12400f(),
+            CpuProfile::zen3_ryzen5_5600x(),
+        ] {
+            for observables in [ObservablesVersion::V1, ObservablesVersion::V2] {
+                // A history that leaves every part of the state dirty.
+                let mut m = fig2_machine();
+                m.set_noise_profile(crate::NoiseProfile::drift_quiet_to_laptop());
+                m.set_defense(Some(VictimDefense::new().with_mask(AddressMask::new(
+                    KERNEL_M,
+                    KERNEL_M + 0x2000_0000,
+                    0x20_0000,
+                    9,
+                ))));
+                m.set_victim_schedule(Some(
+                    VictimSchedule::new(1, 2).at(5, SchedEvent::TenantArrive),
+                ));
+                m.poke(va(USER_M), &[7, 7, 7, 7]);
+                m.evict_translation(va(KERNEL_M));
+                // The workload last, so the TLB, PSC and line cache are
+                // full when the reset comes.
+                let _ = workload(&mut m, ObservablesVersion::V2);
+                m.set_shadow_enabled(false);
+                m.space_mut()
+                    .map(va(0x6000_0000_0000), PageSize::Size4K, PteFlags::user_rw())
+                    .unwrap();
+
+                m.reset(&profile, &source, 77);
+                let mut fresh = Machine::new(profile.clone(), source.clone(), 77);
+                assert_eq!(observed(&m), observed(&fresh), "{}", profile.model);
+                assert_eq!(m.noise(), fresh.noise());
+                assert_eq!(
+                    workload(&mut m, observables),
+                    workload(&mut fresh, observables),
+                    "{} {observables}",
+                    profile.model
+                );
+            }
+        }
     }
 
     /// How many of a tile of 16 non-present user pages the run server

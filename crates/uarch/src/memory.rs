@@ -44,6 +44,11 @@ impl SparseMemory {
         }
     }
 
+    /// Zeroes all memory, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+    }
+
     /// Number of non-zero bytes stored.
     #[must_use]
     pub fn len(&self) -> usize {
